@@ -28,8 +28,10 @@ Run standalone::
 ``--smoke`` is the fast perf-regression guard used by CI: it compresses a
 small on-disk tensor batch-by-batch and exits non-zero if the planner ever
 draws more than one Gaussian test matrix per batch (i.e. the shared-sketch
-amortisation regressed), or if the float32 path drifts from the float64
-result by more than 1e-2.
+amortisation regressed), if the float32 path drifts from the float64
+result by more than 1e-2, or if compressing a strided in-memory order-3
+tensor allocates at its peak half the tensor's bytes or more (the kernels
+must work on cache-sized block copies, never on whole-slab copies).
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ SEED = 0
 SMOKE_SHAPE = (24, 18, 4, 3)
 SMOKE_RANK = 3
 SMOKE_BATCH = 4
+#: Strided in-memory tensor of the peak-allocation guard (48 MiB) and the
+#: bound on the traced allocation peak, as a fraction of its bytes.
+PEAK_SHAPE = (256, 256, 96)
+PEAK_BOUND = 0.5
 
 
 def _setup(shape, ranks):
@@ -149,9 +155,11 @@ def run_all(*, repeats: int = 5) -> dict:
 def smoke() -> int:
     """Fast CI guard: sketch amortisation + float32 accuracy."""
     import tempfile
+    import tracemalloc
 
     from repro.core.config import DTuckerConfig
     from repro.core.out_of_core import compress_npy
+    from repro.core.sources import DenseSource, compress_source
     from repro.kernels import KernelStats
     from repro.tensor.slices import slice_count
 
@@ -175,9 +183,19 @@ def smoke() -> int:
     gap = abs(
         np.sqrt(f32.compression_error(x)) - np.sqrt(f64.compression_error(x))
     )
+    big = np.random.default_rng(SEED).standard_normal(PEAK_SHAPE)
+    tracemalloc.start()
+    try:
+        compress_source(
+            DenseSource(big), 8, config=DTuckerConfig(seed=SEED, backend="serial")
+        )
+        peak_ratio = tracemalloc.get_traced_memory()[1] / big.nbytes
+    finally:
+        tracemalloc.stop()
     print(
         f"[A9 smoke] batches={n_batches} sketch_draws={draws} "
-        f"decisions={stats.plan_decisions()} float32_error_gap={gap:.2e}"
+        f"decisions={stats.plan_decisions()} float32_error_gap={gap:.2e} "
+        f"dense_peak_alloc={peak_ratio:.3f}x tensor"
     )
     if draws > n_batches:
         print(
@@ -193,7 +211,18 @@ def smoke() -> int:
             file=sys.stderr,
         )
         return 1
-    print("[A9 smoke] OK: <= 1 sketch draw per batch, float32 within 1e-2")
+    if peak_ratio >= PEAK_BOUND:
+        print(
+            f"[A9 smoke] FAIL: compressing a strided {PEAK_SHAPE} tensor "
+            f"peaked at {peak_ratio:.2f}x its bytes >= {PEAK_BOUND}x — a "
+            "whole-slab copy is back in the compression kernels",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        "[A9 smoke] OK: <= 1 sketch draw per batch, float32 within 1e-2, "
+        f"dense peak alloc < {PEAK_BOUND}x tensor"
+    )
     return 0
 
 

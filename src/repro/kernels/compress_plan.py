@@ -20,9 +20,10 @@ stack, with very different cost profiles:
 dispatch for ``strategy="rsvd"``, or honours an explicit ``"gram"`` /
 ``"exact"`` request.  :func:`execute_plan` then runs the chosen method
 through the execution engine: it draws (or receives) *one* Gaussian test
-matrix per slab, applies it with a single stacked GEMM into a pooled
-buffer, and fans the factorization out in chunks that are bitwise
-identical to the unchunked batched call.
+matrix per slab and fans the factorization out in chunks.  Each chunk is
+factored in cache-sized blocks of slices, copied once into a contiguous
+buffer that the sketch, the norms and the factorization all read; chunks
+and blocks are bitwise identical to the unblocked batched call.
 
 The cost constants were calibrated on batched NumPy/LAPACK timings (QR and
 eig/SVD flops carry much larger constants than GEMM flops); they only need
@@ -32,6 +33,7 @@ to rank the three methods correctly, not predict wall time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -371,44 +373,119 @@ def slab_norms(stack: np.ndarray) -> np.ndarray:
 
 # -- chunk kernels (module level so the process backend can pickle them) ----
 
-def plan_exact_chunk(
-    stack: np.ndarray, *, rank: int
+#: Bytes of slice data per block.  Each engine chunk is factored in blocks
+#: of whole slices (at least one) that fit this budget; a block is copied
+#: once into a C-contiguous buffer — cast to the compute dtype in the same
+#: copy — and the sketch, the norms and the factorization all read it while
+#: it is cache-resident.  Chosen from a 1–16 MiB sweep on the paper
+#: datasets' slab shapes: larger budgets sped up the kernel alone a little
+#: but slowed the end-to-end fit.
+_BLOCK_BYTES = 4 << 20
+
+
+def block_slices(i1: int, i2: int, dtype: "np.dtype | type") -> int:
+    """Slices per block: as many ``(i1, i2)`` slices as fit the budget, >= 1."""
+    return max(1, _BLOCK_BYTES // (int(i1) * int(i2) * np.dtype(dtype).itemsize))
+
+
+def _blockwise(
+    stack: np.ndarray,
+    factor,
+    *,
+    dtype: "np.dtype | type | None",
+    block: int | None,
+    buffer: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact truncated SVD of one chunk of the slice stack."""
-    u, s, vt = np.linalg.svd(stack, full_matrices=False)
+    """Run ``factor`` over ``stack`` block by block into ``(U, s, Vt, norms)``.
+
+    Every block of ``block`` slices (default :func:`block_slices`) is copied
+    once into ``buffer`` (allocated when ``None``), cast to ``dtype`` on the
+    way (default: float32 stays, anything else becomes float64).  Batched
+    LAPACK/BLAS are per-matrix loops, so the factors do not depend on where
+    the block boundaries fall; the norms accumulate in float64 on the same
+    contiguous block.
+    """
+    l, i1, i2 = stack.shape
+    if dtype is None:
+        dtype = np.float32 if stack.dtype == np.float32 else np.float64
+    if buffer is None:
+        step = block if block is not None else block_slices(i1, i2, dtype)
+        buffer = np.empty((min(step, l), i1, i2), dtype=dtype)
+    step = buffer.shape[0]
+    parts = []
+    for start in range(0, l, step):
+        blk = buffer[: min(step, l - start)]
+        np.copyto(blk, stack[start : start + len(blk)], casting="unsafe")
+        parts.append((*factor(blk), slab_norms(blk)))
+    return parts[0] if len(parts) == 1 else concat_chunks(parts)
+
+
+def _exact_svd(blk: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    u, s, vt = np.linalg.svd(blk, full_matrices=False)
     u, s, vt = u[:, :, :rank], s[:, :rank], vt[:, :rank, :]
     fixed = [sign_fix(u[l], vt[l]) for l in range(u.shape[0])]
     u = np.stack([f[0] for f in fixed])
-    vt = np.stack([f[1] for f in fixed])
-    return u, np.ascontiguousarray(s), vt, slab_norms(stack)
+    return u, np.ascontiguousarray(s), np.stack([f[1] for f in fixed])
+
+
+def plan_exact_chunk(
+    stack: np.ndarray,
+    *,
+    rank: int,
+    dtype: "np.dtype | type | None" = None,
+    block: int | None = None,
+    buffer: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact truncated SVD of one chunk of the slice stack, block by block.
+
+    ``dtype``, ``block`` and ``buffer`` set the compute dtype, the slices
+    per block and the reusable block buffer (see :func:`_blockwise`).
+    """
+    return _blockwise(
+        stack, partial(_exact_svd, rank=rank),
+        dtype=dtype, block=block, buffer=buffer,
+    )
 
 
 def plan_gram_chunk(
-    stack: np.ndarray, *, rank: int
+    stack: np.ndarray,
+    *,
+    rank: int,
+    dtype: "np.dtype | type | None" = None,
+    block: int | None = None,
+    buffer: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gram-side truncated SVD of one chunk of the slice stack."""
-    u, s, vt = batched_svd_via_gram(stack, rank)
-    return u, s, vt, slab_norms(stack)
+    """Gram-side truncated SVD of one chunk of the slice stack, block by block."""
+    return _blockwise(
+        stack, partial(batched_svd_via_gram, rank=rank),
+        dtype=dtype, block=block, buffer=buffer,
+    )
 
 
 def plan_rsvd_chunk(
     stack: np.ndarray,
-    sketch: np.ndarray,
     *,
     rank: int,
+    omega: np.ndarray,
     power_iterations: int,
+    dtype: "np.dtype | type | None" = None,
+    block: int | None = None,
+    buffer: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Randomized truncated SVD of one chunk, from a precomputed sketch.
+    """Randomized truncated SVD of one chunk, block by block.
 
-    The planner sketches the whole slab with one stacked GEMM and ships
-    each chunk its rows of ``Y = A @ Ω``; since batched matmul is one GEMM
-    per matrix, the chunk factors exactly what a per-chunk sketch product
-    would produce.
+    Every block is sketched with the slab's one shared test matrix
+    ``omega`` (``blk @ Ω`` on the contiguous block buffer), so the chunking
+    and the blocking change no bit of the factors.
     """
-    u, s, vt = batched_rsvd(
-        stack, rank, power_iterations=power_iterations, sketch=sketch
+    return _blockwise(
+        stack,
+        partial(
+            batched_rsvd, rank=rank, power_iterations=power_iterations,
+            test_matrix=omega,
+        ),
+        dtype=dtype, block=block, buffer=buffer,
     )
-    return u, s, vt, slab_norms(stack)
 
 
 def _execute_plan_device(
@@ -491,12 +568,12 @@ def execute_plan(
         the slice axis (bitwise identical to the unchunked batched call,
         because every batched LAPACK/BLAS primitive is a per-matrix loop).
     stack:
-        The slab; cast to ``plan.compute_dtype`` up front.  Its memory
-        layout is otherwise preserved: the factor kernels contiguize their
-        chunks internally, while the per-slice norm accumulation runs on
-        the caller's layout — summation order matters in the last bits, so
-        this keeps a strided in-memory slice view bit-identical to the
-        historical unplanned path.
+        The slab, in any memory layout (a strided slice view is fine).  No
+        whole-slab copy is made: each chunk copies one block of slices at
+        a time into a C-contiguous buffer, casting to ``plan.compute_dtype``
+        in the same copy, and the per-slice norms accumulate in float64 on
+        that block (so they may differ from a norm taken on the caller's
+        layout in the last bits, ~1e-14 relative).
     rank:
         Truncation rank ``K``.
     plan:
@@ -508,11 +585,11 @@ def execute_plan(
         out-of-core path draws all batches' matrices upfront in batch
         order so results do not depend on scheduling.  Overrides ``rng``.
     pool:
-        Optional :class:`~repro.kernels.buffers.BufferPool` the sketch GEMM
-        writes into, so repeated same-shape slabs (out-of-core batches)
-        reuse one buffer.  Ignored on the process backend: its
-        shared-memory uploads are cached by array identity, so slabs
-        shipped to workers must always be fresh arrays.
+        Optional :class:`~repro.kernels.buffers.BufferPool` holding the
+        block buffer (slot ``compress:block``), so repeated same-shape
+        slabs (out-of-core batches, stream blocks) reuse one allocation.
+        Used on the serial backend only, whose chunks run one at a time on
+        the calling thread; parallel chunks allocate their own buffer.
     stats:
         Optional :class:`~repro.kernels.stats.KernelStats`; records the
         planner decision (``plan:<method>`` miss) and each test-matrix
@@ -532,66 +609,51 @@ def execute_plan(
         ``(U, s, Vt, norms)`` — factors in ``plan.compute_dtype``, per-slice
         squared norms always in float64.
     """
-    a = np.asarray(stack, dtype=plan.compute_dtype)
+    a = np.asarray(stack)
     if a.ndim != 3:
         raise ShapeError(f"stack must be 3-D (L, I1, I2), got shape {a.shape}")
     l, i1, i2 = a.shape
     if stats is not None:
         stats.record_miss(f"plan:{plan.method}")
     if plan.device != "cpu":
-        return _execute_plan_device(a, rank, plan, rng=rng, omega=omega, stats=stats)
+        return _execute_plan_device(
+            np.asarray(a, dtype=plan.compute_dtype), rank, plan,
+            rng=rng, omega=omega, stats=stats,
+        )
+    dtype = plan.compute_dtype
+    block = block_slices(i1, i2, dtype)
+    broadcast: dict[str, object] = dict(rank=int(rank), dtype=dtype, block=block)
+    if pool is not None and engine.name == "serial":
+        # Serial chunks run one after another on this thread, so they can
+        # share one pooled block buffer; parallel chunks allocate their own.
+        broadcast["buffer"] = pool.take(
+            "compress:block", (min(block, l), i1, i2), dtype
+        )
     if plan.method == "exact":
-        return chunked(
-            engine,
-            plan_exact_chunk,
-            l,
-            slabs=(a,),
-            broadcast={"rank": int(rank)},
-            chunk_size=chunk_size,
-            reduce=concat_chunks,
-            costs=costs,
-            schedule=schedule,
-        )
-    if plan.method == "gram":
-        return chunked(
-            engine,
-            plan_gram_chunk,
-            l,
-            slabs=(a,),
-            broadcast={"rank": int(rank)},
-            chunk_size=chunk_size,
-            reduce=concat_chunks,
-            costs=costs,
-            schedule=schedule,
-        )
-    if plan.method != "rsvd":  # pragma: no cover - plan construction guards this
+        kernel = plan_exact_chunk
+    elif plan.method == "gram":
+        kernel = plan_gram_chunk
+    elif plan.method == "rsvd":
+        if omega is None:
+            gen = default_rng(rng)
+            omega = gen.standard_normal((i2, plan.k_eff))
+        om = np.asarray(omega, dtype=dtype)
+        if om.shape != (i2, plan.k_eff):
+            raise ShapeError(
+                f"omega must have shape ({i2}, {plan.k_eff}), got {om.shape}"
+            )
+        if stats is not None:
+            stats.record_miss("sketch")
+        kernel = plan_rsvd_chunk
+        broadcast.update(omega=om, power_iterations=plan.power_iterations)
+    else:  # pragma: no cover - plan construction guards this
         raise ShapeError(f"unknown plan method {plan.method!r}")
-    if omega is None:
-        gen = default_rng(rng)
-        omega = gen.standard_normal((i2, plan.k_eff))
-    om = np.asarray(omega, dtype=plan.compute_dtype)
-    if om.shape != (i2, plan.k_eff):
-        raise ShapeError(
-            f"omega must have shape ({i2}, {plan.k_eff}), got {om.shape}"
-        )
-    if stats is not None:
-        stats.record_miss("sketch")
-    # One stacked GEMM sketches the whole slab; chunks then receive their
-    # rows of Y instead of re-multiplying against Ω.
-    if pool is not None and engine.name != "process":
-        y = pool.take("compress:sketch", (l, i1, plan.k_eff), plan.compute_dtype)
-        np.matmul(a, om, out=y)
-    else:
-        y = a @ om
     return chunked(
         engine,
-        plan_rsvd_chunk,
+        kernel,
         l,
-        slabs=(a, y),
-        broadcast={
-            "rank": int(rank),
-            "power_iterations": plan.power_iterations,
-        },
+        slabs=(a,),
+        broadcast=broadcast,
         chunk_size=chunk_size,
         reduce=concat_chunks,
         costs=costs,

@@ -209,11 +209,9 @@ def batched_rsvd(
         call.  When given, ``rng`` is ignored.
     sketch:
         Precomputed range sketch ``Y = stack @ Ω`` of shape
-        ``(L, m, size)``.  The compression planner applies one test matrix
-        to a whole slice slab with a single stacked GEMM and hands each
-        chunk its rows, skipping the per-chunk sketch product here.  The
-        values are identical either way (batched matmul factors one GEMM
-        per matrix); when given, ``test_matrix`` and ``rng`` are ignored.
+        ``(L, m, size)``, e.g. computed on an accelerator next to the
+        slab; the sketch product is then skipped here.  When given,
+        ``test_matrix`` and ``rng`` are ignored.
 
     Returns
     -------

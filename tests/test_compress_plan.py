@@ -340,6 +340,84 @@ class TestExecutePlan:
                 )
 
 
+class TestBlocks:
+    """Chunks are factored in cache-sized blocks; the boundaries are invisible."""
+
+    #: Block budgets in slices of the test slab: one-slice blocks, blocks
+    #: of three (7 slices -> 3 + 3 + 1), and a budget below one slice.
+    CASES = {"one-slice": 1.0, "uneven": 3.0, "sub-slice": 0.25}
+
+    @staticmethod
+    def _strided_stack() -> np.ndarray:
+        # (L, I1, I2) view with the slice index fastest, as DenseSource serves.
+        return np.moveaxis(default_rng(12).standard_normal((30, 28, 7)), 2, 0)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("method", ["exact", "gram", "rsvd"])
+    def test_blocking_is_bit_invisible(
+        self, monkeypatch, method, precision, backend
+    ) -> None:
+        from repro.kernels import compress_plan
+
+        stack = self._strided_stack()
+        plan = plan_compression(30, 28, 3, strategy=method, precision=precision)
+        assert plan.method == method
+        omega = default_rng(0).standard_normal((28, plan.k_eff))
+        slice_bytes = 30 * 28 * plan.compute_dtype.itemsize
+        assert compress_plan.block_slices(30, 28, plan.compute_dtype) >= 7
+        with backend_scope("serial") as eng:
+            ref = execute_plan(eng, stack, 3, plan, omega=omega)
+        with backend_scope(backend, n_workers=2) as eng:
+            for slices in self.CASES.values():
+                monkeypatch.setattr(
+                    compress_plan, "_BLOCK_BYTES", int(slices * slice_bytes)
+                )
+                got = execute_plan(eng, stack, 3, plan, omega=omega, pool=BufferPool())
+                for a, b in zip(got[:3], ref[:3]):
+                    assert a.dtype == plan.compute_dtype
+                    np.testing.assert_array_equal(a, b)
+                np.testing.assert_allclose(got[3], ref[3], rtol=1e-12)
+
+    def test_pooled_buffer_only_on_serial(self) -> None:
+        # Concurrent thread chunks must never share the pooled block slot.
+        stack = self._strided_stack()
+        plan = plan_compression(30, 28, 3, strategy="rsvd")
+        pool = BufferPool()
+        with backend_scope("thread", n_workers=2) as eng:
+            execute_plan(eng, stack, 3, plan, rng=0, pool=pool)
+        assert len(pool) == 0
+        with backend_scope("serial") as eng:
+            execute_plan(eng, stack, 3, plan, rng=0, pool=pool)
+        assert len(pool) == 1
+
+    def test_block_slices(self, monkeypatch) -> None:
+        from repro.kernels import compress_plan
+
+        monkeypatch.setattr(compress_plan, "_BLOCK_BYTES", 3 * 30 * 28 * 8)
+        assert compress_plan.block_slices(30, 28, np.float64) == 3
+        assert compress_plan.block_slices(30, 28, np.float32) == 6
+        assert compress_plan.block_slices(300, 280, np.float64) == 1
+
+    def test_peak_memory_below_half_the_tensor(self) -> None:
+        # A strided order-3 tensor is compressed block by block: no
+        # whole-slab copy, cast or sketch is ever materialised.
+        import tracemalloc
+
+        from repro.core.sources import DenseSource, compress_source
+
+        x = default_rng(13).standard_normal((256, 256, 96))
+        tracemalloc.start()
+        try:
+            compress_source(
+                DenseSource(x), 8, config=DTuckerConfig(seed=0, backend="serial")
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * x.nbytes
+
+
 class TestCompressStats:
     def test_auto_records_decision_and_sketch(self) -> None:
         x = default_rng(2).standard_normal((40, 38, 4))

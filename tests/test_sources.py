@@ -276,6 +276,22 @@ class TestCrossSourceParity:
             np.testing.assert_array_equal(other.s, dense.s)
             np.testing.assert_array_equal(other.vt, dense.vt)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_dense_npy_order4_rsvd_bitwise(self, tmp_path, backend) -> None:
+        # The smallest order-4 shape on the randomized path (short side
+        # > 2·(rank + oversampling)).  Its dense slice view is strided along
+        # two trailing modes; the sketch must still see the same C-ordered
+        # slices as the .npy gather, so the factors agree bit for bit.
+        x = np.random.default_rng(0).standard_normal((23, 23, 2, 2))
+        path = tmp_path / "x4.npy"
+        np.save(path, x)
+        cfg = DTuckerConfig(seed=7, backend=backend, n_workers=2)
+        dense = compress_source(DenseSource(x), 1, config=cfg)
+        npy = compress_source(NpySource(path), 1, batch_slices=4, config=cfg)
+        np.testing.assert_array_equal(npy.u, dense.u)
+        np.testing.assert_array_equal(npy.s, dense.s)
+        np.testing.assert_array_equal(npy.vt, dense.vt)
+
     def test_wrapper_entry_points_match_compress_source(
         self, tensor, npy_path
     ) -> None:
