@@ -1,22 +1,27 @@
 """A14 — pluggable array-API layer: dispatch overhead, placement, parity.
 
-Four sections, none of which require an accelerator to be installed:
+Every compute function has one body written against the
+:class:`ArrayModule` facade, so the two timing sections below run the
+*same* function bodies and differ only in the module the sweep workspace
+is bound to.  Four sections, none of which require an accelerator to be
+installed:
 
 * **numpy overhead** — the facade-dispatched sweep loop
-  (:func:`repro.core.iteration.als_sweeps` through ``SweepWorkspace``)
-  against the pre-facade reference loop
+  (:func:`repro.core.iteration.als_sweeps` through ``SweepWorkspace``) on
+  :class:`NumpyModule` against the naive reference loop
   (:func:`repro.kernels.naive.naive_als_sweeps`).  The results must be
-  **bit-identical** (the NumPy module is a literal delegation layer) and
+  **bit-identical** (``NumpyModule`` is a literal delegation layer) and
   the dispatched loop must not be slower — the facade may only remove
   work, never add a measurable per-call cost.
 * **pseudo-device overhead** — the same sweeps with the workspace bound
-  to a generic (non-subclassed) :class:`ArrayModule` wrapped around
-  NumPy.  That routes the full device plumbing — construction-time
-  uploads, inline slab execution (engine bypass), result downloads, and
-  the transfer accounting — while the arithmetic stays NumPy, isolating
-  the facade's plumbing cost from kernel speed.  Records the
-  pseudo-device/native runtime ratio, checks parity, and verifies the
-  ``xfer:h2d`` / ``xfer:d2h`` accounting fires.
+  to the capability-poor generic :class:`ArrayModule` (no native einsum
+  or kron) wrapped around NumPy.  That routes the full device plumbing —
+  construction-time uploads, inline slab execution (engine bypass),
+  result downloads, and the transfer accounting —
+  while the arithmetic stays NumPy, isolating the facade's plumbing cost
+  from kernel speed.  Records the pseudo-device/NumpyModule runtime
+  ratio, checks parity, and verifies the ``xfer:h2d`` / ``xfer:d2h``
+  accounting fires.
 * **placement ranking** — :func:`repro.kernels.compress_plan.
   estimate_device_costs` across a slab-geometry grid: compute-dominated
   slabs must rank the device first, transfer-dominated slabs the CPU.
@@ -94,7 +99,7 @@ def _best_of(fn, repeats: int) -> tuple[object, float]:
 
 
 def run_numpy_overhead(*, repeats: int = 5) -> dict:
-    """Facade-dispatched sweeps vs the pre-facade naive loop."""
+    """Facade-dispatched sweeps on NumpyModule vs the naive reference loop."""
     from repro.core.config import DTuckerConfig
     from repro.core.iteration import als_sweeps
     from repro.kernels import naive_als_sweeps
@@ -125,7 +130,7 @@ def run_numpy_overhead(*, repeats: int = 5) -> dict:
 
 
 def run_generic_overhead(*, repeats: int = 5) -> dict:
-    """Native NumPy branches vs the generic emulation branches."""
+    """The same sweep bodies on NumpyModule vs the generic emulating module."""
     from repro.core.config import DTuckerConfig
     from repro.core.iteration import als_sweeps
     from repro.kernels import SweepWorkspace

@@ -210,6 +210,7 @@ def als_sweeps(
                 if len(errors) >= 2 and abs(errors[-2] - errors[-1]) < float(cfg.tol):
                     converged = True
                     break
+            # Kept fork: only device results need a (tallied) d2h download.
             if not ws.module.is_numpy:
                 # Bring the finished pieces home: results are host arrays
                 # regardless of where the sweeps ran.

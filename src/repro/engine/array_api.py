@@ -6,12 +6,14 @@ Every compute layer (``linalg/``, ``tensor/``, ``kernels/``,
 (NumPy, torch, CuPy, or any array-API-standard namespace such as
 ``array_api_strict``).  The contract has three parts:
 
-* **Bit-identity for NumPy.**  :class:`NumpyModule` methods are *literal*
-  delegations to the exact NumPy calls the pre-facade code ran
-  (``np.linalg.svd``, ``np.einsum(..., optimize=True)``,
-  ``np.dot(a, b, out=out)``, …).  Dispatching a NumPy array through the
-  facade therefore executes the identical BLAS/LAPACK kernels and
-  produces bit-identical results — the property the default
+* **One body, bit-identical on NumPy.**  Every compute function has one
+  body written against the facade; none keeps a NumPy copy beside it.
+  :class:`NumpyModule` methods are *literal* delegations to the NumPy
+  calls the library ran before the facade existed (``np.linalg.svd``,
+  ``np.einsum(..., optimize=True)``, ``np.dot(a, b, out=out)``, the
+  fancy-index gather of :meth:`~ArrayModule.pivot_signs`, …), so a NumPy
+  array dispatched through the facade executes the identical BLAS/LAPACK
+  kernels and produces bit-identical results — the property the default
   ``device="cpu"`` path is pinned to.
 * **Lazy discovery.**  Non-NumPy namespaces are optional extras: nothing
   here imports torch/CuPy at module load.  :func:`probe_namespaces`
@@ -257,12 +259,35 @@ class ArrayModule:
         """Gather ``arr.ravel()[flat_idx]`` (row-major flattening)."""
         return self.xp.take(self.xp.reshape(arr, (-1,)), flat_idx)
 
+    def pivot_signs(self, u: Any) -> Any:
+        """Sign of each column's largest-magnitude entry, zeros mapped to +1.
+
+        ``u`` is a matrix ``(m, r)`` or a stack ``(L, m, r)``; the result
+        has shape ``(r,)`` / ``(L, r)``.  Emulated here with one flat gather
+        over the row-major flattening.
+        """
+        shape = [int(d) for d in u.shape]
+        m, r = shape[-2:]
+        batch = 1
+        for d in shape[:-2]:
+            batch *= d
+        idx = self.xp.reshape(self.argmax(self.abs(u), axis=-2), (batch, r))
+        pos = (self.arange(batch)[:, None] * m + idx) * r + self.arange(r)[None, :]
+        vals = self.take_flat(u, self.xp.reshape(pos, (-1,)))
+        return self.sign_nonzero(self.xp.reshape(vals, tuple(shape[:-2]) + (r,)))
+
     # -- elementwise / reductions ------------------------------------------
     def abs(self, arr: Any) -> Any:
         return self.xp.abs(arr)
 
     def sign(self, arr: Any) -> Any:
         return self.xp.sign(arr)
+
+    def sign_nonzero(self, arr: Any) -> Any:
+        """``sign(arr)`` with zeros mapped to +1 (a deterministic sign flip)."""
+        signs = self.sign(arr)
+        one = self.asarray(1.0, dtype=self.np_dtype(arr))
+        return self.where(signs == 0, one, signs)
 
     def sqrt(self, arr: Any) -> Any:
         return self.xp.sqrt(arr)
@@ -349,7 +374,7 @@ class ArrayModule:
         if self.caps["native_einsum"]:
             res = self.xp.einsum(subscripts, *operands)
         else:
-            res = _einsum_generic(self, subscripts, *operands)
+            res = _emulated_einsum(self, subscripts, *operands)
         if out is None:
             return res
         out[...] = res
@@ -364,9 +389,10 @@ class ArrayModule:
 class NumpyModule(ArrayModule):
     """The default module: literal NumPy delegations (bit-identity anchor).
 
-    Every method body is exactly the NumPy expression the pre-facade code
-    ran, so routing NumPy arrays through the facade executes identical
-    kernels — nothing about the default path changes, to the last bit.
+    Every method body is exactly the NumPy expression the library ran
+    before the facade existed, so routing NumPy arrays through the one
+    facade body of each compute function executes identical kernels —
+    nothing about the default path changes, to the last bit.
     """
 
     def __init__(self) -> None:
@@ -430,6 +456,9 @@ class NumpyModule(ArrayModule):
     def swapaxes(self, arr: Any, a: int, b: int) -> np.ndarray:
         return np.swapaxes(arr, a, b)
 
+    def mT(self, arr: Any) -> np.ndarray:
+        return arr.swapaxes(-1, -2)
+
     def concatenate(self, arrays: Sequence[Any], axis: int = 0, out: Any = None) -> np.ndarray:
         if out is None:
             return np.concatenate(arrays, axis=axis)
@@ -442,7 +471,9 @@ class NumpyModule(ArrayModule):
         return np.ascontiguousarray(arr)
 
     def flip(self, arr: Any, axis: int) -> np.ndarray:
-        return np.flip(arr, axis=axis)
+        # The reversed-slice view (``w[:, ::-1]``) without np.flip's axis
+        # normalisation, which costs more than the view on small factors.
+        return arr[(slice(None),) * (axis % arr.ndim) + (slice(None, None, -1),)]
 
     def diagonal(self, arr: Any) -> np.ndarray:
         return np.diagonal(arr)
@@ -450,7 +481,19 @@ class NumpyModule(ArrayModule):
     def take_flat(self, arr: Any, flat_idx: Any) -> np.ndarray:
         return np.take(arr, flat_idx)
 
+    def pivot_signs(self, u: Any) -> np.ndarray:
+        idx = np.argmax(np.abs(u), axis=-2)
+        cols = np.arange(u.shape[-1])
+        if u.ndim == 2:
+            return self.sign_nonzero(u[idx, cols])
+        return self.sign_nonzero(u[np.arange(u.shape[0])[:, None], idx, cols[None, :]])
+
     # -- elementwise / reductions ------------------------------------------
+    def sign_nonzero(self, arr: Any) -> np.ndarray:
+        signs = np.sign(arr)
+        signs[signs == 0] = 1.0
+        return signs
+
     def maximum(self, a: Any, b: Any) -> np.ndarray:
         return np.maximum(a, b)
 
@@ -735,7 +778,7 @@ class CupyModule(ArrayModule):
 
 # -- generic einsum ----------------------------------------------------------
 
-def _einsum_generic(am: ArrayModule, subscripts: str, *operands: Any) -> Any:
+def _emulated_einsum(am: ArrayModule, subscripts: str, *operands: Any) -> Any:
     """Einsum from matmul/permute/reshape for namespaces without a native one.
 
     Supports the explicit form ``"ab,bc,...->ac"`` with distinct letters per

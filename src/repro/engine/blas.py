@@ -1,4 +1,4 @@
-"""BLAS coordination helpers: thread-count control and ``out=`` GEMMs.
+"""BLAS coordination helpers: thread-count control and ``out=`` einsum.
 
 Thread control
 --------------
@@ -14,15 +14,17 @@ wrapped defensively — when neither path finds a control knob the context
 manager is a documented no-op and the thread backend still works (just
 without the coordination win).
 
-Preallocated-output GEMMs
--------------------------
-:func:`gemm_into` and :func:`einsum_into` are the allocation-free halves of
-``np.dot`` / ``np.einsum``: the same computation, written into a buffer the
-caller owns.  The sweep-level kernel layer (:mod:`repro.kernels`) routes
-its shape-stationary hot-path products through these so steady-state ALS
-sweeps stop paying the allocator.  Both are bit-identical to their
-allocating counterparts — NumPy dispatches the identical kernel either way
-— which is what lets the workspace path stay exactly reproducible.
+Preallocated-output einsum
+--------------------------
+:func:`einsum_into` is the allocation-free half of ``np.einsum``: the same
+computation, dispatched to the operands' array namespace and written into
+a buffer the caller owns.  The slice contraction kernels
+(:mod:`repro.kernels.contractions`) route their shape-stationary hot-path
+products through it so steady-state ALS sweeps stop paying the allocator.
+It is bit-identical to the allocating call — NumPy dispatches the
+identical kernel either way — which is what lets the workspace path stay
+exactly reproducible.  The matching GEMM is
+:meth:`~repro.engine.array_api.ArrayModule.gemm_into`.
 """
 
 from __future__ import annotations
@@ -35,45 +37,27 @@ from typing import Iterator
 
 import numpy as np
 
+from .array_api import array_module_of
+
 __all__ = [
     "blas_thread_controls",
     "limit_blas_threads",
     "current_blas_threads",
-    "gemm_into",
     "einsum_into",
 ]
 
 
-def gemm_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Matrix product ``a @ b`` written into preallocated ``out``.
+def einsum_into(
+    subscripts: str, *operands: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Optimized einsum of the operands' namespace, written into ``out`` when given.
 
-    For NumPy operands ``out`` must be C-contiguous with the result's
-    exact shape and dtype (``np.dot`` enforces this); the values are
-    bit-identical to ``np.dot(a, b)`` — the same BLAS call runs, only the
-    destination differs.  Operands from another array namespace dispatch
-    to that namespace's GEMM (``cupy.dot(out=)``, or matmul + copy for
-    namespaces without a native ``out=``).  Returns ``out``.
+    NumPy operands run ``np.einsum(..., optimize=True)``; ``out=`` does not
+    change the computation, so buffered and allocating calls agree bit for
+    bit.
     """
-    if type(a) is np.ndarray and type(b) is np.ndarray:
-        return np.dot(a, b, out=out)
-    from .array_api import array_module_of
+    return array_module_of(*operands).einsum(subscripts, *operands, out=out)
 
-    am = array_module_of(a, b)
-    if am.is_numpy:
-        return np.dot(a, b, out=out)
-    return am.gemm_into(a, b, out)
-
-
-def einsum_into(subscripts: str, *operands: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Optimized einsum written into preallocated ``out`` (returned)."""
-    if all(type(op) is np.ndarray for op in operands):
-        return np.einsum(subscripts, *operands, optimize=True, out=out)
-    from .array_api import array_module_of
-
-    am = array_module_of(*operands)
-    if am.is_numpy:
-        return np.einsum(subscripts, *operands, optimize=True, out=out)
-    return am.einsum(subscripts, *operands, out=out)
 
 _SETTERS = (
     "openblas_set_num_threads",

@@ -7,7 +7,7 @@ into memory allocated during sweep one instead of hitting the allocator
 (and the page fault / zeroing cost behind it) every time.  Buffers are
 plain C-contiguous arrays suitable for ``out=`` targets of
 :func:`numpy.einsum`, :func:`numpy.concatenate` and
-:func:`repro.engine.blas.gemm_into`.
+:meth:`repro.engine.array_api.ArrayModule.gemm_into`.
 
 The pool is device-aware: it allocates through an
 :class:`~repro.engine.array_api.ArrayModule`, so a workspace running on

@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from ..engine import ExecutionBackend, chunked, concat_chunks
-from ..engine.array_api import ArrayModule, get_module, resolve_device
+from ..engine.array_api import array_module_of, get_module, resolve_device
 from ..exceptions import RankError, ShapeError
 from ..linalg.rsvd import batched_rsvd, batched_svd_via_gram
 from ..linalg.svd import sign_fix
@@ -345,6 +345,7 @@ def plan_from_config(
         oversampling=max(0, int(config.oversampling)),
         power_iterations=int(config.power_iterations),
         exact_slice_svd=bool(config.exact_slice_svd),
+        # Kept fork: the plan labels the host path "cpu", not by namespace.
         device="cpu" if module.is_numpy else module.name,
         n_slices=n_slices,
     )
@@ -421,11 +422,10 @@ def _blockwise(
 
 
 def _exact_svd(blk: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    u, s, vt = np.linalg.svd(blk, full_matrices=False)
-    u, s, vt = u[:, :, :rank], s[:, :rank], vt[:, :rank, :]
-    fixed = [sign_fix(u[l], vt[l]) for l in range(u.shape[0])]
-    u = np.stack([f[0] for f in fixed])
-    return u, np.ascontiguousarray(s), np.stack([f[1] for f in fixed])
+    am = array_module_of(blk)
+    u, s, vt = am.svd(blk, full_matrices=False)
+    u, vt = sign_fix(u[:, :, :rank], vt[:, :rank, :])
+    return u, am.ascontiguousarray(s[:, :rank]), vt
 
 
 def plan_exact_chunk(
@@ -501,7 +501,7 @@ def _execute_plan_device(
 
     The per-slice norms accumulate on the host slab in float64 *before* the
     upload (same code as the CPU path); the factorization itself runs
-    through the batched generic paths of :mod:`repro.linalg.rsvd` on the
+    through the batched functions of :mod:`repro.linalg.rsvd` on the
     plan's device.  Transfers are tallied on ``stats`` as ``xfer:h2d`` /
     ``xfer:d2h``.  Factors return as host arrays, so the resulting
     :class:`~repro.core.slice_svd.SliceSVD` is host-resident either way.
@@ -513,11 +513,7 @@ def _execute_plan_device(
     if stats is not None:
         stats.record_transfer("h2d", stack.nbytes)
     if plan.method == "exact":
-        from ..linalg.rsvd import _batched_sign_fix
-
-        u, s, vt = am.svd(dev)
-        u, s, vt = u[:, :, :rank], s[:, :rank], vt[:, :rank, :]
-        u, vt = _batched_sign_fix(u, vt)
+        u, s, vt = _exact_svd(dev, rank)
     elif plan.method == "gram":
         u, s, vt = batched_svd_via_gram(dev, rank)
     else:

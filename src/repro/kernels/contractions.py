@@ -33,6 +33,7 @@ import numpy as np
 
 from ..engine import ExecutionBackend, chunked, concat_chunks
 from ..engine.array_api import array_module_of
+from ..engine.blas import einsum_into
 
 __all__ = [
     "project_left_chunk",
@@ -48,30 +49,20 @@ __all__ = [
 ]
 
 
-def _einsum(subscripts: str, *operands, out=None):
-    """Namespace-dispatched einsum: literal ``np.einsum`` for NumPy stacks."""
-    if all(type(op) is np.ndarray for op in operands):
-        return np.einsum(subscripts, *operands, optimize=True, out=out)
-    am = array_module_of(*operands)
-    if am.is_numpy:
-        return np.einsum(subscripts, *operands, optimize=True, out=out)
-    return am.einsum(subscripts, *operands, out=out)
-
-
 # -- projection kernels ------------------------------------------------------
 
 def project_left_chunk(
     u: np.ndarray, *, a1: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-slice ``A(1)ᵀ U_l`` stacked as ``(L, J1, K)``."""
-    return _einsum("lik,ia->lak", u, a1, out=out)
+    return einsum_into("lik,ia->lak", u, a1, out=out)
 
 
 def project_right_chunk(
     vt: np.ndarray, *, a2: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-slice ``V_lᵀ A(2)`` stacked as ``(L, K, J2)``."""
-    return _einsum("lki,ib->lkb", vt, a2, out=out)
+    return einsum_into("lki,ib->lkb", vt, a2, out=out)
 
 
 # -- fused kernels (recompute projections per call) --------------------------
@@ -123,21 +114,21 @@ def w_from_projections_chunk(
     au: np.ndarray, s: np.ndarray, av: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Final ``W`` contraction from cached ``A(1)ᵀU`` / ``VᵀA(2)`` stacks."""
-    return _einsum("lak,lk,lkb->lab", au, s, av, out=out)
+    return einsum_into("lak,lk,lkb->lab", au, s, av, out=out)
 
 
 def mode1_from_projection_chunk(
     u: np.ndarray, s: np.ndarray, av: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Mode-1 partial from the cached ``VᵀA(2)`` stack."""
-    return _einsum("lik,lk,lkb->lib", u, s, av, out=out)
+    return einsum_into("lik,lk,lkb->lib", u, s, av, out=out)
 
 
 def mode2_from_projection_chunk(
     au: np.ndarray, s: np.ndarray, vt: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Mode-2 partial from the cached ``A(1)ᵀU`` stack."""
-    return _einsum("lak,lk,lki->lai", au, s, vt, out=out)
+    return einsum_into("lak,lk,lki->lai", au, s, vt, out=out)
 
 
 # -- shaping -----------------------------------------------------------------
@@ -149,11 +140,7 @@ def stack_to_tensor(stack: np.ndarray, trailing: tuple[int, ...]) -> np.ndarray:
     :func:`repro.tensor.slices.to_slices`.
     """
     am = array_module_of(stack)
-    if am.is_numpy:
-        moved = np.moveaxis(stack, 0, 2)  # (a, b, L)
-        shape = stack.shape[1:3] + trailing
-        return moved.reshape(shape, order="F")
-    moved = am.moveaxis(stack, 0, 2)
+    moved = am.moveaxis(stack, 0, 2)  # (a, b, L)
     shape = tuple(int(d) for d in stack.shape[1:3]) + tuple(trailing)
     return am.reshape(moved, shape, order="F")
 
@@ -189,10 +176,7 @@ def dispatch_slices(
             reduce=concat_chunks, costs=costs, schedule=schedule,
         )
     def _concat_into(parts):
-        am = array_module_of(out, *parts)
-        if am.is_numpy:
-            return np.concatenate(parts, axis=0, out=out)
-        return am.concatenate(parts, axis=0, out=out)
+        return array_module_of(out, *parts).concatenate(parts, axis=0, out=out)
 
     return chunked(
         engine, kernel, n_items, slabs=slabs, broadcast=broadcast,

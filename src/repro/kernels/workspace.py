@@ -119,6 +119,7 @@ class SweepWorkspace:
         )
         self.pool = BufferPool(self.module)
         self.stats = KernelStats()
+        # Kept fork: host slabs may fan out to the engine; device slabs run inline.
         if self.module.is_numpy:
             self.engine = engine
             # Identity (no copy) for the default float64: SliceSVD stores
@@ -183,6 +184,7 @@ class SweepWorkspace:
         if type(prepared) is np.ndarray:
             if prepared.dtype != self.compute_dtype:
                 prepared = np.asarray(prepared, dtype=self.compute_dtype)
+            # Kept fork: only a real upload is tallied as h2d traffic.
             if not self.module.is_numpy:
                 self.stats.record_transfer("h2d", prepared.nbytes)
                 prepared = self.module.to_device(prepared)

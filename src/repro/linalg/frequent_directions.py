@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..engine.array_api import array_module_of
 from ..exceptions import ShapeError
 from ..validation import check_positive_int
 
@@ -78,13 +79,7 @@ class FrequentDirections:
         namespace are pulled back to the host first (one ``xfer:d2h``-sized
         copy per update — negligible next to the sketch SVD).
         """
-        if type(rows) is not np.ndarray:
-            from ..engine.array_api import array_module_of
-
-            am = array_module_of(rows)
-            if not am.is_numpy:
-                rows = am.from_device(rows)
-        arr = np.asarray(rows, dtype=float)
+        arr = np.asarray(array_module_of(rows).from_device(rows), dtype=float)
         if arr.ndim == 1:
             arr = arr[None, :]
         if arr.ndim != 2 or arr.shape[1] != self.dim:

@@ -40,36 +40,10 @@ def _as_compute_stack(stack: np.ndarray) -> np.ndarray:
     ``dtype=float`` coercion did.  Non-NumPy stacks keep their namespace.
     """
     am = array_module_of(stack)
-    if not am.is_numpy:
-        if am.np_dtype(stack) != np.float32:
-            stack = am.astype(stack, np.float64)
-        return stack
-    a = np.asarray(stack)
-    if a.dtype != np.float32:
-        a = np.asarray(a, dtype=np.float64)
+    a = am.asarray(stack)
+    if am.np_dtype(a) != np.float32:
+        a = am.astype(a, np.float64)
     return a
-
-
-def _batched_sign_fix(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic sign per (batch, component): largest |u| entry positive."""
-    am = array_module_of(u, vt)
-    if am.is_numpy:
-        r = u.shape[2]
-        idx = np.argmax(np.abs(u), axis=1)  # (L, r)
-        batch = np.arange(u.shape[0])[:, None]
-        comp = np.arange(r)[None, :]
-        signs = np.sign(u[batch, idx, comp])
-        signs[signs == 0] = 1.0
-        return u * signs[:, None, :], vt * signs[:, :, None]
-    length, m, r = (int(d) for d in u.shape)
-    idx = am.argmax(am.abs(u), axis=1)  # (L, r)
-    # Flat-gather u[l, idx[l, j], j]: positions in the row-major flattening.
-    pos = (am.arange(length)[:, None] * m + idx) * r + am.arange(r)[None, :]
-    vals = am.take_flat(u, am.xp.reshape(pos, (-1,)))
-    signs = am.sign(am.xp.reshape(vals, (length, r)))
-    one = am.asarray(1.0, dtype=am.np_dtype(u))
-    signs = am.where(signs == 0, one, signs)
-    return u * signs[:, None, :], vt * signs[:, :, None]
 
 
 def randomized_range_finder(
@@ -106,19 +80,10 @@ def randomized_range_finder(
         )
     gen = default_rng(rng)
     am = array_module_of(a)
-    if am.is_numpy:
-        omega = gen.standard_normal((a.shape[1], k))
-        y = a @ omega
-        q, _ = np.linalg.qr(y)
-        for _ in range(max(0, int(power_iterations))):
-            # QR after each half-pass for numerical stability of the power scheme.
-            z, _ = np.linalg.qr(a.T @ q)
-            q, _ = np.linalg.qr(a @ z)
-        return q
-    omega = am.standard_normal((int(a.shape[1]), k), np.float64, gen)
-    omega = am.astype(omega, am.np_dtype(a))
+    omega = am.standard_normal((int(a.shape[1]), k), am.np_dtype(a), gen)
     q, _ = am.qr(am.matmul(a, omega))
     for _ in range(max(0, int(power_iterations))):
+        # QR after each half-pass for numerical stability of the power scheme.
         z, _ = am.qr(am.matmul(am.mT(a), q))
         q, _ = am.qr(am.matmul(a, z))
     return q
@@ -163,14 +128,9 @@ def rsvd(
         a, k, power_iterations=power_iterations, rng=rng
     )
     am = array_module_of(a)
-    if am.is_numpy:
-        b = q.T @ a
-        ub, s, vt = np.linalg.svd(b, full_matrices=False)
-        u = q @ ub[:, :r]
-    else:
-        b = am.matmul(am.mT(q), a)
-        ub, s, vt = am.svd(b, full_matrices=False)
-        u = am.matmul(q, ub[:, :r])
+    b = am.matmul(am.mT(q), a)
+    ub, s, vt = am.svd(b, full_matrices=False)
+    u = am.matmul(q, ub[:, :r])
     u, vt_fixed = sign_fix(u, vt[:r])
     assert vt_fixed is not None
     return u, s[:r], vt_fixed
@@ -222,75 +182,8 @@ def batched_rsvd(
     if a.ndim != 3:
         raise RankError(f"stack must be 3-D (L, m, n), got shape {tuple(a.shape)}")
     am = array_module_of(a)
-    if not am.is_numpy:
-        return _batched_rsvd_generic(
-            am,
-            a,
-            rank,
-            oversampling=oversampling,
-            power_iterations=power_iterations,
-            rng=rng,
-            test_matrix=test_matrix,
-            sketch=sketch,
-        )
     # Batched BLAS on a strided view is several times slower than on a
     # contiguous buffer; one upfront copy pays for itself immediately.
-    a = np.ascontiguousarray(a)
-    _, m, n = a.shape
-    r = check_positive_int(rank, name="rank")
-    if r > min(m, n):
-        raise RankError(f"rank {r} exceeds min(m, n) = {min(m, n)}")
-    k = min(r + max(0, int(oversampling)), min(m, n))
-    if sketch is not None:
-        y = np.asarray(sketch, dtype=a.dtype)
-        if y.ndim != 3 or y.shape[:2] != a.shape[:2]:
-            raise RankError(
-                f"sketch must have shape ({a.shape[0]}, {m}, size), got {y.shape}"
-            )
-        k = y.shape[2]
-        if k > min(m, n):
-            raise RankError(
-                f"sketch has {k} columns, exceeding min(m, n) = {min(m, n)}"
-            )
-    else:
-        if test_matrix is not None:
-            omega = np.asarray(test_matrix, dtype=a.dtype)
-            if omega.ndim != 2 or omega.shape[0] != n:
-                raise RankError(
-                    f"test_matrix must have shape ({n}, size), got {omega.shape}"
-                )
-            k = omega.shape[1]
-            if k > min(m, n):
-                raise RankError(
-                    f"test_matrix has {k} columns, exceeding min(m, n) = {min(m, n)}"
-                )
-        else:
-            gen = default_rng(rng)
-            omega = gen.standard_normal((n, k)).astype(a.dtype, copy=False)
-        y = a @ omega  # (L, m, k)
-    q, _ = np.linalg.qr(y)
-    for _ in range(max(0, int(power_iterations))):
-        z, _ = np.linalg.qr(np.swapaxes(a, 1, 2) @ q)
-        q, _ = np.linalg.qr(a @ z)
-    b = np.swapaxes(q, 1, 2) @ a  # (L, k, n)
-    ub, s, vt = np.linalg.svd(b, full_matrices=False)
-    u = q @ ub[:, :, :r]  # (L, m, r)
-    u, vt = _batched_sign_fix(u, vt[:, :r, :])
-    return u, s[:, :r], vt
-
-
-def _batched_rsvd_generic(
-    am,
-    a,
-    rank: int,
-    *,
-    oversampling: int,
-    power_iterations: int,
-    rng,
-    test_matrix,
-    sketch,
-):
-    """Namespace-generic body of :func:`batched_rsvd` (same math, facade ops)."""
     a = am.ascontiguousarray(a)
     _, m, n = (int(d) for d in a.shape)
     dtype = am.np_dtype(a)
@@ -335,7 +228,7 @@ def _batched_rsvd_generic(
     b = am.matmul(am.mT(q), a)  # (L, k, n)
     ub, s, vt = am.svd(b, full_matrices=False)
     u = am.matmul(q, ub[:, :, :r])  # (L, m, r)
-    u, vt = _batched_sign_fix(u, vt[:, :r, :])
+    u, vt = sign_fix(u, vt[:, :r, :])
     return u, s[:, :r], vt
 
 
@@ -374,89 +267,43 @@ def batched_svd_via_gram(
     if a.ndim != 3:
         raise RankError(f"stack must be 3-D (L, m, n), got shape {tuple(a.shape)}")
     am = array_module_of(a)
-    if not am.is_numpy:
-        return _batched_svd_via_gram_generic(am, a, rank)
-    a = np.ascontiguousarray(a)
-    _, m, n = a.shape
-    r = check_positive_int(rank, name="rank")
-    if r > min(m, n):
-        raise RankError(f"rank {r} exceeds min(m, n) = {min(m, n)}")
-    # Inversion floor: relative part guards the divide when trailing retained
-    # singular values vanish; the absolute part only protects the all-zero
-    # slice.  The float64 constants are the historical ones (bit-identity).
-    if a.dtype == np.float32:
-        rel_floor, abs_floor = float(np.finfo(np.float32).eps), 1e-30
-    else:
-        rel_floor, abs_floor = 1e-12, 1e-300
-    at = np.swapaxes(a, 1, 2)
-    if n <= m:
-        g = at @ a  # (L, n, n)
-        w, vecs = np.linalg.eigh(g)
-        s = np.sqrt(np.clip(w[:, ::-1][:, :r], 0.0, None))  # (L, r), descending
-        v = vecs[:, :, ::-1][:, :, :r]  # (L, n, r)
-        floor = np.maximum(s[:, :1] * rel_floor, abs_floor)
-        u = a @ (v / np.maximum(s, floor)[:, None, :])
-        vt = np.swapaxes(v, 1, 2)
-    else:
-        g = a @ at  # (L, m, m)
-        w, vecs = np.linalg.eigh(g)
-        s = np.sqrt(np.clip(w[:, ::-1][:, :r], 0.0, None))
-        u = vecs[:, :, ::-1][:, :, :r]  # (L, m, r)
-        floor = np.maximum(s[:, :1] * rel_floor, abs_floor)
-        vt = np.swapaxes(u / np.maximum(s, floor)[:, None, :], 1, 2) @ a
-    u, vt = _batched_sign_fix(u, vt)
-    # Numerical guard: squaring the condition number in the Gram matrix makes
-    # components with s <= ~sqrt(eps)·s_max meaningless (and a rank-deficient
-    # slice divides by the floor, yielding garbage or non-finite columns).
-    # Recompute exactly those slices with a direct SVD.
-    tiny = np.sqrt(np.finfo(a.dtype).eps)
-    bad = (
-        ~np.isfinite(u).all(axis=(1, 2))
-        | ~np.isfinite(vt).all(axis=(1, 2))
-        | (s[:, -1] <= tiny * s[:, 0])
-    )
-    if np.any(bad):
-        for idx in np.flatnonzero(bad):
-            ud, sd, vtd = np.linalg.svd(a[idx], full_matrices=False)
-            ud, vtd_fixed = sign_fix(ud[:, :r], vtd[:r])
-            assert vtd_fixed is not None
-            u[idx], s[idx], vt[idx] = ud, sd[:r], vtd_fixed
-    return u, s, vt
-
-
-def _batched_svd_via_gram_generic(am, a, rank: int):
-    """Namespace-generic body of :func:`batched_svd_via_gram`."""
     a = am.ascontiguousarray(a)
     _, m, n = (int(d) for d in a.shape)
     dtype = am.np_dtype(a)
     r = check_positive_int(rank, name="rank")
     if r > min(m, n):
         raise RankError(f"rank {r} exceeds min(m, n) = {min(m, n)}")
+    # Inversion floor: relative part guards the divide when trailing retained
+    # singular values vanish; the absolute part only protects the all-zero
+    # slice.  The float64 constants are the historical ones (bit-identity).
     if dtype == np.float32:
         rel_floor, abs_floor = float(np.finfo(np.float32).eps), 1e-30
     else:
         rel_floor, abs_floor = 1e-12, 1e-300
     at = am.mT(a)
-    zero = am.asarray(0.0, dtype=dtype)
-    abs_floor_arr = am.asarray(abs_floor, dtype=dtype)
+    abs_floor = am.asarray(abs_floor, dtype=dtype)
     if n <= m:
         g = am.matmul(at, a)  # (L, n, n)
         w, vecs = am.eigh(g)
-        s = am.sqrt(am.xp.maximum(am.flip(w, axis=1)[:, :r], zero))
+        s = am.sqrt(am.clip_min(am.flip(w, axis=1)[:, :r], 0.0))  # (L, r), descending
         v = am.flip(vecs, axis=2)[:, :, :r]  # (L, n, r)
-        floor = am.xp.maximum(s[:, :1] * rel_floor, abs_floor_arr)
-        u = am.matmul(a, v / am.xp.maximum(s, floor)[:, None, :])
+        floor = am.maximum(s[:, :1] * rel_floor, abs_floor)
+        u = am.matmul(a, v / am.maximum(s, floor)[:, None, :])
         vt = am.mT(v)
     else:
         g = am.matmul(a, at)  # (L, m, m)
         w, vecs = am.eigh(g)
-        s = am.sqrt(am.xp.maximum(am.flip(w, axis=1)[:, :r], zero))
+        s = am.sqrt(am.clip_min(am.flip(w, axis=1)[:, :r], 0.0))
         u = am.flip(vecs, axis=2)[:, :, :r]  # (L, m, r)
-        floor = am.xp.maximum(s[:, :1] * rel_floor, abs_floor_arr)
-        vt = am.matmul(am.mT(u / am.xp.maximum(s, floor)[:, None, :]), a)
-    u, vt = _batched_sign_fix(u, vt)
+        floor = am.maximum(s[:, :1] * rel_floor, abs_floor)
+        vt = am.matmul(am.mT(u / am.maximum(s, floor)[:, None, :]), a)
+    u, vt = sign_fix(u, vt)
+    # Numerical guard: squaring the condition number in the Gram matrix makes
+    # components with s <= ~sqrt(eps)·s_max meaningless (and a rank-deficient
+    # slice divides by the floor, yielding garbage or non-finite columns).
+    # Recompute exactly those slices with a direct SVD; the triage runs on
+    # the host (a tiny boolean vector).
     tiny = float(np.sqrt(np.finfo(dtype).eps))
-    # Host-side triage of ill-conditioned slices (tiny boolean vector).
     u_ok = np.isfinite(am.from_device(u)).all(axis=(1, 2))
     vt_ok = np.isfinite(am.from_device(vt)).all(axis=(1, 2))
     s_host = am.from_device(s)

@@ -28,21 +28,12 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
+from ..engine.array_api import array_module_of
 from ..exceptions import ShapeError
 from ..tensor.random import default_rng
 from ..validation import check_positive_int
 
 __all__ = ["CountSketch", "TensorSketch"]
-
-
-def _to_host(x):
-    """Pull a non-NumPy array back to the host (sparse ops are CPU-only)."""
-    if type(x) is np.ndarray:
-        return x
-    from ..engine.array_api import array_module_of
-
-    am = array_module_of(x)
-    return x if am.is_numpy else am.from_device(x)
 
 
 class CountSketch:
@@ -94,7 +85,7 @@ class CountSketch:
         CountSketch is a scipy.sparse operator and therefore host-only;
         arrays from other namespaces are pulled back to NumPy first.
         """
-        arr = np.asarray(_to_host(x), dtype=float)
+        arr = np.asarray(array_module_of(x).from_device(x), dtype=float)
         if arr.shape[0] != self.dim_in:
             raise ShapeError(
                 f"input has leading dimension {arr.shape[0]}, expected {self.dim_in}"
@@ -170,7 +161,7 @@ class TensorSketch:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Sketch a flat vector ``(prod dims,)`` or matrix ``(prod dims, k)``."""
-        arr = np.asarray(_to_host(x), dtype=float)
+        arr = np.asarray(array_module_of(x).from_device(x), dtype=float)
         if arr.shape[0] != self.dim_in:
             raise ShapeError(
                 f"input has leading dimension {arr.shape[0]}, expected {self.dim_in}"

@@ -704,31 +704,17 @@ class ServedModel:
             cache_tag = "warm"
         else:
             blocks1, blocks2 = self._range_index().range_blocks(lo_t, hi_t)
+            # The concatenated node bases are factored on the configured
+            # namespace, and only the two small factor matrices come back
+            # to the host (the downstream ALS uploads the slice views itself).
             am = resolve_device(None, config=cfg)
-            if am.is_numpy:
-                a1 = leading_left_singular_vectors(
-                    np.concatenate(blocks1, axis=1), stored_ranks[0]
-                )
-                a2 = leading_left_singular_vectors(
-                    np.concatenate(blocks2, axis=1), stored_ranks[1]
-                )
-            else:
-                # Device-resident recombination: the concatenated node
-                # bases are factored on the configured namespace, and only
-                # the two small factor matrices come back to the host (the
-                # downstream ALS re-uploads the slice views itself).
-                a1 = am.from_device(
-                    leading_left_singular_vectors(
-                        am.to_device(np.concatenate(blocks1, axis=1)),
-                        stored_ranks[0],
-                    )
-                )
-                a2 = am.from_device(
-                    leading_left_singular_vectors(
-                        am.to_device(np.concatenate(blocks2, axis=1)),
-                        stored_ranks[1],
-                    )
-                )
+
+            def recombine(blocks, rank):
+                basis = am.to_device(np.concatenate(blocks, axis=1))
+                return am.from_device(leading_left_singular_vectors(basis, rank))
+
+            a1 = recombine(blocks1, stored_ranks[0])
+            a2 = recombine(blocks2, stored_ranks[1])
             cache_tag = "miss"
         _, init_factors = initialize_from_factors(local, stored_ranks, a1, a2)
 

@@ -70,42 +70,20 @@ def mode_product(
     a = check_matrix(matrix, name="matrix")
     m = check_mode(mode, x.ndim)
     am = array_module_of(x, a)
-    if am.is_numpy:
-        op = a.T if transpose else a
-        if op.shape[1] != x.shape[m]:
-            raise ShapeError(
-                f"matrix with {op.shape[1]} columns cannot multiply mode {m} of "
-                f"dimensionality {x.shape[m]}"
-            )
-        # Move the contracted mode to the front, contract, move the result back.
-        moved = np.moveaxis(x, m, 0)
-        if out is None:
-            res = np.tensordot(op, moved, axes=(1, 0))
-        else:
-            # Same 2-D GEMM tensordot performs internally, targeted at `out`.
-            from ..engine.blas import gemm_into
-
-            expected = (op.shape[0],) + moved.shape[1:]
-            if out.shape != expected:
-                raise ShapeError(
-                    f"out buffer shape {out.shape} does not match result shape "
-                    f"{expected}"
-                )
-            flat = moved.reshape(x.shape[m], -1)
-            res = gemm_into(op, flat, out.reshape(op.shape[0], -1)).reshape(expected)
-        return np.moveaxis(res, 0, m)
     op = am.mT(a) if transpose else a
     if int(op.shape[1]) != int(x.shape[m]):
         raise ShapeError(
             f"matrix with {int(op.shape[1])} columns cannot multiply mode {m} of "
             f"dimensionality {int(x.shape[m])}"
         )
+    # Move the contracted mode to the front, contract, move the result back.
     moved = am.moveaxis(x, m, 0)
-    rows = int(op.shape[0])
-    expected = (rows,) + tuple(int(d) for d in moved.shape[1:])
     if out is None:
         res = am.tensordot(op, moved, axes=(1, 0))
     else:
+        # Same 2-D GEMM tensordot performs internally, targeted at `out`.
+        rows = int(op.shape[0])
+        expected = (rows,) + tuple(int(d) for d in moved.shape[1:])
         if tuple(out.shape) != expected:
             raise ShapeError(
                 f"out buffer shape {tuple(out.shape)} does not match result "
@@ -207,7 +185,7 @@ def kron_all(matrices: Iterable[np.ndarray]) -> np.ndarray:
     am = array_module_of(*mats)
     out = mats[0]
     for m in mats[1:]:
-        out = np.kron(out, m) if am.is_numpy else am.kron(out, m)
+        out = am.kron(out, m)
     return out
 
 
@@ -257,12 +235,7 @@ def khatri_rao(matrices: Sequence[np.ndarray], *, reverse: bool = False) -> np.n
     out = mats[0]
     for m in mats[1:]:
         # (a ⊙ b)[:, r] = kron(a[:, r], b[:, r]); einsum keeps it allocation-lean.
-        if am.is_numpy:
-            out = np.einsum("ir,jr->ijr", out, m).reshape(-1, out.shape[1])
-        else:
-            out = am.reshape(
-                am.einsum("ir,jr->ijr", out, m), (-1, int(out.shape[1]))
-            )
+        out = am.reshape(am.einsum("ir,jr->ijr", out, m), (-1, int(out.shape[1])))
     return out
 
 
@@ -296,8 +269,5 @@ def gram(matrix: np.ndarray) -> np.ndarray:
     """Return the Gram matrix ``matrix.T @ matrix`` (symmetrised)."""
     a = check_matrix(matrix, name="matrix")
     am = array_module_of(a)
-    if am.is_numpy:
-        g = a.T @ a
-        return (g + g.T) / 2.0
     g = am.matmul(am.mT(a), a)
     return (g + am.mT(g)) / 2.0

@@ -62,8 +62,6 @@ def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
     x = as_tensor(tensor, min_order=1, name="tensor")
     m = check_mode(mode, x.ndim)
     am = array_module_of(x)
-    if am.is_numpy:
-        return np.reshape(np.moveaxis(x, m, 0), (x.shape[m], -1), order="F")
     return am.reshape(am.moveaxis(x, m, 0), (int(x.shape[m]), -1), order="F")
 
 
@@ -92,7 +90,7 @@ def fold(matrix: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarray:
     from ..exceptions import ShapeError
 
     am = array_module_of(matrix)
-    mat = np.asarray(matrix) if am.is_numpy else matrix
+    mat = am.asarray(matrix)
     full_shape = tuple(int(s) for s in shape)
     m = check_mode(mode, len(full_shape))
     expected = (full_shape[m], int(np.prod(full_shape)) // full_shape[m])
@@ -102,8 +100,6 @@ def fold(matrix: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarray:
             f"{full_shape} at mode {m} (expected {expected})"
         )
     moved = full_shape[m : m + 1] + full_shape[:m] + full_shape[m + 1 :]
-    if am.is_numpy:
-        return np.moveaxis(mat.reshape(moved, order="F"), 0, m)
     return am.moveaxis(am.reshape(mat, moved, order="F"), 0, m)
 
 
@@ -120,9 +116,7 @@ def unfolding_shape(shape: Sequence[int], mode: int) -> tuple[int, int]:
 def vectorize(tensor: np.ndarray) -> np.ndarray:
     """Flatten a tensor to a vector in Fortran order (mode 1 fastest)."""
     am = array_module_of(tensor)
-    if am.is_numpy:
-        return np.asarray(tensor).reshape(-1, order="F")
-    return am.reshape(tensor, (-1,), order="F")
+    return am.reshape(am.asarray(tensor), (-1,), order="F")
 
 
 def tensorize(vector: np.ndarray, shape: Sequence[int]) -> np.ndarray:
@@ -131,14 +125,7 @@ def tensorize(vector: np.ndarray, shape: Sequence[int]) -> np.ndarray:
 
     am = array_module_of(vector)
     full_shape = tuple(int(s) for s in shape)
-    if am.is_numpy:
-        v = np.asarray(vector).ravel()
-        if v.size != int(np.prod(full_shape)):
-            raise ShapeError(
-                f"vector of size {v.size} cannot be reshaped to {full_shape}"
-            )
-        return v.reshape(full_shape, order="F")
-    v = am.reshape(vector, (-1,))
+    v = am.reshape(am.asarray(vector), (-1,))
     if int(v.shape[0]) != int(np.prod(full_shape)):
         raise ShapeError(
             f"vector of size {int(v.shape[0])} cannot be reshaped to {full_shape}"

@@ -64,6 +64,7 @@ def as_tensor(x: np.ndarray, *, min_order: int = 1, name: str = "tensor") -> np.
         from .engine.array_api import array_module_of
 
         am = array_module_of(x)
+        # Kept fork: boundary check; lists and scalars take the NumPy route below.
         if not am.is_numpy:
             return _as_foreign_tensor(am, x, min_order=min_order, name=name)
     arr = np.asarray(x)

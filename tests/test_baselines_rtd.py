@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.rtd import rtd
+from repro.core.config import DTuckerConfig
 from repro.exceptions import ShapeError
 from repro.tensor.random import random_tensor
 from tests.conftest import assert_orthonormal
@@ -29,7 +30,7 @@ class TestRtd:
 
         x = random_tensor((16, 14, 12), (3, 3, 3), rng=rng, noise=0.2)
         e_det = st_hosvd(x, (3, 3, 3)).result.error(x)
-        e_rand = rtd(x, (3, 3, 3), power_iterations=2, seed=0).result.error(x)
+        e_rand = rtd(x, (3, 3, 3), seed=0, config=DTuckerConfig(power_iterations=2)).result.error(x)
         assert e_rand <= 1.2 * e_det + 1e-12
 
     def test_seed_reproducible(self, lowrank3) -> None:

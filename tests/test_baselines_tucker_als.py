@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.tucker_als import tucker_als
+from repro.core.config import DTuckerConfig
 from repro.exceptions import ShapeError
 from repro.tensor.random import random_tensor, random_tucker
 from repro.tensor.products import tucker_to_tensor
@@ -24,7 +25,10 @@ class TestTuckerAls:
 
     def test_history_nonincreasing(self, rng) -> None:
         x = random_tensor((14, 12, 10), (3, 3, 3), rng=rng, noise=0.3)
-        fit = tucker_als(x, (3, 3, 3), init="random", seed=0, tol=1e-12, max_iters=8)
+        fit = tucker_als(
+            x, (3, 3, 3), init="random", seed=0,
+            config=DTuckerConfig(tol=1e-12, max_iters=8),
+        )
         assert (np.diff(fit.history) <= 1e-10).all()
 
     def test_history_matches_final_error(self, rng) -> None:
@@ -34,11 +38,17 @@ class TestTuckerAls:
 
     def test_max_iters_budget(self, rng) -> None:
         x = random_tensor((14, 12, 10), (3, 3, 3), rng=rng, noise=0.3)
-        fit = tucker_als(x, (3, 3, 3), max_iters=2, tol=1e-16, init="random", seed=0)
+        fit = tucker_als(
+            x, (3, 3, 3), init="random", seed=0,
+            config=DTuckerConfig(max_iters=2, tol=1e-16),
+        )
         assert fit.n_iters == 2 and not fit.converged
 
     def test_random_init(self, lowrank3) -> None:
-        fit = tucker_als(lowrank3, (3, 2, 2), init="random", seed=0, max_iters=60)
+        fit = tucker_als(
+            lowrank3, (3, 2, 2), init="random", seed=0,
+            config=DTuckerConfig(max_iters=60),
+        )
         assert fit.result.error(lowrank3) < 1e-8
 
     def test_explicit_initial_factors(self, rng) -> None:
@@ -68,7 +78,7 @@ class TestTuckerAls:
     def test_matches_best_rank1_for_matrices(self, rng) -> None:
         # Tucker of a matrix at rank (1,1) is the best rank-1 approximation.
         m = rng.standard_normal((10, 8))
-        fit = tucker_als(m, (1, 1), max_iters=100, tol=1e-14)
+        fit = tucker_als(m, (1, 1), config=DTuckerConfig(max_iters=100, tol=1e-14))
         s = np.linalg.svd(m, compute_uv=False)
         expected_err = float(np.sum(s[1:] ** 2) / np.sum(s**2))
         assert fit.result.error(m) == pytest.approx(expected_err, abs=1e-8)

@@ -73,11 +73,11 @@ class TestDecomposeCommand:
             ]
         )
         assert code == 0
-        from repro.io import load_slice_svd, load_tucker
+        from repro.store import read_slice_svd_archive, read_tucker_archive
 
-        result = load_tucker(result_path)
+        result = read_tucker_archive(result_path)
         assert result.ranks == (3, 3, 3)
-        ssvd = load_slice_svd(comp_path)
+        ssvd = read_slice_svd_archive(comp_path)
         assert ssvd.shape == (14, 12, 10)
 
     def test_output_requires_dtucker(self, tensor_file, tmp_path) -> None:

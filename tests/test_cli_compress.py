@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.io import load_slice_svd
+from repro.store import read_slice_svd_archive
 from repro.tensor.random import random_tensor
 
 
@@ -25,7 +25,7 @@ class TestCompressCommand:
         assert main(
             ["compress", str(path), "--rank", "3", "-o", str(out)]
         ) == 0
-        ssvd = load_slice_svd(tmp_path / "compressed.npz")
+        ssvd = read_slice_svd_archive(tmp_path / "compressed.npz")
         assert ssvd.shape == x.shape
         assert ssvd.rank == 3
         assert ssvd.compression_error(x) < 0.02
@@ -46,7 +46,7 @@ class TestCompressCommand:
                 "--strategy", strategy, "-o", str(out),
             ]
         ) == 0
-        ssvd = load_slice_svd(tmp_path / "c.npz")
+        ssvd = read_slice_svd_archive(tmp_path / "c.npz")
         assert ssvd.compression_error(x) < 0.02
 
     def test_precision_flag(self, npy_file, tmp_path) -> None:
@@ -57,7 +57,7 @@ class TestCompressCommand:
                 "--precision", "float32", "-o", str(tmp_path / "c"),
             ]
         ) == 0
-        ssvd = load_slice_svd(tmp_path / "c.npz")
+        ssvd = read_slice_svd_archive(tmp_path / "c.npz")
         assert ssvd.compression_error(x) < 0.02
 
     def test_trace_prints_planner_line(self, npy_file, tmp_path, capsys) -> None:
@@ -81,7 +81,7 @@ class TestCompressCommand:
                 "--batch-slices", "2", "-o", str(tmp_path / "c"),
             ]
         )
-        ssvd = load_slice_svd(tmp_path / "c.npz")
+        ssvd = read_slice_svd_archive(tmp_path / "c.npz")
         assert ssvd.num_slices == 8
 
 

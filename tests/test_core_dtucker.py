@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import DTuckerConfig
 from repro.core.dtucker import DTucker, decompose
 from repro.exceptions import NotFittedError, RankError, ShapeError
 from repro.tensor.random import random_tensor
@@ -61,11 +62,14 @@ class TestFit:
         assert model.result_.error(m) < 1e-10
 
     def test_exact_slice_svd_option(self, noisy3) -> None:
-        model = DTucker(ranks=(4, 3, 3), exact_slice_svd=True).fit(noisy3)
+        model = DTucker(ranks=(4, 3, 3), config=DTuckerConfig(exact_slice_svd=True)).fit(noisy3)
         assert model.result_.error(noisy3) < 0.01
 
     def test_random_init_option(self, noisy3) -> None:
-        model = DTucker(ranks=(4, 3, 3), init="random", seed=0, max_iters=60).fit(
+        model = DTucker(
+            ranks=(4, 3, 3), init="random", seed=0,
+            config=DTuckerConfig(max_iters=60),
+        ).fit(
             noisy3
         )
         assert model.result_.error(noisy3) < 0.01

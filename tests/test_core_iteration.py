@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import DTuckerConfig
 from repro.core.initialization import initialize, random_initialize
 from repro.core.iteration import als_sweeps
 from repro.core.slice_svd import compress
@@ -33,7 +34,9 @@ class TestAlsSweeps:
         x = random_tensor((14, 12, 10), (3, 3, 3), rng=rng, noise=0.2)
         ss = compress(x, 3, rng=0)
         _, factors = random_initialize(ss, (3, 3, 3), rng=1)
-        out = als_sweeps(ss, (3, 3, 3), factors, max_iters=10, tol=1e-12)
+        out = als_sweeps(
+            ss, (3, 3, 3), factors, config=DTuckerConfig(max_iters=10, tol=1e-12)
+        )
         diffs = np.diff(out.errors)
         assert (diffs <= 1e-9).all(), out.errors
 
@@ -41,7 +44,7 @@ class TestAlsSweeps:
         x = random_tensor((14, 12, 10), (3, 3, 3), rng=rng, noise=0.0)
         ss = compress(x, 3, rng=0)
         _, factors = random_initialize(ss, (3, 3, 3), rng=1)
-        out = als_sweeps(ss, (3, 3, 3), factors, max_iters=50)
+        out = als_sweeps(ss, (3, 3, 3), factors, config=DTuckerConfig(max_iters=50))
         np.testing.assert_allclose(
             tucker_to_tensor(out.core, out.factors), x, atol=1e-5
         )
@@ -50,7 +53,9 @@ class TestAlsSweeps:
         x = random_tensor((14, 12, 10), (3, 3, 3), rng=rng, noise=0.3)
         ss = compress(x, 3, rng=0)
         _, factors = random_initialize(ss, (3, 3, 3), rng=1)
-        out = als_sweeps(ss, (3, 3, 3), factors, max_iters=2, tol=1e-16)
+        out = als_sweeps(
+            ss, (3, 3, 3), factors, config=DTuckerConfig(max_iters=2, tol=1e-16)
+        )
         assert out.n_iters == 2
         assert not out.converged
         assert len(out.errors) == 2
@@ -91,7 +96,9 @@ class TestAlsSweeps:
         # The compressed-domain estimate must track the true reconstruction
         # error up to the (small) compression residual.
         x = random_tensor((14, 12, 10), (3, 3, 3), rng=rng, noise=0.1)
-        ss = compress(x, 3, oversampling=10, power_iterations=2, rng=0)
+        ss = compress(
+            x, 3, config=DTuckerConfig(oversampling=10, power_iterations=2), rng=0
+        )
         _, factors = initialize(ss, (3, 3, 3))
         out = als_sweeps(ss, (3, 3, 3), factors)
         from repro.tensor.norms import reconstruction_error

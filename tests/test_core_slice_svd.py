@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import DTuckerConfig
 from repro.core.slice_svd import SliceSVD, compress
 from repro.exceptions import RankError, ShapeError
 from repro.tensor.norms import frobenius_norm_squared
@@ -49,11 +50,11 @@ class TestCompress:
 
     def test_exact_vs_randomized_agree_on_easy_input(self, lowrank3) -> None:
         a = compress(lowrank3, 4, rng=0)
-        b = compress(lowrank3, 4, exact=True)
+        b = compress(lowrank3, 4, config=DTuckerConfig(exact_slice_svd=True))
         np.testing.assert_allclose(a.reconstruct(), b.reconstruct(), atol=1e-7)
 
     def test_exact_path_uses_sign_convention(self, lowrank3) -> None:
-        ss = compress(lowrank3, 3, exact=True)
+        ss = compress(lowrank3, 3, config=DTuckerConfig(exact_slice_svd=True))
         for l in range(ss.num_slices):
             idx = np.argmax(np.abs(ss.u[l]), axis=0)
             assert (ss.u[l][idx, np.arange(3)] >= 0).all()
@@ -79,7 +80,7 @@ class TestCompress:
     def test_gram_path_selected_for_thin_slices(self, rng) -> None:
         # 40x6 slices with rank 3: the Gram path must give near-exact SVDs.
         x = rng.standard_normal((40, 6, 5))
-        ss = compress(x, 3, oversampling=10, rng=0)
+        ss = compress(x, 3, config=DTuckerConfig(oversampling=10), rng=0)
         for l in range(5):
             s_ref = np.linalg.svd(x[:, :, l], compute_uv=False)[:3]
             np.testing.assert_allclose(ss.s[l], s_ref, rtol=1e-8)

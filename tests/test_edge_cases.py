@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import DTucker, tucker_als
+from repro.core.config import DTuckerConfig
 from repro.core.slice_svd import compress
 from repro.tensor.random import random_tensor
 
@@ -91,7 +92,7 @@ class TestLogging:
     def test_verbose_fit_logs(self, rng, caplog) -> None:
         x = random_tensor((12, 10, 8), (2, 2, 2), rng=rng)
         with caplog.at_level(logging.INFO, logger="repro.core.dtucker"):
-            DTucker(ranks=2, seed=0, verbose=True).fit(x)
+            DTucker(ranks=2, seed=0, config=DTuckerConfig(verbose=True)).fit(x)
         messages = " ".join(r.message for r in caplog.records)
         assert "approximation" in messages and "iteration" in messages
 
@@ -103,7 +104,9 @@ class TestLogging:
         ssvd = compress(x, 2, rng=0)
         _, factors = initialize(ssvd, (2, 2, 2))
         with caplog.at_level(logging.DEBUG, logger="repro.core.iteration"):
-            als_sweeps(ssvd, (2, 2, 2), factors, max_iters=2, tol=1e-16)
+            als_sweeps(
+                ssvd, (2, 2, 2), factors, config=DTuckerConfig(max_iters=2, tol=1e-16)
+            )
         assert any("sweep" in r.message for r in caplog.records)
 
 

@@ -3,9 +3,10 @@
 ``array_api_strict`` is the reference implementation of the array-API
 standard: it rejects every NumPy-ism (no ``einsum``, no ``order=`` reshape,
 no implicit host round-trips, no mixing with ``np.ndarray``).  Running the
-compute layers through it proves the facade's generic branches touch only
-standard operations — the property that makes torch/CuPy support a matter
-of capability wiring, not per-function porting.
+compute layers through it proves their single facade bodies — the same
+code the default NumPy path runs — touch only standard operations, the
+property that makes torch/CuPy support a matter of capability wiring, not
+per-function porting.
 
 The whole module is skipped when the package is absent (it is an optional
 CI extra, never a runtime dependency).

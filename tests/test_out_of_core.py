@@ -264,7 +264,7 @@ class TestFitFromFile:
 
         path, _ = npy_tensor
         with pytest.raises(ShapeError, match="exact"):
-            DTucker(ranks=2, exact_slice_svd=True).fit_from_file(path)
+            DTucker(ranks=2, config=DTuckerConfig(exact_slice_svd=True)).fit_from_file(path)
 
     def test_rank_validation(self, npy_tensor) -> None:
         from repro.core.dtucker import DTucker

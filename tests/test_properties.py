@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import DTuckerConfig
 from repro.core.initialization import initialize
 from repro.core.iteration import als_sweeps
 from repro.core.slice_svd import compress
@@ -114,7 +115,7 @@ class TestCompressedPathConsistency:
         shape, _, seed = problem
         x = np.random.default_rng(seed).standard_normal(shape)
         k = min(shape[0], shape[1])
-        ss = compress(x, k, exact=True)
+        ss = compress(x, k, config=DTuckerConfig(exact_slice_svd=True))
         np.testing.assert_allclose(ss.reconstruct(), x, atol=1e-8)
 
     @given(tucker_problems())
@@ -134,9 +135,9 @@ class TestCompressedPathConsistency:
         if np.linalg.norm(x.ravel()) < 1e-9:
             return  # degenerate random core, nothing to recover
         k = min(max(ranks[0], ranks[1]), min(shape[:2]))
-        ss = compress(x, k, exact=True)
+        ss = compress(x, k, config=DTuckerConfig(exact_slice_svd=True))
         core, factors = initialize(ss, ranks)
-        out = als_sweeps(ss, ranks, factors, max_iters=10)
+        out = als_sweeps(ss, ranks, factors, config=DTuckerConfig(max_iters=10))
         np.testing.assert_allclose(
             tucker_to_tensor(out.core, out.factors), x, atol=1e-5 * max(1.0, np.abs(x).max())
         )
@@ -147,9 +148,11 @@ class TestCompressedPathConsistency:
         shape, ranks, seed = problem
         x = np.random.default_rng(seed).standard_normal(shape)
         k = min(max(ranks[0], ranks[1]), min(shape[:2]))
-        ss = compress(x, k, exact=True)
+        ss = compress(x, k, config=DTuckerConfig(exact_slice_svd=True))
         _, factors = initialize(ss, ranks)
-        out = als_sweeps(ss, ranks, factors, max_iters=6, tol=1e-15)
+        out = als_sweeps(
+            ss, ranks, factors, config=DTuckerConfig(max_iters=6, tol=1e-15)
+        )
         assert all(
             later <= earlier + 1e-8
             for earlier, later in zip(out.errors, out.errors[1:])
@@ -161,9 +164,9 @@ class TestCompressedPathConsistency:
         shape, ranks, seed = problem
         x = np.random.default_rng(seed).standard_normal(shape)
         k = min(max(ranks[0], ranks[1]), min(shape[:2]))
-        ss = compress(x, k, exact=True)
+        ss = compress(x, k, config=DTuckerConfig(exact_slice_svd=True))
         _, factors = initialize(ss, ranks)
-        out = als_sweeps(ss, ranks, factors, max_iters=3)
+        out = als_sweeps(ss, ranks, factors, config=DTuckerConfig(max_iters=3))
         for f in out.factors:
             np.testing.assert_allclose(
                 f.T @ f, np.eye(f.shape[1]), atol=1e-8

@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import DTuckerConfig
 from repro.core.slice_svd import compress
 from repro.sparse.coo import SparseTensor
 
@@ -38,9 +39,9 @@ class TestAppendEquivalence:
         t = shape[2]
         cut = 1 + split_seed % max(t - 1, 1)
         k = min(shape[0], shape[1])
-        whole = compress(x, k, exact=True)
-        merged = compress(x[..., :cut], k, exact=True).append(
-            compress(x[..., cut:], k, exact=True)
+        whole = compress(x, k, config=DTuckerConfig(exact_slice_svd=True))
+        merged = compress(x[..., :cut], k, config=DTuckerConfig(exact_slice_svd=True)).append(
+            compress(x[..., cut:], k, config=DTuckerConfig(exact_slice_svd=True))
         )
         np.testing.assert_allclose(merged.u, whole.u, atol=1e-9)
         np.testing.assert_allclose(merged.s, whole.s, atol=1e-9)
@@ -52,13 +53,13 @@ class TestArchiveRoundtrip:
     @given(shape=order3_shapes(), seed=st.integers(0, 1000))
     @settings(max_examples=10)
     def test_slice_svd_bits_preserved(self, shape, seed, tmp_path_factory) -> None:
-        from repro.io import load_slice_svd, save_slice_svd
+        from repro.store import read_slice_svd_archive, write_slice_svd_archive
 
         x = np.random.default_rng(seed).standard_normal(shape)
         k = max(1, min(shape[0], shape[1]) - 1)
         ssvd = compress(x, k, rng=seed)
         path = tmp_path_factory.mktemp("io") / "c.npz"
-        back = load_slice_svd(save_slice_svd(ssvd, path))
+        back = read_slice_svd_archive(write_slice_svd_archive(ssvd, path))
         np.testing.assert_array_equal(back.u, ssvd.u)
         np.testing.assert_array_equal(back.s, ssvd.s)
         np.testing.assert_array_equal(back.vt, ssvd.vt)
@@ -78,7 +79,9 @@ class TestSparseDenseAgreement:
         x = rng.standard_normal(shape)
         st_tensor = SparseTensor.from_dense(x)
         k = min(shape[0], shape[1])
-        sparse_ssvd = compress_sparse(st_tensor, k, oversampling=k, rng=seed)
+        sparse_ssvd = compress_sparse(
+            st_tensor, k, config=DTuckerConfig(oversampling=k), rng=seed
+        )
         # Full rank ⇒ lossless regardless of the algorithm.
         np.testing.assert_allclose(sparse_ssvd.reconstruct(), x, atol=1e-6)
 

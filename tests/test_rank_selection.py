@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import DTuckerConfig
 from repro.core.rank_selection import estimate_error, mode_spectra, suggest_ranks
 from repro.core.slice_svd import compress
 from repro.exceptions import RankError, ShapeError
@@ -15,7 +16,7 @@ from repro.tensor.unfold import unfold
 class TestModeSpectra:
     def test_matches_true_spectra_on_exact_compression(self, rng) -> None:
         x = random_tensor((14, 12, 10), (3, 3, 3), rng=rng, noise=0.1)
-        ssvd = compress(x, 12, exact=True)  # K = min(I1, I2): lossless
+        ssvd = compress(x, 12, config=DTuckerConfig(exact_slice_svd=True))  # K = min(I1, I2): lossless
         spectra = mode_spectra(ssvd)
         for n in (0, 1):
             true_s = np.linalg.svd(unfold(x, n), compute_uv=False)
@@ -28,7 +29,7 @@ class TestModeSpectra:
 
     def test_order2(self, rng) -> None:
         m = rng.standard_normal((12, 9))
-        spectra = mode_spectra(compress(m, 9, exact=True))
+        spectra = mode_spectra(compress(m, 9, config=DTuckerConfig(exact_slice_svd=True)))
         assert len(spectra) == 2
         true_s = np.linalg.svd(m, compute_uv=False)
         np.testing.assert_allclose(spectra[0][: len(true_s)], true_s, rtol=1e-6)
@@ -46,14 +47,14 @@ class TestEstimateError:
         from repro.baselines.hosvd import hosvd
 
         x = random_tensor((14, 12, 10), (3, 3, 3), rng=rng, noise=0.15)
-        ssvd = compress(x, 10, exact=True)
+        ssvd = compress(x, 10, config=DTuckerConfig(exact_slice_svd=True))
         ranks = (3, 3, 3)
         estimated = estimate_error(ssvd, ranks)
         true_err = hosvd(x, ranks).result.error(x)
         assert estimated >= true_err - 1e-9
 
     def test_zero_for_full_ranks_exact(self, lowrank3) -> None:
-        ssvd = compress(lowrank3, 10, exact=True)
+        ssvd = compress(lowrank3, 10, config=DTuckerConfig(exact_slice_svd=True))
         assert estimate_error(ssvd, (12, 10, 8)) < 1e-10
 
     def test_monotone_in_rank(self, rng) -> None:
@@ -75,7 +76,7 @@ class TestEstimateError:
 
 class TestSuggestRanks:
     def test_meets_target_on_lowrank(self, lowrank3) -> None:
-        ssvd = compress(lowrank3, 8, exact=True)
+        ssvd = compress(lowrank3, 8, config=DTuckerConfig(exact_slice_svd=True))
         ranks = suggest_ranks(ssvd, 0.01)
         assert estimate_error(ssvd, ranks) <= 0.01
         # The tensor is exactly rank (3, 2, 2); suggestions must not exceed
@@ -84,7 +85,7 @@ class TestSuggestRanks:
 
     def test_tighter_target_larger_ranks(self, rng) -> None:
         x = random_tensor((16, 14, 12), (4, 4, 4), rng=rng, noise=0.2)
-        ssvd = compress(x, 10, exact=True)
+        ssvd = compress(x, 10, config=DTuckerConfig(exact_slice_svd=True))
         loose = suggest_ranks(ssvd, 0.5)
         tight = suggest_ranks(ssvd, 0.05)
         assert all(t >= l for t, l in zip(tight, loose))
@@ -112,7 +113,7 @@ class TestSuggestRanks:
         from repro.core.dtucker import DTucker
 
         x = random_tensor((18, 16, 14), (4, 3, 3), rng=rng, noise=0.1)
-        ssvd = compress(x, 12, exact=True)
+        ssvd = compress(x, 12, config=DTuckerConfig(exact_slice_svd=True))
         target = 0.05
         ranks = suggest_ranks(ssvd, target)
         model = DTucker(ranks=ranks, seed=0).fit(x)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import DTuckerConfig
 from repro.core.slice_svd import compress
 from repro.core.streaming import StreamingDTucker
 from repro.exceptions import NotFittedError, ShapeError
@@ -59,11 +60,11 @@ class TestSliceNorms:
             )
 
     def test_io_roundtrip_preserves_norms(self, rng, tmp_path) -> None:
-        from repro.io import load_slice_svd, save_slice_svd
+        from repro.store import read_slice_svd_archive, write_slice_svd_archive
 
         x = rng.standard_normal((8, 6, 4))
         ssvd = compress(x, 3, rng=0)
-        back = load_slice_svd(save_slice_svd(ssvd, tmp_path / "c"))
+        back = read_slice_svd_archive(write_slice_svd_archive(ssvd, tmp_path / "c"))
         np.testing.assert_array_equal(
             back.slice_norms_squared, ssvd.slice_norms_squared
         )
@@ -97,9 +98,9 @@ class TestReplace:
         x = random_tensor((10, 8, 6), (3, 2, 2), rng=rng, noise=0.1)
         revised = x.copy()
         revised[:, :, 2:4] = rng.standard_normal((10, 8, 2))
-        whole = compress(revised, 4, exact=True)
-        block = compress(revised[:, :, 2:4], 4, exact=True)
-        spliced = compress(x, 4, exact=True).replace(2, block)
+        whole = compress(revised, 4, config=DTuckerConfig(exact_slice_svd=True))
+        block = compress(revised[:, :, 2:4], 4, config=DTuckerConfig(exact_slice_svd=True))
+        spliced = compress(x, 4, config=DTuckerConfig(exact_slice_svd=True)).replace(2, block)
         np.testing.assert_allclose(spliced.u, whole.u, atol=1e-9)
         np.testing.assert_allclose(spliced.s, whole.s, atol=1e-9)
         assert spliced.norm_squared == pytest.approx(whole.norm_squared)

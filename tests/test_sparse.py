@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import DTuckerConfig
 from repro.core.sparse_dtucker import compress_sparse, sparse_dtucker
 from repro.exceptions import RankError, ShapeError
 from repro.sparse import SparseTensor
@@ -120,7 +121,7 @@ class TestCompressSparse:
 
         st, dense = sparse_lowrank
         a = compress_sparse(st, 4, rng=0)
-        b = compress(dense, 4, exact=True)
+        b = compress(dense, 4, config=DTuckerConfig(exact_slice_svd=True))
         # Same reconstruction quality (not identical factors — different
         # algorithms), both near-exact at this rank on rank-<=4 slices.
         assert abs(a.compression_error(dense) - b.compression_error(dense)) < 1e-4
