@@ -74,7 +74,9 @@ def skewed_costs(n_items: int = N_ITEMS, heavy_count: int = HEAVY_COUNT) -> np.n
     return costs
 
 
-def latency_kernel(costs: np.ndarray, *, scale: float) -> np.ndarray:
+def latency_kernel(
+    costs: np.ndarray, *, scale: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Per-item GIL-releasing stall proportional to cost, then a tiny op.
 
     Emulates an IO-latency-bound fetch+process loop: ``time.sleep`` stands
@@ -82,7 +84,8 @@ def latency_kernel(costs: np.ndarray, *, scale: float) -> np.ndarray:
     and the arithmetic afterwards is the per-item result the schedules must
     reproduce bit for bit.
     """
-    out = np.empty_like(costs)
+    if out is None:
+        out = np.empty_like(costs)
     for i in range(costs.shape[0]):
         time.sleep(float(costs[i]) * scale)
         out[i] = costs[i] * 2.0 + 1.0
@@ -90,7 +93,7 @@ def latency_kernel(costs: np.ndarray, *, scale: float) -> np.ndarray:
 
 
 def _run_engine_variant(engine, costs, schedule, *, with_costs, scale=SCALE):
-    from repro.engine import chunked, concat_chunks
+    from repro.engine import chunked
 
     with engine.phase(f"a10-{schedule}{'+costs' if with_costs else ''}") as trace:
         t0 = time.perf_counter()
@@ -100,7 +103,7 @@ def _run_engine_variant(engine, costs, schedule, *, with_costs, scale=SCALE):
             len(costs),
             slabs=(costs,),
             broadcast={"scale": scale},
-            reduce=concat_chunks,
+            out=np.empty_like(costs),
             costs=costs if with_costs else None,
             schedule=schedule,
         )

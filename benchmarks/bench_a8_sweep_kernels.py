@@ -23,7 +23,10 @@ Run standalone::
 ``--smoke`` is the fast perf-regression guard used by CI: it runs a few
 sweeps on a small tensor and exits non-zero if the workspace performed more
 than one ``W`` evaluation per sweep (i.e. the redundant second
-``w_tensor`` call ever comes back).
+``w_tensor`` call ever comes back), if the workspace's peak allocations
+exceed 2x the naive loop's, or if a whole serial ``DTucker.fit`` peaks
+above 2.6x the bytes of its own ``SliceSVD`` (a copy of the ``U`` stack
+crept back into compression, initialization or the sweeps).
 """
 
 from __future__ import annotations
@@ -176,8 +179,37 @@ def run_comparison(
 SMOKE_PEAK_RATIO_LIMIT = 2.0
 
 
+#: Whole-fit memory guard for ``--smoke``: a serial fit's tracemalloc peak
+#: over the bytes of its compressed ``(U, s, Vt)`` slices.  The fit needs
+#: the slices plus one block of compression scratch and the mode-1 partial
+#: (~2.2x on the guard tensor); one more copy of the ``U`` stack adds about
+#: 0.9x, which the 2.6x bound catches.
+FIT_PEAK_RATIO_LIMIT = 2.6
+FIT_SHAPE = (400, 54, 300)
+FIT_RANKS = (10, 10, 10)
+
+
+def fit_peak_ratio() -> tuple[float, int, int]:
+    """``(peak / SliceSVD bytes, peak, SliceSVD bytes)`` of a serial fit."""
+    from repro import DTucker, DTuckerConfig
+    from repro.tensor.random import random_tensor
+
+    x = random_tensor(FIT_SHAPE, FIT_RANKS, rng=SEED, noise=0.01)
+    cfg = DTuckerConfig(seed=SEED, backend="serial")
+    DTucker(FIT_RANKS, config=cfg).fit(x)  # warm imports and BLAS
+    tracemalloc.start()
+    try:
+        model = DTucker(FIT_RANKS, config=cfg).fit(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sv = model.slice_svd_
+    ssvd_bytes = sv.u.nbytes + sv.s.nbytes + sv.vt.nbytes
+    return peak / ssvd_bytes, peak, ssvd_bytes
+
+
 def smoke() -> int:
-    """Fast CI guard: W evaluations per sweep and peak-allocation ratio."""
+    """Fast CI guard: W evaluations per sweep and peak-allocation ratios."""
     from repro.core.iteration import als_sweeps
     from repro.kernels.naive import naive_als_sweeps
 
@@ -223,9 +255,23 @@ def smoke() -> int:
             file=sys.stderr,
         )
         return 1
+    fit_ratio, fit_peak, ssvd_bytes = fit_peak_ratio()
+    print(
+        f"[A8 smoke] fit {FIT_SHAPE} ranks={FIT_RANKS}: peak_alloc_bytes="
+        f"{fit_peak} slice_svd_bytes={ssvd_bytes} ratio={fit_ratio:.2f}"
+    )
+    if fit_ratio > FIT_PEAK_RATIO_LIMIT:
+        print(
+            f"[A8 smoke] FAIL: a serial fit peaks at {fit_ratio:.2f}x its "
+            f"SliceSVD (limit {FIT_PEAK_RATIO_LIMIT}x) — a copy of the U "
+            "stack is back in the fit path",
+            file=sys.stderr,
+        )
+        return 1
     print(
         "[A8 smoke] OK: <= 1 W evaluation per sweep, peak allocations "
-        f"within {SMOKE_PEAK_RATIO_LIMIT}x of naive"
+        f"within {SMOKE_PEAK_RATIO_LIMIT}x of naive, fit peak within "
+        f"{FIT_PEAK_RATIO_LIMIT}x of its SliceSVD"
     )
     return 0
 
@@ -298,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="fast CI guard: fail if per-sweep W evaluations exceed 1",
+        help="fast CI guard: W evaluations per sweep and peak-memory bounds",
     )
     parser.add_argument(
         "--sweeps", type=int, default=SWEEPS, help="ALS sweeps to time"

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine import ExecutionBackend, chunked, concat_chunks
+from ..engine import ExecutionBackend
 from ..kernels.contractions import (
+    dispatch_slices,
     mode1_chunk,
     mode2_chunk,
     project_left_chunk,
@@ -64,17 +65,18 @@ def _dispatch(
     kernel,
     ssvd: SliceSVD,
     broadcast: dict[str, np.ndarray],
+    rows: tuple[int, int],
 ) -> np.ndarray:
-    """Run a per-slice contraction kernel through ``engine`` (inline if None)."""
-    if engine is None:
-        return kernel(ssvd.u, ssvd.s, ssvd.vt, **broadcast)
-    return chunked(
-        engine,
-        kernel,
-        ssvd.num_slices,
-        slabs=(ssvd.u, ssvd.s, ssvd.vt),
-        broadcast=broadcast,
-        reduce=concat_chunks,
+    """Run a per-slice contraction kernel into a fresh ``(L, *rows)`` stack.
+
+    With ``engine`` given the slice loop fans out as engine chunks, each
+    written into its rows of the stack; inline (``None``) it is one call.
+    """
+    dtype = np.result_type(ssvd.u, *broadcast.values())
+    out = np.empty((ssvd.num_slices, *rows), dtype=dtype)
+    return dispatch_slices(
+        engine, kernel, ssvd.num_slices, (ssvd.u, ssvd.s, ssvd.vt), broadcast,
+        out=out,
     )
 
 
@@ -91,7 +93,9 @@ def w_tensor(
     reshaped to ``(J1, J2, I3, …, IN)``.  With ``engine`` given, the slice
     loop fans out as engine chunks over the SVD-triple slabs.
     """
-    w = _dispatch(engine, _w_chunk, ssvd, {"a1": a1, "a2": a2})
+    w = _dispatch(
+        engine, _w_chunk, ssvd, {"a1": a1, "a2": a2}, (a1.shape[1], a2.shape[1])
+    )
     return _stack_to_tensor(w, ssvd.shape[2:])
 
 
@@ -106,7 +110,9 @@ def mode1_partial(
     Used when updating the mode-1 factor: mode 1 stays unprojected, every
     other mode is (later) contracted.
     """
-    m = _dispatch(engine, _mode1_chunk, ssvd, {"a2": a2})
+    m = _dispatch(
+        engine, _mode1_chunk, ssvd, {"a2": a2}, (ssvd.slice_shape[0], a2.shape[1])
+    )
     return _stack_to_tensor(m, ssvd.shape[2:])
 
 
@@ -117,5 +123,7 @@ def mode2_partial(
     engine: ExecutionBackend | None = None,
 ) -> np.ndarray:
     """``X̃ ×_1 A(1)ᵀ`` as a tensor of shape ``(J1, I2, I3, …, IN)``."""
-    m = _dispatch(engine, _mode2_chunk, ssvd, {"a1": a1})
+    m = _dispatch(
+        engine, _mode2_chunk, ssvd, {"a1": a1}, (a1.shape[1], ssvd.slice_shape[1])
+    )
     return _stack_to_tensor(m, ssvd.shape[2:])

@@ -219,7 +219,8 @@ class DTucker:
 
         permuted = np.transpose(x, self.permutation_)
         permuted_ranks = self._permuted_ranks(rank_tuple)
-        fit = self._pipeline(permuted_ranks).fit(DenseSource(permuted))
+        # ``x`` passed as_tensor above: the source skips a second scan.
+        fit = self._pipeline(permuted_ranks).fit(DenseSource._validated(permuted))
         self._store_fit(fit)
         self.result_ = fit.result.permute_modes(inverse)
         return self

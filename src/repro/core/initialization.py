@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..linalg.svd import leading_left_singular_vectors
+from ..engine.array_api import array_module_of
+from ..linalg.svd import gram_leading_eigenvectors, leading_left_singular_vectors
 from ..tensor.products import multi_mode_product
 from ..tensor.unfold import unfold
 from ..validation import check_ranks
@@ -46,6 +47,58 @@ def _scaled_right_blocks(ssvd: SliceSVD) -> np.ndarray:
     return vs.transpose(1, 2, 0).reshape(ssvd.slice_shape[1], -1)
 
 
+#: Bytes of scaled slice blocks per Gram accumulation step: small enough
+#: that the block and its flattened copy stay cache-resident, large enough
+#: that each step is one well-shaped GEMM.
+_GRAM_BLOCK_BYTES = 1 << 20
+
+
+def scaled_gram(stack, s, *, right: bool = False):
+    """``Σ_l (U_l S_l)(U_l S_l)ᵀ`` accumulated over blocks of slices.
+
+    ``stack`` is the ``(L, I1, K)`` U stack (or, with ``right=True``, the
+    ``(L, K, I2)`` Vᵀ stack, giving ``Σ_l (V_l S_l)(V_l S_l)ᵀ``) and ``s``
+    the ``(L, K)`` singular values.  This is ``B Bᵀ`` for the scaled-block
+    matrix ``B`` of :func:`_scaled_left_blocks` / :func:`_scaled_right_blocks`
+    without ever forming ``B``: each block of slices is scaled, laid out as
+    an ``(I, b·K)`` matrix and folded in with one GEMM, so the working set
+    is one block.  Accumulates in the stack's dtype.
+    """
+    am = array_module_of(stack, s)
+    l, k = (int(d) for d in s.shape)
+    m = int(stack.shape[2] if right else stack.shape[1])
+    dtype = am.np_dtype(stack)
+    step = max(1, _GRAM_BLOCK_BYTES // (m * k * dtype.itemsize))
+    gram = am.zeros((m, m), dtype=dtype)
+    for start in range(0, l, step):
+        blk = stack[start : start + step]
+        if right:
+            blk = am.mT(blk)
+        scaled = blk * s[start : start + step, None, :]  # (b, m, K)
+        flat = am.reshape(am.moveaxis(scaled, 0, 1), (m, -1))  # (m, b·K)
+        gram += am.matmul(flat, am.mT(flat))
+    return gram
+
+
+def slice_plane_factor(ssvd: SliceSVD, rank: int, *, right: bool = False):
+    """``A(1)`` (or ``A(2)`` with ``right=True``) from the scaled slice blocks.
+
+    The leading left singular vectors of ``[U_1 S_1 ⋯ U_L S_L]`` (resp.
+    ``[V_1 S_1 ⋯]``).  When that matrix is wide — the usual case, ``K·L``
+    columns against ``I`` rows — they come from the blockwise
+    :func:`scaled_gram` through the same eigen tail
+    :func:`~repro.linalg.svd.leading_left_singular_vectors` uses, so the
+    ``(I, K·L)`` matrix is never built; otherwise from its thin SVD.
+    """
+    l, k = (int(d) for d in ssvd.s.shape)
+    m = ssvd.slice_shape[1 if right else 0]
+    if k * l > 2 * m:
+        stack = ssvd.vt if right else ssvd.u
+        return gram_leading_eigenvectors(scaled_gram(stack, ssvd.s, right=right), rank)
+    blocks = _scaled_right_blocks(ssvd) if right else _scaled_left_blocks(ssvd)
+    return leading_left_singular_vectors(blocks, rank)
+
+
 def initialize(
     ssvd: SliceSVD, ranks: int | Sequence[int]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -65,8 +118,8 @@ def initialize(
         projection of the compressed tensor onto them.
     """
     rank_tuple = check_ranks(ranks, ssvd.shape)
-    a1 = leading_left_singular_vectors(_scaled_left_blocks(ssvd), rank_tuple[0])
-    a2 = leading_left_singular_vectors(_scaled_right_blocks(ssvd), rank_tuple[1])
+    a1 = slice_plane_factor(ssvd, rank_tuple[0])
+    a2 = slice_plane_factor(ssvd, rank_tuple[1], right=True)
     return initialize_from_factors(ssvd, ranks, a1, a2)
 
 

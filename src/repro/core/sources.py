@@ -63,7 +63,7 @@ from ..kernels.stats import KernelStats
 from ..linalg.rsvd import batched_rsvd, batched_svd_via_gram
 from ..linalg.svd import sign_fix
 from ..tensor.random import default_rng
-from ..tensor.slices import slice_count, slice_index_to_multi, to_slices
+from ..tensor.slices import slice_count, slice_index_to_multi
 from ..validation import as_tensor, check_positive_int
 from .config import DTuckerConfig
 from .slice_svd import SliceSVD
@@ -391,6 +391,16 @@ def batched_slice_view(
     return out
 
 
+def _slice_stack(x: np.ndarray) -> np.ndarray:
+    """The ``(L, I1, I2)`` slice-stack view of a validated tensor.
+
+    The :func:`~repro.tensor.slices.to_slices` reshape (Fortran order over
+    the trailing modes) without its second validation scan.
+    """
+    i1, i2 = x.shape[:2]
+    return np.moveaxis(x.reshape((i1, i2, -1), order="F"), 2, 0)
+
+
 # -- adapters ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -416,9 +426,22 @@ class DenseSource(SliceSourceBase):
     """
 
     def __init__(self, tensor: np.ndarray) -> None:
-        x = as_tensor(tensor, min_order=2, name="tensor")
+        self._bind(as_tensor(tensor, min_order=2, name="tensor"))
+
+    @classmethod
+    def _validated(cls, x: np.ndarray) -> "DenseSource":
+        """Wrap an array that already passed :func:`~repro.validation.as_tensor`.
+
+        Skips the second full-tensor NaN/Inf scan for callers (``DTucker
+        .fit``) that validated the tensor themselves.
+        """
+        source = cls.__new__(cls)
+        source._bind(x)
+        return source
+
+    def _bind(self, x: np.ndarray) -> None:
         self._tensor = x
-        self._stack = np.moveaxis(to_slices(x), 2, 0)  # (L, I1, I2) view
+        self._stack = _slice_stack(x)
         self._shape = tuple(int(d) for d in x.shape)
         self._dtype = x.dtype
 
@@ -794,7 +817,7 @@ class BlockSource(SliceSourceBase):
                 )
         self._blocks = tuple(arrays)
         self._mapped = tuple(mapped)
-        self._stacks = [np.moveaxis(to_slices(b), 2, 0) for b in arrays]
+        self._stacks = [_slice_stack(b) for b in arrays]
         self._offsets = np.cumsum([0] + [s.shape[0] for s in self._stacks])
         self._shape = tuple(int(d) for d in lead) + (
             int(sum(b.shape[-1] for b in arrays)),

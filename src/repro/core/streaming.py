@@ -68,7 +68,7 @@ from ..tensor.unfold import unfold
 from ..validation import as_tensor, check_positive_int, check_ranks
 from .config import UNSET, DTuckerConfig, resolve_config
 from .fit_pipeline import FitPipeline
-from .initialization import _scaled_left_blocks, _scaled_right_blocks, initialize
+from .initialization import initialize, slice_plane_factor
 from .result import TuckerResult
 from .slice_svd import SliceSVD
 from .sources import BlockSource, compress_source
@@ -455,12 +455,8 @@ class StreamingDTucker:
                 x.shape[:-1] + (sws.extent + block_ssvd.shape[-1],)
             )
             if first:
-                a1 = leading_left_singular_vectors(
-                    _scaled_left_blocks(block_ssvd), eff[0]
-                )
-                a2 = leading_left_singular_vectors(
-                    _scaled_right_blocks(block_ssvd), eff[1]
-                )
+                a1 = slice_plane_factor(block_ssvd, eff[0])
+                a2 = slice_plane_factor(block_ssvd, eff[1], right=True)
                 if self.update == "sketch":
                     i1, i2 = block_ssvd.slice_shape
                     ell = self.config.sketch_size

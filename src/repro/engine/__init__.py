@@ -5,8 +5,8 @@ Public surface:
 * :class:`ExecutionBackend` — the backend interface,
 * :class:`SerialBackend` / :class:`ThreadBackend` / :class:`ProcessBackend`
   — the three implementations,
-* :func:`chunked` / :func:`concat_chunks` — the map-reduce primitive the
-  solvers dispatch per-slice and per-mode work through,
+* :func:`chunked` — the map primitive the solvers dispatch per-slice and
+  per-mode work through, writing chunk results into a caller-owned output,
 * :func:`resolve_backend` / :func:`backend_scope` — turn a backend spec
   (name, instance, config, ``REPRO_BACKEND`` env) into a live backend,
 * :class:`PhaseTrace` / :func:`format_traces` — structured per-phase
@@ -46,7 +46,6 @@ from .base import (
     SCHEDULE_NAMES,
     ExecutionBackend,
     chunked,
-    concat_chunks,
     resolve_schedule,
 )
 from .chunking import OVERSPLIT, chunk_costs, plan_chunks, plan_dynamic_chunks
@@ -94,7 +93,6 @@ __all__ = [
     "combine_costs",
     "chunk_costs",
     "chunked",
-    "concat_chunks",
     "plan_chunks",
     "plan_dynamic_chunks",
     "resolve_backend",

@@ -337,6 +337,14 @@ class ArrayModule:
         out[...] = self.xp.matmul(a, b)
         return out
 
+    def matmul_into(self, a: Any, b: Any, out: Any = None) -> Any:
+        """Stacked (broadcasting) ``a @ b``, written into ``out`` when given."""
+        res = self.xp.matmul(a, b)
+        if out is None:
+            return res
+        out[...] = res
+        return out
+
     def tensordot(self, a: Any, b: Any, axes) -> Any:
         return self.xp.tensordot(a, b, axes=axes)
 
@@ -530,6 +538,9 @@ class NumpyModule(ArrayModule):
 
     def gemm_into(self, a: Any, b: Any, out: Any) -> np.ndarray:
         return np.dot(a, b, out=out)
+
+    def matmul_into(self, a: Any, b: Any, out: Any = None) -> np.ndarray:
+        return np.matmul(a, b, out=out)
 
     def tensordot(self, a: Any, b: Any, axes) -> np.ndarray:
         return np.tensordot(a, b, axes=axes)

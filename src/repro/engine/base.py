@@ -1,4 +1,4 @@
-"""The execution-backend interface and the ``chunked`` map-reduce primitive.
+"""The execution-backend interface and the ``chunked`` map primitive.
 
 D-Tucker's hot loops share one shape: ``L`` independent items (slice
 matrices in the approximation phase, slice blocks of the ``(L, ·, ·)``
@@ -14,9 +14,10 @@ chunk tasks:
   processes, publishing the input arrays once as shared-memory slabs.
 
 Solvers never talk to pools directly — they call :func:`chunked` (stacked
-array inputs, ordered concat reduce) or :meth:`ExecutionBackend.map`
-(arbitrary picklable tasks, e.g. file-batch descriptors) and wrap each
-algorithm phase in :meth:`ExecutionBackend.phase` so a structured
+array inputs, results written into a caller-owned output) or
+:meth:`ExecutionBackend.map` (arbitrary picklable tasks, e.g. file-batch
+descriptors) and wrap each algorithm phase in
+:meth:`ExecutionBackend.phase` so a structured
 :class:`~repro.engine.trace.PhaseTrace` is emitted per phase.
 """
 
@@ -36,7 +37,6 @@ from .trace import PhaseTrace, peak_rss_bytes
 __all__ = [
     "ExecutionBackend",
     "chunked",
-    "concat_chunks",
     "resolve_schedule",
     "SCHEDULE_NAMES",
 ]
@@ -159,15 +159,26 @@ class ExecutionBackend(abc.ABC):
         plan: Sequence[tuple[int, int]],
         slabs: Sequence[np.ndarray],
         broadcast: dict[str, Any],
-    ) -> list[Any]:
+        out: Any = None,
+    ) -> list[Any] | None:
         """Run ``kernel(*slab[start:stop] …, **broadcast)`` per planned chunk.
 
         ``slabs`` are arrays indexed along axis 0 by the item index; every
         kernel invocation receives the corresponding row-chunk of each slab
         (a view for in-process backends, a shared-memory view for the
-        process backend).  Results are returned in plan order and must be
-        fresh arrays (no views into the inputs) so the process backend can
-        ship them back safely.
+        process backend).
+
+        Without ``out`` the results are returned in plan order.  With
+        ``out`` (an array, or a tuple of arrays, indexed along axis 0 by the
+        item index) the results land in ``out`` and ``None`` is returned:
+        a chunk that runs in this process gets ``out=`` views of its rows
+        (:func:`run_chunk_here`) and writes them in place; a chunk that runs in
+        a worker process returns fresh arrays, which are copied into its
+        rows as they arrive (:func:`store_chunk`) and then dropped.
+
+        A kernel running in a worker process must return fresh arrays (no
+        views into its inputs): the shared-memory views are unmapped when
+        the task ends.
         """
 
     @abc.abstractmethod
@@ -212,24 +223,57 @@ class ExecutionBackend(abc.ABC):
         return list(np.argsort(-arr, kind="stable"))
 
 
+def run_chunk_here(
+    kernel: ChunkKernel,
+    slabs: Sequence[np.ndarray],
+    broadcast: dict[str, Any],
+    start: int,
+    stop: int,
+    out: Any = None,
+) -> Any:
+    """Run one chunk in this process: into its rows of ``out``, or returned.
+
+    With ``out`` the kernel gets ``out=`` views of rows ``start:stop`` (of
+    every array, when ``out`` is a tuple) and ``None`` is returned.
+    """
+    views = (s[start:stop] for s in slabs)
+    if out is None:
+        return kernel(*views, **broadcast)
+    if isinstance(out, tuple):
+        rows = tuple(o[start:stop] for o in out)
+    else:
+        rows = out[start:stop]
+    kernel(*views, **broadcast, out=rows)
+    return None
+
+
+def store_chunk(out: Any, start: int, stop: int, result: Any) -> None:
+    """Copy one returned chunk ``result`` into rows ``start:stop`` of ``out``."""
+    if isinstance(out, tuple):
+        for dst, part in zip(out, result):
+            dst[start:stop] = part
+    else:
+        out[start:stop] = result
+
+
 def chunked(
     engine: ExecutionBackend,
     kernel: ChunkKernel,
     n_items: int,
     *,
+    out: Any,
     slabs: Sequence[np.ndarray] = (),
     broadcast: dict[str, Any] | None = None,
     chunk_size: int | None = None,
-    reduce: Callable[[list[Any]], Any] | None = None,
     costs: "CostModel | Sequence[float] | None" = None,
     schedule: str | None = None,
 ) -> Any:
-    """The map-reduce primitive behind every engine-dispatched hot path.
+    """The map primitive behind every engine-dispatched hot path.
 
     Splits ``range(n_items)`` into chunks (``chunk_size`` argument, else the
     engine's configured chunk size, else the scheduling policy below), maps
-    ``kernel`` over the chunks via the engine, and reduces the ordered
-    chunk results with ``reduce`` (default: return the list).
+    ``kernel`` over the chunks via the engine, writes every chunk's result
+    into its rows of ``out`` and returns ``out``.
 
     Scheduling: the resolved policy (``schedule`` argument, else the
     engine's configured policy) decides the plan.  ``static`` makes one
@@ -246,10 +290,17 @@ def chunked(
     engine:
         Backend to dispatch on.
     kernel:
-        Module-level function ``kernel(*slab_chunks, **broadcast)``;
-        must return fresh arrays (see :meth:`ExecutionBackend.run_chunks`).
+        Module-level function ``kernel(*slab_chunks, **broadcast, out=None)``
+        that writes into ``out=`` (the chunk's rows) when given and returns
+        fresh arrays otherwise (see :meth:`ExecutionBackend.run_chunks`).
     n_items:
         Length of the item axis (axis 0 of every slab).
+    out:
+        Caller-owned output (an array or a tuple of arrays whose axis 0 is
+        the item axis).  Each chunk's result is written into its rows once;
+        no per-chunk list is kept and nothing is concatenated.  A zero-
+        argument callable that allocates the output defers the allocation:
+        a plan of one chunk then returns the kernel's own result as is.
     slabs:
         Arrays sliced per chunk along axis 0.
     broadcast:
@@ -258,9 +309,6 @@ def chunked(
     chunk_size:
         Explicit chunk length override (pins granularity under both
         policies).
-    reduce:
-        Reduction over the ordered chunk results; use
-        :func:`concat_chunks` for stacked array outputs.
     costs:
         Optional per-item cost weights (a :class:`~repro.engine.cost
         .CostModel` or array-like) from the layer that knows the work
@@ -284,36 +332,17 @@ def chunked(
         plan = plan_chunks(n_items, engine.n_workers, size, costs=cost_arr)
     if len(plan) > 1:
         engine._record_dispatch(resolved)
-    order: list[int] | None = None
-    submitted = plan
+    slabs, broadcast = tuple(slabs), dict(broadcast or {})
+    if callable(out):
+        if len(plan) == 1:
+            # A lone chunk's own result is the output: nothing to copy.
+            return engine.run_chunks(kernel, plan, slabs, broadcast)[0]
+        out = out()
     if resolved == "dynamic" and cost_arr is not None and len(plan) > 2:
         # Longest-processing-time-first submission: the queue then drains
-        # into the tightest greedy finish.  Results are re-ordered below,
-        # so the reduce still sees chunks in range order.
+        # into the tightest greedy finish.  Chunks address their own rows
+        # of ``out``, so the submission order never shows in the result.
         weights = chunk_costs(plan, cost_arr)
-        order = list(np.argsort(-weights, kind="stable"))
-        submitted = [plan[i] for i in order]
-    results = engine.run_chunks(kernel, submitted, tuple(slabs), dict(broadcast or {}))
-    if order is not None:
-        unscrambled: list[Any] = [None] * len(plan)
-        for pos, idx in enumerate(order):
-            unscrambled[idx] = results[pos]
-        results = unscrambled
-    return reduce(results) if reduce is not None else results
-
-
-def concat_chunks(parts: list[Any]) -> Any:
-    """Ordered concat reduce: stitch per-chunk outputs back along axis 0.
-
-    Accepts a list of arrays (concatenated directly) or a list of equal-length
-    tuples of arrays (concatenated position-wise, for kernels returning
-    several outputs such as ``(U, s, Vt, norms)``).
-    """
-    if not parts:
-        raise ValueError("concat_chunks requires at least one chunk result")
-    if isinstance(parts[0], tuple):
-        return tuple(
-            np.concatenate([p[i] for p in parts], axis=0)
-            for i in range(len(parts[0]))
-        )
-    return np.concatenate(parts, axis=0)
+        plan = [plan[i] for i in np.argsort(-weights, kind="stable")]
+    engine.run_chunks(kernel, plan, slabs, broadcast, out)
+    return out

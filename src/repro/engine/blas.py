@@ -1,7 +1,5 @@
-"""BLAS coordination helpers: thread-count control and ``out=`` einsum.
+"""BLAS coordination helpers: thread-count control.
 
-Thread control
---------------
 The thread backend runs several NumPy batched-BLAS calls concurrently.  If
 the underlying BLAS (OpenBLAS/MKL) also spawns its own thread team per
 call, the machine oversubscribes and the "parallel" run is *slower* than
@@ -13,18 +11,6 @@ locate the loaded BLAS shared library via :mod:`ctypes` and flip its
 wrapped defensively — when neither path finds a control knob the context
 manager is a documented no-op and the thread backend still works (just
 without the coordination win).
-
-Preallocated-output einsum
---------------------------
-:func:`einsum_into` is the allocation-free half of ``np.einsum``: the same
-computation, dispatched to the operands' array namespace and written into
-a buffer the caller owns.  The slice contraction kernels
-(:mod:`repro.kernels.contractions`) route their shape-stationary hot-path
-products through it so steady-state ALS sweeps stop paying the allocator.
-It is bit-identical to the allocating call — NumPy dispatches the
-identical kernel either way — which is what lets the workspace path stay
-exactly reproducible.  The matching GEMM is
-:meth:`~repro.engine.array_api.ArrayModule.gemm_into`.
 """
 
 from __future__ import annotations
@@ -35,28 +21,11 @@ import os
 from contextlib import contextmanager
 from typing import Iterator
 
-import numpy as np
-
-from .array_api import array_module_of
-
 __all__ = [
     "blas_thread_controls",
     "limit_blas_threads",
     "current_blas_threads",
-    "einsum_into",
 ]
-
-
-def einsum_into(
-    subscripts: str, *operands: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Optimized einsum of the operands' namespace, written into ``out`` when given.
-
-    NumPy operands run ``np.einsum(..., optimize=True)``; ``out=`` does not
-    change the computation, so buffered and allocating calls agree bit for
-    bit.
-    """
-    return array_module_of(*operands).einsum(subscripts, *operands, out=out)
 
 
 _SETTERS = (

@@ -1,4 +1,4 @@
-"""Chunk planning for the ``chunked`` map-reduce primitive.
+"""Chunk planning for the ``chunked`` map primitive.
 
 Every hot path in this library iterates over ``L`` independent items (slice
 matrices, slice batches, modes).  The engine splits that index range into

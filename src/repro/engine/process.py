@@ -33,13 +33,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .base import ChunkKernel, ExecutionBackend
+from .base import ChunkKernel, ExecutionBackend, run_chunk_here, store_chunk
 from .cost import CostModel
 
 __all__ = ["ProcessBackend"]
@@ -148,37 +148,49 @@ class ProcessBackend(ExecutionBackend):
         plan: Sequence[tuple[int, int]],
         slabs: Sequence[np.ndarray],
         broadcast: dict[str, Any],
-    ) -> list[Any]:
+        out: Any = None,
+    ) -> list[Any] | None:
         if len(plan) <= 1:
-            # One chunk: skip the upload/round-trip and run inline.
+            # One chunk: skip the upload/round-trip and run inline (in this
+            # process, so it writes ``out`` in place like the serial backend).
             results = []
             for start, stop in plan:
                 t0 = time.perf_counter()
-                results.append(kernel(*(s[start:stop] for s in slabs), **broadcast))
+                results.append(
+                    run_chunk_here(kernel, slabs, broadcast, start, stop, out)
+                )
                 self._record_task(
                     f"pid:{os.getpid()}",
                     stop - start,
                     busy_seconds=time.perf_counter() - t0,
                 )
-            return results
+            return results if out is None else None
         descrs = [self._share(s) for s in slabs]
         pool = self._ensure_pool()
-        futures = [
-            pool.submit(_chunk_worker, kernel, descrs, bounds, broadcast, time.time())
-            for bounds in plan
-        ]
-        results = []
+        futures = {}
+        for pos, bounds in enumerate(plan):
+            task = pool.submit(
+                _chunk_worker, kernel, descrs, bounds, broadcast, time.time()
+            )
+            futures[task] = (pos, bounds)
+        results: list[Any] = [None] * len(plan)
         workers = []
-        for future, (start, stop) in zip(futures, plan):
-            pid, wait, busy, out = future.result()
+        # Workers return fresh arrays; with ``out`` each one is copied into
+        # its rows as it arrives and dropped, so no per-chunk list builds up.
+        for future in as_completed(futures):
+            pos, (start, stop) = futures.pop(future)
+            pid, wait, busy, result = future.result()
             worker = f"pid:{pid}"
             workers.append(worker)
             self._record_task(
                 worker, stop - start, busy_seconds=busy, wait_seconds=max(0.0, wait)
             )
-            results.append(out)
+            if out is None:
+                results[pos] = result
+            else:
+                store_chunk(out, start, stop, result)
         self._tally_steals(workers, len(plan))
-        return results
+        return results if out is None else None
 
     def map(
         self,

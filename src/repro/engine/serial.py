@@ -14,7 +14,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .base import ChunkKernel, ExecutionBackend
+from .base import ChunkKernel, ExecutionBackend, run_chunk_here
 from .cost import CostModel
 
 __all__ = ["SerialBackend"]
@@ -42,15 +42,16 @@ class SerialBackend(ExecutionBackend):
         plan: Sequence[tuple[int, int]],
         slabs: Sequence[np.ndarray],
         broadcast: dict[str, Any],
-    ) -> list[Any]:
+        out: Any = None,
+    ) -> list[Any] | None:
         results = []
         for start, stop in plan:
             t0 = time.perf_counter()
-            results.append(kernel(*(s[start:stop] for s in slabs), **broadcast))
+            results.append(run_chunk_here(kernel, slabs, broadcast, start, stop, out))
             self._record_task(
                 "main", stop - start, busy_seconds=time.perf_counter() - t0
             )
-        return results
+        return results if out is None else None
 
     def map(
         self,

@@ -30,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .base import ChunkKernel, ExecutionBackend
+from .base import ChunkKernel, ExecutionBackend, run_chunk_here
 from .blas import current_blas_threads, limit_blas_threads
 from .cost import CostModel
 
@@ -80,30 +80,34 @@ class ThreadBackend(ExecutionBackend):
         plan: Sequence[tuple[int, int]],
         slabs: Sequence[np.ndarray],
         broadcast: dict[str, Any],
-    ) -> list[Any]:
+        out: Any = None,
+    ) -> list[Any] | None:
         if len(plan) <= 1:
             # One chunk: no parallelism to coordinate — run inline and keep
             # the full BLAS team.
             results = []
             for start, stop in plan:
                 t0 = time.perf_counter()
-                results.append(kernel(*(s[start:stop] for s in slabs), **broadcast))
+                results.append(
+                    run_chunk_here(kernel, slabs, broadcast, start, stop, out)
+                )
                 self._record_task(
                     threading.current_thread().name,
                     stop - start,
                     busy_seconds=time.perf_counter() - t0,
                 )
-            return results
+            return results if out is None else None
 
         def task(bounds: tuple[int, int], submitted: float) -> tuple[str, float, float, Any]:
             begin = time.perf_counter()
-            start, stop = bounds
-            out = kernel(*(s[start:stop] for s in slabs), **broadcast)
+            # Workers share the caller's memory: with ``out`` each chunk
+            # writes its own rows in place.
+            result = run_chunk_here(kernel, slabs, broadcast, *bounds, out)
             return (
                 threading.current_thread().name,
                 begin - submitted,
                 time.perf_counter() - begin,
-                out,
+                result,
             )
 
         pool = self._ensure_pool()
@@ -114,14 +118,14 @@ class ThreadBackend(ExecutionBackend):
             results = []
             workers = []
             for future, (start, stop) in zip(futures, plan):
-                worker, wait, busy, out = future.result()
+                worker, wait, busy, result = future.result()
                 workers.append(worker)
                 self._record_task(
                     worker, stop - start, busy_seconds=busy, wait_seconds=wait
                 )
-                results.append(out)
+                results.append(result)
         self._tally_steals(workers, len(plan))
-        return results
+        return results if out is None else None
 
     def map(
         self,

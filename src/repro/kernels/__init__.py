@@ -3,12 +3,12 @@
 This package owns every compressed-domain contraction of the iteration hot
 path.  The pieces:
 
-* :mod:`~repro.kernels.contractions` — the per-slice einsum kernels (fused
-  and projection-cached variants), shared with :mod:`repro.core._ops`;
+* :mod:`~repro.kernels.contractions` — the per-slice batched-GEMM kernels
+  (fused and projection-cached variants), shared with :mod:`repro.core._ops`;
 * :mod:`~repro.kernels.planner` — memoized greedy TTM-chain ordering used
   by :func:`repro.tensor.products.multi_mode_product` and the workspace;
 * :mod:`~repro.kernels.buffers` — named preallocated scratch buffers for
-  ``out=``-style GEMMs/einsums;
+  ``out=``-style GEMMs;
 * :mod:`~repro.kernels.workspace` — :class:`SweepWorkspace`, the cache that
   ties them together (dirty-tracked projection stacks, the once-per-sweep
   ``W`` build, chain-prefix reuse);

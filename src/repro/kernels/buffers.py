@@ -6,7 +6,7 @@ hands out one persistent array per named slot, so steady-state sweeps write
 into memory allocated during sweep one instead of hitting the allocator
 (and the page fault / zeroing cost behind it) every time.  Buffers are
 plain C-contiguous arrays suitable for ``out=`` targets of
-:func:`numpy.einsum`, :func:`numpy.concatenate` and
+:meth:`repro.engine.array_api.ArrayModule.matmul_into` and
 :meth:`repro.engine.array_api.ArrayModule.gemm_into`.
 
 The pool is device-aware: it allocates through an

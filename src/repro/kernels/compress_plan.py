@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from ..engine import ExecutionBackend, chunked, concat_chunks
+from ..engine import ExecutionBackend, chunked
 from ..engine.array_api import array_module_of, get_module, resolve_device
 from ..exceptions import RankError, ShapeError
 from ..linalg.rsvd import batched_rsvd, batched_svd_via_gram
@@ -393,18 +393,23 @@ def _blockwise(
     stack: np.ndarray,
     factor,
     *,
+    rank: int,
     dtype: "np.dtype | type | None",
     block: int | None,
     buffer: np.ndarray | None,
+    out: "tuple[np.ndarray, ...] | None",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run ``factor`` over ``stack`` block by block into ``(U, s, Vt, norms)``.
 
     Every block of ``block`` slices (default :func:`block_slices`) is copied
     once into ``buffer`` (allocated when ``None``), cast to ``dtype`` on the
-    way (default: float32 stays, anything else becomes float64).  Batched
-    LAPACK/BLAS are per-matrix loops, so the factors do not depend on where
-    the block boundaries fall; the norms accumulate in float64 on the same
-    contiguous block.
+    way (default: float32 stays, anything else becomes float64).  Each
+    block's factors and float64 norms are written straight into their rows
+    of ``out`` — the caller's arrays, allocated here when ``None`` — so the
+    chunk's factors exist exactly once; without ``out``, a chunk that fits
+    one block returns that block's own arrays.  Batched LAPACK/BLAS are
+    per-matrix loops, so the factors do not depend on where the block
+    boundaries fall.
     """
     l, i1, i2 = stack.shape
     if dtype is None:
@@ -413,12 +418,32 @@ def _blockwise(
         step = block if block is not None else block_slices(i1, i2, dtype)
         buffer = np.empty((min(step, l), i1, i2), dtype=dtype)
     step = buffer.shape[0]
-    parts = []
+    if out is None:
+        if step >= l:
+            blk = buffer[:l]
+            np.copyto(blk, stack, casting="unsafe")
+            return (*factor(blk), slab_norms(blk))
+        out = factor_outputs(l, i1, i2, rank, dtype)
+    u_out, s_out, vt_out, norms_out = out
     for start in range(0, l, step):
-        blk = buffer[: min(step, l - start)]
-        np.copyto(blk, stack[start : start + len(blk)], casting="unsafe")
-        parts.append((*factor(blk), slab_norms(blk)))
-    return parts[0] if len(parts) == 1 else concat_chunks(parts)
+        stop = min(start + step, l)
+        blk = buffer[: stop - start]
+        np.copyto(blk, stack[start:stop], casting="unsafe")
+        u_out[start:stop], s_out[start:stop], vt_out[start:stop] = factor(blk)
+        norms_out[start:stop] = slab_norms(blk)
+    return out
+
+
+def factor_outputs(
+    n_slices: int, i1: int, i2: int, rank: int, dtype: "np.dtype | type"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Empty ``(U, s, Vt, norms)`` arrays for ``n_slices`` rank-``rank`` slices."""
+    return (
+        np.empty((n_slices, i1, rank), dtype=dtype),
+        np.empty((n_slices, rank), dtype=dtype),
+        np.empty((n_slices, rank, i2), dtype=dtype),
+        np.empty(n_slices, dtype=np.float64),
+    )
 
 
 def _exact_svd(blk: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -435,15 +460,17 @@ def plan_exact_chunk(
     dtype: "np.dtype | type | None" = None,
     block: int | None = None,
     buffer: np.ndarray | None = None,
+    out: "tuple[np.ndarray, ...] | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact truncated SVD of one chunk of the slice stack, block by block.
 
-    ``dtype``, ``block`` and ``buffer`` set the compute dtype, the slices
-    per block and the reusable block buffer (see :func:`_blockwise`).
+    ``dtype``, ``block``, ``buffer`` and ``out`` set the compute dtype, the
+    slices per block, the reusable block buffer and the ``(U, s, Vt,
+    norms)`` arrays written in place (see :func:`_blockwise`).
     """
     return _blockwise(
         stack, partial(_exact_svd, rank=rank),
-        dtype=dtype, block=block, buffer=buffer,
+        rank=rank, dtype=dtype, block=block, buffer=buffer, out=out,
     )
 
 
@@ -454,11 +481,12 @@ def plan_gram_chunk(
     dtype: "np.dtype | type | None" = None,
     block: int | None = None,
     buffer: np.ndarray | None = None,
+    out: "tuple[np.ndarray, ...] | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gram-side truncated SVD of one chunk of the slice stack, block by block."""
     return _blockwise(
         stack, partial(batched_svd_via_gram, rank=rank),
-        dtype=dtype, block=block, buffer=buffer,
+        rank=rank, dtype=dtype, block=block, buffer=buffer, out=out,
     )
 
 
@@ -471,6 +499,7 @@ def plan_rsvd_chunk(
     dtype: "np.dtype | type | None" = None,
     block: int | None = None,
     buffer: np.ndarray | None = None,
+    out: "tuple[np.ndarray, ...] | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Randomized truncated SVD of one chunk, block by block.
 
@@ -484,7 +513,7 @@ def plan_rsvd_chunk(
             batched_rsvd, rank=rank, power_iterations=power_iterations,
             test_matrix=omega,
         ),
-        dtype=dtype, block=block, buffer=buffer,
+        rank=rank, dtype=dtype, block=block, buffer=buffer, out=out,
     )
 
 
@@ -651,7 +680,7 @@ def execute_plan(
         slabs=(a,),
         broadcast=broadcast,
         chunk_size=chunk_size,
-        reduce=concat_chunks,
         costs=costs,
         schedule=schedule,
+        out=partial(factor_outputs, l, i1, i2, int(rank), dtype),
     )

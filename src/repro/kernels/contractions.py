@@ -1,9 +1,9 @@
 """Per-slice compressed-domain contraction kernels.
 
-This module is the single home of the slice-parallel einsum kernels used by
-both the classic entry points in :mod:`repro.core._ops` and the cached
-:class:`~repro.kernels.workspace.SweepWorkspace` path.  Two families live
-here:
+This module is the single home of the slice-parallel contraction kernels
+used by both the classic entry points in :mod:`repro.core._ops` and the
+cached :class:`~repro.kernels.workspace.SweepWorkspace` path.  Two families
+live here:
 
 * **fused kernels** (``w_chunk``, ``mode1_chunk``, ``mode2_chunk``) — the
   original operations that rebuild the per-slice projections ``A(1)ᵀU_l`` /
@@ -13,27 +13,31 @@ here:
   projection computed once per factor update can be shared by every kernel
   that needs it.
 
-Bit-identity contract: each fused kernel computes its projections with
-exactly the einsum expressions of :func:`project_left_chunk` /
-:func:`project_right_chunk`, and every output element depends on a single
-slice ``l`` — so (a) feeding cached projections to the ``*_from_projections``
-kernels reproduces the fused results bit for bit, and (b) chunked execution
-over any slice partition equals the one-shot einsum.  The parity suite in
-``tests/test_kernels.py`` pins both properties across all backends.
+Every kernel is one batched GEMM on the stored ``(L, ·, ·)`` layout —
+``A(1)ᵀ @ U``, ``Vᵀ @ A(2)``, ``U @ (diag(s) VᵀA(2))`` … — so no operand is
+ever reorganised into a transposed or flattened copy, and ``diag(s_l)`` is
+applied to the *small* operand (a projection stack), never to ``U`` or
+``Vᵀ``.  Each kernel writes straight into ``out=`` when given.
 
-All kernels are module level so the process backend can pickle them, and
-accept an optional ``out=`` so the inline (no-engine) path can write into
-preallocated workspace buffers; ``numpy.einsum`` honours ``out=`` without
-changing the computation.
+Bit-identity contract: each fused kernel computes its projections with
+exactly the matmuls of :func:`project_left_chunk` /
+:func:`project_right_chunk` and then calls the matching cached kernel, and
+a batched matmul is one GEMM per slice ``l`` — so (a) feeding cached
+projections to the ``*_from_projections`` kernels reproduces the fused
+results bit for bit, and (b) chunked execution over any slice partition,
+written into ``out=`` or allocated, equals the one-shot call.  The parity
+suite in ``tests/test_kernels.py`` pins both properties across all
+backends.
+
+All kernels are module level so the process backend can pickle them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..engine import ExecutionBackend, chunked, concat_chunks
+from ..engine import ExecutionBackend, chunked
 from ..engine.array_api import array_module_of
-from ..engine.blas import einsum_into
 
 __all__ = [
     "project_left_chunk",
@@ -55,14 +59,15 @@ def project_left_chunk(
     u: np.ndarray, *, a1: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-slice ``A(1)ᵀ U_l`` stacked as ``(L, J1, K)``."""
-    return einsum_into("lik,ia->lak", u, a1, out=out)
+    am = array_module_of(u, a1)
+    return am.matmul_into(am.mT(a1), u, out=out)
 
 
 def project_right_chunk(
     vt: np.ndarray, *, a2: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-slice ``V_lᵀ A(2)`` stacked as ``(L, K, J2)``."""
-    return einsum_into("lki,ib->lkb", vt, a2, out=out)
+    return array_module_of(vt, a2).matmul_into(vt, a2, out=out)
 
 
 # -- fused kernels (recompute projections per call) --------------------------
@@ -113,22 +118,22 @@ def mode2_chunk(
 def w_from_projections_chunk(
     au: np.ndarray, s: np.ndarray, av: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Final ``W`` contraction from cached ``A(1)ᵀU`` / ``VᵀA(2)`` stacks."""
-    return einsum_into("lak,lk,lkb->lab", au, s, av, out=out)
+    """Final ``W`` contraction ``(A(1)ᵀU diag(s)) @ (VᵀA(2))`` from cached stacks."""
+    return array_module_of(au, s, av).matmul_into(au * s[:, None, :], av, out=out)
 
 
 def mode1_from_projection_chunk(
     u: np.ndarray, s: np.ndarray, av: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Mode-1 partial from the cached ``VᵀA(2)`` stack."""
-    return einsum_into("lik,lk,lkb->lib", u, s, av, out=out)
+    """Mode-1 partial ``U @ (diag(s) VᵀA(2))`` from the cached ``VᵀA(2)`` stack."""
+    return array_module_of(u, s, av).matmul_into(u, s[:, :, None] * av, out=out)
 
 
 def mode2_from_projection_chunk(
     au: np.ndarray, s: np.ndarray, vt: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Mode-2 partial from the cached ``A(1)ᵀU`` stack."""
-    return einsum_into("lak,lk,lki->lai", au, s, vt, out=out)
+    """Mode-2 partial ``(A(1)ᵀU diag(s)) @ Vᵀ`` from the cached ``A(1)ᵀU`` stack."""
+    return array_module_of(au, s, vt).matmul_into(au * s[:, None, :], vt, out=out)
 
 
 # -- shaping -----------------------------------------------------------------
@@ -154,31 +159,23 @@ def dispatch_slices(
     slabs: tuple[np.ndarray, ...],
     broadcast: dict[str, np.ndarray],
     *,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
     costs: np.ndarray | None = None,
     schedule: str | None = None,
 ) -> np.ndarray:
-    """Run a per-slice kernel inline or as engine chunks, optionally into ``out``.
+    """Run a per-slice kernel into the caller-owned ``out``, inline or as chunks.
 
-    Inline execution passes ``out`` straight to the kernel's einsum; engine
-    execution keeps the chunk protocol (fresh per-chunk arrays, required by
-    the process backend) and concatenates the ordered results into ``out``.
-    Both routes produce values identical to the unbuffered call.  ``costs``
-    and ``schedule`` are forwarded to :func:`~repro.engine.chunked` — the
-    sweep workspace supplies per-slice contraction flop weights so dynamic
-    dispatches order their queues by actual work.
+    Inline execution hands ``out`` straight to the kernel; engine execution
+    writes every chunk into its rows of ``out`` (see
+    :func:`~repro.engine.chunked`).  Both routes produce values identical
+    to the unbuffered call.  ``costs`` and ``schedule`` are forwarded to
+    :func:`~repro.engine.chunked` — the sweep workspace supplies per-slice
+    contraction flop weights so dynamic dispatches order their queues by
+    actual work.
     """
     if engine is None:
         return kernel(*slabs, **broadcast, out=out)
-    if out is None:
-        return chunked(
-            engine, kernel, n_items, slabs=slabs, broadcast=broadcast,
-            reduce=concat_chunks, costs=costs, schedule=schedule,
-        )
-    def _concat_into(parts):
-        return array_module_of(out, *parts).concatenate(parts, axis=0, out=out)
-
     return chunked(
         engine, kernel, n_items, slabs=slabs, broadcast=broadcast,
-        reduce=_concat_into, costs=costs, schedule=schedule,
+        out=out, costs=costs, schedule=schedule,
     )

@@ -16,7 +16,7 @@ iteration phase and makes each one *incremental* across the sweep:
   prefix — e.g. the core projection extending the last skip update —
   reuse the intermediate instead of recontracting it;
 * the large slice stacks are written into preallocated
-  :class:`~repro.kernels.buffers.BufferPool` slots via ``out=`` einsums, so
+  :class:`~repro.kernels.buffers.BufferPool` slots via ``out=`` matmuls, so
   steady-state sweeps stop allocating for the hot contractions.
 
 Every cached value is produced by exactly the operations the uncached path
@@ -213,7 +213,7 @@ class SweepWorkspace:
         Slices share a shape, so within one dispatch the costs are flat —
         but the *magnitude* matters for the engine's telemetry and for any
         future mixed dispatch: a contraction downstream of a projection
-        cache hit carries only its final-einsum flops, while a dirty
+        cache hit carries only its final-GEMM flops, while a dirty
         projection's rebuild dispatch carries the projection flops.
         """
         return np.full(self.ssvd.num_slices, max(1.0, float(flops_per_slice)))
@@ -238,6 +238,7 @@ class SweepWorkspace:
         self._au = dispatch_slices(
             self.engine, project_left_chunk, ssvd.num_slices,
             (self._u,), {"a1": self._factors[0]},
+            out=self.module.empty((ssvd.num_slices, j1, k), self.compute_dtype),
             costs=self._slice_costs(2.0 * i1 * j1 * k),
         )
         self._au_version = version
@@ -259,6 +260,7 @@ class SweepWorkspace:
         self._av = dispatch_slices(
             self.engine, project_right_chunk, ssvd.num_slices,
             (self._vt,), {"a2": self._factors[1]},
+            out=self.module.empty((ssvd.num_slices, k, j2), self.compute_dtype),
             costs=self._slice_costs(2.0 * k * i2 * j2),
         )
         self._av_version = version
@@ -503,10 +505,8 @@ class StreamingWorkspace:
     ) -> None:
         """Fill projection rows ``[lo, hi)`` from the given slice triples."""
         assert self._a1 is not None and self._a2 is not None
-        au = project_left_chunk(u, a1=self._a1)
-        av = project_right_chunk(vt, a2=self._a2)
-        self._au[lo:hi] = au
-        self._av[lo:hi] = av
+        au = project_left_chunk(u, a1=self._a1, out=self._au[lo:hi])
+        av = project_right_chunk(vt, a2=self._a2, out=self._av[lo:hi])
         w_from_projections_chunk(au, s, av, out=self._w[lo:hi])
 
     # -- mutation ----------------------------------------------------------

@@ -36,6 +36,7 @@ __all__ = [
     "sign_fix",
     "truncated_svd",
     "leading_left_singular_vectors",
+    "gram_leading_eigenvectors",
     "robust_svd",
     "solve_gram",
 ]
@@ -157,14 +158,26 @@ def leading_left_singular_vectors(matrix, rank: int):
         raise RankError(f"rank {r} exceeds the row count {m}")
     am = array_module_of(a)
     if n > 2 * m:
-        g = am.matmul(a, am.mT(a))
-        g = (g + am.mT(g)) / 2.0
-        w, v = am.eigh(g)
-        # eigh returns ascending order; take the top-`r` eigenvectors.
-        u = am.flip(v, axis=1)[:, :r]
-    else:
-        u = _complete_basis(robust_svd(a, full_matrices=False)[0], r)
+        return gram_leading_eigenvectors(am.matmul(a, am.mT(a)), r)
+    u = _complete_basis(robust_svd(a, full_matrices=False)[0], r)
     u, _ = sign_fix(u)
+    return u
+
+
+def gram_leading_eigenvectors(gram, rank: int):
+    """Leading ``rank`` eigenvectors of a Gram matrix ``A Aᵀ``, sign-fixed.
+
+    The wide-matrix tail of :func:`leading_left_singular_vectors`: callers
+    that accumulate ``A Aᵀ`` without forming ``A`` (the blockwise
+    initialization Gram of :mod:`repro.core.initialization`) finish with
+    exactly the same symmetrisation, eigendecomposition, ordering and sign
+    convention.  The result keeps the Gram matrix's dtype.
+    """
+    am = array_module_of(gram)
+    g = (gram + am.mT(gram)) / 2.0
+    _, v = am.eigh(g)
+    # eigh returns ascending order; take the top-`rank` eigenvectors.
+    u, _ = sign_fix(am.flip(v, axis=1)[:, :rank])
     return u
 
 
@@ -173,13 +186,18 @@ def solve_gram(gram_matrix, rhs, *, ridge: float = 0.0):
 
     Uses Cholesky when possible and falls back to the pseudo-inverse when the
     Gram matrix is numerically singular (e.g. a rank-deficient sketch).
+    float32 ``G`` and ``rhs`` solve in float32 (ridge included); any other
+    combination solves in float64.
     """
     g = check_matrix(gram_matrix, name="gram_matrix")
     if g.shape[0] != g.shape[1]:
         raise RankError(f"gram_matrix must be square, got {tuple(g.shape)}")
     am = array_module_of(g, rhs)
-    b = am.astype(am.asarray(rhs), np.float64)
-    a = g + ridge * am.eye(int(g.shape[0])) if ridge else g
+    b = am.asarray(rhs)
+    single = am.np_dtype(g) == np.float32 and am.np_dtype(b) == np.float32
+    dtype = np.float32 if single else np.float64
+    b = am.astype(b, dtype)
+    a = g + ridge * am.eye(int(g.shape[0]), dtype=dtype) if ridge else g
     try:
         c = am.cholesky(a)
         y = am.solve(c, b)

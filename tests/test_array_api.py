@@ -469,6 +469,77 @@ class TestComputeDtype:
         assert buf32.dtype == np.float32
 
 
+class TestFloat32Contract:
+    """float32 in gives float32 out, in every helper the float32 path uses."""
+
+    @staticmethod
+    def _f32(*shape, seed=0):
+        return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
+
+    def test_single_matrix_helpers(self) -> None:
+        from repro.linalg.rsvd import randomized_range_finder, rsvd
+        from repro.linalg.svd import leading_left_singular_vectors, solve_gram
+
+        a = self._f32(30, 20)
+        assert all(f.dtype == np.float32 for f in rsvd(a, 4, rng=0))
+        assert randomized_range_finder(a, 6, rng=0).dtype == np.float32
+        # Thin-SVD branch, wide (Gram) branch, and basis completion.
+        assert leading_left_singular_vectors(a, 5).dtype == np.float32
+        assert leading_left_singular_vectors(self._f32(6, 40), 3).dtype == np.float32
+        assert leading_left_singular_vectors(self._f32(8, 3), 6).dtype == np.float32
+        g = a.T @ a
+        rhs = self._f32(20, 2, seed=1)
+        assert solve_gram(g, rhs).dtype == np.float32
+        assert solve_gram(g, rhs, ridge=0.5).dtype == np.float32
+        np.testing.assert_allclose(
+            solve_gram(g, rhs, ridge=0.5),
+            solve_gram(g.astype(float), rhs.astype(float), ridge=0.5),
+            rtol=1e-3, atol=1e-4,
+        )
+
+    def test_contraction_kernels(self) -> None:
+        from repro.kernels.contractions import (
+            mode1_from_projection_chunk,
+            mode2_from_projection_chunk,
+            project_left_chunk,
+            project_right_chunk,
+            w_from_projections_chunk,
+        )
+
+        u, s, vt = self._f32(5, 9, 4), self._f32(5, 4), self._f32(5, 4, 7)
+        a1, a2 = self._f32(9, 3, seed=1), self._f32(7, 2, seed=2)
+        au = project_left_chunk(u, a1=a1)
+        av = project_right_chunk(vt, a2=a2)
+        outs = [
+            au,
+            av,
+            w_from_projections_chunk(au, s, av),
+            mode1_from_projection_chunk(u, s, av),
+            mode2_from_projection_chunk(au, s, vt),
+        ]
+        assert [o.dtype for o in outs] == [np.float32] * 5
+
+    def test_blockwise_gram_on_a_float32_fit(self) -> None:
+        # SliceSVD stores float64, so a precision="float32" fit initializes
+        # from float64 slices; its float32 sweep workspace casts the stacks
+        # once, and the blockwise Gram keeps whatever dtype it is given.
+        from repro.core.dtucker import DTucker
+        from repro.core.initialization import scaled_gram
+        from repro.linalg.svd import gram_leading_eigenvectors
+
+        x = random_tensor((20, 18, 30), (3, 3, 2), rng=0, noise=0.01)
+        model = DTucker((3, 3, 2), config=DTuckerConfig(precision="float32", seed=0))
+        sv = model.fit(x).slice_svd_
+        ws = SweepWorkspace(sv, compute_dtype=np.float32)
+        for stack, right in ((ws._u, False), (ws._vt, True)):
+            g32 = scaled_gram(stack, ws._s, right=right)
+            assert g32.dtype == np.float32
+            assert gram_leading_eigenvectors(g32, 3).dtype == np.float32
+            g64 = scaled_gram(sv.vt if right else sv.u, sv.s, right=right)
+            assert g64.dtype == np.float64
+            np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # one compute path
 # ---------------------------------------------------------------------------

@@ -417,6 +417,42 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak < 0.5 * x.nbytes
 
+    @pytest.mark.parametrize("method", ["exact", "gram", "rsvd"])
+    def test_factors_allocated_once(self, monkeypatch, method) -> None:
+        # A serial multi-block slab writes every block's (U, s, Vt, norms)
+        # straight into the final arrays: no per-block list, no concat.
+        import tracemalloc
+
+        from repro.kernels import compress_plan
+
+        stack = self._strided_stack()
+        stack = np.concatenate([stack] * 40, axis=0)  # 280 slices of 30x28
+        plan = plan_compression(
+            30, 28, 10, strategy=method, oversampling=2
+        )
+        assert plan.method == method
+        omega = default_rng(0).standard_normal((28, plan.k_eff))
+        block = 8
+        monkeypatch.setattr(
+            compress_plan, "_BLOCK_BYTES", block * 30 * 28 * plan.compute_dtype.itemsize
+        )
+
+        def peak_of(slab):
+            with backend_scope("serial") as eng:
+                tracemalloc.start()
+                try:
+                    out = execute_plan(eng, slab, 10, plan, omega=omega)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            return out, peak
+
+        _, one_block = peak_of(stack[:block])
+        out, peak = peak_of(stack)
+        out_bytes = sum(a.nbytes for a in out)
+        buffer_bytes = block * 30 * 28 * 8
+        assert peak <= out_bytes + buffer_bytes + one_block
+
 
 class TestCompressStats:
     def test_auto_records_decision_and_sketch(self) -> None:

@@ -96,6 +96,30 @@ class TestFit:
         with pytest.raises(ShapeError):
             DTucker(ranks=2).fit(x)
 
+    def test_dense_source_rejects_inf(self) -> None:
+        from repro.core.sources import DenseSource
+
+        x = np.ones((4, 4, 4))
+        x[1, 2, 3] = np.inf
+        with pytest.raises(ShapeError):
+            DenseSource(x)
+
+    @pytest.mark.parametrize("slice_modes", [(0, 1), (2, 0)])
+    def test_input_scanned_for_nan_once(self, noisy3, monkeypatch, slice_modes) -> None:
+        # Each NaN/Inf scan of the whole tensor allocates a tensor-sized
+        # bool temporary; a fit validates its input exactly once.
+        isfinite = np.isfinite
+        scans = []
+
+        def counting_isfinite(arr, *args, **kwargs):
+            if np.size(arr) == noisy3.size:
+                scans.append(np.shape(arr))
+            return isfinite(arr, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        DTucker(ranks=(4, 3, 3), slice_modes=slice_modes, seed=0).fit(noisy3)
+        assert len(scans) == 1
+
 
 class TestSliceModes:
     def test_explicit_pair(self, rng) -> None:

@@ -28,7 +28,6 @@ from repro.engine import (
     ThreadBackend,
     backend_scope,
     chunked,
-    concat_chunks,
     format_traces,
     plan_chunks,
     resolve_backend,
@@ -37,13 +36,16 @@ from repro.exceptions import BackendError, ShapeError
 from repro.tensor.random import random_tensor
 
 
-def _double_chunk(rows: np.ndarray, *, scale: float) -> np.ndarray:
+def _double_chunk(rows: np.ndarray, *, scale: float, out=None) -> np.ndarray:
     """Module-level kernel (picklable) for chunked-dispatch tests."""
-    return rows * scale
+    return np.multiply(rows, scale, out=out)
 
 
-def _pair_chunk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return rows + 1.0, np.sum(rows, axis=tuple(range(1, rows.ndim)))
+def _pair_chunk(rows: np.ndarray, *, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Two outputs, written into ``out=`` rows (fresh arrays without one)."""
+    plus, total = (None, None) if out is None else out
+    axes = tuple(range(1, rows.ndim))
+    return np.add(rows, 1.0, out=plus), np.sum(rows, axis=axes, out=total)
 
 
 class TestPlanChunks:
@@ -141,7 +143,7 @@ class TestChunkedDispatch:
                 slab.shape[0],
                 slabs=(slab,),
                 broadcast={"scale": 2.0},
-                reduce=concat_chunks,
+                out=np.empty_like(slab),
             )
         np.testing.assert_array_equal(out, slab * 2.0)
 
@@ -150,16 +152,33 @@ class TestChunkedDispatch:
         self, name: str, rng: np.random.Generator
     ) -> None:
         slab = rng.standard_normal((9, 5))
+        out = (np.full((9, 5), np.nan), np.full(9, np.nan))
         with backend_scope(name, n_workers=3, chunk_size=2) as eng:
-            a, b = chunked(
-                eng,
-                _pair_chunk,
-                slab.shape[0],
-                slabs=(slab,),
-                reduce=concat_chunks,
+            got = chunked(eng, _pair_chunk, slab.shape[0], slabs=(slab,), out=out)
+        assert got is out
+        np.testing.assert_array_equal(out[0], slab + 1.0)
+        np.testing.assert_array_equal(out[1], slab.sum(axis=1))
+
+    @pytest.mark.parametrize("name", ["serial", "process"])
+    def test_deferred_out_for_a_lone_chunk(
+        self, name: str, rng: np.random.Generator
+    ) -> None:
+        # A callable ``out`` is only called when the plan has several
+        # chunks; a lone chunk's own result is returned as is.
+        slab = rng.standard_normal((6, 4))
+        calls = []
+
+        def alloc():
+            calls.append(1)
+            return np.empty_like(slab)
+
+        with backend_scope(name, n_workers=2) as eng:
+            got = chunked(
+                eng, _double_chunk, 6, slabs=(slab,),
+                broadcast={"scale": 2.0}, out=alloc,
             )
-        np.testing.assert_array_equal(a, slab + 1.0)
-        np.testing.assert_allclose(b, slab.sum(axis=1))
+        assert len(calls) == (0 if name == "serial" else 1)
+        np.testing.assert_array_equal(got, slab * 2.0)
 
     def test_fewer_items_than_workers(self, rng: np.random.Generator) -> None:
         slab = rng.standard_normal((2, 3, 3))
@@ -170,7 +189,7 @@ class TestChunkedDispatch:
                 2,
                 slabs=(slab,),
                 broadcast={"scale": -1.0},
-                reduce=concat_chunks,
+                out=np.empty_like(slab),
             )
         np.testing.assert_array_equal(out, -slab)
 
@@ -183,13 +202,9 @@ class TestChunkedDispatch:
                 7,
                 slabs=(slab,),
                 broadcast={"scale": 3.0},
-                reduce=concat_chunks,
+                out=np.empty_like(slab),
             )
         np.testing.assert_array_equal(out, slab * 3.0)
-
-    def test_concat_requires_chunks(self) -> None:
-        with pytest.raises(ValueError):
-            concat_chunks([])
 
     @pytest.mark.parametrize("name", ["serial", "thread", "process"])
     def test_map_preserves_order(self, name: str) -> None:

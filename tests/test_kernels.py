@@ -274,6 +274,77 @@ class TestContractionKernels:
         np.testing.assert_array_equal(np.concatenate(parts, axis=0), full)
 
 
+def _traced_peak(fn):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestMemoryContract:
+    """The sweep kernels work on the stored layout: no copy of the U stack."""
+
+    def test_project_left_into_out_allocates_less_than_u(self) -> None:
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal((300, 60, 10))
+        a1 = rng.standard_normal((60, 4))
+        out = np.empty((300, 4, 10))
+        got, peak = _traced_peak(lambda: project_left_chunk(u, a1=a1, out=out))
+        assert got is out
+        assert peak < u.nbytes
+        np.testing.assert_array_equal(out, project_left_chunk(u, a1=a1))
+
+    def test_initialize_never_builds_the_scaled_block_matrix(self) -> None:
+        # Wide case: the (I1, K·L) matrix [U_1 S_1 … U_L S_L] is 6.4 MB; the
+        # blockwise Gram keeps the working set at one block of slices.
+        from repro.core.slice_svd import SliceSVD
+
+        rng = np.random.default_rng(5)
+        l, i1, i2, k = 2000, 50, 40, 8
+        u = np.linalg.qr(rng.standard_normal((l, i1, k)))[0]
+        vt = np.swapaxes(np.linalg.qr(rng.standard_normal((l, i2, k)))[0], 1, 2)
+        s = np.sort(rng.uniform(0.5, 2.0, (l, k)), axis=1)[:, ::-1]
+        norms = (s * s).sum(axis=1)
+        ssvd = SliceSVD(
+            u=u, s=s, vt=vt, shape=(i1, i2, 40, 50),
+            norm_squared=float(norms.sum()), slice_norms_squared=norms,
+        )
+        (_, factors), peak = _traced_peak(lambda: initialize(ssvd, (4, 4, 3, 3)))
+        assert peak < i1 * k * l * 8
+        blocks = np.moveaxis(u * s[:, None, :], 0, 1).reshape(i1, -1)
+        from repro.linalg.svd import leading_left_singular_vectors
+
+        ref = leading_left_singular_vectors(blocks, 4)
+        np.testing.assert_allclose(factors[0], ref, atol=1e-10)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_dispatch_writes_the_callers_out(self, backend) -> None:
+        from repro.kernels.contractions import dispatch_slices
+
+        rng = np.random.default_rng(6)
+        u = rng.standard_normal((240, 50, 8))
+        a1 = rng.standard_normal((50, 6))
+        ref = project_left_chunk(u, a1=a1)
+        out = np.empty_like(ref)
+        with backend_scope(backend, n_workers=2) as eng:
+            got, peak = _traced_peak(
+                lambda: dispatch_slices(
+                    eng, project_left_chunk, 240, (u,), {"a1": a1}, out=out
+                )
+            )
+        assert got is out
+        np.testing.assert_array_equal(out, ref)
+        if backend != "process":
+            # In-process chunks write their rows of ``out`` in place; only
+            # process workers return fresh chunks that are copied in.
+            assert peak < out.nbytes
+
+
 class TestModeProductOut:
     def test_out_matches_allocating_path(self) -> None:
         from repro.tensor.products import mode_product

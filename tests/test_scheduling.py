@@ -37,7 +37,6 @@ from repro.engine import (
     chunk_costs,
     chunked,
     combine_costs,
-    concat_chunks,
     plan_chunks,
     plan_dynamic_chunks,
     resolve_backend,
@@ -54,9 +53,9 @@ BACKENDS = {
 }
 
 
-def _scale_chunk(rows: np.ndarray, *, scale: float) -> np.ndarray:
+def _scale_chunk(rows: np.ndarray, *, scale: float, out=None) -> np.ndarray:
     """Module-level kernel (picklable) whose output encodes item identity."""
-    return rows * scale
+    return np.multiply(rows, scale, out=out)
 
 
 def _square(x: float) -> float:
@@ -278,7 +277,7 @@ class TestBitIdentity:
         with BACKENDS[backend](n_workers=3) as eng:
             got = chunked(
                 eng, _scale_chunk, 23, slabs=(rows,),
-                broadcast={"scale": 2.0}, reduce=concat_chunks,
+                broadcast={"scale": 2.0}, out=np.empty_like(rows),
                 costs=costs, schedule="dynamic",
             )
         np.testing.assert_array_equal(got, rows * 2.0)
@@ -310,7 +309,7 @@ class TestTelemetry:
             with eng.phase("bench") as trace:
                 chunked(
                     eng, _scale_chunk, 40, slabs=(rows,),
-                    broadcast={"scale": 1.0}, reduce=concat_chunks,
+                    broadcast={"scale": 1.0}, out=np.empty_like(rows),
                     schedule="dynamic",
                 )
         assert trace.schedules == ["dynamic"]
@@ -328,7 +327,7 @@ class TestTelemetry:
             with eng.phase("bench") as trace:
                 chunked(
                     eng, _scale_chunk, 8, slabs=(rows,),
-                    broadcast={"scale": 1.0}, reduce=concat_chunks,
+                    broadcast={"scale": 1.0}, out=np.empty_like(rows),
                     schedule="static",
                 )
         assert trace.schedules == ["static"]
@@ -340,7 +339,7 @@ class TestTelemetry:
             with eng.phase("bench") as trace:
                 chunked(
                     eng, _scale_chunk, 8, slabs=(rows,),
-                    broadcast={"scale": 1.0}, reduce=concat_chunks,
+                    broadcast={"scale": 1.0}, out=np.empty_like(rows),
                 )
         assert trace.schedules == []
         assert trace.n_tasks == 1
