@@ -86,18 +86,19 @@ class DTuckerConfig:
         ``strategy``.
     strategy:
         Slice-SVD algorithm for the approximation phase.  ``"rsvd"``
-        (default) is the historical behaviour — randomized SVD with the
-        small-short-side Gram shortcut — and stays bit-identical to
-        pre-planner releases.  ``"gram"`` and ``"exact"`` force those
-        algorithms; ``"auto"`` selects per input from a flop-cost model
-        over ``(I1, I2, K, dtype)`` — see
+        (default) is the historical dispatch — randomized SVD with the
+        small-short-side Gram shortcut.  Its slice factors are checked
+        against the randomized-SVD error bound, not against earlier
+        releases; for a fixed seed they are bit-identical across
+        backends, chunkings, blockings, shards and devices.  ``"gram"``
+        and ``"exact"`` force those algorithms; ``"auto"`` selects per
+        input from a flop-cost model over ``(I1, I2, K, dtype)`` — see
         :func:`repro.kernels.compress_plan.plan_compression`.
     precision:
         Compute dtype for the approximation phase: ``"float64"``
-        (default, bit-identical to earlier releases) or ``"float32"``
-        (roughly half the memory traffic; norms and error bookkeeping
-        still accumulate in float64).  The compressed representation is
-        always stored in float64.
+        (default) or ``"float32"`` (roughly half the memory traffic; norms
+        and error bookkeeping still accumulate in float64).  The
+        compressed representation is always stored in float64.
     seed:
         Seed for all randomness (slice SVD test matrices).  ``None`` draws
         fresh entropy.
@@ -118,8 +119,8 @@ class DTuckerConfig:
     device:
         Array namespace / device the compute phases run on: ``"auto"``
         (default — honours the ``REPRO_DEVICE`` environment override, else
-        CPU/NumPy), ``"cpu"`` / ``"numpy"`` (bit-identical to earlier
-        releases), ``"cuda"`` (first available of torch-CUDA and CuPy), or
+        CPU/NumPy), ``"cpu"`` / ``"numpy"`` (the host NumPy path),
+        ``"cuda"`` (first available of torch-CUDA and CuPy), or
         an explicit namespace name (``"torch"``, ``"torch-cuda"``,
         ``"cupy"``, ``"array-api-strict"``).  Non-NumPy namespaces are
         optional extras resolved lazily; requesting one that is not
@@ -135,9 +136,9 @@ class DTuckerConfig:
         under every policy.  See ``docs/performance.md``.
     update:
         Streaming update mode for :class:`~repro.core.streaming.StreamingDTucker`:
-        ``"refit"`` (default — full ALS refit over all accumulated slices,
-        bit-identical to earlier releases), ``"incremental"`` (cached
-        projections carried across updates, O(block) per append), or
+        ``"refit"`` (default — full ALS refit over all accumulated
+        slices), ``"incremental"`` (cached projections carried across
+        updates, O(block) per append), or
         ``"sketch"`` (incremental plus frequent-directions refresh of the
         non-temporal factors).  Ignored by the batch fit paths.  See
         ``docs/streaming.md``.
@@ -162,8 +163,7 @@ class DTuckerConfig:
         contiguous shards and fit them coordinator-style: compression runs
         shard-local and only the small ``(I1+I2+1)·K`` factor products
         cross shard boundaries.  ``None`` (default) and ``1`` keep the
-        single-source path bit-identical to earlier releases.  See
-        ``docs/distributed.md``.
+        single-source path.  See ``docs/distributed.md``.
     """
 
     oversampling: int = 10

@@ -341,9 +341,7 @@ def compress(
     Equivalent to ``compress_source(DenseSource(tensor), rank, ...)`` —
     kept as a convenience entry point.  The source serves the tensor as a
     strided slice-stack view and the pipeline's planner picks the method
-    (``exact``/``gram``/``rsvd``) exactly as earlier releases did, so with
-    the default ``strategy="rsvd"``/``precision="float64"`` results are
-    bit-identical to them.
+    (``exact``/``gram``/``rsvd``) exactly as earlier releases did.
 
     Returns
     -------

@@ -54,13 +54,11 @@ from ..kernels.buffers import BufferPool
 from ..kernels.compress_plan import (
     CompressionPlan,
     execute_plan,
-    plan_exact_chunk,
+    plan_chunk,
     plan_from_config,
     plan_item_costs,
-    slab_norms,
 )
 from ..kernels.stats import KernelStats
-from ..linalg.rsvd import batched_rsvd, batched_svd_via_gram
 from ..linalg.svd import sign_fix
 from ..tensor.random import default_rng
 from ..tensor.slices import slice_count, slice_index_to_multi
@@ -463,35 +461,43 @@ class NpyDescriptor:
         return NpySource(self.path)
 
 
-def _npy_batch_task(
-    task: tuple[int, int, np.ndarray | None],
+def _batch_task(
+    task: "tuple[SourceDescriptor, int, int, np.ndarray | None]",
     *,
-    path: str,
     rank: int,
-    power_iterations: int,
     method: str,
-    precision: str,
+    power_iterations: int,
+    dtype: np.dtype,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Compress one ``(start, stop, Ω)`` batch of a ``.npy`` file.
+    """Compress slices ``[start, stop)`` of a source inside a worker process.
 
     Module-level (dispatched via :func:`functools.partial`) so the process
-    backend can pickle it; each worker opens its own cached memmap, so no
-    tensor data crosses process boundaries except the compressed triples.
+    backend can pickle it.  The worker re-opens the source from its
+    descriptor (a ``.npy`` file re-maps through its own cached memmap) and
+    reads only its own batch, which runs through the same blockwise kernel
+    as an in-process chunk (:func:`~repro.kernels.compress_plan.plan_chunk`).
+    Only the compressed ``(u, s, vt, norms)`` travels back.
     """
-    start, stop, omega = task
-    stack = batched_slice_view(_open_memmap_cached(path), start, stop)
-    if precision == "float32":
-        stack = np.ascontiguousarray(stack, dtype=np.float32)
-    norms = slab_norms(stack)
-    if method == "exact":
-        u, s, vt, _ = plan_exact_chunk(stack, rank=rank)
-    elif method == "gram" or omega is None:
-        u, s, vt = batched_svd_via_gram(stack, rank)
-    else:
-        u, s, vt = batched_rsvd(
-            stack, rank, power_iterations=power_iterations, test_matrix=omega
-        )
-    return u, s, vt, norms
+    descriptor, start, stop, omega = task
+    return plan_chunk(
+        descriptor.open().read_batch(start, stop),
+        method=method,
+        rank=rank,
+        omega=omega,
+        power_iterations=power_iterations,
+        dtype=dtype,
+    )
+
+
+def batch_task_fn(rank: int, plan: CompressionPlan) -> Callable:
+    """:func:`_batch_task` bound to one plan, ready for ``engine.map``."""
+    return partial(
+        _batch_task,
+        rank=rank,
+        method=plan.method,
+        power_iterations=plan.power_iterations,
+        dtype=plan.compute_dtype,
+    )
 
 
 class NpySource(SliceSourceBase):
@@ -533,19 +539,14 @@ class NpySource(SliceSourceBase):
         # Batch descriptors fan out across worker processes; pooled buffers
         # must not be used here (shared-memory uploads are cached by array
         # identity), and each worker maps the file itself.
+        descriptor = self.descriptor()
         tasks = [
-            (start, stop, omega)
+            (descriptor, start, stop, omega)
             for (start, stop), omega in zip(bounds, omegas)
         ]
-        fn = partial(
-            _npy_batch_task,
-            path=self._path,
-            rank=rank,
-            power_iterations=plan.power_iterations,
-            method=plan.method,
-            precision=config.precision,
+        return engine.map(
+            batch_task_fn(rank, plan), tasks, costs=self.batch_costs(plan, bounds)
         )
-        return engine.map(fn, tasks, costs=self.batch_costs(plan, bounds))
 
 
 @dataclass(frozen=True)
@@ -712,19 +713,16 @@ class SparseSource(SliceSourceBase):
     ):
         if not self._sparse_kernel:
             # Densified planner path: ship whole dense batches as tasks.
-            fn = partial(
-                _sparse_batch_task,
-                descriptor=self.descriptor(),
-                rank=rank,
-                power_iterations=plan.power_iterations,
-                method=plan.method,
-                precision=config.precision,
-            )
+            descriptor = self.descriptor()
             tasks = [
-                (start, stop, omega)
+                (descriptor, start, stop, omega)
                 for (start, stop), omega in zip(bounds, omegas)
             ]
-            return engine.map(fn, tasks, costs=self.batch_costs(plan, bounds))
+            return engine.map(
+                batch_task_fn(rank, plan),
+                tasks,
+                costs=self.batch_costs(plan, bounds),
+            )
         # Historical sparse fan-out: every CSR slice is an independent task.
         i1, i2 = self._shape[:2]
         fn = partial(
@@ -741,32 +739,6 @@ class SparseSource(SliceSourceBase):
             costs=self.item_costs(plan, 0, self.slice_count),
         )
         return [_stack_slice_parts(parts)]
-
-
-def _sparse_batch_task(
-    task: tuple[int, int, np.ndarray | None],
-    *,
-    descriptor: SparseDescriptor,
-    rank: int,
-    power_iterations: int,
-    method: str,
-    precision: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Densify and compress one sparse batch inside a worker process."""
-    start, stop, omega = task
-    stack = descriptor.open().read_batch(start, stop)
-    if precision == "float32":
-        stack = np.ascontiguousarray(stack, dtype=np.float32)
-    norms = slab_norms(stack)
-    if method == "exact":
-        u, s, vt, _ = plan_exact_chunk(stack, rank=rank)
-    elif method == "gram" or omega is None:
-        u, s, vt = batched_svd_via_gram(stack, rank)
-    else:
-        u, s, vt = batched_rsvd(
-            stack, rank, power_iterations=power_iterations, test_matrix=omega
-        )
-    return u, s, vt, norms
 
 
 @dataclass(frozen=True)

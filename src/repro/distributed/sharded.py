@@ -46,7 +46,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Sequence
 
 import numpy as np
@@ -57,6 +56,7 @@ from ..core.sources import (
     SliceSource,
     SliceSourceBase,
     SourceDescriptor,
+    batch_task_fn,
     batched_slice_view,
 )
 from ..engine import CommCost, ExecutionBackend, combine_costs
@@ -64,12 +64,9 @@ from ..exceptions import BackendError, ShapeError
 from ..kernels.compress_plan import (
     CompressionPlan,
     factor_nbytes,
-    plan_exact_chunk,
     plan_item_costs,
-    slab_norms,
 )
 from ..kernels.stats import KernelStats
-from ..linalg.rsvd import batched_rsvd, batched_svd_via_gram
 from ..tensor.slices import slice_count
 
 __all__ = [
@@ -251,38 +248,6 @@ class GroupSource(SliceSourceBase):
 
 
 # -- the sharded source ------------------------------------------------------
-
-def _shard_compress_task(
-    task: tuple[SourceDescriptor, int, int, "np.ndarray | None"],
-    *,
-    rank: int,
-    power_iterations: int,
-    method: str,
-    precision: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Compress slices ``[start, stop)`` of one member inside a worker.
-
-    Module-level (dispatched via :func:`functools.partial`) so the process
-    backend can pickle it.  The worker re-opens the member from its
-    descriptor and reads only its own slab; the return value is the
-    stacked factor triple plus per-slice norms — the only bytes that
-    travel back to the coordinator.
-    """
-    descriptor, start, stop, omega = task
-    stack = descriptor.open().read_batch(start, stop)
-    if precision == "float32":
-        stack = np.ascontiguousarray(stack, dtype=np.float32)
-    norms = slab_norms(stack)
-    if method == "exact":
-        u, s, vt, _ = plan_exact_chunk(stack, rank=rank)
-    elif method == "gram" or omega is None:
-        u, s, vt = batched_svd_via_gram(stack, rank)
-    else:
-        u, s, vt = batched_rsvd(
-            stack, rank, power_iterations=power_iterations, test_matrix=omega
-        )
-    return u, s, vt, norms
-
 
 @dataclass(frozen=True)
 class ShardedDescriptor:
@@ -484,13 +449,6 @@ class ShardedSource(SliceSourceBase):
                 if a < b:
                     tasks.append((descriptor, a, b, omega))
                     sizes.append(b - a)
-        fn = partial(
-            _shard_compress_task,
-            rank=rank,
-            power_iterations=plan.power_iterations,
-            method=plan.method,
-            precision=config.precision,
-        )
         ship = np.array(
             [
                 factor_nbytes(
@@ -514,7 +472,7 @@ class ShardedSource(SliceSourceBase):
         costs = combine_costs(
             compute, CommCost(ship + bcast).item_costs(len(tasks)), io_weight=1.0
         )
-        parts = engine.map(fn, tasks, costs=costs)
+        parts = engine.map(batch_task_fn(rank, plan), tasks, costs=costs)
         if stats is not None:
             for nbytes in ship:
                 stats.record_comm("ship", int(nbytes))

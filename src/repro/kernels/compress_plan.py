@@ -53,6 +53,7 @@ __all__ = [
     "plan_compression",
     "plan_from_config",
     "plan_item_costs",
+    "plan_chunk",
     "execute_plan",
     "factor_nbytes",
     "slab_norms",
@@ -63,10 +64,9 @@ _METHODS = ("exact", "gram", "rsvd")
 
 # Relative per-flop weights of the building blocks, calibrated against
 # batched NumPy timings on (L, I1, I2) stacks.  GEMM flops are the unit.
-_C_EIG = 8.0  # eigh on the Gram matrix, per m³
+_C_EIG = 8.0  # eigh of a Gram matrix (m × m, or k × k in rsvd), per cube
 _C_QR = 4.0  # batched QR, per M·k² flop block
 _C_SVD_EXACT = 20.0  # full LAPACK SVD tail, per m³
-_C_SVD_SMALL = 20.0  # SVD of the small (k, n) projection, per k³
 
 # Device-placement constants (flop-equivalent units, calibrated against the
 # same GEMM-flop scale as the method constants above).  An accelerator runs
@@ -150,8 +150,14 @@ def estimate_costs(
     * ``exact``: ``6·M·m²`` (bidiagonalisation) + ``20·m³`` (SVD tail);
     * ``gram``: ``M·m²`` (Gram GEMM) + ``8·m³`` (eigh) + ``M·m·r``
       (recovering the long-side factor);
-    * ``rsvd``: ``(2 + 2p)·M·m·k`` (sketch + power-iteration GEMMs)
-      + QR and small-SVD terms in ``k``.
+    * ``rsvd``: ``(2 + 2p)·M·m·k`` (sketch, power-pass and projection
+      GEMMs) + ``4·(1 + p)·M·k²`` (one QR of ``I1 × k`` per pass)
+      + ``M·k²`` (the Gram GEMM ``B·Bᵀ`` of the ``k × I2`` projection)
+      + ``8·k³`` (its ``eigh``) + ``(M + m)·k·r`` (recovering
+      ``U = Q·U_B`` and ``Vᵀ``).  The QR and Gram terms are charged on the
+      long side ``M`` — exact when ``I1 >= I2``, as on every paper slab,
+      and an upper bound otherwise — so the costs of a slab and of its
+      transpose agree.
 
     Only the *ranking* of the three numbers matters; see the module
     docstring for how the constants were calibrated.
@@ -165,9 +171,10 @@ def estimate_costs(
     gram = big * m * m + _C_EIG * m**3 + big * m * r
     rsvd = (
         (2.0 + 2.0 * p) * big * m * k
-        + _C_QR * ((1.0 + p) * big * k * k + p * m * k * k)
-        + 6.0 * m * k * k
-        + _C_SVD_SMALL * k**3
+        + _C_QR * (1.0 + p) * big * k * k
+        + big * k * k
+        + _C_EIG * k**3
+        + (big + m) * k * r
     )
     return {"exact": exact, "gram": gram, "rsvd": rsvd}
 
@@ -249,7 +256,7 @@ def plan_compression(
 
     ``strategy="rsvd"`` reproduces the historical dispatch exactly (Gram
     when ``min(I1, I2) <= 2·(rank + oversampling)``, randomized SVD
-    otherwise), so existing seeds keep their bit-identical results.
+    otherwise).
     ``strategy="auto"`` consults :func:`estimate_costs`: the exact SVD for
     tall-skinny slices whose short side the sketch would span entirely,
     else the cheaper of Gram and rsvd.  ``"gram"``/``"exact"`` force those
@@ -389,6 +396,40 @@ def block_slices(i1: int, i2: int, dtype: "np.dtype | type") -> int:
     return max(1, _BLOCK_BYTES // (int(i1) * int(i2) * np.dtype(dtype).itemsize))
 
 
+#: Fewest slices per block that :func:`_copy_block` gathers row by row.
+_ROW_COPY_MIN_SLICES = 4
+
+
+def _copies_by_row(src: np.ndarray) -> bool:
+    """Whether :func:`_copy_block` gathers the block ``src`` row by row.
+
+    Decided from the strides and the block shape alone: the slice axis
+    must have the smallest stride, and the block must hold at least
+    ``_ROW_COPY_MIN_SLICES`` slices.
+    """
+    strides = [abs(int(st)) for st in src.strides]
+    return src.shape[0] >= _ROW_COPY_MIN_SLICES and strides[0] < min(strides[1:])
+
+
+def _copy_block(blk: np.ndarray, src: np.ndarray) -> None:
+    """Copy (and cast) the slices ``src`` into the contiguous block ``blk``.
+
+    When the slice axis has the smallest stride — the slice view of every
+    C-order order-3 tensor — one strided copy walks each destination slice
+    in turn and touches a fresh source cache line per element.  Copying one
+    row ``i`` of every slice at a time (``blk[:, i, :] <- src[:, i, :]``, a
+    small 2-D transpose) reuses each line across the block's slices, about
+    2-3x faster on the paper's slab shapes.  A block of a few slices gains
+    nothing from that reuse and pays one call per row, so it, and every
+    other layout, takes the single copy.
+    """
+    if _copies_by_row(src):
+        for i in range(src.shape[1]):
+            np.copyto(blk[:, i, :], src[:, i, :], casting="unsafe")
+    else:
+        np.copyto(blk, src, casting="unsafe")
+
+
 def _blockwise(
     stack: np.ndarray,
     factor,
@@ -402,12 +443,13 @@ def _blockwise(
     """Run ``factor`` over ``stack`` block by block into ``(U, s, Vt, norms)``.
 
     Every block of ``block`` slices (default :func:`block_slices`) is copied
-    once into ``buffer`` (allocated when ``None``), cast to ``dtype`` on the
-    way (default: float32 stays, anything else becomes float64).  Each
-    block's factors and float64 norms are written straight into their rows
-    of ``out`` — the caller's arrays, allocated here when ``None`` — so the
-    chunk's factors exist exactly once; without ``out``, a chunk that fits
-    one block returns that block's own arrays.  Batched LAPACK/BLAS are
+    once into ``buffer`` (allocated when ``None``; see :func:`_copy_block`),
+    cast to ``dtype`` on the way (default: float32 stays, anything else
+    becomes float64).  Each block's factors and float64 norms are written
+    straight into their rows of ``out`` — the caller's arrays, allocated
+    here when ``None`` — so the chunk's factors exist exactly once;
+    without ``out``, a chunk that fits one block returns that block's own
+    arrays.  Batched LAPACK/BLAS are
     per-matrix loops, so the factors do not depend on where the block
     boundaries fall.
     """
@@ -421,14 +463,14 @@ def _blockwise(
     if out is None:
         if step >= l:
             blk = buffer[:l]
-            np.copyto(blk, stack, casting="unsafe")
+            _copy_block(blk, stack)
             return (*factor(blk), slab_norms(blk))
         out = factor_outputs(l, i1, i2, rank, dtype)
     u_out, s_out, vt_out, norms_out = out
     for start in range(0, l, step):
         stop = min(start + step, l)
         blk = buffer[: stop - start]
-        np.copyto(blk, stack[start:stop], casting="unsafe")
+        _copy_block(blk, stack[start:stop])
         u_out[start:stop], s_out[start:stop], vt_out[start:stop] = factor(blk)
         norms_out[start:stop] = slab_norms(blk)
     return out
@@ -453,67 +495,45 @@ def _exact_svd(blk: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.n
     return u, am.ascontiguousarray(s[:, :rank]), vt
 
 
-def plan_exact_chunk(
+def plan_chunk(
     stack: np.ndarray,
     *,
+    method: str,
     rank: int,
+    omega: np.ndarray | None = None,
+    power_iterations: int = 1,
     dtype: "np.dtype | type | None" = None,
     block: int | None = None,
     buffer: np.ndarray | None = None,
     out: "tuple[np.ndarray, ...] | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact truncated SVD of one chunk of the slice stack, block by block.
+    """Truncated SVD of one chunk of the slice stack by ``method``, block by block.
 
+    The one dispatch every compression path shares: the engine chunks of
+    :func:`execute_plan` and the batch tasks that worker processes run for
+    out-of-core, densified-sparse and sharded sources.  ``"rsvd"`` sketches
+    every block with the slab's one shared test matrix ``omega`` (``blk @
+    Ω`` on the contiguous block buffer), so the chunking and the blocking
+    change no bit of the factors; ``power_iterations`` is read by it only.
     ``dtype``, ``block``, ``buffer`` and ``out`` set the compute dtype, the
     slices per block, the reusable block buffer and the ``(U, s, Vt,
     norms)`` arrays written in place (see :func:`_blockwise`).
     """
-    return _blockwise(
-        stack, partial(_exact_svd, rank=rank),
-        rank=rank, dtype=dtype, block=block, buffer=buffer, out=out,
-    )
-
-
-def plan_gram_chunk(
-    stack: np.ndarray,
-    *,
-    rank: int,
-    dtype: "np.dtype | type | None" = None,
-    block: int | None = None,
-    buffer: np.ndarray | None = None,
-    out: "tuple[np.ndarray, ...] | None" = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gram-side truncated SVD of one chunk of the slice stack, block by block."""
-    return _blockwise(
-        stack, partial(batched_svd_via_gram, rank=rank),
-        rank=rank, dtype=dtype, block=block, buffer=buffer, out=out,
-    )
-
-
-def plan_rsvd_chunk(
-    stack: np.ndarray,
-    *,
-    rank: int,
-    omega: np.ndarray,
-    power_iterations: int,
-    dtype: "np.dtype | type | None" = None,
-    block: int | None = None,
-    buffer: np.ndarray | None = None,
-    out: "tuple[np.ndarray, ...] | None" = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Randomized truncated SVD of one chunk, block by block.
-
-    Every block is sketched with the slab's one shared test matrix
-    ``omega`` (``blk @ Ω`` on the contiguous block buffer), so the chunking
-    and the blocking change no bit of the factors.
-    """
-    return _blockwise(
-        stack,
-        partial(
+    if method == "exact":
+        factor = partial(_exact_svd, rank=rank)
+    elif method == "gram":
+        factor = partial(batched_svd_via_gram, rank=rank)
+    elif method == "rsvd":
+        if omega is None:
+            raise ShapeError("the rsvd method needs the slab's test matrix omega")
+        factor = partial(
             batched_rsvd, rank=rank, power_iterations=power_iterations,
             test_matrix=omega,
-        ),
-        rank=rank, dtype=dtype, block=block, buffer=buffer, out=out,
+        )
+    else:
+        raise ShapeError(f"unknown plan method {method!r}")
+    return _blockwise(
+        stack, factor, rank=rank, dtype=dtype, block=block, buffer=buffer, out=out
     )
 
 
@@ -654,11 +674,8 @@ def execute_plan(
         broadcast["buffer"] = pool.take(
             "compress:block", (min(block, l), i1, i2), dtype
         )
-    if plan.method == "exact":
-        kernel = plan_exact_chunk
-    elif plan.method == "gram":
-        kernel = plan_gram_chunk
-    elif plan.method == "rsvd":
+    broadcast["method"] = plan.method
+    if plan.method == "rsvd":
         if omega is None:
             gen = default_rng(rng)
             omega = gen.standard_normal((i2, plan.k_eff))
@@ -669,13 +686,10 @@ def execute_plan(
             )
         if stats is not None:
             stats.record_miss("sketch")
-        kernel = plan_rsvd_chunk
         broadcast.update(omega=om, power_iterations=plan.power_iterations)
-    else:  # pragma: no cover - plan construction guards this
-        raise ShapeError(f"unknown plan method {plan.method!r}")
     return chunked(
         engine,
-        kernel,
+        plan_chunk,
         l,
         slabs=(a,),
         broadcast=broadcast,

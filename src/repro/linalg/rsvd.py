@@ -150,7 +150,13 @@ def batched_rsvd(
 
     One Gaussian test matrix is shared by all ``L`` inputs so the whole
     computation runs as batched BLAS (see the module docstring for why this
-    is statistically sound).
+    is statistically sound).  The pipeline per stack: the sketch
+    ``Y = A·Ω`` and ``Q = qr(Y)``; each power pass as the single
+    ``Q = qr(A·(Aᵀ·Q))``; the projection ``B = Qᵀ·A``; the small factor
+    ``B = U_B·Σ·Vᵀ`` from :func:`batched_svd_via_gram` (an ``eigh`` of the
+    ``k × k`` Gram ``B·Bᵀ``); and ``U = Q·U_B``, sign-fixed.  Every stage
+    is a batched per-matrix loop, so the factors of a slice do not depend
+    on which other slices share its stack.
 
     Parameters
     ----------
@@ -223,13 +229,14 @@ def batched_rsvd(
         y = am.matmul(a, omega)  # (L, m, k)
     q, _ = am.qr(y)
     for _ in range(max(0, int(power_iterations))):
-        z, _ = am.qr(am.matmul(am.mT(a), q))
-        q, _ = am.qr(am.matmul(a, z))
+        # Aᵀ·Q is not re-orthonormalized: the steep-spectrum oracles hold without it.
+        q, _ = am.qr(am.matmul(a, am.matmul(am.mT(a), q)))
     b = am.matmul(am.mT(q), a)  # (L, k, n)
-    ub, s, vt = am.svd(b, full_matrices=False)
-    u = am.matmul(q, ub[:, :, :r])  # (L, m, r)
-    u, vt = sign_fix(u, vt[:, :r, :])
-    return u, s[:, :r], vt
+    # The small factor from the k×k Gram B·Bᵀ (with its exact-SVD fallback
+    # for slices whose retained spectrum reaches sqrt(eps)·s_max).
+    ub, s, vt = batched_svd_via_gram(b, r)
+    u, vt = sign_fix(am.matmul(q, ub), vt)  # U = Q·U_B, (L, m, r)
+    return u, s, vt
 
 
 def batched_svd_via_gram(

@@ -69,6 +69,22 @@ class TestPlanDecisions:
         plan = plan_compression(i1, i2, rank, strategy="rsvd", oversampling=10)
         assert plan.method == expected
 
+    @pytest.mark.parametrize(
+        "i1,i2,rank,auto",
+        [
+            (120, 90, 10, "rsvd"),    # boats
+            (160, 120, 10, "rsvd"),   # walking
+            (400, 54, 10, "gram"),    # stock
+            (2000, 376, 6, "rsvd"),   # airquality
+            (96, 96, 8, "rsvd"),      # hsi
+        ],
+    )
+    def test_paper_slabs_keep_their_methods(self, i1, i2, rank, auto) -> None:
+        # The rsvd flop model follows the kernel; the fit_paper slab shapes
+        # keep the methods both strategies chose before.
+        assert plan_compression(i1, i2, rank, strategy="rsvd").method == "rsvd"
+        assert plan_compression(i1, i2, rank, strategy="auto").method == auto
+
     @pytest.mark.parametrize("strategy", ["gram", "exact"])
     def test_explicit_strategies(self, strategy) -> None:
         plan = plan_compression(256, 256, 8, strategy=strategy)
@@ -378,6 +394,21 @@ class TestBlocks:
                     assert a.dtype == plan.compute_dtype
                     np.testing.assert_array_equal(a, b)
                 np.testing.assert_allclose(got[3], ref[3], rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_copy_matches_single_copy(self, dtype) -> None:
+        from repro.kernels.compress_plan import _copies_by_row, _copy_block
+
+        strided = self._strided_stack()
+        assert _copies_by_row(strided)
+        assert not _copies_by_row(strided[:3])
+        assert not _copies_by_row(np.ascontiguousarray(strided))
+        # Fortran-ordered slices, as an order-4 DenseSource serves them.
+        fortran = np.asfortranarray(np.moveaxis(strided, 0, 2))
+        assert not _copies_by_row(np.moveaxis(fortran, 2, 0))
+        blk = np.empty(strided.shape, dtype=dtype)
+        _copy_block(blk, strided)
+        np.testing.assert_array_equal(blk, strided.astype(dtype))
 
     def test_pooled_buffer_only_on_serial(self) -> None:
         # Concurrent thread chunks must never share the pooled block slot.

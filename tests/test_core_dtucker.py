@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.baselines import st_hosvd, tucker_als
 from repro.core.config import DTuckerConfig
 from repro.core.dtucker import DTucker, decompose
+from repro.datasets import load_dataset
 from repro.exceptions import NotFittedError, RankError, ShapeError
 from repro.tensor.random import random_tensor
 from tests.conftest import assert_orthonormal
@@ -204,3 +208,45 @@ class TestDecompose:
         model = decompose(noisy3, (4, 3, 3), seed=0)
         assert isinstance(model, DTucker)
         assert model.result_.error(noisy3) < 0.01
+
+
+def _project(x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+    """``x ×_n mats[n]`` over every mode."""
+    for n, m in enumerate(mats):
+        x = np.moveaxis(np.tensordot(m, x, axes=(1, n)), 0, n)
+    return x
+
+
+def _dense_rel_error(x: np.ndarray, core: np.ndarray, factors) -> float:
+    """``‖X − G ×_n A_n‖_F / ‖X‖_F`` from the dense data."""
+    factors = [np.asarray(a) for a in factors]
+    xx = float(np.vdot(x, x))
+    cross = float(np.vdot(_project(x, [a.T for a in factors]), core))
+    gg = float(np.vdot(core, _project(core, [a.T @ a for a in factors])))
+    return math.sqrt(max(xx - 2.0 * cross + gg, 0.0) / xx)
+
+
+class TestWholeFitOracle:
+    """A D-Tucker fit is as accurate as the dense-tensor Tucker methods.
+
+    On the small-scale stand-ins of the five paper datasets, the error of
+    ``DTucker`` stays within ``FACTOR`` of both ``st_hosvd`` and
+    ``tucker_als`` (HOOI) at the registry ranks.  Every error is computed
+    from the dense tensor with perfbench's formula, not from the solver's
+    own estimate.  The largest ratio measured is about 1.007 (airquality
+    against HOOI).
+    """
+
+    FACTOR = 1.02
+
+    @pytest.mark.parametrize(
+        "name", ["boats", "walking", "stock", "airquality", "hsi"]
+    )
+    def test_error_within_factor_of_dense_methods(self, name) -> None:
+        data = load_dataset(name, "small", seed=0)
+        x, ranks = data.tensor, data.ranks
+        fit = DTucker(ranks, seed=0).fit(x).result_
+        err = _dense_rel_error(x, fit.core, fit.factors)
+        for reference in (st_hosvd(x, ranks), tucker_als(x, ranks, seed=0)):
+            ref = reference.result
+            assert err <= self.FACTOR * _dense_rel_error(x, ref.core, ref.factors)

@@ -156,3 +156,107 @@ class TestBatchedSvdViaGram:
     def test_rank_too_large(self, rng) -> None:
         with pytest.raises(RankError):
             batched_svd_via_gram(rng.standard_normal((2, 5, 4)), 5)
+
+
+DTYPES = pytest.mark.parametrize(
+    "dtype", [np.float64, np.float32], ids=["float64", "float32"]
+)
+
+
+def _spectrum_stack(
+    shape: tuple[int, int], spectrum: np.ndarray, n_slices: int, seed: int
+) -> np.ndarray:
+    """``n_slices`` matrices ``U·diag(spectrum)·Vᵀ``, random orthonormal U, V."""
+    m, n = shape
+    gen = np.random.default_rng(seed)
+    out = np.empty((n_slices, m, n))
+    for l in range(n_slices):
+        u = np.linalg.qr(gen.standard_normal((m, spectrum.size)))[0]
+        v = np.linalg.qr(gen.standard_normal((n, spectrum.size)))[0]
+        out[l] = (u * spectrum) @ v.T
+    return out
+
+
+class TestSliceSvdOracle:
+    """Every slice's error against the exact-SVD optimum (Halko et al. 2011).
+
+    With ``τ = ‖σ_{r+1..}‖`` the exact-SVD tail of a slice and a sketch of
+    ``k = r + p`` columns, ``p >= 2``, Halko, Martinsson & Tropp (Thm 10.5)
+    bound the range error ``E‖A − QQᵀA‖_F² <= (1 + r/(p−1))·τ²``.
+    Truncating ``QᵀA`` to rank ``r`` adds at most ``τ²`` (HMT §9.4), so
+
+        E‖A − U·Σ·Vᵀ‖_F <= sqrt(2 + r/(p − 1)) · τ.
+
+    When the sketch spans the short side (``k = min(m, n)``) the range is
+    exact and the bound is ``τ`` itself.  Power passes only sharpen the
+    range; every ``power_iterations`` is held to this ``q = 0`` bound.  The
+    floor ``c·eps·‖A‖_F`` with ``c = max(m, n)`` — LAPACK's backward-error
+    scale for an ``m × n`` factorization — admits the rounding of the
+    factorization and of the reconstruction.  Seeds are fixed, so each
+    case is one draw held to the expected-error bound.
+    """
+
+    #: The five fit_paper slab shapes (I1, I2) at their slice ranks.
+    PAPER_SLABS = {
+        "boats": ((120, 90), 10),
+        "walking": ((160, 120), 10),
+        "stock": ((400, 54), 10),
+        "airquality": ((2000, 376), 6),
+        "hsi": ((96, 96), 8),
+    }
+
+    @staticmethod
+    def _check(stack: np.ndarray, rank: int, *, power_iterations: int, seed: int = 0):
+        l, m, n = stack.shape
+        k = min(rank + 10, m, n)
+        omega = np.random.default_rng(seed).standard_normal((n, k))
+        u, s, vt = batched_rsvd(
+            stack, rank, power_iterations=power_iterations, test_matrix=omega
+        )
+        assert u.dtype == s.dtype == vt.dtype == stack.dtype
+        eps = float(np.finfo(stack.dtype).eps)
+        factor = 1.0 if k == min(m, n) else np.sqrt(2.0 + rank / (k - rank - 1))
+        a64 = stack.astype(np.float64)
+        recon = np.asarray(u, np.float64) @ (
+            np.asarray(s, np.float64)[:, :, None] * np.asarray(vt, np.float64)
+        )
+        for i in range(l):
+            assert np.isfinite(u[i]).all() and np.isfinite(vt[i]).all()
+            sigma = np.linalg.svd(a64[i], compute_uv=False)
+            tail = float(np.linalg.norm(sigma[rank:]))
+            err = float(np.linalg.norm(a64[i] - recon[i]))
+            floor = max(m, n) * eps * float(np.linalg.norm(a64[i]))
+            assert err <= factor * tail + floor, (i, err, factor * tail, floor)
+
+    @DTYPES
+    @pytest.mark.parametrize("power_iterations", [0, 1, 2])
+    @pytest.mark.parametrize("slab", list(PAPER_SLABS))
+    def test_paper_slab_shapes(self, slab, power_iterations, dtype) -> None:
+        (m, n), rank = self.PAPER_SLABS[slab]
+        # A polynomially decaying spectrum keeps the tail well below ‖A‖_F,
+        # so the bound is far from trivially met.
+        spectrum = 1.0 / (1.0 + np.arange(min(m, n))) ** 1.5
+        stack = _spectrum_stack((m, n), spectrum, 2, seed=1).astype(dtype)
+        self._check(stack, rank, power_iterations=power_iterations)
+
+    @DTYPES
+    @pytest.mark.parametrize("power_iterations", [0, 1, 2])
+    @pytest.mark.parametrize("decade", [0.5, 1.0], ids=["half-decade", "decade"])
+    @pytest.mark.parametrize("rank", [5, 10, 20])
+    def test_steep_spectrum(self, rank, decade, power_iterations, dtype) -> None:
+        # σ_i = 10^{-i/2} and 10^{-i}: the tail falls below sqrt(eps)·σ_1.
+        spectrum = 10.0 ** (-decade * np.arange(90))
+        stack = _spectrum_stack((120, 90), spectrum, 3, seed=2).astype(dtype)
+        self._check(stack, rank, power_iterations=power_iterations)
+
+    @DTYPES
+    @pytest.mark.parametrize("power_iterations", [0, 1, 2])
+    def test_rank_deficient_and_zero_slices(self, power_iterations, dtype) -> None:
+        gen = np.random.default_rng(3)
+        stack = np.zeros((3, 60, 45))
+        stack[0] = gen.standard_normal((60, 3)) @ gen.standard_normal((3, 45))
+        stack[2] = gen.standard_normal((60, 45))
+        stack = stack.astype(dtype)
+        self._check(stack, 8, power_iterations=power_iterations)
+        _, s, vt = batched_rsvd(stack, 8, power_iterations=power_iterations, rng=0)
+        assert np.all(s[1] == 0.0)
