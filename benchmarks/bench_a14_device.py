@@ -200,6 +200,8 @@ def run_torch_parity() -> dict | None:
 
     if not probe_namespaces()["torch"]:
         return None
+    from dataclasses import replace
+
     from repro.core.config import DTuckerConfig
     from repro.core.dtucker import DTucker
     from repro.tensor.random import random_tensor
@@ -207,7 +209,7 @@ def run_torch_parity() -> dict | None:
     x = random_tensor(SHAPE, RANKS, rng=1, noise=0.02)
     base = DTuckerConfig(seed=SEED, backend="serial", max_iters=SWEEPS)
     cpu = DTucker(RANKS, config=base).fit(x)
-    torch_cfg = base.with_overrides(device="torch")
+    torch_cfg = replace(base, device="torch")
     dev = DTucker(RANKS, config=torch_cfg).fit(x)
     max_dev = max(
         float(np.max(np.abs(dev.result_.core - cpu.result_.core))),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 from _util import PAPER_DATASETS, bench_scale, cached_dataset, write_result
 
+from repro.core.config import DTuckerConfig
 from repro.core.dtucker import DTucker
 from repro.experiments.report import format_table
 
@@ -24,7 +25,10 @@ def test_a1_init(benchmark, dataset: str, init: str) -> None:
 
     def run() -> DTucker:
         return DTucker(
-            data.ranks, init=init, seed=0, max_iters=50, tol=1e-6
+            data.ranks,
+            init=init,
+            seed=0,
+            config=DTuckerConfig(max_iters=50, tol=1e-6),
         ).fit(data.tensor)
 
     model = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 from _util import bench_scale, cached_dataset, write_result
 
+from repro.core.config import DTuckerConfig
 from repro.core.dtucker import DTucker
 from repro.experiments.report import format_table
 
@@ -36,7 +37,9 @@ def test_a2_rsvd(benchmark, setting: tuple[str, dict]) -> None:
     data = cached_dataset(DATASET)
 
     def run() -> DTucker:
-        return DTucker(data.ranks, seed=0, **kwargs).fit(data.tensor)
+        return DTucker(
+            data.ranks, seed=0, config=DTuckerConfig(**kwargs)
+        ).fit(data.tensor)
 
     model = benchmark.pedantic(run, rounds=1, iterations=1)
     compression_err = model.slice_svd_.compression_error(data.tensor)

@@ -5,9 +5,9 @@ must be resident to produce a Tucker decomposition?  Every baseline needs
 the dense tensor in RAM (counted) plus its transient allocations
 (tracemalloc, which traces NumPy buffers — see
 :mod:`repro.metrics.peak_memory`).  D-Tucker can run its approximation
-phase **out of core** (`compress_npy`, memory-mapped, slice batches) and
-its remaining phases on the compressed representation only — so the tensor
-never counts against it.
+phase **out of core** (`compress_source(NpySource(path), ...)`,
+memory-mapped, slice batches) and its remaining phases on the compressed
+representation only — so the tensor never counts against it.
 
 Expected shape: D-Tucker's peak is a fraction of the tensor size; every
 baseline's peak is ≥ 1× the tensor.  Timing in this file is meaningless
@@ -25,7 +25,7 @@ from _util import bench_scale, cached_dataset, write_result
 
 from repro.core.initialization import initialize
 from repro.core.iteration import als_sweeps
-from repro.core.out_of_core import compress_npy
+from repro.core.sources import NpySource, compress_source
 from repro.experiments.harness import run_method
 from repro.experiments.report import format_table
 from repro.metrics.peak_memory import measure_peak
@@ -47,7 +47,9 @@ def test_a6_dtucker_out_of_core(benchmark, tmp_path_factory) -> None:
 
     def run():
         def solve():
-            ssvd = compress_npy(path, max(data.ranks[:2]), batch_slices=32, rng=0)
+            ssvd = compress_source(
+                NpySource(path), max(data.ranks[:2]), batch_slices=32, rng=0
+            )
             _, factors = initialize(ssvd, data.ranks)
             return als_sweeps(ssvd, data.ranks, factors)
 

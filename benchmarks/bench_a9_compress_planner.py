@@ -158,8 +158,7 @@ def smoke() -> int:
     import tracemalloc
 
     from repro.core.config import DTuckerConfig
-    from repro.core.out_of_core import compress_npy
-    from repro.core.sources import DenseSource, compress_source
+    from repro.core.sources import DenseSource, NpySource, compress_source
     from repro.kernels import KernelStats
     from repro.tensor.slices import slice_count
 
@@ -168,11 +167,15 @@ def smoke() -> int:
         path = Path(tmp) / "x.npy"
         np.save(path, x)
         stats = KernelStats()
-        f64 = compress_npy(
-            path, SMOKE_RANK, batch_slices=SMOKE_BATCH, rng=SEED, stats=stats
+        f64 = compress_source(
+            NpySource(path),
+            SMOKE_RANK,
+            batch_slices=SMOKE_BATCH,
+            rng=SEED,
+            stats=stats,
         )
-        f32 = compress_npy(
-            path,
+        f32 = compress_source(
+            NpySource(path),
             SMOKE_RANK,
             batch_slices=SMOKE_BATCH,
             rng=SEED,

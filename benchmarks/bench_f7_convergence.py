@@ -14,6 +14,7 @@ import time
 from _util import bench_scale, cached_dataset, write_result
 
 from repro.baselines.tucker_als import tucker_als
+from repro.core.config import DTuckerConfig
 from repro.experiments.report import format_table
 
 DATASET = "boats"
@@ -33,8 +34,7 @@ def run_dtucker() -> tuple[list[float], list[float]]:
         ss,
         data.ranks,
         factors,
-        max_iters=10,
-        tol=1e-12,
+        config=DTuckerConfig(max_iters=10, tol=1e-12),
         callback=lambda i, e: stamps.append(time.perf_counter() - start),
     )
     return out.errors, stamps
@@ -47,7 +47,11 @@ def run_hooi_random_init() -> tuple[list[float], list[float]]:
     errors: list[float] = []
     stamps: list[float] = []
     fit = tucker_als(
-        data.tensor, data.ranks, init="random", seed=0, max_iters=10, tol=1e-12
+        data.tensor,
+        data.ranks,
+        init="random",
+        seed=0,
+        config=DTuckerConfig(max_iters=10, tol=1e-12),
     )
     errors = fit.history
     per_sweep = fit.timings["iteration"] / max(fit.n_iters, 1)

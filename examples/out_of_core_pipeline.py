@@ -22,16 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from repro import (
+    NpySource,
     als_sweeps,
-    compress_npy,
+    compress_source,
     estimate_error,
     initialize,
-    load_slice_svd,
-    save_slice_svd,
     suggest_ranks,
 )
 from repro.core.result import TuckerResult
 from repro.datasets import boats_like
+from repro.store import read_slice_svd_archive, write_slice_svd_archive
 
 
 def main() -> None:
@@ -46,8 +46,8 @@ def main() -> None:
     print(f"tensor on disk: {video.shape}, {dense_mb:.1f} MB")
     del video  # from here on, the dense tensor is never resident
 
-    ssvd = compress_npy(tensor_path, rank=12, batch_slices=64, rng=0)
-    save_slice_svd(ssvd, archive_path)
+    ssvd = compress_source(NpySource(tensor_path), 12, batch_slices=64, rng=0)
+    write_slice_svd_archive(ssvd, archive_path)
     archive_mb = archive_path.stat().st_size / 1e6
     print(
         f"compressed archive: {archive_mb:.1f} MB on disk "
@@ -56,7 +56,7 @@ def main() -> None:
     )
 
     # --- session 2: answer requests from the archive alone -----------------
-    ssvd = load_slice_svd(archive_path)
+    ssvd = read_slice_svd_archive(archive_path)
 
     print("\nrank selection for target errors:")
     for target in (0.05, 0.01, 0.005):

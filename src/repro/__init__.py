@@ -46,7 +46,6 @@ from .core import (
     TuckerResult,
     als_sweeps,
     compress,
-    compress_npy,
     compress_source,
     decompose,
     estimate_error,
@@ -71,7 +70,6 @@ from .analysis import (
 from .core.sparse_dtucker import compress_sparse, sparse_dtucker
 from .diagnostics import TuckerDiagnostics, check_tucker
 from .distributed import ShardCoordinator, ShardedSource, distributed_als_sweeps
-from .io import load_slice_svd, load_tucker, save_slice_svd, save_tucker
 from .sparse import SparseTensor
 from .store import ModelStore, RangeIndex, ServedModel, ServingStats
 from .exceptions import (
@@ -121,16 +119,11 @@ __all__ = [
     "TuckerResult",
     "als_sweeps",
     "compress",
-    "compress_npy",
     "compress_source",
     "decompose",
     "estimate_error",
     "initialize",
     "suggest_ranks",
-    "load_slice_svd",
-    "load_tucker",
-    "save_slice_svd",
-    "save_tucker",
     "ModelStore",
     "RangeIndex",
     "ServedModel",

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.config import UNSET, DTuckerConfig, resolve_config
+from ..core.config import DTuckerConfig
 from ..metrics.memory import mach_nbytes
 from ..metrics.timing import Timer
 from ..tensor.random import default_rng
@@ -58,8 +58,6 @@ def mach_tucker(
     keep_probability: float = 0.1,
     seed: int | None = None,
     config: DTuckerConfig | None = None,
-    max_iters: object = UNSET,
-    tol: object = UNSET,
 ) -> BaselineFit:
     """Tucker decomposition of a Bernoulli-sampled tensor (MACH).
 
@@ -76,8 +74,6 @@ def mach_tucker(
     config:
         Solver configuration; ``max_iters``/``tol`` reach the inner HOOI
         solve.
-    max_iters, tol:
-        .. deprecated:: use ``config=DTuckerConfig(...)`` instead.
 
     Returns
     -------
@@ -85,7 +81,7 @@ def mach_tucker(
         With phases ``sampling``, ``init``, ``iteration``; extras record the
         realised keep fraction and the bytes a sparse store would need.
     """
-    cfg = resolve_config(config, where="mach_tucker", max_iters=max_iters, tol=tol)
+    cfg = config if config is not None else DTuckerConfig()
     if seed is None:
         seed = cfg.seed
     x = as_tensor(tensor, min_order=1, name="tensor")

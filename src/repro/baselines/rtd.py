@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.config import UNSET, DTuckerConfig, resolve_config
+from ..core.config import DTuckerConfig
 from ..core.result import TuckerResult
 from ..exceptions import ShapeError
 from ..linalg.rsvd import rsvd
@@ -33,8 +33,6 @@ def rtd(
     mode_order: Sequence[int] | None = None,
     seed: int | None = None,
     config: DTuckerConfig | None = None,
-    oversampling: object = UNSET,
-    power_iterations: object = UNSET,
 ) -> BaselineFit:
     """Randomized sequentially truncated Tucker decomposition.
 
@@ -51,20 +49,13 @@ def rtd(
     config:
         Solver configuration supplying the randomized-SVD parameters used
         for every mode.
-    oversampling, power_iterations:
-        .. deprecated:: use ``config=DTuckerConfig(...)`` instead.
 
     Returns
     -------
     BaselineFit
         One-pass fit with a single ``decomposition`` phase.
     """
-    cfg = resolve_config(
-        config,
-        where="rtd",
-        oversampling=oversampling,
-        power_iterations=power_iterations,
-    )
+    cfg = config if config is not None else DTuckerConfig()
     if seed is None:
         seed = cfg.seed
     x = as_tensor(tensor, min_order=1, name="tensor")

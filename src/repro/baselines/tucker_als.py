@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.config import UNSET, DTuckerConfig, resolve_config
+from ..core.config import DTuckerConfig
 from ..core.result import TuckerResult
 from ..exceptions import ConvergenceError, ShapeError
 from ..linalg.svd import leading_left_singular_vectors
@@ -40,8 +40,6 @@ def tucker_als(
     seed: int | None = None,
     initial_factors: Sequence[np.ndarray] | None = None,
     config: DTuckerConfig | None = None,
-    max_iters: object = UNSET,
-    tol: object = UNSET,
 ) -> BaselineFit:
     """Tucker decomposition via HOOI on the dense tensor.
 
@@ -61,8 +59,6 @@ def tucker_als(
     config:
         Solver configuration supplying the sweep budget and tolerance —
         the same object every other entry point accepts.
-    max_iters, tol:
-        .. deprecated:: use ``config=DTuckerConfig(...)`` instead.
 
     Returns
     -------
@@ -71,7 +67,7 @@ def tucker_als(
         (exact, via the core-norm identity — HOOI projects the true tensor,
         so ``||X - X̂||² = ||X||² - ||G||²`` holds exactly here).
     """
-    cfg = resolve_config(config, where="tucker_als", max_iters=max_iters, tol=tol)
+    cfg = config if config is not None else DTuckerConfig()
     if seed is None:
         seed = cfg.seed
     x = as_tensor(tensor, min_order=1, name="tensor")

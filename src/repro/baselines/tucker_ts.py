@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.config import UNSET, DTuckerConfig, resolve_config
+from ..core.config import DTuckerConfig
 from ..core.result import TuckerResult
 from ..exceptions import ConvergenceError
 from ..linalg.qr import economy_qr
@@ -69,8 +69,6 @@ def tucker_ts(
     sketch_factor: int = 10,
     seed: int | None = None,
     config: DTuckerConfig | None = None,
-    max_iters: object = UNSET,
-    tol: object = UNSET,
 ) -> BaselineFit:
     """Tucker decomposition with TensorSketch-ed ALS least squares.
 
@@ -91,8 +89,6 @@ def tucker_ts(
     config:
         Solver configuration supplying the sweep budget and the tolerance
         on the sketched-residual change.
-    max_iters, tol:
-        .. deprecated:: use ``config=DTuckerConfig(...)`` instead.
 
     Returns
     -------
@@ -101,7 +97,7 @@ def tucker_ts(
         *sketched* relative residuals (not exact errors), and extras record
         the sketch sizes and stored bytes.
     """
-    cfg = resolve_config(config, where="tucker_ts", max_iters=max_iters, tol=tol)
+    cfg = config if config is not None else DTuckerConfig()
     if seed is None:
         seed = cfg.seed
     x = as_tensor(tensor, min_order=1, name="tensor")

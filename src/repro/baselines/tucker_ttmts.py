@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.config import UNSET, DTuckerConfig, resolve_config
+from ..core.config import DTuckerConfig
 from ..core.result import TuckerResult
 from ..exceptions import ConvergenceError
 from ..linalg.svd import leading_left_singular_vectors
@@ -45,8 +45,6 @@ def tucker_ttmts(
     sketch_factor: int = 10,
     seed: int | None = None,
     config: DTuckerConfig | None = None,
-    max_iters: object = UNSET,
-    tol: object = UNSET,
 ) -> BaselineFit:
     """Tucker decomposition with TensorSketch-estimated TTM chains.
 
@@ -64,8 +62,6 @@ def tucker_ttmts(
     config:
         Solver configuration supplying the sweep budget and the tolerance
         on the sketched-residual change.
-    max_iters, tol:
-        .. deprecated:: use ``config=DTuckerConfig(...)`` instead.
 
     Returns
     -------
@@ -73,7 +69,7 @@ def tucker_ttmts(
         With phases ``sketch`` and ``iteration``; ``history`` holds sketched
         relative residuals.
     """
-    cfg = resolve_config(config, where="tucker_ttmts", max_iters=max_iters, tol=tol)
+    cfg = config if config is not None else DTuckerConfig()
     if seed is None:
         seed = cfg.seed
     x = as_tensor(tensor, min_order=1, name="tensor")

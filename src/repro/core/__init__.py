@@ -25,7 +25,6 @@ from .dtucker import DTucker, decompose
 from .fit_pipeline import FitPipeline, PipelineFit
 from .initialization import initialize, random_initialize
 from .iteration import IterationResult, als_sweeps
-from .out_of_core import compress_npy
 from .protocol import FitLike
 from .rank_selection import estimate_error, mode_spectra, suggest_ranks
 from .result import TuckerResult
@@ -49,7 +48,6 @@ __all__ = [
     "random_initialize",
     "IterationResult",
     "als_sweeps",
-    "compress_npy",
     "estimate_error",
     "mode_spectra",
     "suggest_ranks",

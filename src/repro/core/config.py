@@ -2,12 +2,13 @@
 
 Collecting the knobs in a frozen dataclass keeps the solver signatures
 honest, makes configurations hashable/loggable, and gives ablation
-benchmarks a single place to vary parameters.  Since the execution-engine
-redesign, :class:`DTuckerConfig` is also the *uniform call surface*: every
-public entry point (``DTucker``, ``decompose``, ``compress``,
-``tucker_als``, the other baselines, the streaming and sparse variants)
-accepts ``config=``, and the historical per-function keyword sets survive
-only as deprecation shims routed through :func:`resolve_config`.
+benchmarks a single place to vary parameters.  :class:`DTuckerConfig` is
+also the one route to a solver knob: every public entry point
+(``DTucker``, ``decompose``, ``compress``, ``tucker_als``, the other
+baselines, the streaming and sparse variants) accepts ``config=``, and a
+variant of a config is ``dataclasses.replace(cfg, field=value)``.  Only
+``seed=`` and :class:`~repro.core.streaming.StreamingDTucker`'s streaming
+fields are also accepted as keywords.
 
 All validation happens in ``__post_init__`` so a bad ``oversampling`` or
 ``tol`` fails at *config construction time* with a message naming the
@@ -16,24 +17,11 @@ field — never deep inside a phase.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..exceptions import BackendError, ShapeError
 
-__all__ = ["DTuckerConfig", "resolve_config", "UNSET"]
-
-
-class _Unset:
-    """Sentinel distinguishing "not passed" from an explicit ``None``."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "UNSET"
-
-
-#: Default value for deprecated keyword parameters; any other value means
-#: the caller explicitly passed the legacy keyword.
-UNSET = _Unset()
+__all__ = ["DTuckerConfig"]
 
 #: Backend names accepted by :attr:`DTuckerConfig.backend` (``"auto"``
 #: defers to the ``REPRO_BACKEND`` environment variable, then serial).
@@ -248,70 +236,3 @@ class DTuckerConfig:
             )
         if self.shards is not None and int(self.shards) < 1:
             raise ShapeError(f"shards must be >= 1 or None, got {self.shards}")
-
-    def with_overrides(
-        self,
-        *,
-        backend: str | None = None,
-        n_workers: int | None = None,
-        chunk_size: int | None = None,
-        schedule: str | None = None,
-        device: str | None = None,
-        shards: int | None = None,
-    ) -> "DTuckerConfig":
-        """A copy with non-``None`` execution knobs replaced (no deprecation)."""
-        updates: dict[str, object] = {}
-        if backend is not None:
-            updates["backend"] = backend
-        if n_workers is not None:
-            updates["n_workers"] = n_workers
-        if chunk_size is not None:
-            updates["chunk_size"] = chunk_size
-        if schedule is not None:
-            updates["schedule"] = schedule
-        if device is not None:
-            updates["device"] = device
-        if shards is not None:
-            updates["shards"] = shards
-        return replace(self, **updates) if updates else self
-
-
-def resolve_config(
-    config: DTuckerConfig | None,
-    *,
-    where: str,
-    stacklevel: int = 3,
-    **legacy: object,
-) -> DTuckerConfig:
-    """Merge deprecated per-function keywords into a :class:`DTuckerConfig`.
-
-    Every solver entry point routes its historical keyword set through this
-    shim: keywords left at :data:`UNSET` are ignored, explicitly passed
-    ones are folded into the config **and** trigger a single
-    :class:`DeprecationWarning` naming the replacement.  This keeps every
-    pre-redesign call site working while steering new code to ``config=``.
-
-    Parameters
-    ----------
-    config:
-        The caller's ``config=`` argument (``None`` means defaults).
-    where:
-        Entry-point name used in the warning message.
-    stacklevel:
-        Forwarded to :func:`warnings.warn` so the warning points at the
-        user's call site.
-    legacy:
-        Deprecated keyword values, :data:`UNSET` when not passed.
-    """
-    provided = {k: v for k, v in legacy.items() if v is not UNSET}
-    if provided:
-        names = ", ".join(f"{k}=" for k in sorted(provided))
-        keys = ", ".join(sorted(provided))
-        warnings.warn(
-            f"{where}: keyword argument(s) {names} are deprecated; pass "
-            f"config=DTuckerConfig({keys}, ...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    base = config if config is not None else DTuckerConfig()
-    return replace(base, **provided) if provided else base  # type: ignore[arg-type]

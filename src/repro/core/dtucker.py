@@ -33,7 +33,7 @@ from ..engine import ExecutionBackend
 from ..exceptions import NotFittedError, RankError, ShapeError
 from ..metrics.timing import PhaseTimings
 from ..validation import as_tensor, check_ranks
-from .config import UNSET, DTuckerConfig, resolve_config
+from .config import DTuckerConfig
 from .fit_pipeline import FitPipeline, PipelineFit
 from .result import TuckerResult
 from .sources import DenseSource, NpySource
@@ -91,12 +91,6 @@ class DTucker:
         ``fit``/``refit`` calls and never closed by this class, so one pool
         can serve many models.  ``None`` resolves a backend per fit from
         ``config``/environment.
-    backend, n_workers, chunk_size:
-        Conveniences overriding the corresponding ``config`` fields —
-        ``DTucker(r, backend="thread")`` is
-        ``DTucker(r, config=DTuckerConfig(backend="thread"))``.
-    oversampling, power_iterations, max_iters, tol, exact_slice_svd, verbose:
-        .. deprecated:: use ``config=DTuckerConfig(...)`` instead.
 
     Attributes (after ``fit``)
     --------------------------
@@ -142,15 +136,6 @@ class DTucker:
         seed: int | None = None,
         config: DTuckerConfig | None = None,
         engine: ExecutionBackend | None = None,
-        backend: str | None = None,
-        n_workers: int | None = None,
-        chunk_size: int | None = None,
-        oversampling: object = UNSET,
-        power_iterations: object = UNSET,
-        max_iters: object = UNSET,
-        tol: object = UNSET,
-        exact_slice_svd: object = UNSET,
-        verbose: object = UNSET,
     ) -> None:
         self.ranks = ranks
         self.slice_rank = slice_rank
@@ -158,21 +143,8 @@ class DTucker:
         if init not in ("svd", "random"):
             raise ShapeError(f"init must be 'svd' or 'random', got {init!r}")
         self.init = init
-        cfg = resolve_config(
-            config,
-            where="DTucker",
-            oversampling=oversampling,
-            power_iterations=power_iterations,
-            max_iters=max_iters,
-            tol=tol,
-            exact_slice_svd=exact_slice_svd,
-            verbose=verbose,
-        )
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        self.config = cfg.with_overrides(
-            backend=backend, n_workers=n_workers, chunk_size=chunk_size
-        )
+        cfg = config if config is not None else DTuckerConfig()
+        self.config = replace(cfg, seed=seed) if seed is not None else cfg
         self.engine = engine
         self._fitted = False
 
@@ -231,8 +203,9 @@ class DTucker:
         """Fit from a ``.npy`` file without loading the tensor into memory.
 
         The approximation phase runs out of core
-        (:func:`repro.core.out_of_core.compress_npy`, memory-mapped slice
-        batches); initialization and iteration run on the compressed
+        (:func:`repro.core.sources.compress_source` over a memory-mapped
+        :class:`~repro.core.sources.NpySource`, one slice batch at a time);
+        initialization and iteration run on the compressed
         representation as usual.  Peak resident memory is bounded by the
         compressed size plus one slice batch — see benchmark A6.
 
@@ -273,8 +246,6 @@ class DTucker:
         ranks: int | Sequence[int] | None = None,
         *,
         config: DTuckerConfig | None = None,
-        max_iters: object = UNSET,
-        tol: object = UNSET,
     ) -> TuckerResult:
         """Answer a new decomposition request from the compressed slices.
 
@@ -289,8 +260,6 @@ class DTucker:
         config:
             Optional configuration override for this request (defaults to
             the model's own config).
-        max_iters, tol:
-            .. deprecated:: use ``config=DTuckerConfig(...)`` instead.
 
         Returns
         -------
@@ -299,12 +268,7 @@ class DTucker:
             left untouched.
         """
         self._require_fitted()
-        cfg = resolve_config(
-            config if config is not None else self.config,
-            where="DTucker.refit",
-            max_iters=max_iters,
-            tol=tol,
-        )
+        cfg = config if config is not None else self.config
         shape = tuple(
             self.slice_svd_.shape[i]
             for i in np.argsort(self.permutation_)

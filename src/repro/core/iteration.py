@@ -47,7 +47,7 @@ from ..linalg.svd import leading_left_singular_vectors
 from ..tensor.norms import core_based_error
 from ..tensor.unfold import unfold
 from ..validation import check_ranks
-from .config import UNSET, DTuckerConfig, resolve_config
+from .config import DTuckerConfig
 from .slice_svd import SliceSVD
 
 __all__ = ["IterationResult", "als_sweeps"]
@@ -93,8 +93,6 @@ def als_sweeps(
     engine: ExecutionBackend | str | None = None,
     callback: Callable[[int, float], None] | None = None,
     workspace: SweepWorkspace | None = None,
-    max_iters: object = UNSET,
-    tol: object = UNSET,
 ) -> IterationResult:
     """Run compressed-domain ALS sweeps until convergence.
 
@@ -123,8 +121,6 @@ def als_sweeps(
         ``ssvd``.  Passing one lets callers (e.g. the streaming solver)
         carry warm projection caches and scratch buffers across calls;
         when omitted a private workspace is created for this call.
-    max_iters, tol:
-        .. deprecated:: use ``config=DTuckerConfig(...)`` instead.
 
     Returns
     -------
@@ -136,7 +132,7 @@ def als_sweeps(
         If the error estimate becomes non-finite (corrupt input), or if a
         provided ``workspace`` is bound to a different compressed tensor.
     """
-    cfg = resolve_config(config, where="als_sweeps", max_iters=max_iters, tol=tol)
+    cfg = config if config is not None else DTuckerConfig()
     rank_tuple = check_ranks(ranks, ssvd.shape)
     order = len(rank_tuple)
     facs = [np.asarray(a, dtype=float) for a in factors]

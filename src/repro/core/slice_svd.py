@@ -25,7 +25,7 @@ from ..metrics.memory import array_nbytes
 from ..tensor.norms import relative_error
 from ..tensor.slices import from_slices, slice_count
 from ..validation import check_positive_int
-from .config import UNSET, DTuckerConfig, resolve_config
+from .config import DTuckerConfig
 
 __all__ = ["SliceSVD", "compress"]
 
@@ -300,11 +300,7 @@ def compress(
     config: DTuckerConfig | None = None,
     engine: ExecutionBackend | str | None = None,
     rng: int | np.random.Generator | None = None,
-    chunk_size: int | None = None,
     stats: KernelStats | None = None,
-    oversampling: object = UNSET,
-    power_iterations: object = UNSET,
-    exact: object = UNSET,
 ) -> SliceSVD:
     """Run the approximation phase: compress ``tensor`` into a :class:`SliceSVD`.
 
@@ -327,14 +323,10 @@ def compress(
     rng:
         Seed or generator for the randomized path; overrides
         ``config.seed`` when given.
-    chunk_size:
-        Explicit engine chunk-size override.
     stats:
         Optional :class:`~repro.kernels.stats.KernelStats` accumulating the
         planner decision (``plan:<method>``) and test-matrix draws
         (``sketch``) of this call.
-    oversampling, power_iterations, exact:
-        .. deprecated:: use ``config=DTuckerConfig(...)`` instead.
 
     Notes
     -----
@@ -348,22 +340,14 @@ def compress(
     SliceSVD
         The compressed representation, including the exact ``||X||_F²``.
     """
-    cfg = resolve_config(
-        config,
-        where="compress",
-        oversampling=oversampling,
-        power_iterations=power_iterations,
-        exact_slice_svd=exact,
-    )
     # Imported lazily: sources.py needs SliceSVD from this module.
     from .sources import DenseSource, compress_source
 
     return compress_source(
         DenseSource(tensor),
         rank,
-        config=cfg,
+        config=config,
         engine=engine,
         rng=rng,
-        chunk_size=chunk_size,
         stats=stats,
     )

@@ -856,13 +856,12 @@ def compress_source(
     config: DTuckerConfig | None = None,
     engine: "ExecutionBackend | str | None" = None,
     rng: "int | np.random.Generator | None" = None,
-    chunk_size: int | None = None,
     schedule: str | None = None,
     stats: KernelStats | None = None,
 ) -> SliceSVD:
     """Run the approximation phase on any :class:`SliceSource`.
 
-    This is *the* compression pipeline: ``compress``, ``compress_npy`` and
+    This is *the* compression pipeline: ``compress`` and
     ``compress_sparse`` are thin wrappers that construct the matching
     source, and :class:`~repro.core.fit_pipeline.FitPipeline` calls it for
     every fit.  The flow, identical for every source:
@@ -893,8 +892,6 @@ def compress_source(
         name, or ``None`` to resolve from ``config`` and the environment.
     rng:
         Seed or generator for test-matrix draws; overrides ``config.seed``.
-    chunk_size:
-        Explicit engine chunk-size override.
     schedule:
         Scheduling-policy override (``"static"``/``"dynamic"``/``"auto"``);
         ``None`` resolves from ``config.schedule`` and the environment.
@@ -944,9 +941,9 @@ def compress_source(
             if plan.method == "rsvd":
                 stats.record_miss("sketch")
 
-    with backend_scope(
-        engine, chunk_size=chunk_size, schedule=schedule, config=cfg
-    ) as eng, eng.phase(source.phase_name) as trace:
+    with backend_scope(engine, schedule=schedule, config=cfg) as eng, eng.phase(
+        source.phase_name
+    ) as trace:
         parts = None
         if eng.name == "process":
             parts = source.process_parts(

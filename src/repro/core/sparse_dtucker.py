@@ -29,7 +29,7 @@ from ..engine import ExecutionBackend
 from ..kernels.stats import KernelStats
 from ..sparse.coo import SparseTensor
 from ..validation import check_ranks
-from .config import UNSET, DTuckerConfig, resolve_config
+from .config import DTuckerConfig
 from .fit_pipeline import FitPipeline
 from .result import TuckerResult
 from .slice_svd import SliceSVD
@@ -47,8 +47,6 @@ def compress_sparse(
     engine: ExecutionBackend | str | None = None,
     rng: int | np.random.Generator | None = None,
     stats: KernelStats | None = None,
-    oversampling: object = UNSET,
-    power_iterations: object = UNSET,
 ) -> SliceSVD:
     """Approximation phase on a sparse tensor: per-slice randomized SVDs.
 
@@ -81,8 +79,6 @@ def compress_sparse(
     stats:
         Optional :class:`~repro.kernels.stats.KernelStats`; the single
         shared test-matrix draw is recorded as one ``sketch`` miss.
-    oversampling, power_iterations:
-        .. deprecated:: use ``config=DTuckerConfig(...)`` instead.
 
     Returns
     -------
@@ -90,17 +86,11 @@ def compress_sparse(
         Identical in structure to the dense pipeline's output, including
         the exact ``‖X‖_F²``.
     """
-    cfg = resolve_config(
-        config,
-        where="compress_sparse",
-        oversampling=oversampling,
-        power_iterations=power_iterations,
-    )
     return compress_source(
         SparseSource(tensor),
         rank,
         batch_slices=batch_slices,
-        config=cfg,
+        config=config,
         engine=engine,
         rng=rng,
         stats=stats,
@@ -140,17 +130,11 @@ def sparse_dtucker(
     seed: int | None = None,
     config: DTuckerConfig | None = None,
     engine: ExecutionBackend | str | None = None,
-    oversampling: object = UNSET,
-    power_iterations: object = UNSET,
-    max_iters: object = UNSET,
-    tol: object = UNSET,
 ) -> SparseDTuckerFit:
     """D-Tucker on a sparse tensor: sparse compression + compressed ALS.
 
     Parameters mirror :class:`repro.core.dtucker.DTucker`; slice modes are
     fixed to ``(0, 1)`` (permute the COO coordinates first if needed).
-    ``oversampling``/``power_iterations``/``max_iters``/``tol`` are
-    deprecated — pass ``config=DTuckerConfig(...)`` instead.
 
     Returns
     -------
@@ -160,14 +144,7 @@ def sparse_dtucker(
     """
     from dataclasses import replace
 
-    cfg = resolve_config(
-        config,
-        where="sparse_dtucker",
-        oversampling=oversampling,
-        power_iterations=power_iterations,
-        max_iters=max_iters,
-        tol=tol,
-    )
+    cfg = config if config is not None else DTuckerConfig()
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     rank_tuple = check_ranks(ranks, tensor.shape)

@@ -66,7 +66,7 @@ from ..tensor.products import multi_mode_product
 from ..tensor.random import default_rng
 from ..tensor.unfold import unfold
 from ..validation import as_tensor, check_positive_int, check_ranks
-from .config import UNSET, DTuckerConfig, resolve_config
+from .config import DTuckerConfig
 from .fit_pipeline import FitPipeline
 from .initialization import initialize, slice_plane_factor
 from .result import TuckerResult
@@ -144,8 +144,6 @@ class StreamingDTucker:
         Per-instance overrides of the corresponding config fields (``None``
         defers to the config).  See the module docstring and
         ``docs/streaming.md`` for semantics.
-    oversampling, power_iterations, tol, exact_slice_svd:
-        .. deprecated:: use ``config=DTuckerConfig(...)`` instead.
 
     Attributes (after the first ``partial_fit``)
     --------------------------------------------
@@ -185,10 +183,6 @@ class StreamingDTucker:
         decay: float | None = None,
         sketch_size: int | None = None,
         drift_budget: float | None = None,
-        oversampling: object = UNSET,
-        power_iterations: object = UNSET,
-        tol: object = UNSET,
-        exact_slice_svd: object = UNSET,
     ) -> None:
         self.ranks = tuple(int(r) for r in ranks)
         if len(self.ranks) < 3:
@@ -200,14 +194,7 @@ class StreamingDTucker:
         self.sweeps_per_update = check_positive_int(
             sweeps_per_update, name="sweeps_per_update"
         )
-        cfg = resolve_config(
-            config,
-            where="StreamingDTucker",
-            oversampling=oversampling,
-            power_iterations=power_iterations,
-            tol=tol,
-            exact_slice_svd=exact_slice_svd,
-        )
+        cfg = config if config is not None else DTuckerConfig()
         if seed is not None:
             cfg = replace(cfg, seed=seed)
         overrides: dict[str, object] = {}

@@ -41,20 +41,16 @@ from typing import Sequence
 import numpy as np
 
 from ..core.config import DTuckerConfig
-from ..core.fit_pipeline import FitPipeline, PipelineFit, resolve_slice_rank
-from ..core.initialization import initialize, random_initialize
+from ..core.fit_pipeline import FitPipeline, PipelineFit
 from ..core.iteration import IterationResult
-from ..core.result import TuckerResult
 from ..core.slice_svd import SliceSVD
-from ..core.sources import SliceSource, compress_source
+from ..core.sources import SliceSource
 from ..engine import ExecutionBackend, backend_scope
 from ..exceptions import ConvergenceError, ShapeError
 from ..kernels.stats import KernelStats
 from ..kernels.workspace import SweepWorkspace
 from ..linalg.svd import leading_left_singular_vectors
-from ..metrics.timing import PhaseTimings, Timer
 from ..tensor.norms import core_based_error
-from ..tensor.random import default_rng
 from ..tensor.slices import slice_count
 from ..tensor.unfold import unfold
 from ..validation import check_ranks
@@ -233,6 +229,38 @@ def distributed_als_sweeps(
     )
 
 
+class _ShardedPipeline(FitPipeline):
+    """A :class:`FitPipeline` whose iteration stage is the distributed sweeps."""
+
+    def __init__(
+        self,
+        ranks: Sequence[int],
+        shard_bounds: Sequence[tuple[int, int]],
+        **kwargs,
+    ) -> None:
+        super().__init__(ranks, **kwargs)
+        self.shard_bounds = shard_bounds
+
+    def iterate(
+        self,
+        ssvd: SliceSVD,
+        rank_tuple: Sequence[int],
+        factors: list[np.ndarray],
+        *,
+        config: DTuckerConfig | None = None,
+        engine: "ExecutionBackend | str | None" = None,
+    ) -> IterationResult:
+        """Iteration stage: reduce-only sweeps over ``shard_bounds``."""
+        return distributed_als_sweeps(
+            ssvd,
+            rank_tuple,
+            factors,
+            shard_bounds=self.shard_bounds,
+            config=config if config is not None else self.config,
+            engine=engine if engine is not None else self.engine,
+        )
+
+
 class ShardCoordinator:
     """Drive a whole fit over shards, reducing only small factor products.
 
@@ -240,9 +268,10 @@ class ShardCoordinator:
     through the member-descriptor fan-out, :func:`~repro.core
     .initialization.initialize` consumes the gathered stacked
     ``[U_lΣ_l]``/``[Σ_lV_lᵀ]`` products on the coordinator, and the sweeps
-    run through :func:`distributed_als_sweeps`.  Everything else —
-    configuration, rank resolution, timings, stats merging — matches
-    :meth:`FitPipeline.fit <repro.core.fit_pipeline.FitPipeline.fit>`.
+    run through :func:`distributed_als_sweeps`.  The fit itself *is*
+    :meth:`FitPipeline.fit <repro.core.fit_pipeline.FitPipeline.fit>` —
+    configuration, rank resolution, timings and stats merging included —
+    with only the iteration stage swapped.
 
     Parameters
     ----------
@@ -270,8 +299,13 @@ class ShardCoordinator:
             n = shards if shards is not None else (cfg.shards or 1)
             source = ShardedSource.partition(source, max(1, int(n)))
         self.source = source
-        self.pipeline = FitPipeline(
-            ranks, slice_rank=slice_rank, init=init, config=cfg, engine=engine
+        self.pipeline = _ShardedPipeline(
+            ranks,
+            source.shard_bounds,
+            slice_rank=slice_rank,
+            init=init,
+            config=cfg,
+            engine=engine,
         )
 
     def compress(self, **kwargs) -> SliceSVD:
@@ -285,68 +319,4 @@ class ShardCoordinator:
         rng: "int | np.random.Generator | None" = None,
     ) -> PipelineFit:
         """Compress shard-local, initialize on the reduce, sweep distributed."""
-        p = self.pipeline
-        cfg = p.config
-        shape = tuple(int(d) for d in self.source.shape)
-        rank_tuple = check_ranks(p.ranks, shape)
-        k = resolve_slice_rank(
-            shape, rank_tuple[0], rank_tuple[1], p.slice_rank, strict=True
-        )
-        gen = default_rng(rng if rng is not None else cfg.seed)
-        timings = PhaseTimings()
-        approx_stats = KernelStats()
-
-        with backend_scope(p.engine, config=cfg) as eng:
-            trace_start = len(eng.traces)
-            with Timer() as t_approx:
-                ssvd = compress_source(
-                    self.source,
-                    k,
-                    batch_slices=batch_slices,
-                    config=cfg,
-                    engine=eng,
-                    rng=gen,
-                    stats=approx_stats,
-                )
-            timings.add("approximation", t_approx.seconds)
-
-            with Timer() as t_init:
-                if p.init == "svd":
-                    _, factors = initialize(ssvd, rank_tuple)
-                else:
-                    _, factors = random_initialize(ssvd, rank_tuple, gen)
-            timings.add("initialization", t_init.seconds)
-
-            with Timer() as t_iter:
-                outcome = distributed_als_sweeps(
-                    ssvd,
-                    rank_tuple,
-                    factors,
-                    shard_bounds=self.source.shard_bounds,
-                    config=cfg,
-                    engine=eng,
-                )
-            timings.add("iteration", t_iter.seconds)
-            traces = list(eng.traces[trace_start:])
-
-        stats = outcome.kernel_stats
-        if stats is None:
-            stats = approx_stats
-        else:
-            stats.merge(approx_stats)
-        result = TuckerResult(
-            core=outcome.core,
-            factors=outcome.factors,
-            elapsed=timings.total,
-            trace_=traces,
-        )
-        return PipelineFit(
-            result=result,
-            slice_svd=ssvd,
-            timings=timings,
-            traces=traces,
-            kernel_stats=stats,
-            history=outcome.errors,
-            converged=outcome.converged,
-            n_iters=outcome.n_iters,
-        )
+        return self.pipeline.fit(self.source, batch_slices=batch_slices, rng=rng)

@@ -14,6 +14,11 @@ that price low with two mechanisms:
   exactly once.
 * **A persistent pool** — workers are forked once (``fork`` start method
   where available, ``spawn`` elsewhere) and reused across all chunk maps.
+  A worker that dies mid-dispatch breaks the pool: the dispatch raises
+  :class:`~repro.exceptions.BackendError` (chained from the
+  :class:`~concurrent.futures.process.BrokenProcessPool`), the broken pool
+  is discarded, and the next dispatch starts a fresh one.  Published slabs
+  stay owned by the backend and are unlinked by :meth:`close` as usual.
 
 Kernels must be module-level functions (or ``functools.partial`` of them)
 and must return fresh arrays, never views into the shared slabs — the view
@@ -34,11 +39,13 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from ..exceptions import BackendError
 from .base import ChunkKernel, ExecutionBackend, run_chunk_here, store_chunk
 from .cost import CostModel
 
@@ -110,6 +117,16 @@ class ProcessBackend(ExecutionBackend):
             self._pool = ProcessPoolExecutor(max_workers=self.n_workers, mp_context=ctx)
         return self._pool
 
+    def _discard_broken_pool(self) -> BackendError:
+        """Drop the broken pool (the next dispatch forks a fresh one)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+        return BackendError(
+            "a process-backend worker died during the dispatch; the broken "
+            "pool was discarded and the next dispatch starts a fresh one"
+        )
+
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
@@ -167,28 +184,35 @@ class ProcessBackend(ExecutionBackend):
             return results if out is None else None
         descrs = [self._share(s) for s in slabs]
         pool = self._ensure_pool()
-        futures = {}
-        for pos, bounds in enumerate(plan):
-            task = pool.submit(
-                _chunk_worker, kernel, descrs, bounds, broadcast, time.time()
-            )
-            futures[task] = (pos, bounds)
         results: list[Any] = [None] * len(plan)
         workers = []
-        # Workers return fresh arrays; with ``out`` each one is copied into
-        # its rows as it arrives and dropped, so no per-chunk list builds up.
-        for future in as_completed(futures):
-            pos, (start, stop) = futures.pop(future)
-            pid, wait, busy, result = future.result()
-            worker = f"pid:{pid}"
-            workers.append(worker)
-            self._record_task(
-                worker, stop - start, busy_seconds=busy, wait_seconds=max(0.0, wait)
-            )
-            if out is None:
-                results[pos] = result
-            else:
-                store_chunk(out, start, stop, result)
+        try:
+            futures = {}
+            for pos, bounds in enumerate(plan):
+                task = pool.submit(
+                    _chunk_worker, kernel, descrs, bounds, broadcast, time.time()
+                )
+                futures[task] = (pos, bounds)
+            # Workers return fresh arrays; with ``out`` each one is copied
+            # into its rows as it arrives and dropped, so no per-chunk list
+            # builds up.
+            for future in as_completed(futures):
+                pos, (start, stop) = futures.pop(future)
+                pid, wait, busy, result = future.result()
+                worker = f"pid:{pid}"
+                workers.append(worker)
+                self._record_task(
+                    worker,
+                    stop - start,
+                    busy_seconds=busy,
+                    wait_seconds=max(0.0, wait),
+                )
+                if out is None:
+                    results[pos] = result
+                else:
+                    store_chunk(out, start, stop, result)
+        except BrokenProcessPool as exc:
+            raise self._discard_broken_pool() from exc
         self._tally_steals(workers, len(plan))
         return results if out is None else None
 
@@ -212,17 +236,22 @@ class ProcessBackend(ExecutionBackend):
         order = self._map_order(len(items), costs, schedule)
         indices = order if order is not None else range(len(items))
         pool = self._ensure_pool()
-        futures = {
-            idx: pool.submit(_task_worker, fn, items[idx], time.time())
-            for idx in indices
-        }
         results: list[Any] = [None] * len(items)
         workers = []
-        for idx, future in futures.items():
-            pid, wait, busy, out = future.result()
-            worker = f"pid:{pid}"
-            workers.append(worker)
-            self._record_task(worker, 1, busy_seconds=busy, wait_seconds=max(0.0, wait))
-            results[idx] = out
+        try:
+            futures = {
+                idx: pool.submit(_task_worker, fn, items[idx], time.time())
+                for idx in indices
+            }
+            for idx, future in futures.items():
+                pid, wait, busy, out = future.result()
+                worker = f"pid:{pid}"
+                workers.append(worker)
+                self._record_task(
+                    worker, 1, busy_seconds=busy, wait_seconds=max(0.0, wait)
+                )
+                results[idx] = out
+        except BrokenProcessPool as exc:
+            raise self._discard_broken_pool() from exc
         self._tally_steals(workers, len(items))
         return results

@@ -62,11 +62,13 @@ class NotFittedError(ReproError, RuntimeError):
 
 
 class BackendError(ReproError, ValueError):
-    """An execution-backend spec is invalid.
+    """An execution backend is misconfigured or lost a worker.
 
     Raised when a ``backend=`` argument (or the ``REPRO_BACKEND`` /
     ``REPRO_WORKERS`` environment override) names no registered backend or
-    carries an unusable worker configuration.
+    carries an unusable worker configuration, and when a process-backend
+    worker dies mid-dispatch (chained from the pool's
+    ``BrokenProcessPool``; the backend stays usable).
     """
 
 

@@ -43,7 +43,7 @@ def naive_als_sweeps(
     # Function-level imports: this module is loaded by ``repro.kernels``,
     # which the core iteration module imports in turn.
     from ..core._ops import mode1_partial, mode2_partial, w_tensor
-    from ..core.config import resolve_config
+    from ..core.config import DTuckerConfig
     from ..core.iteration import IterationResult
     from ..engine import backend_scope
     from ..exceptions import ConvergenceError
@@ -61,7 +61,7 @@ def naive_als_sweeps(
             tensor, [facs[m] for m in modes], modes=modes, transpose=True
         )
 
-    cfg = resolve_config(config, where="naive_als_sweeps")
+    cfg = config or DTuckerConfig()
     rank_tuple = check_ranks(ranks, ssvd.shape)
     order = len(rank_tuple)
     facs = [np.asarray(a, dtype=float) for a in factors]

@@ -15,8 +15,8 @@
   ``query_many`` batches range queries across a BLAS-partitioned reader
   pool, ``refit`` serves full decompositions at new ranks.
 * :mod:`repro.store.format` — the one module that knows the on-disk layout:
-  ``.npz`` interchange archives (the historical :mod:`repro.io` format) and
-  payload directories, all validated into typed
+  ``.npz`` interchange archives (:func:`write_slice_svd_archive` and
+  friends) and payload directories, all validated into typed
   :class:`~repro.exceptions.StoreFormatError` diagnostics.
 
 See ``docs/store.md`` for the format specification and versioning policy.

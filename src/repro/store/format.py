@@ -5,8 +5,8 @@ out on disk.  Three artifact families share the conventions defined here:
 
 * **Single-file archives** (``.npz``) — the portable interchange form of a
   :class:`~repro.core.slice_svd.SliceSVD` or
-  :class:`~repro.core.result.TuckerResult`, historically written by
-  :mod:`repro.io`.  Archives are compact but cannot be memory-mapped.
+  :class:`~repro.core.result.TuckerResult`.  Archives are compact but
+  cannot be memory-mapped.
 * **Payload directories** — the serving form: one ``.npy`` file per array
   plus a small ``meta.json``.  Plain ``.npy`` files memory-map, so a
   :class:`~repro.store.ServedModel` can share one mapping across many

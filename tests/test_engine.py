@@ -3,24 +3,32 @@
 Covers the three backends (parity against serial for fixed seeds), the
 chunk-planning policy and its edge cases, backend resolution (names, env
 override, instance ownership), phase tracing, the ``FitLike`` protocol,
-and the ``config=`` deprecation shims on the solver entry points.
+recovery from a dead process worker, and ``config=`` as the one route to
+a solver knob on every entry point.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import os
 import warnings
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.baselines import mach_tucker, rtd, tucker_als, tucker_ts, tucker_ttmts
-from repro.baselines._common import BaselineFit
-from repro.core.config import DTuckerConfig, resolve_config
+from repro.core.config import DTuckerConfig
 from repro.core.dtucker import DTucker
+from repro.core.iteration import als_sweeps
 from repro.core.protocol import FitLike
 from repro.core.result import TuckerResult
 from repro.core.slice_svd import compress
+from repro.core.sparse_dtucker import compress_sparse, sparse_dtucker
+from repro.core.streaming import StreamingDTucker
 from repro.engine import (
     BACKEND_NAMES,
     ProcessBackend,
@@ -46,6 +54,11 @@ def _pair_chunk(rows: np.ndarray, *, out=None) -> tuple[np.ndarray, np.ndarray]:
     plus, total = (None, None) if out is None else out
     axes = tuple(range(1, rows.ndim))
     return np.add(rows, 1.0, out=plus), np.sum(rows, axis=axes, out=total)
+
+
+def _die(*args, **kwargs) -> None:
+    """Kill the worker process running this task (no cleanup, no reply)."""
+    os._exit(1)
 
 
 class TestPlanChunks:
@@ -212,6 +225,39 @@ class TestChunkedDispatch:
             assert eng.map(abs, [-3, 1, -2, 0]) == [3, 1, 2, 0]
 
 
+class TestWorkerCrash:
+    @pytest.mark.parametrize("dispatch", ["map", "run_chunks"])
+    def test_dead_worker_raises_backend_error_and_recovers(
+        self, dispatch: str
+    ) -> None:
+        shm = Path("/dev/shm")
+        before = set(shm.iterdir()) if shm.is_dir() else set()
+        slab = np.arange(12.0).reshape(6, 2)
+        plan = [(0, 3), (3, 6)]
+        eng = ProcessBackend(n_workers=2)
+        try:
+            eng.run_chunks(_double_chunk, plan, [slab], {"scale": 2.0})
+            published = [descr[0] for _, _, descr in eng._slabs.values()]
+            assert published
+            with pytest.raises(BackendError, match="worker died") as info:
+                if dispatch == "map":
+                    eng.map(_die, [0, 1, 2])
+                else:
+                    eng.run_chunks(_die, plan, [slab], {})
+            assert isinstance(info.value.__cause__, BrokenProcessPool)
+            # The same backend serves the next dispatch on a fresh pool.
+            assert eng.map(abs, [-3, 1, -2]) == [3, 1, 2]
+            parts = eng.run_chunks(_double_chunk, plan, [slab], {"scale": 2.0})
+            np.testing.assert_array_equal(np.concatenate(parts), slab * 2.0)
+        finally:
+            eng.close()
+        for name in published:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+        if shm.is_dir():
+            assert set(shm.iterdir()) - before == set()
+
+
 class TestBackendParity:
     """Serial, thread and process backends must agree bit-for-bit."""
 
@@ -299,41 +345,32 @@ class TestFitLikeProtocol:
 
 
 class TestDeprecationShims:
-    def test_resolve_config_warns_once_per_call(self) -> None:
-        with pytest.warns(DeprecationWarning, match="tucker_als.*max_iters"):
-            cfg = resolve_config(None, where="tucker_als", max_iters=3)
-        assert cfg.max_iters == 3
-
-    def test_unset_kwargs_do_not_warn(self) -> None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cfg = resolve_config(DTuckerConfig(tol=1e-6), where="x")
-        assert cfg.tol == 1e-6
-
-    def test_dtucker_legacy_kwargs(self) -> None:
-        x = random_tensor((8, 7, 6), (2, 2, 2), rng=0, noise=0.0)
-        with pytest.warns(DeprecationWarning, match="DTucker"):
-            legacy = DTucker((2, 2, 2), seed=0, max_iters=3, tol=1e-7)
-        modern = DTucker((2, 2, 2), config=DTuckerConfig(seed=0, max_iters=3, tol=1e-7))
-        np.testing.assert_array_equal(
-            legacy.fit(x).result_.core, modern.fit(x).result_.core
-        )
-
     @pytest.mark.parametrize(
-        "fn,kwargs",
+        "entry",
         [
-            (tucker_als, {"max_iters": 2}),
-            (mach_tucker, {"tol": 1e-3}),
-            (rtd, {"oversampling": 4}),
-            (tucker_ts, {"max_iters": 2}),
-            (tucker_ttmts, {"max_iters": 2}),
+            DTucker,
+            DTucker.refit,
+            als_sweeps,
+            compress,
+            compress_sparse,
+            sparse_dtucker,
+            StreamingDTucker,
+            tucker_als,
+            tucker_ts,
+            tucker_ttmts,
+            mach_tucker,
+            rtd,
         ],
+        ids=lambda entry: entry.__qualname__,
     )
-    def test_baseline_legacy_kwargs_warn_but_work(self, fn, kwargs) -> None:
-        x = random_tensor((8, 7, 6), (2, 2, 2), rng=0, noise=0.0)
-        with pytest.warns(DeprecationWarning, match=fn.__name__):
-            fit = fn(x, (2, 2, 2), seed=0, **kwargs)
-        assert isinstance(fit, BaselineFit)
+    def test_config_is_the_only_route_to_a_field(self, entry) -> None:
+        fields = {f.name for f in dataclasses.fields(DTuckerConfig)}
+        # The config fields that stay first-class keywords.
+        allowed = {"seed"}
+        if entry is StreamingDTucker:
+            allowed |= {"update", "window", "decay", "sketch_size", "drift_budget"}
+        params = set(inspect.signature(entry).parameters)
+        assert (params & fields) - allowed == set()
 
     def test_baseline_config_path_is_warning_free(self) -> None:
         x = random_tensor((8, 7, 6), (2, 2, 2), rng=0, noise=0.0)
@@ -366,11 +403,6 @@ class TestConfigBackendFields:
     def test_invalid_execution_knobs(self, kwargs: dict) -> None:
         with pytest.raises(ShapeError):
             DTuckerConfig(**kwargs)
-
-    def test_with_overrides(self) -> None:
-        cfg = DTuckerConfig().with_overrides(backend="process", n_workers=4)
-        assert cfg.backend == "process" and cfg.n_workers == 4
-        assert DTuckerConfig().with_overrides() == DTuckerConfig()
 
 
 class TestEnvBackendEndToEnd:

@@ -1,8 +1,4 @@
-"""Tests for persistence of SliceSVD and TuckerResult archives.
-
-``repro.io`` is a deprecated shim over :mod:`repro.store`; every call here
-goes through :func:`shim`, which asserts the DeprecationWarning.
-"""
+"""Tests for the ``.npz`` interchange archives of SliceSVD and TuckerResult."""
 
 from __future__ import annotations
 
@@ -11,23 +7,22 @@ import pytest
 
 from repro.core.slice_svd import compress
 from repro.exceptions import ShapeError
-from repro.io import load_slice_svd, load_tucker, save_slice_svd, save_tucker
 from repro.core.result import TuckerResult
+from repro.store import (
+    read_slice_svd_archive,
+    read_tucker_archive,
+    write_slice_svd_archive,
+    write_tucker_archive,
+)
 from repro.tensor.random import random_tucker
-
-
-def shim(fn, *args):
-    """Call a deprecated ``repro.io`` function, asserting that it warns."""
-    with pytest.warns(DeprecationWarning, match=f"repro.io.{fn.__name__} is deprecated"):
-        return fn(*args)
 
 
 class TestSliceSvdRoundtrip:
     def test_roundtrip(self, lowrank3, tmp_path) -> None:
         ssvd = compress(lowrank3, 3, rng=0)
-        path = shim(save_slice_svd, ssvd, tmp_path / "c")
+        path = write_slice_svd_archive(ssvd, tmp_path / "c")
         assert path.suffix == ".npz"
-        back = shim(load_slice_svd, path)
+        back = read_slice_svd_archive(path)
         np.testing.assert_array_equal(back.u, ssvd.u)
         np.testing.assert_array_equal(back.s, ssvd.s)
         np.testing.assert_array_equal(back.vt, ssvd.vt)
@@ -39,34 +34,35 @@ class TestSliceSvdRoundtrip:
         from repro.core.iteration import als_sweeps
 
         ssvd = compress(lowrank3, 3, rng=0)
-        back = shim(load_slice_svd, shim(save_slice_svd, ssvd, tmp_path / "c.npz"))
+        back = read_slice_svd_archive(write_slice_svd_archive(ssvd, tmp_path / "c.npz"))
         _, factors = initialize(back, (3, 2, 2))
         out = als_sweeps(back, (3, 2, 2), factors)
         assert out.errors[-1] < 1e-8
 
     def test_suffix_appended(self, lowrank3, tmp_path) -> None:
         ssvd = compress(lowrank3, 3, rng=0)
-        path = shim(save_slice_svd, ssvd, tmp_path / "plain")
+        path = write_slice_svd_archive(ssvd, tmp_path / "plain")
         assert path.name == "plain.npz"
 
     def test_wrong_format_rejected(self, lowrank3, tmp_path) -> None:
         core, factors = random_tucker((5, 4, 3), (2, 2, 2), np.random.default_rng(0))
-        p = shim(save_tucker, TuckerResult(core=core, factors=factors), tmp_path / "t")
+        result = TuckerResult(core=core, factors=factors)
+        p = write_tucker_archive(result, tmp_path / "t")
         with pytest.raises(ShapeError, match="slice-SVD"):
-            shim(load_slice_svd, p)
+            read_slice_svd_archive(p)
 
     def test_garbage_archive_rejected(self, tmp_path) -> None:
         p = tmp_path / "junk.npz"
         np.savez(p, a=np.ones(3))
         with pytest.raises(ShapeError):
-            shim(load_slice_svd, p)
+            read_slice_svd_archive(p)
 
 
 class TestTuckerRoundtrip:
     def test_roundtrip(self, rng, tmp_path) -> None:
         core, factors = random_tucker((6, 5, 4), (3, 2, 2), rng)
         result = TuckerResult(core=core, factors=factors)
-        back = shim(load_tucker, shim(save_tucker, result, tmp_path / "t"))
+        back = read_tucker_archive(write_tucker_archive(result, tmp_path / "t"))
         np.testing.assert_array_equal(back.core, result.core)
         for a, b in zip(back.factors, result.factors):
             np.testing.assert_array_equal(a, b)
@@ -74,19 +70,19 @@ class TestTuckerRoundtrip:
     def test_reconstruction_identical(self, rng, tmp_path) -> None:
         core, factors = random_tucker((6, 5, 4), (3, 2, 2), rng)
         result = TuckerResult(core=core, factors=factors)
-        back = shim(load_tucker, shim(save_tucker, result, tmp_path / "t.npz"))
+        back = read_tucker_archive(write_tucker_archive(result, tmp_path / "t.npz"))
         np.testing.assert_array_equal(back.reconstruct(), result.reconstruct())
 
     def test_wrong_format_rejected(self, lowrank3, tmp_path) -> None:
         ssvd = compress(lowrank3, 3, rng=0)
-        p = shim(save_slice_svd, ssvd, tmp_path / "c")
+        p = write_slice_svd_archive(ssvd, tmp_path / "c")
         with pytest.raises(ShapeError, match="Tucker"):
-            shim(load_tucker, p)
+            read_tucker_archive(p)
 
     def test_order4(self, rng, tmp_path) -> None:
         core, factors = random_tucker((4, 3, 5, 2), (2, 2, 2, 2), rng)
         result = TuckerResult(core=core, factors=factors)
-        back = shim(load_tucker, shim(save_tucker, result, tmp_path / "t4"))
+        back = read_tucker_archive(write_tucker_archive(result, tmp_path / "t4"))
         assert back.order == 4
 
 
@@ -99,10 +95,10 @@ class TestEndToEndPersistence:
 
         x = random_tensor((18, 16, 12), (3, 3, 3), rng=rng, noise=0.02)
         model = DTucker(ranks=(3, 3, 3), slice_rank=5, seed=0).fit(x)
-        archive = shim(save_slice_svd, model.slice_svd_, tmp_path / "session1")
+        archive = write_slice_svd_archive(model.slice_svd_, tmp_path / "session1")
 
         # "Session 2": no access to x.
-        ssvd = shim(load_slice_svd, archive)
+        ssvd = read_slice_svd_archive(archive)
         from repro.core.initialization import initialize
         from repro.core.iteration import als_sweeps
 

@@ -1,4 +1,4 @@
-"""Tests for the out-of-core compression path."""
+"""Tests for out-of-core compression: ``compress_source`` over an ``NpySource``."""
 
 from __future__ import annotations
 
@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import DTuckerConfig
-from repro.core.out_of_core import batched_slice_view, compress_npy
 from repro.core.slice_svd import compress
-from repro.core.sources import clear_memmap_cache
+from repro.core.sources import (
+    NpySource,
+    batched_slice_view,
+    clear_memmap_cache,
+    compress_source,
+)
 from repro.exceptions import RankError, ShapeError
 from repro.kernels import KernelStats
 from repro.tensor.random import random_tensor
@@ -70,7 +74,7 @@ class TestCompressNpy:
         x = random_tensor((40, 6, 8), (3, 3, 2), rng=rng, noise=0.1)
         p = tmp_path / "x.npy"
         np.save(p, x)
-        a = compress_npy(p, 3, batch_slices=3)
+        a = compress_source(NpySource(p), 3, batch_slices=3)
         b = compress(x, 3)
         np.testing.assert_allclose(a.u, b.u, atol=1e-10)
         np.testing.assert_allclose(a.s, b.s, atol=1e-10)
@@ -78,21 +82,21 @@ class TestCompressNpy:
 
     def test_randomized_path_quality(self, npy_tensor) -> None:
         path, x = npy_tensor
-        ssvd = compress_npy(path, 4, batch_slices=7, rng=0)
+        ssvd = compress_source(NpySource(path), 4, batch_slices=7, rng=0)
         assert ssvd.shape == x.shape
         assert ssvd.compression_error(x) < 0.02
 
     def test_norm_exact_across_batches(self, npy_tensor) -> None:
         path, x = npy_tensor
-        ssvd = compress_npy(path, 3, batch_slices=6, rng=0)
+        ssvd = compress_source(NpySource(path), 3, batch_slices=6, rng=0)
         assert ssvd.norm_squared == pytest.approx(float(np.sum(x * x)))
 
     def test_batch_size_does_not_change_gram_result(self, tmp_path, rng) -> None:
         x = random_tensor((30, 5, 12), (3, 3, 2), rng=rng, noise=0.1)
         p = tmp_path / "x.npy"
         np.save(p, x)
-        a = compress_npy(p, 3, batch_slices=1)
-        b = compress_npy(p, 3, batch_slices=12)
+        a = compress_source(NpySource(p), 3, batch_slices=1)
+        b = compress_source(NpySource(p), 3, batch_slices=12)
         np.testing.assert_allclose(a.s, b.s, atol=1e-10)
 
     def test_end_to_end_decomposition(self, npy_tensor) -> None:
@@ -100,7 +104,7 @@ class TestCompressNpy:
         from repro.core.iteration import als_sweeps
 
         path, x = npy_tensor
-        ssvd = compress_npy(path, 3, rng=0)
+        ssvd = compress_source(NpySource(path), 3, rng=0)
         _, factors = initialize(ssvd, (3, 3, 2, 2))
         out = als_sweeps(ssvd, (3, 3, 2, 2), factors)
         from repro.tensor.products import tucker_to_tensor
@@ -113,13 +117,13 @@ class TestCompressNpy:
     def test_rank_too_large(self, npy_tensor) -> None:
         path, _ = npy_tensor
         with pytest.raises(RankError):
-            compress_npy(path, 15)
+            compress_source(NpySource(path), 15)
 
     def test_order1_rejected(self, tmp_path) -> None:
         p = tmp_path / "v.npy"
         np.save(p, np.ones(5))
         with pytest.raises(ShapeError):
-            compress_npy(p, 1)
+            compress_source(NpySource(p), 1)
 
 
 class TestBatchRemainders:
@@ -131,7 +135,9 @@ class TestBatchRemainders:
         self, npy_tensor, batch_slices
     ) -> None:
         path, x = npy_tensor
-        ssvd = compress_npy(path, 3, batch_slices=batch_slices, rng=0)
+        ssvd = compress_source(
+            NpySource(path), 3, batch_slices=batch_slices, rng=0
+        )
         assert ssvd.num_slices == slice_count(x.shape)
         assert ssvd.norm_squared == pytest.approx(float(np.sum(x * x)))
         assert ssvd.compression_error(x) < 0.05
@@ -143,16 +149,24 @@ class TestBatchRemainders:
         # remainder structure... except that each batch draws its *own*
         # matrix, so only the full-coverage invariants are batch-free.
         path, x = npy_tensor
-        ssvd = compress_npy(path, 3, batch_slices=batch_slices, rng=0)
-        one = compress_npy(path, 3, batch_slices=batch_slices, rng=0)
+        ssvd = compress_source(
+            NpySource(path), 3, batch_slices=batch_slices, rng=0
+        )
+        one = compress_source(
+            NpySource(path), 3, batch_slices=batch_slices, rng=0
+        )
         np.testing.assert_array_equal(ssvd.u, one.u)
         np.testing.assert_array_equal(ssvd.s, one.s)
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_backends_bitwise_equal(self, npy_tensor, backend) -> None:
         path, _ = npy_tensor
-        ref = compress_npy(path, 3, batch_slices=7, rng=0, engine="serial")
-        got = compress_npy(path, 3, batch_slices=7, rng=0, engine=backend)
+        ref = compress_source(
+            NpySource(path), 3, batch_slices=7, rng=0, engine="serial"
+        )
+        got = compress_source(
+            NpySource(path), 3, batch_slices=7, rng=0, engine=backend
+        )
         np.testing.assert_array_equal(got.u, ref.u)
         np.testing.assert_array_equal(got.s, ref.s)
         np.testing.assert_array_equal(got.vt, ref.vt)
@@ -165,8 +179,8 @@ class TestPlannerIntegration:
     @pytest.mark.parametrize("strategy", ["auto", "gram", "exact"])
     def test_strategies_cover_and_reconstruct(self, npy_tensor, strategy) -> None:
         path, x = npy_tensor
-        ssvd = compress_npy(
-            path, 3, batch_slices=7, rng=0,
+        ssvd = compress_source(
+            NpySource(path), 3, batch_slices=7, rng=0,
             config=DTuckerConfig(strategy=strategy),
         )
         assert ssvd.shape == x.shape
@@ -175,7 +189,9 @@ class TestPlannerIntegration:
     def test_sketch_draws_at_most_one_per_batch(self, npy_tensor) -> None:
         path, x = npy_tensor
         stats = KernelStats()
-        ssvd = compress_npy(path, 3, batch_slices=6, rng=0, stats=stats)
+        ssvd = compress_source(
+            NpySource(path), 3, batch_slices=6, rng=0, stats=stats
+        )
         n_batches = -(-slice_count(x.shape) // 6)
         assert sum(stats.plan_decisions().values()) == n_batches
         assert stats.sketch_draws <= n_batches
@@ -184,8 +200,8 @@ class TestPlannerIntegration:
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_float32_path(self, npy_tensor, backend) -> None:
         path, x = npy_tensor
-        ssvd = compress_npy(
-            path, 3, batch_slices=7, rng=0, engine=backend,
+        ssvd = compress_source(
+            NpySource(path), 3, batch_slices=7, rng=0, engine=backend,
             config=DTuckerConfig(precision="float32"),
         )
         assert ssvd.u.dtype == np.float64  # storage is always float64
@@ -200,8 +216,12 @@ class TestPlannerIntegration:
         x = random_tensor((40, 16, 9), (3, 3, 2), rng=rng, noise=0.1)
         p = tmp_path / "x.npy"
         np.save(p, x)
-        a = compress_npy(p, 3, batch_slices=4, config=DTuckerConfig(strategy="auto"))
-        b = compress_npy(p, 3, batch_slices=4, config=DTuckerConfig(strategy="gram"))
+        a = compress_source(
+            NpySource(p), 3, batch_slices=4, config=DTuckerConfig(strategy="auto")
+        )
+        b = compress_source(
+            NpySource(p), 3, batch_slices=4, config=DTuckerConfig(strategy="gram")
+        )
         np.testing.assert_array_equal(a.u, b.u)
         np.testing.assert_array_equal(a.s, b.s)
         np.testing.assert_array_equal(a.vt, b.vt)
@@ -211,7 +231,7 @@ class TestPlannerIntegration:
 
         path, _ = npy_tensor
         with backend_scope("serial") as eng:
-            compress_npy(path, 3, batch_slices=6, rng=0, engine=eng)
+            compress_source(NpySource(path), 3, batch_slices=6, rng=0, engine=eng)
             traces = list(eng.traces)
         (trace,) = [t for t in traces if t.phase == "approximation-ooc"]
         assert trace.io_seconds > 0.0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.config import DTuckerConfig
 from repro.core.dtucker import DTucker
 from repro.exceptions import StoreError, StoreFormatError
 from repro.store import (
@@ -254,7 +255,9 @@ class TestBitIdentity:
     def test_indexed_vs_unindexed(self, temporal, tmp_path, backend) -> None:
         """Persisted index, lazy index, and no index: identical bits."""
         store = fitted_store(
-            temporal, tmp_path / backend, backend=backend, n_workers=2
+            temporal,
+            tmp_path / backend,
+            config=DTuckerConfig(backend=backend, n_workers=2),
         )
         plain = self._answers(store, use_index=False, cache_size=0)
         lazy = self._answers(store)

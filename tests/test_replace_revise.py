@@ -83,12 +83,12 @@ class TestSliceNorms:
             )
 
     def test_out_of_core_records_norms(self, rng, tmp_path) -> None:
-        from repro.core.out_of_core import compress_npy
+        from repro.core.sources import NpySource, compress_source
 
         x = rng.standard_normal((8, 6, 4))
         p = tmp_path / "x.npy"
         np.save(p, x)
-        ssvd = compress_npy(p, 3, rng=0)
+        ssvd = compress_source(NpySource(p), 3, rng=0)
         assert ssvd.slice_norms_squared is not None
         assert ssvd.norm_squared == pytest.approx(float(np.sum(x * x)))
 

@@ -89,10 +89,6 @@ class TestResolveSchedule:
             DTuckerConfig(schedule="eager")
         assert DTuckerConfig(schedule="dynamic").schedule == "dynamic"
 
-    def test_with_overrides(self) -> None:
-        cfg = DTuckerConfig().with_overrides(schedule="static")
-        assert cfg.schedule == "static"
-
     def test_env_override(self, monkeypatch: pytest.MonkeyPatch) -> None:
         monkeypatch.setenv("REPRO_SCHEDULE", "static")
         with resolve_backend("thread", n_workers=2) as eng:

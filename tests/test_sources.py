@@ -17,7 +17,6 @@ from repro.core import (
     SliceSource,
     SparseSource,
     compress,
-    compress_npy,
     compress_source,
 )
 from repro.core.fit_pipeline import resolve_slice_rank
@@ -171,7 +170,9 @@ class TestMemmapHandleCache:
 
         monkeypatch.setattr(np, "load", counting_load)
         cfg = DTuckerConfig(seed=0, backend=backend, n_workers=2)
-        ssvd = compress_npy(npy_path, 3, batch_slices=3, config=cfg)
+        ssvd = compress_source(
+            NpySource(npy_path), 3, batch_slices=3, config=cfg
+        )
         assert ssvd.num_slices == 20
         # 7 batches, 1 open: the probe populates the cache, batches hit it.
         assert len(opens) == 1
@@ -292,19 +293,11 @@ class TestCrossSourceParity:
         np.testing.assert_array_equal(npy.s, dense.s)
         np.testing.assert_array_equal(npy.vt, dense.vt)
 
-    def test_wrapper_entry_points_match_compress_source(
-        self, tensor, npy_path
-    ) -> None:
+    def test_wrapper_entry_points_match_compress_source(self, tensor) -> None:
         cfg = DTuckerConfig(seed=3)
         via_compress = compress(tensor, 3, config=cfg)
         via_source = compress_source(DenseSource(tensor), 3, config=cfg)
         np.testing.assert_array_equal(via_compress.u, via_source.u)
-
-        via_npy = compress_npy(npy_path, 3, config=cfg)
-        via_npy_source = compress_source(
-            NpySource(npy_path), 3, batch_slices=64, config=cfg
-        )
-        np.testing.assert_array_equal(via_npy.u, via_npy_source.u)
 
         sparse = SparseTensor.from_dense(tensor)
         via_sparse = compress_sparse(sparse, 3, config=cfg)
@@ -340,7 +333,9 @@ class TestPipelineEconomy:
         # oversampling=2 keeps the cost model in the rsvd regime on these
         # small (18, 14) slices (2·(K + p) < min(I1, I2)).
         cfg = DTuckerConfig(seed=0, oversampling=2)
-        compress_npy(npy_path, 3, batch_slices=3, config=cfg, stats=stats)
+        compress_source(
+            NpySource(npy_path), 3, batch_slices=3, config=cfg, stats=stats
+        )
         n_batches = 7  # ceil(20 / 3)
         assert stats.misses_for("sketch") <= n_batches
         assert stats.misses_for("plan:rsvd") == n_batches

@@ -64,7 +64,9 @@ class TestSaveAndManifest:
         """fit → save → load → reconstruct is bit-identical on every backend."""
         reference = DTucker(ranks=(3, 3, 3), seed=0).fit(temporal)
         model = DTucker(
-            ranks=(3, 3, 3), seed=0, backend=backend, n_workers=2
+            ranks=(3, 3, 3),
+            seed=0,
+            config=DTuckerConfig(backend=backend, n_workers=2),
         ).fit(temporal)
         store = model.save(tmp_path / backend)
         with ModelStore(store.path).open() as served:
@@ -463,38 +465,15 @@ class TestArchiveErrors:
 
 
 class TestDeprecatedWrappers:
-    def test_wrappers_warn_and_delegate(self, lowrank3, tmp_path) -> None:
-        from repro import io
-
-        ssvd = compress(lowrank3, 3, rng=0)
-        with pytest.warns(DeprecationWarning, match="save_slice_svd"):
-            p = io.save_slice_svd(ssvd, tmp_path / "s")
-        with pytest.warns(DeprecationWarning, match="load_slice_svd"):
-            back = io.load_slice_svd(p)
-        np.testing.assert_array_equal(back.u, ssvd.u)
-        # The wrapper and the store function speak the same format.
-        np.testing.assert_array_equal(read_slice_svd_archive(p).u, ssvd.u)
-
-    def test_tucker_wrappers_warn(self, rng, tmp_path) -> None:
-        from repro import io
-
-        core, factors = random_tucker((6, 5, 4), (3, 2, 2), rng)
-        result = TuckerResult(core=core, factors=factors)
-        with pytest.warns(DeprecationWarning, match="save_tucker"):
-            p = io.save_tucker(result, tmp_path / "t")
-        with pytest.warns(DeprecationWarning, match="load_tucker"):
-            back = io.load_tucker(p)
-        np.testing.assert_array_equal(back.core, result.core)
-
     def test_import_is_silent(self) -> None:
-        """Importing repro (and repro.io) must emit no DeprecationWarning."""
+        """Importing repro must emit no DeprecationWarning."""
         out = subprocess.run(
             [
                 sys.executable,
                 "-W",
                 "error::DeprecationWarning",
                 "-c",
-                "import repro, repro.io, repro.store",
+                "import repro, repro.store",
             ],
             capture_output=True,
             text=True,
