@@ -209,9 +209,8 @@ class DTucker:
         representation as usual.  Peak resident memory is bounded by the
         compressed size plus one slice batch — see benchmark A6.
 
-        Restrictions: ``slice_modes`` must be the default ``(0, 1)``
-        (permuting would require materialising the tensor), and
-        ``exact_slice_svd`` is not supported on this path.
+        Restriction: ``slice_modes`` must be the default ``(0, 1)``
+        (permuting would require materialising the tensor).
 
         Parameters
         ----------
@@ -230,8 +229,6 @@ class DTucker:
                 "fit_from_file requires slice_modes=(0, 1); reorder the "
                 "stored tensor instead"
             )
-        if self.config.exact_slice_svd:
-            raise ShapeError("fit_from_file does not support exact_slice_svd")
 
         source = NpySource(path)
         rank_tuple = check_ranks(self.ranks, source.shape)

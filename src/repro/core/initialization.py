@@ -24,15 +24,16 @@ from typing import Sequence
 
 import numpy as np
 
+from ..engine import ExecutionBackend
 from ..engine.array_api import array_module_of
+from ..kernels.contractions import fused_tensor, w_chunk
 from ..linalg.svd import gram_leading_eigenvectors, leading_left_singular_vectors
 from ..tensor.products import multi_mode_product
 from ..tensor.unfold import unfold
 from ..validation import check_ranks
-from ._ops import w_tensor
 from .slice_svd import SliceSVD
 
-__all__ = ["initialize", "initialize_from_factors", "random_initialize"]
+__all__ = ["initialize", "initialize_from_factors", "random_initialize", "w_tensor"]
 
 
 def _scaled_left_blocks(ssvd: SliceSVD) -> np.ndarray:
@@ -45,6 +46,23 @@ def _scaled_right_blocks(ssvd: SliceSVD) -> np.ndarray:
     """``[V_1 diag(s_1) ⋯ V_L diag(s_L)]`` as an ``(I2, K·L)`` matrix."""
     vs = np.swapaxes(ssvd.vt, 1, 2) * ssvd.s[:, None, :]  # (L, I2, K)
     return vs.transpose(1, 2, 0).reshape(ssvd.slice_shape[1], -1)
+
+
+def w_tensor(
+    ssvd: SliceSVD,
+    a1: np.ndarray,
+    a2: np.ndarray,
+    *,
+    engine: ExecutionBackend | None = None,
+) -> np.ndarray:
+    """The doubly-projected tensor ``W = X̃ ×_1 A(1)ᵀ ×_2 A(2)ᵀ``.
+
+    Computed slice by slice as ``W_l = (A(1)ᵀU_l) diag(s_l) (V_lᵀA(2))`` and
+    reshaped to ``(J1, J2, I3, …, IN)``.  With ``engine`` given, the slice
+    loop fans out as engine chunks over the SVD-triple slabs.
+    """
+    rows = (a1.shape[1], a2.shape[1])
+    return fused_tensor(engine, w_chunk, ssvd, rows, a1=a1, a2=a2)
 
 
 #: Bytes of scaled slice blocks per Gram accumulation step: small enough

@@ -7,7 +7,8 @@ for mode ``n`` is
           \\left(\\mathcal{X} \\times_{k \\ne n} A^{(k)T}\\right)_{(n)} ,
 
 which on the raw tensor costs ``O(J · Π I_k)`` per mode.  D-Tucker computes
-the same TTM chain from the slice SVDs (see :mod:`repro.core._ops`):
+the same TTM chain from the slice SVDs (see
+:meth:`~repro.kernels.workspace.SweepWorkspace.contract`):
 
 * modes 1 and 2 contract the *other* slice mode through the SVD factors
   (``U_l diag(s_l)(V_lᵀA(2))``), leaving an ``(I1, J2, I3…)``-shaped tensor;
@@ -28,6 +29,14 @@ are bit-identical to the uncached loop (kept as
 :func:`repro.kernels.naive.naive_als_sweeps`); only the redundant work is
 gone.  Cache statistics are folded into the phase's
 :class:`~repro.engine.trace.PhaseTrace` and returned on the result.
+
+There is one sweep loop, :func:`_sweep_loop`.  It owns the mode order, the
+error estimate, the convergence test and the callbacks; a caller supplies
+only ``contract(n)``, the TTM chain of mode ``n``.  :func:`als_sweeps`
+contracts through its workspace,
+:func:`~repro.distributed.coordinator.distributed_als_sweeps` through a
+shard fan-out and reduce, and :func:`~repro.kernels.naive
+.naive_als_sweeps` through uncached kernels.
 """
 
 from __future__ import annotations
@@ -82,6 +91,53 @@ class IterationResult:
     converged: bool = False
     n_iters: int = 0
     kernel_stats: KernelStats | None = None
+
+
+def _sweep_loop(
+    contract: Callable[[int | None], np.ndarray],
+    facs: list[np.ndarray],
+    ranks: Sequence[int],
+    norm_squared: float,
+    cfg: DTuckerConfig,
+    *,
+    install: Callable[[int, np.ndarray], None] | None = None,
+    callback: Callable[[int, float], None] | None = None,
+) -> IterationResult:
+    """The one HOOI sweep loop; callers differ only in how they contract.
+
+    ``contract(n)`` returns mode ``n``'s TTM chain ``X̃ ×_{k≠n} A(k)ᵀ``
+    (``contract(None)`` the core) for the factors in ``facs``; each sweep
+    replaces ``facs[n]`` in place by the chain's leading left singular
+    vectors and hands it to ``install(n, factor)``.  Everything else —
+    mode order, the compressed-domain error estimate, the non-finite
+    check, the ``tol`` test, ``callback`` and the debug log — lives here.
+    """
+    errors: list[float] = []
+    converged = False
+    sweep = 0
+    core = None
+    for sweep in range(1, int(cfg.max_iters) + 1):
+        for n in range(len(ranks)):
+            facs[n] = leading_left_singular_vectors(unfold(contract(n), n), ranks[n])
+            if install is not None:
+                install(n, facs[n])
+        core = contract(None)
+        err = core_based_error(norm_squared, core)
+        if not np.isfinite(err):
+            raise ConvergenceError(
+                f"non-finite error estimate at sweep {sweep}; input corrupt?"
+            )
+        errors.append(err)
+        if callback is not None:
+            callback(sweep, err)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("sweep %d: estimated error %.6e", sweep, err)
+        if len(errors) >= 2 and abs(errors[-2] - errors[-1]) < float(cfg.tol):
+            converged = True
+            break
+    return IterationResult(
+        core=core, factors=facs, errors=errors, converged=converged, n_iters=sweep
+    )
 
 
 def als_sweeps(
@@ -162,57 +218,33 @@ def als_sweeps(
             "SweepWorkspace for this compressed tensor"
         )
 
-    errors: list[float] = []
-    converged = False
-    sweep = 0
     with backend_scope(engine, config=cfg) as eng, eng.phase("iteration") as tr:
         previous_engine = ws.engine
         ws.engine = eng
         try:
             ws.bind_factors(facs)
-            for sweep in range(1, int(cfg.max_iters) + 1):
-                # Mode 1: X ×_2 A(2)ᵀ ×_{k>=3} A(k)ᵀ, then leading left SVs.
-                z1 = ws.project_trailing(ws.mode1_partial(), skip=None, tag="z1")
-                facs[0] = leading_left_singular_vectors(unfold(z1, 0), rank_tuple[0])
-                ws.update_factor(0, facs[0])
 
-                # Mode 2: X ×_1 A(1)ᵀ ×_{k>=3} A(k)ᵀ.
-                z2 = ws.project_trailing(ws.mode2_partial(), skip=None, tag="z2")
-                facs[1] = leading_left_singular_vectors(unfold(z2, 1), rank_tuple[1])
-                ws.update_factor(1, facs[1])
-
-                # Modes >= 3: chains off the (cached, built-once) W tensor.
-                for n in range(2, order):
-                    zn = ws.project_w_trailing(skip=n)
-                    facs[n] = leading_left_singular_vectors(
-                        unfold(zn, n), rank_tuple[n]
-                    )
-                    ws.update_factor(n, facs[n])
-
-                # Core and compressed-domain error estimate.  W is a cache
-                # hit here (factors 0/1 unchanged since the skip chains).
-                core = ws.project_w_trailing(skip=None)
-                err = core_based_error(ssvd.norm_squared, core)
-                if not np.isfinite(err):
-                    raise ConvergenceError(
-                        f"non-finite error estimate at sweep {sweep}; input corrupt?"
-                    )
-                errors.append(err)
+            def end_sweep(sweep: int, err: float) -> None:
                 ws.finish_sweep()
                 if callback is not None:
                     callback(sweep, err)
-                if logger.isEnabledFor(logging.DEBUG):
-                    logger.debug("sweep %d: estimated error %.6e", sweep, err)
-                if len(errors) >= 2 and abs(errors[-2] - errors[-1]) < float(cfg.tol):
-                    converged = True
-                    break
+
+            result = _sweep_loop(
+                ws.contract,
+                facs,
+                rank_tuple,
+                ssvd.norm_squared,
+                cfg,
+                install=ws.update_factor,
+                callback=end_sweep,
+            )
             # Kept fork: only device results need a (tallied) d2h download.
             if not ws.module.is_numpy:
                 # Bring the finished pieces home: results are host arrays
                 # regardless of where the sweeps ran.
                 am = ws.module
-                core = am.from_device(core)
-                ws.stats.record_transfer("d2h", core.nbytes)
+                result.core = am.from_device(result.core)
+                ws.stats.record_transfer("d2h", result.core.nbytes)
                 for n, fac in enumerate(facs):
                     if type(fac) is not np.ndarray:
                         facs[n] = am.from_device(fac)
@@ -231,11 +263,5 @@ def als_sweeps(
                 device=ws.module.name,
             )
 
-    return IterationResult(
-        core=core,
-        factors=facs,
-        errors=errors,
-        converged=converged,
-        n_iters=sweep,
-        kernel_stats=stats,
-    )
+    result.kernel_stats = stats
+    return result

@@ -18,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..validation import check_probability
-from ._ops import w_tensor
-from .initialization import _scaled_left_blocks, _scaled_right_blocks
+from .initialization import _scaled_left_blocks, _scaled_right_blocks, w_tensor
 from .slice_svd import SliceSVD
 from ..linalg.svd import leading_left_singular_vectors
 from ..tensor.unfold import unfold

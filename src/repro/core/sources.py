@@ -856,7 +856,6 @@ def compress_source(
     config: DTuckerConfig | None = None,
     engine: "ExecutionBackend | str | None" = None,
     rng: "int | np.random.Generator | None" = None,
-    schedule: str | None = None,
     stats: KernelStats | None = None,
 ) -> SliceSVD:
     """Run the approximation phase on any :class:`SliceSource`.
@@ -892,11 +891,6 @@ def compress_source(
         name, or ``None`` to resolve from ``config`` and the environment.
     rng:
         Seed or generator for test-matrix draws; overrides ``config.seed``.
-    schedule:
-        Scheduling-policy override (``"static"``/``"dynamic"``/``"auto"``);
-        ``None`` resolves from ``config.schedule`` and the environment.
-        The source's :meth:`~SliceSourceBase.item_costs` cost model feeds
-        the scheduler either way.
     stats:
         Optional :class:`~repro.kernels.stats.KernelStats` accumulating
         planner decisions (``plan:<method>``) and test-matrix draws
@@ -941,7 +935,7 @@ def compress_source(
             if plan.method == "rsvd":
                 stats.record_miss("sketch")
 
-    with backend_scope(engine, schedule=schedule, config=cfg) as eng, eng.phase(
+    with backend_scope(engine, config=cfg) as eng, eng.phase(
         source.phase_name
     ) as trace:
         parts = None

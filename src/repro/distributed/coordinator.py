@@ -3,9 +3,9 @@
 Two pieces live here, both built on the invariant that *only small factor
 products ever cross a shard boundary*:
 
-* :func:`distributed_als_sweeps` — the HOOI/ALS loop of
-  :func:`~repro.core.iteration.als_sweeps`, re-expressed as a sequence of
-  shard-local partial contractions plus a coordinator-side reduce.  Each
+* :func:`distributed_als_sweeps` — the one sweep loop of
+  :mod:`repro.core.iteration`, fed by shard-local partial contractions
+  plus a coordinator-side reduce instead of a local workspace.  Each
   shard owns the contiguous slice run of its temporal span
   ``[t_lo, t_hi)``; restricting the last-mode factor to those rows makes
   every per-mode TTM chain (and the core projection) *additive* over
@@ -29,7 +29,8 @@ products ever cross a shard boundary*:
 Determinism: partials are reduced in shard order, so results are
 reproducible run to run and shard-count to shard-count — but partial-sum
 reassociation means they match the monolithic sweeps to floating-point
-tolerance, not bit for bit.  (The *default* pipeline path — shard-local
+tolerance, not bit for bit (one shard has nothing to reassociate and is
+bit-identical).  (The *default* pipeline path — shard-local
 compression followed by monolithic sweeps on the gathered triples — stays
 bit-identical to the single-source fit; see ``docs/distributed.md``.)
 """
@@ -42,17 +43,14 @@ import numpy as np
 
 from ..core.config import DTuckerConfig
 from ..core.fit_pipeline import FitPipeline, PipelineFit
-from ..core.iteration import IterationResult
+from ..core.iteration import IterationResult, _sweep_loop
 from ..core.slice_svd import SliceSVD
 from ..core.sources import SliceSource
 from ..engine import ExecutionBackend, backend_scope
-from ..exceptions import ConvergenceError, ShapeError
+from ..exceptions import ShapeError
 from ..kernels.stats import KernelStats
 from ..kernels.workspace import SweepWorkspace
-from ..linalg.svd import leading_left_singular_vectors
-from ..tensor.norms import core_based_error
 from ..tensor.slices import slice_count
-from ..tensor.unfold import unfold
 from ..validation import check_ranks
 from .sharded import ShardedSource
 
@@ -92,15 +90,7 @@ def _shard_sweep_kernel(
     facs = [np.asarray(f) for f in factors]
     facs[-1] = facs[-1][t_lo:t_hi]
     ws.bind_factors(facs)
-    if target == 0:
-        out = ws.project_trailing(ws.mode1_partial(), tag="z1")
-    elif target == 1:
-        out = ws.project_trailing(ws.mode2_partial(), tag="z2")
-    elif target is None:
-        out = ws.project_w_trailing()
-    else:
-        out = ws.project_w_trailing(skip=int(target))
-    return np.ascontiguousarray(out)
+    return np.ascontiguousarray(ws.contract(target))
 
 
 def distributed_als_sweeps(
@@ -120,9 +110,10 @@ def distributed_als_sweeps(
     sweep runs ``order + 1`` reduce rounds (one per factor update plus the
     core); per round each shard ships one projected tensor of
     ``O(∏ J_n)`` numbers and the coordinator broadcasts the current
-    factors — never a slab.  Convergence monitoring, tolerances and the
-    error history match :func:`~repro.core.iteration.als_sweeps`; the
-    reduce reassociates partial sums, so values agree with the monolithic
+    factors — never a slab.  The sweep loop itself (mode order, error
+    estimate, tolerance test) is the one :func:`~repro.core.iteration
+    .als_sweeps` runs; only the contraction differs.  The reduce
+    reassociates partial sums, so values agree with the monolithic
     loop to floating-point tolerance (deterministically — shards always
     reduce in order).
     """
@@ -167,15 +158,11 @@ def distributed_als_sweeps(
     comm_bytes = 0
     rounds = 0
 
-    errors: list[float] = []
-    converged = False
-    sweep = 0
-    core = None
     with backend_scope(engine, config=cfg) as eng, eng.phase(
         "iteration-distributed"
     ) as tr:
 
-        def reduce_round(target: "int | None") -> np.ndarray:
+        def contract(target: "int | None") -> np.ndarray:
             """Fan one round out to the shards and reduce the partials."""
             nonlocal comm_bytes, rounds
             broadcast = {"shape": shape, "factors": facs, "target": target}
@@ -197,36 +184,11 @@ def distributed_als_sweeps(
                 total = total + out
             return total
 
-        for sweep in range(1, int(cfg.max_iters) + 1):
-            z1 = reduce_round(0)
-            facs[0] = leading_left_singular_vectors(unfold(z1, 0), ranks[0])
-            z2 = reduce_round(1)
-            facs[1] = leading_left_singular_vectors(unfold(z2, 1), ranks[1])
-            for n in range(2, order):
-                zn = reduce_round(n)
-                facs[n] = leading_left_singular_vectors(unfold(zn, n), ranks[n])
-            core = reduce_round(None)
-            err = core_based_error(ssvd.norm_squared, core)
-            if not np.isfinite(err):
-                raise ConvergenceError(
-                    f"non-finite error estimate at sweep {sweep}"
-                )
-            errors.append(err)
-            if len(errors) >= 2 and abs(errors[-2] - errors[-1]) < float(
-                cfg.tol
-            ):
-                converged = True
-                break
+        result = _sweep_loop(contract, facs, ranks, ssvd.norm_squared, cfg)
         tr.annotate_comm(comm_bytes=comm_bytes, reduce_rounds=rounds)
 
-    return IterationResult(
-        core=core,
-        factors=facs,
-        errors=errors,
-        converged=converged,
-        n_iters=sweep,
-        kernel_stats=stats,
-    )
+    result.kernel_stats = stats
+    return result
 
 
 class _ShardedPipeline(FitPipeline):

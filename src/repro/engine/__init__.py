@@ -142,9 +142,6 @@ def _env_schedule() -> str | None:
 def resolve_backend(
     spec: "ExecutionBackend | str | None" = None,
     *,
-    n_workers: int | None = None,
-    chunk_size: int | None = None,
-    schedule: str | None = None,
     config: "DTuckerConfig | None" = None,
 ) -> ExecutionBackend:
     """Resolve a backend spec into a live :class:`ExecutionBackend`.
@@ -152,18 +149,15 @@ def resolve_backend(
     Parameters
     ----------
     spec:
-        An instance (returned unchanged — worker/chunk arguments are then
-        ignored), a registry name, ``"auto"``, or ``None`` (falls back to
+        An instance (returned unchanged — ``config`` is then ignored), a
+        registry name, ``"auto"``, or ``None`` (falls back to
         ``config.backend``, then ``"auto"``).
-    n_workers, chunk_size:
-        Explicit overrides; default from ``config`` then the environment.
-    schedule:
-        Scheduling policy override (``"static"``/``"dynamic"``/``"auto"``);
-        defaults from ``config.schedule``, then ``REPRO_SCHEDULE``, then
-        ``"auto"``.
     config:
-        Optional :class:`~repro.core.config.DTuckerConfig` supplying
-        defaults for all four knobs.
+        Optional :class:`~repro.core.config.DTuckerConfig` supplying the
+        worker count, chunk size and schedule.  Unset knobs fall back to
+        the environment (``REPRO_WORKERS``, ``REPRO_SCHEDULE``), then to
+        the backend defaults.  To set a knob for one backend without a
+        config, construct the backend class directly.
 
     Raises
     ------
@@ -185,18 +179,13 @@ def resolve_backend(
             f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)} "
             f"(or 'auto', or pass an ExecutionBackend instance)"
         )
-    if n_workers is None and config is not None:
-        n_workers = config.n_workers
+    n_workers = config.n_workers if config is not None else None
     if n_workers is None:
         n_workers = _env_workers()
-    if chunk_size is None and config is not None:
-        chunk_size = config.chunk_size
-    if schedule is None and config is not None:
-        schedule = getattr(config, "schedule", None)
-        if schedule == "auto":
-            # "auto" in the config defers to the environment override.
-            schedule = _env_schedule() or "auto"
-    if schedule is None:
+    chunk_size = config.chunk_size if config is not None else None
+    schedule = config.schedule if config is not None else "auto"
+    if schedule == "auto":
+        # "auto" in the config defers to the environment override.
         schedule = _env_schedule() or "auto"
     return _REGISTRY[name](
         n_workers=n_workers, chunk_size=chunk_size, schedule=schedule
@@ -207,9 +196,6 @@ def resolve_backend(
 def backend_scope(
     spec: "ExecutionBackend | str | None" = None,
     *,
-    n_workers: int | None = None,
-    chunk_size: int | None = None,
-    schedule: str | None = None,
     config: "DTuckerConfig | None" = None,
 ) -> Iterator[ExecutionBackend]:
     """Context manager around :func:`resolve_backend` with ownership rules.
@@ -218,13 +204,7 @@ def backend_scope(
     caller-supplied instances are left running, so users can share one
     pool across many fits.
     """
-    backend = resolve_backend(
-        spec,
-        n_workers=n_workers,
-        chunk_size=chunk_size,
-        schedule=schedule,
-        config=config,
-    )
+    backend = resolve_backend(spec, config=config)
     owned = not isinstance(spec, ExecutionBackend)
     try:
         yield backend

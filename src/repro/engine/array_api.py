@@ -83,11 +83,6 @@ DEVICE_NAMES: tuple[str, ...] = (
 )
 
 
-def _flat_positions(xp_arange, idx, n_cols: int):
-    """Row-major flat positions of ``(idx[j], j)`` pairs in an ``(m, r)`` matrix."""
-    return idx * n_cols + xp_arange(n_cols)
-
-
 class ArrayModule:
     """Facade over one array namespace bound to one device.
 
@@ -139,9 +134,6 @@ class ArrayModule:
             return np.dtype(str(arr.dtype))
         except TypeError:
             return np.asarray(self.from_device(arr[..., :0])).dtype
-
-    def finfo_eps(self, arr: Any) -> float:
-        return float(self.xp.finfo(arr.dtype).eps)
 
     def nbytes(self, arr: Any) -> int:
         """Bytes held by ``arr`` (shape × itemsize of the mapped dtype)."""
@@ -1012,20 +1004,6 @@ def resolve_device(
 # -- dispatch by input -------------------------------------------------------
 
 _TYPE_CACHE: dict[type, ArrayModule | None] = {}
-
-
-def _module_for_type(tp: type) -> ArrayModule | None:
-    """The non-NumPy module owning arrays of type ``tp`` (``None`` = NumPy)."""
-    root = tp.__module__.partition(".")[0]
-    if root == "torch":
-        import torch
-
-        return None if not issubclass(tp, torch.Tensor) else _MODULES.get("torch")
-    if root == "cupy":  # pragma: no cover - requires a GPU
-        return _MODULES.get("cupy")
-    if root == "array_api_strict":
-        return get_module("array-api-strict")
-    return None
 
 
 def array_module_of(*arrays: Any) -> ArrayModule:

@@ -4,7 +4,7 @@ This package owns every compressed-domain contraction of the iteration hot
 path.  The pieces:
 
 * :mod:`~repro.kernels.contractions` — the per-slice batched-GEMM kernels
-  (fused and projection-cached variants), shared with :mod:`repro.core._ops`;
+  (fused and projection-cached variants), shared with the uncached paths;
 * :mod:`~repro.kernels.planner` — memoized greedy TTM-chain ordering used
   by :func:`repro.tensor.products.multi_mode_product` and the workspace;
 * :mod:`~repro.kernels.buffers` — named preallocated scratch buffers for
@@ -14,8 +14,8 @@ path.  The pieces:
   ``W`` build, chain-prefix reuse);
 * :mod:`~repro.kernels.stats` — hit/miss/bytes accounting surfaced through
   :class:`repro.engine.trace.PhaseTrace`;
-* :mod:`~repro.kernels.naive` — the historical uncached loop, kept as the
-  bit-identity reference;
+* :mod:`~repro.kernels.naive` — uncached contractions run through the one
+  sweep loop, kept as the bit-identity reference;
 * :mod:`~repro.kernels.compress_plan` — the input-adaptive compression
   planner of the approximation phase (cost-model method selection,
   shared-sketch batching, float32 compute path).

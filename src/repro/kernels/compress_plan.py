@@ -600,9 +600,7 @@ def execute_plan(
     omega: np.ndarray | None = None,
     pool: BufferPool | None = None,
     stats: KernelStats | None = None,
-    chunk_size: int | None = None,
     costs: "np.ndarray | None" = None,
-    schedule: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run a :class:`CompressionPlan` on one ``(L, I1, I2)`` slab.
 
@@ -644,9 +642,6 @@ def execute_plan(
         source, or :func:`plan_item_costs` combined with IO weights);
         ``None`` lets the scheduler treat slices as uniform — correct
         here, since one slab's slices share a shape.
-    schedule:
-        Scheduling-policy override forwarded to :func:`~repro.engine
-        .chunked` (``None`` uses the engine's configured policy).
 
     Returns
     -------
@@ -693,8 +688,6 @@ def execute_plan(
         l,
         slabs=(a,),
         broadcast=broadcast,
-        chunk_size=chunk_size,
         costs=costs,
-        schedule=schedule,
         out=partial(factor_outputs, l, i1, i2, int(rank), dtype),
     )

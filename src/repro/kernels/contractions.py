@@ -1,9 +1,10 @@
 """Per-slice compressed-domain contraction kernels.
 
 This module is the single home of the slice-parallel contraction kernels
-used by both the classic entry points in :mod:`repro.core._ops` and the
-cached :class:`~repro.kernels.workspace.SweepWorkspace` path.  Two families
-live here:
+used by the uncached paths (``w_tensor`` in :mod:`repro.core.initialization`,
+the mode partials of :mod:`repro.kernels.naive`) and the cached
+:class:`~repro.kernels.workspace.SweepWorkspace` path.  Two families live
+here:
 
 * **fused kernels** (``w_chunk``, ``mode1_chunk``, ``mode2_chunk``) — the
   original operations that rebuild the per-slice projections ``A(1)ᵀU_l`` /
@@ -50,6 +51,7 @@ __all__ = [
     "mode2_from_projection_chunk",
     "stack_to_tensor",
     "dispatch_slices",
+    "fused_tensor",
 ]
 
 
@@ -161,14 +163,13 @@ def dispatch_slices(
     *,
     out: np.ndarray,
     costs: np.ndarray | None = None,
-    schedule: str | None = None,
 ) -> np.ndarray:
     """Run a per-slice kernel into the caller-owned ``out``, inline or as chunks.
 
     Inline execution hands ``out`` straight to the kernel; engine execution
     writes every chunk into its rows of ``out`` (see
     :func:`~repro.engine.chunked`).  Both routes produce values identical
-    to the unbuffered call.  ``costs`` and ``schedule`` are forwarded to
+    to the unbuffered call.  ``costs`` is forwarded to
     :func:`~repro.engine.chunked` — the sweep workspace supplies per-slice
     contraction flop weights so dynamic dispatches order their queues by
     actual work.
@@ -177,5 +178,28 @@ def dispatch_slices(
         return kernel(*slabs, **broadcast, out=out)
     return chunked(
         engine, kernel, n_items, slabs=slabs, broadcast=broadcast,
-        out=out, costs=costs, schedule=schedule,
+        out=out, costs=costs,
     )
+
+
+def fused_tensor(
+    engine: ExecutionBackend | None,
+    kernel,
+    ssvd,
+    rows: tuple[int, int],
+    **broadcast: np.ndarray,
+) -> np.ndarray:
+    """Run a fused kernel over every slice triple of ``ssvd`` into a fresh tensor.
+
+    The ``(L, *rows)`` stack is allocated here, filled by
+    :func:`dispatch_slices` and reshaped by :func:`stack_to_tensor`; no
+    projection is cached.
+    """
+    out = np.empty(
+        (ssvd.num_slices, *rows), dtype=np.result_type(ssvd.u, *broadcast.values())
+    )
+    stack = dispatch_slices(
+        engine, kernel, ssvd.num_slices, (ssvd.u, ssvd.s, ssvd.vt), broadcast,
+        out=out,
+    )
+    return stack_to_tensor(stack, ssvd.shape[2:])

@@ -1,11 +1,12 @@
-"""Reference (uncached) ALS sweep loop, kept for parity testing.
+"""Reference (uncached) ALS sweeps, kept for parity testing.
 
-:func:`naive_als_sweeps` is the iteration loop exactly as the library ran
-it before the sweep-level kernel layer existed: every per-mode contraction
-recomputes its slice projections from scratch, and each sweep evaluates the
-doubly-projected ``W`` tensor *twice* — once for the ``skip = n`` factor
-updates and once more for the core projection, even though no factor
-changed in between.
+:func:`naive_als_sweeps` runs the one sweep loop of
+:mod:`repro.core.iteration` with the contraction as the library computed it
+before the sweep-level kernel layer existed: every per-mode contraction
+recomputes its slice projections from scratch, and each sweep of an
+order-``≥ 3`` tensor evaluates the doubly-projected ``W`` tensor *twice* —
+once for the ``skip = n`` factor updates and once more for the core
+projection, even though no factor changed in between.
 
 It exists so the optimized path has a ground truth: ``tests/test_kernels.py``
 asserts the :class:`~repro.kernels.workspace.SweepWorkspace`-backed
@@ -21,7 +22,32 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["naive_als_sweeps"]
+from ..engine import ExecutionBackend
+from .contractions import fused_tensor, mode1_chunk, mode2_chunk
+
+__all__ = ["naive_als_sweeps", "mode1_partial", "mode2_partial"]
+
+
+def mode1_partial(
+    ssvd, a2: np.ndarray, *, engine: ExecutionBackend | None = None
+) -> np.ndarray:
+    """``X̃ ×_2 A(2)ᵀ`` as a tensor of shape ``(I1, J2, I3, …, IN)``.
+
+    The slice projections ``V_lᵀA(2)`` are rebuilt on every call.
+    """
+    rows = (ssvd.slice_shape[0], a2.shape[1])
+    return fused_tensor(engine, mode1_chunk, ssvd, rows, a2=a2)
+
+
+def mode2_partial(
+    ssvd, a1: np.ndarray, *, engine: ExecutionBackend | None = None
+) -> np.ndarray:
+    """``X̃ ×_1 A(1)ᵀ`` as a tensor of shape ``(J1, I2, I3, …, IN)``.
+
+    The slice projections ``A(1)ᵀU_l`` are rebuilt on every call.
+    """
+    rows = (a1.shape[1], ssvd.slice_shape[1])
+    return fused_tensor(engine, mode2_chunk, ssvd, rows, a1=a1)
 
 
 def naive_als_sweeps(
@@ -33,7 +59,7 @@ def naive_als_sweeps(
     engine=None,
     callback: Callable[[int, float], None] | None = None,
 ):
-    """Run the historical uncached sweep loop; mirrors ``als_sweeps``.
+    """Run the sweep loop over uncached contractions; mirrors ``als_sweeps``.
 
     Same signature subset and return type as
     :func:`repro.core.iteration.als_sweeps`; traces are recorded under the
@@ -42,24 +68,13 @@ def naive_als_sweeps(
     """
     # Function-level imports: this module is loaded by ``repro.kernels``,
     # which the core iteration module imports in turn.
-    from ..core._ops import mode1_partial, mode2_partial, w_tensor
     from ..core.config import DTuckerConfig
-    from ..core.iteration import IterationResult
+    from ..core.initialization import w_tensor
+    from ..core.iteration import _sweep_loop
     from ..engine import backend_scope
     from ..exceptions import ConvergenceError
-    from ..linalg.svd import leading_left_singular_vectors
-    from ..tensor.norms import core_based_error
     from ..tensor.products import multi_mode_product
-    from ..tensor.unfold import unfold
     from ..validation import check_ranks
-
-    def project_trailing(tensor, facs, *, skip):
-        modes = [m for m in range(2, tensor.ndim) if m != skip]
-        if not modes:
-            return tensor
-        return multi_mode_product(
-            tensor, [facs[m] for m in modes], modes=modes, transpose=True
-        )
 
     cfg = config or DTuckerConfig()
     rank_tuple = check_ranks(ranks, ssvd.shape)
@@ -68,46 +83,29 @@ def naive_als_sweeps(
     if len(facs) != order:
         raise ConvergenceError(f"expected {order} initial factors, got {len(facs)}")
 
-    errors: list[float] = []
-    converged = False
-    sweep = 0
     with backend_scope(engine, config=cfg) as eng, eng.phase("iteration-naive"):
-        for sweep in range(1, int(cfg.max_iters) + 1):
-            z1 = project_trailing(
-                mode1_partial(ssvd, facs[1], engine=eng), facs, skip=None
+        w = None
+
+        def contract(target: int | None) -> np.ndarray:
+            nonlocal w
+            if target == 0:
+                tensor, skip = mode1_partial(ssvd, facs[1], engine=eng), None
+            elif target == 1:
+                tensor, skip = mode2_partial(ssvd, facs[0], engine=eng), None
+            else:
+                # The historical redundancy under test: W is built for the
+                # first trailing mode and rebuilt for the core, although
+                # factors 0/1 have not changed in between.
+                if target is None or target == 2:
+                    w = w_tensor(ssvd, facs[0], facs[1], engine=eng)
+                tensor, skip = w, target
+            modes = [m for m in range(2, order) if m != skip]
+            if not modes:
+                return tensor
+            return multi_mode_product(
+                tensor, [facs[m] for m in modes], modes=modes, transpose=True
             )
-            facs[0] = leading_left_singular_vectors(unfold(z1, 0), rank_tuple[0])
 
-            z2 = project_trailing(
-                mode2_partial(ssvd, facs[0], engine=eng), facs, skip=None
-            )
-            facs[1] = leading_left_singular_vectors(unfold(z2, 1), rank_tuple[1])
-
-            w = w_tensor(ssvd, facs[0], facs[1], engine=eng)
-            for n in range(2, order):
-                zn = project_trailing(w, facs, skip=n)
-                facs[n] = leading_left_singular_vectors(unfold(zn, n), rank_tuple[n])
-
-            # The historical redundancy under test: W is rebuilt although
-            # factors 0/1 have not changed since the build above.
-            w = w_tensor(ssvd, facs[0], facs[1], engine=eng)
-            core = project_trailing(w, facs, skip=None)
-            err = core_based_error(ssvd.norm_squared, core)
-            if not np.isfinite(err):
-                raise ConvergenceError(
-                    f"non-finite error estimate at sweep {sweep}; input corrupt?"
-                )
-            errors.append(err)
-            if callback is not None:
-                callback(sweep, err)
-            if len(errors) >= 2 and abs(errors[-2] - errors[-1]) < float(cfg.tol):
-                converged = True
-                break
-
-    return IterationResult(
-        core=core,
-        factors=facs,
-        errors=errors,
-        converged=converged,
-        n_iters=sweep,
-    )
+        return _sweep_loop(
+            contract, facs, rank_tuple, ssvd.norm_squared, cfg, callback=callback
+        )

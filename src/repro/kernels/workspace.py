@@ -383,6 +383,19 @@ class SweepWorkspace:
             )
         return out
 
+    def contract(self, target: int | None) -> np.ndarray:
+        """Mode ``target``'s TTM chain ``X̃ ×_{k≠target} A(k)ᵀ``; ``None`` gives the core.
+
+        Modes 0 and 1 contract the other slice mode through the cached
+        projections, then the trailing modes; modes ``≥ 2`` and the core
+        are chains off the cached ``W``.
+        """
+        if target == 0:
+            return self.project_trailing(self.mode1_partial(), tag="z1")
+        if target == 1:
+            return self.project_trailing(self.mode2_partial(), tag="z2")
+        return self.project_w_trailing(skip=target)
+
     # -- bookkeeping -------------------------------------------------------
     def finish_sweep(self) -> None:
         """Mark one completed sweep (normalises per-sweep stats)."""

@@ -40,7 +40,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..core.slice_svd import SliceSVD
-from ..exceptions import StoreFormatError
 from ..linalg.svd import sign_fix
 
 __all__ = [
@@ -337,15 +336,3 @@ class RangeIndex:
             memoize=True,
         )
         return index.materialize()
-
-    def check_compatible(self, ssvd: SliceSVD, per_step: int) -> None:
-        """Raise :class:`StoreFormatError` unless geometry matches ``ssvd``."""
-        if (
-            self._extent != int(ssvd.shape[-1])
-            or self._per_step != int(per_step)
-        ):
-            raise StoreFormatError(
-                f"range index geometry (extent={self._extent}, "
-                f"per_step={self._per_step}) does not match the store "
-                f"(extent={int(ssvd.shape[-1])}, per_step={int(per_step)})"
-            )

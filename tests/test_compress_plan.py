@@ -217,7 +217,7 @@ class TestDefaultPathRegression:
     def test_default_config_is_noop(self, backend) -> None:
         """An explicit default config routes through the same code path."""
         x = random_tensor((30, 28, 5), (4, 4, 2), rng=2, noise=0.05)
-        with backend_scope(backend, n_workers=2) as eng:
+        with backend_scope(backend, config=DTuckerConfig(n_workers=2)) as eng:
             a = compress(x, 4, rng=0, engine=eng)
             b = compress(x, 4, rng=0, engine=eng, config=DTuckerConfig())
         np.testing.assert_array_equal(a.u, b.u)
@@ -384,7 +384,7 @@ class TestBlocks:
         assert compress_plan.block_slices(30, 28, plan.compute_dtype) >= 7
         with backend_scope("serial") as eng:
             ref = execute_plan(eng, stack, 3, plan, omega=omega)
-        with backend_scope(backend, n_workers=2) as eng:
+        with backend_scope(backend, config=DTuckerConfig(n_workers=2)) as eng:
             for slices in self.CASES.values():
                 monkeypatch.setattr(
                     compress_plan, "_BLOCK_BYTES", int(slices * slice_bytes)
@@ -415,7 +415,7 @@ class TestBlocks:
         stack = self._strided_stack()
         plan = plan_compression(30, 28, 3, strategy="rsvd")
         pool = BufferPool()
-        with backend_scope("thread", n_workers=2) as eng:
+        with backend_scope("thread", config=DTuckerConfig(n_workers=2)) as eng:
             execute_plan(eng, stack, 3, plan, rng=0, pool=pool)
         assert len(pool) == 0
         with backend_scope("serial") as eng:

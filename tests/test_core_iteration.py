@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core.config import DTuckerConfig
 from repro.core.initialization import initialize, random_initialize
@@ -113,3 +118,34 @@ class TestAlsSweeps:
         als_sweeps(ss, (3, 2, 2), factors)
         for f, snap in zip(factors, snapshots):
             np.testing.assert_array_equal(f, snap)
+
+
+class TestOneSweepLoop:
+    def test_error_estimate_is_computed_by_one_loop(self) -> None:
+        # The sweep loop owns the convergence estimate.  Every other ALS
+        # sweep in the library supplies only its contraction, so a new
+        # ``core_based_error`` call site means a second loop has appeared.
+        # Streaming's trailing sweeps and the dense HOOI baseline are
+        # different loops by design.
+        root = Path(repro.__file__).resolve().parent
+        found = []
+
+        def walk(node, func, rel):
+            for child in ast.iter_child_nodes(node):
+                inner = func
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    inner = child.name
+                elif isinstance(child, ast.Call):
+                    callee = child.func
+                    name = getattr(callee, "id", getattr(callee, "attr", None))
+                    if name == "core_based_error":
+                        found.append((rel, func))
+                walk(child, inner, rel)
+
+        for path in sorted(root.rglob("*.py")):
+            walk(ast.parse(path.read_text()), None, path.relative_to(root).as_posix())
+        assert sorted(found) == [
+            ("baselines/tucker_als.py", "tucker_als"),
+            ("core/iteration.py", "_sweep_loop"),
+            ("core/streaming.py", "_trailing_sweeps"),
+        ]

@@ -1,8 +1,10 @@
-"""Direct tests of the compressed-domain TTM kernels in repro.core._ops.
+"""Direct tests of the compressed-domain TTM kernels.
 
-Each kernel must agree with the corresponding dense TTM chain when the
-compression is exact (full slice rank) — these are the identities the whole
-iteration phase stands on.
+``w_tensor`` (initialization), the uncached mode partials of the reference
+sweep (``repro.kernels.naive``) and the per-slice projection kernels
+(``repro.kernels.contractions``) must each agree with the corresponding
+dense TTM chain when the compression is exact (full slice rank) — these
+are the identities the whole iteration phase stands on.
 """
 
 from __future__ import annotations
@@ -10,15 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core._ops import (
-    mode1_partial,
-    mode2_partial,
-    project_left,
-    project_right,
-    w_tensor,
-)
 from repro.core.config import DTuckerConfig
+from repro.core.initialization import w_tensor
 from repro.core.slice_svd import compress
+from repro.kernels.contractions import project_left_chunk, project_right_chunk
+from repro.kernels.naive import mode1_partial, mode2_partial
 from repro.tensor.products import mode_product
 from repro.tensor.random import random_orthonormal
 
@@ -35,14 +33,14 @@ def setup(rng):
 class TestProjections:
     def test_project_left_shape_and_value(self, setup) -> None:
         x, ssvd, a1, _ = setup
-        au = project_left(ssvd, a1)
+        au = project_left_chunk(ssvd.u, a1=a1)
         assert au.shape == (12, 3, 7)
         for l in range(12):
             np.testing.assert_allclose(au[l], a1.T @ ssvd.u[l], atol=1e-12)
 
     def test_project_right_shape_and_value(self, setup) -> None:
         x, ssvd, _, a2 = setup
-        av = project_right(ssvd, a2)
+        av = project_right_chunk(ssvd.vt, a2=a2)
         assert av.shape == (12, 7, 2)
         for l in range(12):
             np.testing.assert_allclose(av[l], ssvd.vt[l] @ a2, atol=1e-12)

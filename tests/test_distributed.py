@@ -22,6 +22,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import (
     BlockSource,
@@ -318,6 +320,66 @@ class TestCommCounters:
         assert trace.phase == "approximation-sharded"
         assert trace.comm_bytes > 0
         assert trace.reduce_rounds == 1
+
+
+def _sweep_problem(shape, ranks, backend="serial"):
+    cfg = DTuckerConfig(seed=11, backend=backend, n_workers=2, tol=1e-10)
+    x = random_tensor(shape, ranks, rng=5, noise=0.5)
+    ssvd = compress_source(DenseSource(x), 3, config=cfg)
+    _, factors = initialize(ssvd, ranks)
+    return ssvd, factors, cfg
+
+
+#: One compressed problem per order for the partition property (order 3:
+#: one slice per timestep; order 4: three).
+_PARTITION_CASES = {
+    3: ((12, 10, 9), (3, 3, 2)),
+    4: ((10, 9, 3, 8), (3, 3, 2, 2)),
+}
+_PARTITION_PROBLEMS: dict = {}
+
+
+class TestOneSweepLoop:
+    """The distributed sweep is the one sweep loop over a sharded contraction."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("shape,ranks", [(SHAPE, RANKS), ((16, 12, 9), (3, 3, 2))])
+    def test_one_shard_bitwise_equals_monolithic(self, backend, shape, ranks) -> None:
+        # One shard reassociates nothing, so it is the monolithic sweep.
+        ssvd, factors, cfg = _sweep_problem(shape, ranks, backend)
+        ref = als_sweeps(ssvd, ranks, factors, config=cfg)
+        out = distributed_als_sweeps(
+            ssvd, ranks, factors, shard_bounds=[(0, ssvd.num_slices)], config=cfg
+        )
+        np.testing.assert_array_equal(out.core, ref.core)
+        for a, b in zip(out.factors, ref.factors):
+            np.testing.assert_array_equal(a, b)
+        assert out.errors == ref.errors
+        assert (out.n_iters, out.converged) == (ref.n_iters, ref.converged)
+
+    @given(order=st.sampled_from([3, 4]), data=st.data())
+    def test_any_temporal_partition_matches_monolithic(self, order, data) -> None:
+        shape, ranks = _PARTITION_CASES[order]
+        if order not in _PARTITION_PROBLEMS:
+            ssvd, factors, cfg = _sweep_problem(shape, ranks)
+            ref = als_sweeps(ssvd, ranks, factors, config=cfg)
+            _PARTITION_PROBLEMS[order] = (ssvd, factors, cfg, ref)
+        ssvd, factors, cfg, ref = _PARTITION_PROBLEMS[order]
+        extent = shape[-1]
+        per_step = ssvd.num_slices // extent
+        cuts = data.draw(
+            st.lists(st.integers(1, extent - 1), unique=True, max_size=extent - 1)
+        )
+        edges = [0, *sorted(cuts), extent]
+        bounds = [(lo * per_step, hi * per_step) for lo, hi in zip(edges, edges[1:])]
+        out = distributed_als_sweeps(
+            ssvd, ranks, factors, shard_bounds=bounds, config=cfg
+        )
+        assert out.n_iters == ref.n_iters
+        np.testing.assert_allclose(out.core, ref.core, rtol=1e-9, atol=1e-12)
+        for a, b in zip(out.factors, ref.factors):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(out.errors, ref.errors, rtol=1e-9)
 
 
 class TestDistributedSweeps:

@@ -149,7 +149,7 @@ class TestChunkedDispatch:
     @pytest.mark.parametrize("name", ["serial", "thread", "process"])
     def test_matches_inline(self, name: str, rng: np.random.Generator) -> None:
         slab = rng.standard_normal((13, 4, 3))
-        with backend_scope(name, n_workers=2, chunk_size=4) as eng:
+        with backend_scope(name, config=DTuckerConfig(n_workers=2, chunk_size=4)) as eng:
             out = chunked(
                 eng,
                 _double_chunk,
@@ -166,7 +166,7 @@ class TestChunkedDispatch:
     ) -> None:
         slab = rng.standard_normal((9, 5))
         out = (np.full((9, 5), np.nan), np.full(9, np.nan))
-        with backend_scope(name, n_workers=3, chunk_size=2) as eng:
+        with backend_scope(name, config=DTuckerConfig(n_workers=3, chunk_size=2)) as eng:
             got = chunked(eng, _pair_chunk, slab.shape[0], slabs=(slab,), out=out)
         assert got is out
         np.testing.assert_array_equal(out[0], slab + 1.0)
@@ -185,7 +185,7 @@ class TestChunkedDispatch:
             calls.append(1)
             return np.empty_like(slab)
 
-        with backend_scope(name, n_workers=2) as eng:
+        with backend_scope(name, config=DTuckerConfig(n_workers=2)) as eng:
             got = chunked(
                 eng, _double_chunk, 6, slabs=(slab,),
                 broadcast={"scale": 2.0}, out=alloc,
@@ -195,7 +195,7 @@ class TestChunkedDispatch:
 
     def test_fewer_items_than_workers(self, rng: np.random.Generator) -> None:
         slab = rng.standard_normal((2, 3, 3))
-        with backend_scope("thread", n_workers=8) as eng:
+        with backend_scope("thread", config=DTuckerConfig(n_workers=8)) as eng:
             out = chunked(
                 eng,
                 _double_chunk,
@@ -208,7 +208,7 @@ class TestChunkedDispatch:
 
     def test_indivisible_chunking(self, rng: np.random.Generator) -> None:
         slab = rng.standard_normal((7, 2))
-        with backend_scope("process", n_workers=2, chunk_size=3) as eng:
+        with backend_scope("process", config=DTuckerConfig(n_workers=2, chunk_size=3)) as eng:
             out = chunked(
                 eng,
                 _double_chunk,
@@ -221,7 +221,7 @@ class TestChunkedDispatch:
 
     @pytest.mark.parametrize("name", ["serial", "thread", "process"])
     def test_map_preserves_order(self, name: str) -> None:
-        with backend_scope(name, n_workers=2) as eng:
+        with backend_scope(name, config=DTuckerConfig(n_workers=2)) as eng:
             assert eng.map(abs, [-3, 1, -2, 0]) == [3, 1, 2, 0]
 
 
@@ -265,7 +265,7 @@ class TestBackendParity:
         x = random_tensor((14, 12, 9), (4, 3, 3), rng=7, noise=0.05)
         ref = compress(x, 4, rng=0)
         for name in ("thread", "process"):
-            with backend_scope(name, n_workers=2, chunk_size=3) as eng:
+            with backend_scope(name, config=DTuckerConfig(n_workers=2, chunk_size=3)) as eng:
                 got = compress(x, 4, engine=eng, rng=0)
             np.testing.assert_array_equal(got.u, ref.u)
             np.testing.assert_array_equal(got.s, ref.s)
@@ -299,7 +299,7 @@ class TestPhaseTraces:
 
     def test_trace_records_tasks_and_chunks(self) -> None:
         x = random_tensor((10, 9, 16), (3, 3, 3), rng=2, noise=0.0)
-        with backend_scope("thread", n_workers=2, chunk_size=4) as eng:
+        with backend_scope("thread", config=DTuckerConfig(n_workers=2, chunk_size=4)) as eng:
             compress(x, 3, engine=eng, rng=0)
             (trace,) = eng.traces
         assert trace.backend == "thread"

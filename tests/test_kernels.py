@@ -72,7 +72,7 @@ class TestWorkspaceParity:
         ssvd, factors = _problem(shape, ranks)
         cfg = DTuckerConfig(max_iters=4, tol=1e-300)
         ref = naive_als_sweeps(ssvd, ranks, factors, config=cfg)
-        with backend_scope(backend, n_workers=2, chunk_size=3) as eng:
+        with backend_scope(backend, config=DTuckerConfig(n_workers=2, chunk_size=3)) as eng:
             got = als_sweeps(ssvd, ranks, factors, config=cfg, engine=eng)
         np.testing.assert_array_equal(got.core, ref.core)
         for a, b in zip(got.factors, ref.factors):
@@ -331,7 +331,7 @@ class TestMemoryContract:
         a1 = rng.standard_normal((50, 6))
         ref = project_left_chunk(u, a1=a1)
         out = np.empty_like(ref)
-        with backend_scope(backend, n_workers=2) as eng:
+        with backend_scope(backend, config=DTuckerConfig(n_workers=2)) as eng:
             got, peak = _traced_peak(
                 lambda: dispatch_slices(
                     eng, project_left_chunk, 240, (u,), {"a1": a1}, out=out

@@ -278,13 +278,17 @@ class TestFitFromFile:
         with pytest.raises(ShapeError, match="slice_modes"):
             DTucker(ranks=2, slice_modes="largest").fit_from_file(path)
 
-    def test_exact_svd_restriction(self, npy_tensor) -> None:
+    def test_exact_svd_matches_in_memory_fit(self, npy_tensor) -> None:
         from repro.core.dtucker import DTucker
-        from repro.exceptions import ShapeError
 
-        path, _ = npy_tensor
-        with pytest.raises(ShapeError, match="exact"):
-            DTucker(ranks=2, config=DTuckerConfig(exact_slice_svd=True)).fit_from_file(path)
+        path, x = npy_tensor
+        cfg = DTuckerConfig(exact_slice_svd=True, seed=0)
+        got = DTucker(ranks=(3, 3, 2, 2), config=cfg).fit_from_file(path)
+        ref = DTucker(ranks=(3, 3, 2, 2), config=cfg).fit(x)
+        for name in ("u", "s", "vt"):
+            np.testing.assert_array_equal(
+                getattr(got.slice_svd_, name), getattr(ref.slice_svd_, name)
+            )
 
     def test_rank_validation(self, npy_tensor) -> None:
         from repro.core.dtucker import DTucker

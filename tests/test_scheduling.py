@@ -91,7 +91,7 @@ class TestResolveSchedule:
 
     def test_env_override(self, monkeypatch: pytest.MonkeyPatch) -> None:
         monkeypatch.setenv("REPRO_SCHEDULE", "static")
-        with resolve_backend("thread", n_workers=2) as eng:
+        with resolve_backend("thread", config=DTuckerConfig(n_workers=2)) as eng:
             assert eng.schedule == "static"
 
     def test_env_invalid(self, monkeypatch: pytest.MonkeyPatch) -> None:
@@ -100,8 +100,8 @@ class TestResolveSchedule:
             resolve_backend("serial")
 
     def test_config_schedule_flows_to_backend(self) -> None:
-        cfg = DTuckerConfig(schedule="dynamic")
-        with resolve_backend("thread", n_workers=2, config=cfg) as eng:
+        cfg = DTuckerConfig(schedule="dynamic", n_workers=2)
+        with resolve_backend("thread", config=cfg) as eng:
             assert eng.schedule == "dynamic"
 
 
