@@ -192,11 +192,13 @@ def run_solver_section(*, n_workers: int = N_WORKERS) -> dict:
     }
     results = {}
     for schedule in ("static", "dynamic"):
-        with ThreadBackend(n_workers=n_workers, schedule=schedule) as engine:
+        with ThreadBackend(
+            n_workers=n_workers, schedule=schedule
+        ) as engine, engine.collect() as phases:
             t0 = time.perf_counter()
             ssvd = compress_sparse(tensor, SOLVER_RANK, engine=engine, rng=SEED)
             seconds = time.perf_counter() - t0
-            traces = [t for t in engine.traces if t.n_tasks > 1]
+            traces = [t for t in phases if t.n_tasks > 1]
             report[schedule] = {
                 "seconds": seconds,
                 "imbalance_ratio": max(

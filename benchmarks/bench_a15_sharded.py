@@ -54,7 +54,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core import DenseSource, DTuckerConfig, NpySource, compress_source  # noqa: E402
 from repro.core.initialization import initialize  # noqa: E402
 from repro.distributed import ShardedSource, distributed_als_sweeps  # noqa: E402
-from repro.engine import ProcessBackend, backend_scope  # noqa: E402
+from repro.engine import ProcessBackend  # noqa: E402
 from repro.kernels import KernelStats, factor_nbytes  # noqa: E402
 from repro.tensor.random import random_tensor  # noqa: E402
 
@@ -189,28 +189,22 @@ def run_sweeps_section() -> dict:
     source = ShardedSource.partition(DenseSource(tensor), len(SHARD_EXTENTS))
     ssvd = compress_source(source, RANK, config=cfg)
     _, factors = initialize(ssvd, RANKS)
-    with backend_scope("serial", config=cfg) as engine:
-        t0 = time.perf_counter()
-        outcome = distributed_als_sweeps(
-            ssvd,
-            RANKS,
-            factors,
-            shard_bounds=source.shard_bounds,
-            config=cfg,
-            engine=engine,
-        )
-        seconds = time.perf_counter() - t0
-        trace = engine.traces[-1]
+    t0 = time.perf_counter()
+    outcome = distributed_als_sweeps(
+        ssvd, RANKS, factors, shard_bounds=source.shard_bounds, config=cfg
+    )
+    seconds = time.perf_counter() - t0
+    comm = outcome.kernel_stats
     order = len(ssvd.shape)
     return {
         "n_shards": len(SHARD_EXTENTS),
         "sweeps": outcome.n_iters,
         "converged": outcome.converged,
         "seconds": seconds,
-        "reduce_rounds": trace.reduce_rounds,
+        "reduce_rounds": comm.misses_for("comm:reduce"),
         "rounds_per_sweep": order + 1,
-        "comm_bytes": int(trace.comm_bytes),
-        "comm_bytes_per_sweep": int(trace.comm_bytes / max(1, outcome.n_iters)),
+        "comm_bytes": int(comm.bytes_comm),
+        "comm_bytes_per_sweep": int(comm.bytes_comm / max(1, outcome.n_iters)),
     }
 
 

@@ -293,16 +293,16 @@ def cmd_compress(args: argparse.Namespace) -> int:
     stats = KernelStats()
     eng = resolve_backend(config=cfg)
     try:
-        ssvd = compress_source(
-            NpySource(args.tensor),
-            args.rank,
-            batch_slices=args.batch_slices,
-            config=cfg,
-            engine=eng,
-            rng=args.seed,
-            stats=stats,
-        )
-        traces = list(eng.traces)
+        with eng.collect() as traces:
+            ssvd = compress_source(
+                NpySource(args.tensor),
+                args.rank,
+                batch_slices=args.batch_slices,
+                config=cfg,
+                engine=eng,
+                rng=args.seed,
+                stats=stats,
+            )
     finally:
         eng.close()
     path = write_slice_svd_archive(ssvd, args.output)

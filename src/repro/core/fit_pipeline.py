@@ -238,10 +238,9 @@ class FitPipeline:
         )
         gen = default_rng(rng if rng is not None else self.config.seed)
         timings = PhaseTimings()
-        approx_stats = KernelStats()
 
-        with backend_scope(self.engine, config=self.config) as eng:
-            trace_start = len(eng.traces)
+        scope = backend_scope(self.engine, config=self.config)
+        with scope as eng, eng.collect() as traces:
             with Timer() as t_approx:
                 ssvd = compress_source(
                     source,
@@ -250,7 +249,6 @@ class FitPipeline:
                     config=self.config,
                     engine=eng,
                     rng=gen,
-                    stats=approx_stats,
                 )
             timings.add("approximation", t_approx.seconds)
             if self.config.verbose:
@@ -278,13 +276,11 @@ class FitPipeline:
                 )
                 if outcome.kernel_stats is not None:
                     logger.info("iteration: %s", outcome.kernel_stats.summary())
-            traces = list(eng.traces[trace_start:])
 
-        stats = outcome.kernel_stats
-        if stats is None:
-            stats = approx_stats
-        else:
-            stats.merge(approx_stats)
+        # Each event was recorded once, in the phase that saw it.
+        stats = KernelStats()
+        for trace in traces:
+            stats.merge(trace.counters)
         result = TuckerResult(
             core=outcome.core,
             factors=outcome.factors,
@@ -331,8 +327,8 @@ class FitPipeline:
         index (exact) or a cached warm start here.
         """
         cfg = config if config is not None else self.config
-        with Timer() as t, backend_scope(self.engine, config=cfg) as eng:
-            trace_start = len(eng.traces)
+        scope = backend_scope(self.engine, config=cfg)
+        with Timer() as t, scope as eng, eng.collect() as traces:
             if initial_factors is None:
                 _, factors = initialize(ssvd, tuple(int(r) for r in rank_tuple))
             else:
@@ -340,7 +336,6 @@ class FitPipeline:
             outcome = self.iterate(
                 ssvd, rank_tuple, factors, config=cfg, engine=eng
             )
-            traces = list(eng.traces[trace_start:])
         result = TuckerResult(
             core=outcome.core,
             factors=outcome.factors,

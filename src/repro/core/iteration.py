@@ -27,8 +27,9 @@ built exactly once per sweep, TTM chains reuse planned orders and shared
 prefixes, and the big intermediates land in preallocated buffers.  Results
 are bit-identical to the uncached loop (kept as
 :func:`repro.kernels.naive.naive_als_sweeps`); only the redundant work is
-gone.  Cache statistics are folded into the phase's
-:class:`~repro.engine.trace.PhaseTrace` and returned on the result.
+gone.  The workspace records its cache statistics straight into the
+phase's :attr:`~repro.engine.trace.PhaseTrace.counters`, which the result
+returns as ``kernel_stats``.
 
 There is one sweep loop, :func:`_sweep_loop`.  It owns the mode order, the
 error estimate, the convergence test and the callbacks; a caller supplies
@@ -50,7 +51,7 @@ import numpy as np
 from ..engine import ExecutionBackend, backend_scope
 from ..engine.array_api import resolve_device
 from ..exceptions import ConvergenceError
-from ..kernels.stats import KernelStats
+from ..kernels.stats import KernelStats, record_into
 from ..kernels.workspace import SweepWorkspace
 from ..linalg.svd import leading_left_singular_vectors
 from ..tensor.norms import core_based_error
@@ -197,71 +198,58 @@ def als_sweeps(
             f"expected {order} initial factors, got {len(facs)}"
         )
 
-    if workspace is not None:
-        ws = workspace
-        stats_before = ws.stats.copy()
-    else:
-        module = resolve_device(None, config=cfg)
-        ws = SweepWorkspace(
-            ssvd,
-            module=module,
-            compute_dtype=(
-                np.float32 if cfg.precision == "float32" else np.float64
-            ),
-        )
-        # Empty snapshot: the construction-time device uploads (if any)
-        # belong to this call's phase delta.
-        stats_before = KernelStats()
-    if ws.ssvd is not ssvd:
+    if workspace is not None and workspace.ssvd is not ssvd:
         raise ConvergenceError(
             "workspace is bound to a different SliceSVD; build a fresh "
             "SweepWorkspace for this compressed tensor"
         )
 
     with backend_scope(engine, config=cfg) as eng, eng.phase("iteration") as tr:
-        previous_engine = ws.engine
-        ws.engine = eng
-        try:
-            ws.bind_factors(facs)
-
-            def end_sweep(sweep: int, err: float) -> None:
-                ws.finish_sweep()
-                if callback is not None:
-                    callback(sweep, err)
-
-            result = _sweep_loop(
-                ws.contract,
-                facs,
-                rank_tuple,
-                ssvd.norm_squared,
-                cfg,
-                install=ws.update_factor,
-                callback=end_sweep,
+        if workspace is None:
+            workspace = SweepWorkspace(
+                ssvd,
+                module=resolve_device(None, config=cfg),
+                compute_dtype=(
+                    np.float32 if cfg.precision == "float32" else np.float64
+                ),
             )
-            # Kept fork: only device results need a (tallied) d2h download.
-            if not ws.module.is_numpy:
-                # Bring the finished pieces home: results are host arrays
-                # regardless of where the sweeps ran.
-                am = ws.module
-                result.core = am.from_device(result.core)
-                ws.stats.record_transfer("d2h", result.core.nbytes)
-                for n, fac in enumerate(facs):
-                    if type(fac) is not np.ndarray:
-                        facs[n] = am.from_device(fac)
-                        ws.stats.record_transfer("d2h", facs[n].nbytes)
+            # A private workspace records into the phase from construction
+            # on: its device uploads count as this call's.
+            tr.counters = workspace.stats
+        ws = workspace
+        tr.device = ws.module.name
+        previous_engine, ws.engine = ws.engine, eng
+        try:
+            with record_into(ws, tr.counters):
+                ws.bind_factors(facs)
+
+                def end_sweep(sweep: int, err: float) -> None:
+                    ws.finish_sweep()
+                    if callback is not None:
+                        callback(sweep, err)
+
+                result = _sweep_loop(
+                    ws.contract,
+                    facs,
+                    rank_tuple,
+                    ssvd.norm_squared,
+                    cfg,
+                    install=ws.update_factor,
+                    callback=end_sweep,
+                )
+                # Kept fork: only device results need a (tallied) d2h download.
+                if not ws.module.is_numpy:
+                    # Bring the finished pieces home: results are host arrays
+                    # regardless of where the sweeps ran.
+                    am = ws.module
+                    result.core = am.from_device(result.core)
+                    ws.stats.record_transfer("d2h", result.core.nbytes)
+                    for n, fac in enumerate(facs):
+                        if type(fac) is not np.ndarray:
+                            facs[n] = am.from_device(fac)
+                            ws.stats.record_transfer("d2h", facs[n].nbytes)
         finally:
             ws.engine = previous_engine
-            stats = ws.stats.delta(stats_before)
-            tr.annotate_cache(
-                hits=stats.hits,
-                misses=stats.misses,
-                bytes_reused=stats.bytes_reused,
-            )
-            tr.annotate_xfer(
-                h2d_bytes=stats.bytes_h2d,
-                d2h_bytes=stats.bytes_d2h,
-                device=ws.module.name,
-            )
 
-    result.kernel_stats = stats
+    result.kernel_stats = tr.counters
     return result

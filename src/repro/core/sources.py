@@ -249,7 +249,6 @@ class SliceSourceBase:
         config: DTuckerConfig,
         *,
         stats: KernelStats | None = None,
-        trace: Any | None = None,
     ) -> list[tuple] | None:
         """Process-backend fan-out; ``None`` falls back to inline batches.
 
@@ -259,9 +258,9 @@ class SliceSourceBase:
         Non-resident sources override this to ship *batch descriptors*
         instead, so no tensor data crosses process boundaries.
 
-        ``stats`` and ``trace`` are the pipeline's accounting objects;
-        sources whose fan-out ships data across process/shard boundaries
-        (the distributed layer) record ``comm:*`` counters on them.
+        ``stats`` is the compression phase's counters; sources whose
+        fan-out ships data across process/shard boundaries (the
+        distributed layer) record their ``comm:*`` events there.
         """
         return None
 
@@ -534,7 +533,7 @@ class NpySource(SliceSourceBase):
         return NpyDescriptor(self._path)
 
     def process_parts(
-        self, engine, rank, plan, bounds, omegas, config, *, stats=None, trace=None
+        self, engine, rank, plan, bounds, omegas, config, *, stats=None
     ):
         # Batch descriptors fan out across worker processes; pooled buffers
         # must not be used here (shared-memory uploads are cached by array
@@ -709,7 +708,7 @@ class SparseSource(SliceSourceBase):
         return _stack_slice_parts(engine.map(fn, payload, costs=costs))
 
     def process_parts(
-        self, engine, rank, plan, bounds, omegas, config, *, stats=None, trace=None
+        self, engine, rank, plan, bounds, omegas, config, *, stats=None
     ):
         if not self._sparse_kernel:
             # Densified planner path: ship whole dense batches as tasks.
@@ -892,10 +891,11 @@ def compress_source(
     rng:
         Seed or generator for test-matrix draws; overrides ``config.seed``.
     stats:
-        Optional :class:`~repro.kernels.stats.KernelStats` accumulating
-        planner decisions (``plan:<method>``) and test-matrix draws
-        (``sketch`` — at most one per batch, exactly one per source when
-        ``shared_sketch``).
+        Optional :class:`~repro.kernels.stats.KernelStats` that the phase's
+        counters merge into when it closes: planner decisions
+        (``plan:<method>``), test-matrix draws (``sketch`` — at most one
+        per batch, exactly one per source when ``shared_sketch``), buffer
+        reuse, device transfers and shard ``comm:*`` traffic.
 
     Returns
     -------
@@ -927,21 +927,20 @@ def compress_source(
         plan, bounds, i2, rng if rng is not None else cfg.seed,
         shared=source.shared_sketch,
     )
-    if stats is not None:
-        # One decision (and at most one draw) per batch; shared-sketch
-        # sources decide and draw exactly once however many batches run.
-        for _ in range(1 if source.shared_sketch else len(bounds)):
-            stats.record_miss(f"plan:{plan.method}")
-            if plan.method == "rsvd":
-                stats.record_miss("sketch")
-
     with backend_scope(engine, config=cfg) as eng, eng.phase(
         source.phase_name
     ) as trace:
+        counters = trace.counters
+        # One decision (and at most one draw) per batch; shared-sketch
+        # sources decide and draw exactly once however many batches run.
+        for _ in range(1 if source.shared_sketch else len(bounds)):
+            counters.record_miss(f"plan:{plan.method}")
+            if plan.method == "rsvd":
+                counters.record_miss("sketch")
         parts = None
         if eng.name == "process":
             parts = source.process_parts(
-                eng, k, plan, bounds, omegas, cfg, stats=stats, trace=trace
+                eng, k, plan, bounds, omegas, cfg, stats=counters
             )
         if parts is None:
             pool = BufferPool()
@@ -982,8 +981,7 @@ def compress_source(
                         produce_seconds=pf.produce_seconds,
                         wait_seconds=pf.wait_seconds,
                     )
-            if pool.bytes_reused:
-                trace.annotate_cache(bytes_reused=pool.bytes_reused)
+            counters.bytes_reused += pool.bytes_reused
         if plan.device != "cpu":
             # The device executor uploads each slab (plus the test matrix)
             # and downloads the factor triples; the byte totals follow
@@ -994,12 +992,11 @@ def compress_source(
             if plan.method == "rsvd":
                 h2d += len(bounds) * i2 * plan.k_eff * itemsize
             d2h = count * (i1 + i2 + 1) * k * itemsize
-            trace.annotate_xfer(
-                h2d_bytes=int(h2d), d2h_bytes=int(d2h), device=plan.device
-            )
-            if stats is not None:
-                stats.record_transfer("h2d", int(h2d))
-                stats.record_transfer("d2h", int(d2h))
+            trace.device = plan.device
+            counters.record_transfer("h2d", int(h2d))
+            counters.record_transfer("d2h", int(d2h))
+    if stats is not None:
+        stats.merge(counters)
 
     if len(parts) == 1:
         u, s, vt, slice_norms = parts[0]

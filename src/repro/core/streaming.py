@@ -46,6 +46,7 @@ ingest pipeline (backpressure) built on
 from __future__ import annotations
 
 import time
+from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -54,9 +55,9 @@ from dataclasses import replace
 
 from ..engine import ExecutionBackend, IngestQueue
 from ..engine.array_api import resolve_device
-from ..engine.trace import PhaseTrace
+from ..engine.trace import TELEMETRY_HISTORY, PhaseTrace
 from ..exceptions import NotFittedError, RankError, ShapeError, StoreFormatError
-from ..kernels.stats import KernelStats
+from ..kernels.stats import KernelStats, record_into
 from ..kernels.workspace import StreamingWorkspace, SweepWorkspace
 from ..linalg.frequent_directions import FrequentDirections
 from ..linalg.svd import leading_left_singular_vectors
@@ -69,6 +70,7 @@ from ..validation import as_tensor, check_positive_int, check_ranks
 from .config import DTuckerConfig
 from .fit_pipeline import FitPipeline
 from .initialization import initialize, slice_plane_factor
+from .iteration import IterationResult
 from .result import TuckerResult
 from .slice_svd import SliceSVD
 from .sources import BlockSource, compress_source
@@ -165,8 +167,10 @@ class StreamingDTucker:
         :mod:`repro.kernels`).
     watchdog_triggers_ : int
         Full factor refreshes forced by the drift watchdog.
-    traces_ : list of PhaseTrace
-        Per-update (and per-watchdog-refresh) telemetry records.
+    traces_ : deque of PhaseTrace
+        Per-update (and per-watchdog-refresh) telemetry records, the most
+        recent ``TELEMETRY_HISTORY`` of them.  Each record's ``counters``
+        hold its own events; ``kernel_stats_`` is their running total.
     """
 
     def __init__(
@@ -241,7 +245,7 @@ class StreamingDTucker:
         self.timings_ = PhaseTimings()
         self.kernel_stats_ = KernelStats()
         self.watchdog_triggers_ = 0
-        self.traces_: list[PhaseTrace] = []
+        self.traces_: deque[PhaseTrace] = deque(maxlen=TELEMETRY_HISTORY)
         self._ssvd: SliceSVD | None = None
         self._factors: list[np.ndarray] | None = None
         self._sws: StreamingWorkspace | None = None
@@ -341,7 +345,18 @@ class StreamingDTucker:
         if self.update == "refit":
             self._refit_update(block_ssvd)
         else:
-            self._stream_update(x, block_ssvd)
+            start = time.perf_counter()
+            if self._sws is None:
+                # Outside an update the workspace tallies into
+                # kernel_stats_; inside one, into the update's trace.
+                self._sws = StreamingWorkspace(stats=self.kernel_stats_)
+            trace = PhaseTrace(
+                phase="stream:update", backend=self.config.backend, n_workers=1
+            )
+            with record_into(self._sws, trace.counters):
+                self._stream_update(x, block_ssvd)
+            trace.seconds = time.perf_counter() - start
+            self.traces_.append(trace)
         self.t_seen_ += int(x.shape[-1])
         self.n_updates_ += 1
         return self
@@ -384,15 +399,28 @@ class StreamingDTucker:
                     )
                 )
         self.timings_.add("initialization", t_init.seconds)
+        self._refresh(self._ssvd, ranks, factors, workspace=ws)
 
+    def _refresh(
+        self,
+        ssvd: SliceSVD,
+        ranks: Sequence[int],
+        factors: list[np.ndarray],
+        *,
+        workspace: SweepWorkspace | None = None,
+    ) -> IterationResult:
+        """Warm ALS sweeps on ``ssvd``, installed as the current model.
+
+        The one refresh behind refit updates, refit revisions and watchdog
+        refreshes: sweep, merge the iteration phase's counters into
+        ``kernel_stats_``, keep the factors and result, record the error.
+        """
         with Timer() as t_iter:
             outcome = self._pipeline.iterate(
-                self._ssvd, ranks, factors, workspace=ws
+                ssvd, ranks, factors, workspace=workspace
             )
         self.timings_.add("iteration", t_iter.seconds)
-        if outcome.kernel_stats is not None:
-            self.kernel_stats_.merge(outcome.kernel_stats)
-
+        self.kernel_stats_.merge(outcome.kernel_stats)
         self._factors = outcome.factors
         self.result_ = TuckerResult(
             core=outcome.core,
@@ -400,21 +428,15 @@ class StreamingDTucker:
             elapsed=self.timings_.total,
         )
         self.history_.append(outcome.errors[-1] if outcome.errors else float("nan"))
+        return outcome
 
     # -- incremental / sketch modes --------------------------------------------
     def _stream_update(self, x: np.ndarray, block_ssvd: SliceSVD) -> None:
-        start = time.perf_counter()
         per_step = int(np.prod(x.shape[2:-1], dtype=np.int64)) if x.ndim > 3 else 1
         t_new = int(x.shape[-1])
-        first = self._sws is None or self._sws.num_slices == 0
-        if self._sws is None:
-            # The workspace tallies straight into kernel_stats_, so the
-            # stream:proj / stream:rotate counters accumulate like every
-            # other kernel counter.
-            self._sws = StreamingWorkspace(stats=self.kernel_stats_)
         sws = self._sws
-        proj_hits0 = self.kernel_stats_.hits_for("stream:proj")
-        proj_miss0 = self.kernel_stats_.misses_for("stream:proj")
+        assert sws is not None
+        first = sws.num_slices == 0
 
         with Timer() as t_init:
             # Decay first: the stored Σ_l (and sketches) represent history,
@@ -470,22 +492,10 @@ class StreamingDTucker:
 
         with Timer() as t_iter:
             err = self._trailing_sweeps(eff)
-            self.history_.append(err)
-            if self.drift_budget is not None:
-                self._watchdog(err, eff)
         self.timings_.add("iteration", t_iter.seconds)
-
-        trace = PhaseTrace(
-            phase="stream:update",
-            backend=self.config.backend,
-            n_workers=1,
-            seconds=time.perf_counter() - start,
-        )
-        trace.annotate_cache(
-            hits=self.kernel_stats_.hits_for("stream:proj") - proj_hits0,
-            misses=self.kernel_stats_.misses_for("stream:proj") - proj_miss0,
-        )
-        self.traces_.append(trace)
+        self.history_.append(err)
+        if self.drift_budget is not None:
+            self._watchdog(err, eff)
 
     def _trailing_sweeps(self, eff: Sequence[int]) -> float:
         """HOOI sweeps over the cached W: refresh modes >= 3 and the core.
@@ -537,20 +547,22 @@ class StreamingDTucker:
         if self._ewma <= budget:
             return
         start = time.perf_counter()
-        refreshed = self._full_refresh(eff)
+        # The refresh's error replaces this update's entry.
+        self.history_.pop()
+        outcome = self._full_refresh(eff)
         self.watchdog_triggers_ += 1
-        self.history_[-1] = refreshed
-        self._baseline = refreshed
-        self._ewma = refreshed
-        trace = PhaseTrace(
-            phase="stream:watchdog",
-            backend=self.config.backend,
-            n_workers=1,
-            seconds=time.perf_counter() - start,
+        self._baseline = self._ewma = self.history_[-1]
+        self.traces_.append(
+            PhaseTrace(
+                phase="stream:watchdog",
+                backend=self.config.backend,
+                n_workers=1,
+                seconds=time.perf_counter() - start,
+                counters=outcome.kernel_stats,
+            )
         )
-        self.traces_.append(trace)
 
-    def _full_refresh(self, eff: Sequence[int]) -> float:
+    def _full_refresh(self, eff: Sequence[int]) -> IterationResult:
         """Re-derive every factor from the live window (O(window), by budget).
 
         This is the selective-recompression escape hatch: fresh
@@ -563,9 +575,7 @@ class StreamingDTucker:
         assert sws is not None
         live = sws.slice_svd()
         _, factors = initialize(live, eff)
-        outcome = self._pipeline.iterate(live, tuple(eff), factors)
-        if outcome.kernel_stats is not None:
-            self.kernel_stats_.merge(outcome.kernel_stats)
+        outcome = self._refresh(live, tuple(eff), factors)
         sws.recompute(outcome.factors[0], outcome.factors[1])
         if self.update == "sketch" and self._fd1 is not None:
             assert self._fd2 is not None
@@ -575,14 +585,7 @@ class StreamingDTucker:
             fd1.update(rows1)
             fd2.update(rows2)
             self._fd1, self._fd2 = fd1, fd2
-        self._factors = outcome.factors
-        err = outcome.errors[-1] if outcome.errors else float("nan")
-        self.result_ = TuckerResult(
-            core=outcome.core,
-            factors=outcome.factors,
-            elapsed=self.timings_.total,
-        )
-        return err
+        return outcome
 
     # -- revision ----------------------------------------------------------------
     def revise(self, start_time: int, block: np.ndarray) -> "StreamingDTucker":
@@ -642,23 +645,11 @@ class StreamingDTucker:
         if self.update == "refit":
             assert self._ssvd is not None
             self._ssvd = self._ssvd.replace(t0 * per_step, block_ssvd)
-            ranks = self._effective_ranks(self._ssvd.shape)
             assert self._factors is not None
-            with Timer() as t_iter:
-                outcome = self._pipeline.iterate(
-                    self._ssvd, ranks, [a.copy() for a in self._factors]
-                )
-            self.timings_.add("iteration", t_iter.seconds)
-            if outcome.kernel_stats is not None:
-                self.kernel_stats_.merge(outcome.kernel_stats)
-            self._factors = outcome.factors
-            self.result_ = TuckerResult(
-                core=outcome.core,
-                factors=outcome.factors,
-                elapsed=self.timings_.total,
-            )
-            self.history_.append(
-                outcome.errors[-1] if outcome.errors else float("nan")
+            self._refresh(
+                self._ssvd,
+                self._effective_ranks(self._ssvd.shape),
+                [a.copy() for a in self._factors],
             )
             return self
 

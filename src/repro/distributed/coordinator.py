@@ -21,10 +21,10 @@ products ever cross a shard boundary*:
   (the :meth:`~repro.distributed.sharded.ShardedSource.process_parts`
   descriptor fan-out), coordinator-side :func:`~repro.core.initialization
   .initialize` on the gathered stacked ``[U_lΣ_l]``/``[Σ_lV_lᵀ]``
-  products, then distributed sweeps.  Per-shard kernel statistics merge
-  into one :class:`~repro.kernels.stats.KernelStats`; the bytes shipped
-  and reduce rounds surface as ``comm:`` counters and on the phase's
-  :class:`~repro.engine.trace.PhaseTrace`.
+  products, then distributed sweeps.  The bytes shipped and the reduce
+  rounds are ``comm:`` events in each phase's
+  :attr:`~repro.engine.trace.PhaseTrace.counters`, which merge into the
+  fit's :class:`~repro.kernels.stats.KernelStats`.
 
 Determinism: partials are reduced in shard order, so results are
 reproducible run to run and shard-count to shard-count — but partial-sum
@@ -48,7 +48,6 @@ from ..core.slice_svd import SliceSVD
 from ..core.sources import SliceSource
 from ..engine import ExecutionBackend, backend_scope
 from ..exceptions import ShapeError
-from ..kernels.stats import KernelStats
 from ..kernels.workspace import SweepWorkspace
 from ..tensor.slices import slice_count
 from ..validation import check_ranks
@@ -154,27 +153,19 @@ def distributed_als_sweeps(
     tindex = np.arange(count, dtype=np.int64) // per_step
     slabs = (ssvd.u, ssvd.s, ssvd.vt, norms, tindex)
 
-    stats = KernelStats()
-    comm_bytes = 0
-    rounds = 0
-
     with backend_scope(engine, config=cfg) as eng, eng.phase(
         "iteration-distributed"
     ) as tr:
+        stats = tr.counters
 
         def contract(target: "int | None") -> np.ndarray:
             """Fan one round out to the shards and reduce the partials."""
-            nonlocal comm_bytes, rounds
             broadcast = {"shape": shape, "factors": facs, "target": target}
             outs = eng.run_chunks(_shard_sweep_kernel, plan, slabs, broadcast)
-            rounds += 1
-            bcast = len(plan) * int(sum(f.nbytes for f in facs))
-            stats.record_comm("bcast", bcast)
-            shipped = 0
+            stats.record_comm("reduce", 0)
+            stats.record_comm("bcast", len(plan) * int(sum(f.nbytes for f in facs)))
             for out in outs:
                 stats.record_comm("ship", int(out.nbytes))
-                shipped += int(out.nbytes)
-            comm_bytes += bcast + shipped
             if target == order - 1:
                 # The temporal mode's own update keeps that axis at full
                 # size: shard partials are disjoint runs, so concatenate.
@@ -185,7 +176,6 @@ def distributed_als_sweeps(
             return total
 
         result = _sweep_loop(contract, facs, ranks, ssvd.norm_squared, cfg)
-        tr.annotate_comm(comm_bytes=comm_bytes, reduce_rounds=rounds)
 
     result.kernel_stats = stats
     return result

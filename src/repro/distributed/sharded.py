@@ -18,9 +18,9 @@ unchanged.  Two properties make it the unit of distribution:
   slices locally, shipping back only the stacked ``[U_lΣ_l]`` /
   ``[Σ_lV_lᵀ]`` factor products — ``(I1+I2+1)·K`` numbers per slice,
   independent of the slab width ``I1·I2``.  The bytes that do cross the
-  boundary are tallied as ``comm:*`` counters on the fit's
-  :class:`~repro.kernels.stats.KernelStats` and
-  :class:`~repro.engine.trace.PhaseTrace`.
+  boundary are tallied as ``comm:*`` counters in the compression
+  phase's :attr:`~repro.engine.trace.PhaseTrace.counters`, which merge
+  into the fit's :class:`~repro.kernels.stats.KernelStats`.
 * **Shared sketches.**  One Gaussian test matrix is drawn for all members
   (``shared_sketch``), so the compression — and therefore the whole fit —
   is bit-identical to the equivalent single-source fit regardless of how
@@ -418,7 +418,6 @@ class ShardedSource(SliceSourceBase):
         config: DTuckerConfig,
         *,
         stats: KernelStats | None = None,
-        trace: Any | None = None,
     ) -> "list[tuple] | None":
         """Shard-local compression: ship member descriptors, never slabs.
 
@@ -479,10 +478,7 @@ class ShardedSource(SliceSourceBase):
             for nbytes in bcast:
                 if nbytes:
                     stats.record_comm("bcast", int(nbytes))
-        if trace is not None:
-            trace.annotate_comm(
-                comm_bytes=int(ship.sum() + bcast.sum()), reduce_rounds=1
-            )
+            stats.record_comm("reduce", 0)
         return parts
 
 

@@ -24,7 +24,9 @@ descriptors) and wrap each algorithm phase in
 from __future__ import annotations
 
 import abc
+import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .chunking import chunk_costs, plan_chunks, plan_dynamic_chunks
 from .cost import CostModel, as_cost_array
-from .trace import PhaseTrace, peak_rss_bytes
+from .trace import TELEMETRY_HISTORY, PhaseTrace, peak_rss_bytes
 
 __all__ = [
     "ExecutionBackend",
@@ -102,8 +104,13 @@ class ExecutionBackend(abc.ABC):
         self.n_workers = workers
         self.chunk_size = None if chunk_size is None else int(chunk_size)
         self.schedule = schedule
-        self.traces: list[PhaseTrace] = []
+        #: The most recent closed phases (at most ``TELEMETRY_HISTORY``);
+        #: a caller that needs every phase of its own work uses
+        #: :meth:`collect`.
+        self.traces: deque[PhaseTrace] = deque(maxlen=TELEMETRY_HISTORY)
         self._active_trace: PhaseTrace | None = None
+        # Per thread: a phase is collected by the thread that closes it.
+        self._sinks = threading.local()
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -130,6 +137,18 @@ class ExecutionBackend(abc.ABC):
             trace.peak_rss_bytes = peak_rss_bytes()
             self._active_trace = previous
             self.traces.append(trace)
+            for sink in getattr(self._sinks, "open", ()):
+                sink.append(trace)
+
+    @contextmanager
+    def collect(self) -> Iterator[list[PhaseTrace]]:
+        """Collect every phase this thread closes inside the block, in order."""
+        sink: list[PhaseTrace] = []
+        self._sinks.open = getattr(self._sinks, "open", ()) + (sink,)
+        try:
+            yield sink
+        finally:
+            self._sinks.open = tuple(s for s in self._sinks.open if s is not sink)
 
     def _record_task(
         self,

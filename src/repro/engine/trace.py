@@ -14,9 +14,18 @@ from __future__ import annotations
 import resource
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-__all__ = ["PhaseTrace", "peak_rss_bytes", "format_traces"]
+if TYPE_CHECKING:
+    from ..kernels.stats import KernelStats
+
+__all__ = ["PhaseTrace", "TELEMETRY_HISTORY", "peak_rss_bytes", "format_traces"]
+
+#: Entries a long-lived object keeps of its telemetry history — an engine's
+#: :attr:`~repro.engine.base.ExecutionBackend.traces`, a served model's
+#: query records, a stream's update traces.  Older entries drop off; the
+#: running totals those objects report stay exact.
+TELEMETRY_HISTORY = 256
 
 
 def peak_rss_bytes(*, include_children: bool = True) -> int:
@@ -30,6 +39,13 @@ def peak_rss_bytes(*, include_children: bool = True) -> int:
     if include_children:
         peak = max(peak, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
     return int(peak) * unit
+
+
+def _new_counters() -> "KernelStats":
+    # Imported on use: repro.kernels builds on this package.
+    from ..kernels.stats import KernelStats
+
+    return KernelStats()
 
 
 @dataclass
@@ -56,13 +72,13 @@ class PhaseTrace:
         Peak resident set size (self and child processes) observed when the
         phase closed.  Cumulative per process, so attribute growth, not
         absolute values, to a phase.
-    cache_hits, cache_misses:
-        Kernel-cache lookups served from / missed by the sweep workspace
-        during the phase (iteration phase only; zero elsewhere).  See
-        :class:`repro.kernels.stats.KernelStats`.
-    bytes_reused:
-        Bytes written into preallocated workspace buffers instead of fresh
-        allocations during the phase.
+    counters:
+        The phase's :class:`~repro.kernels.stats.KernelStats` — the one
+        place its counter events are recorded: kernel-cache hits/misses and
+        buffer reuse, host↔device transfers (``xfer:*``), cross-shard
+        communication (``comm:*``, one ``comm:reduce`` per coordinator
+        combine round) and planner decisions.  A caller's own
+        ``KernelStats`` gets these merged in once, when the phase closes.
     io_seconds:
         Time spent inside prefetch IO producers during the phase (the
         out-of-core gather reads), overlapped with compute or not.  See
@@ -86,22 +102,9 @@ class PhaseTrace:
         Tasks a worker pulled from the shared queue *beyond its first* in a
         dynamic dispatch — the work-stealing events that rebalanced the
         oversplit plan.  Zero for static dispatches (one chunk per worker).
-    h2d_bytes, d2h_bytes:
-        Bytes moved host→device / device→host during the phase (the
-        ``xfer:h2d`` / ``xfer:d2h`` kernel counters).  Zero on the pure
-        NumPy path, where no transfers exist.
     device:
         Array namespace the phase computed on (``"numpy"``, ``"torch"``,
         ``"torch-cuda"``, ``"cupy"``, …).
-    comm_bytes:
-        Bytes that crossed a shard boundary during the phase (the
-        ``comm:*`` kernel counters): shipped factor products, broadcast
-        sketches/factors.  Zero for non-distributed runs — raw slabs never
-        count here because they never cross shards.
-    reduce_rounds:
-        Coordinator combine rounds executed during the phase (one per
-        factor-update gather in a distributed sweep, one per shard-local
-        compression gather).
     """
 
     phase: str
@@ -112,20 +115,19 @@ class PhaseTrace:
     tasks_per_worker: dict[str, int] = field(default_factory=dict)
     chunk_sizes: list[int] = field(default_factory=list)
     peak_rss_bytes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    bytes_reused: int = 0
     io_seconds: float = 0.0
     io_wait_seconds: float = 0.0
     schedules: list[str] = field(default_factory=list)
     busy_seconds_per_worker: dict[str, float] = field(default_factory=dict)
     queue_wait_seconds: float = 0.0
     steals: int = 0
-    h2d_bytes: int = 0
-    d2h_bytes: int = 0
     device: str = "numpy"
-    comm_bytes: int = 0
-    reduce_rounds: int = 0
+    counters: "KernelStats" = field(default_factory=_new_counters)
+
+    @property
+    def reduce_rounds(self) -> int:
+        """Coordinator combine rounds of the phase (``comm:reduce`` events)."""
+        return self.counters.misses_for("comm:reduce")
 
     def record_task(
         self,
@@ -171,14 +173,6 @@ class PhaseTrace:
         mean = sum(values) / len(values)
         return max(values) / mean if mean > 0.0 else 1.0
 
-    def annotate_cache(
-        self, *, hits: int = 0, misses: int = 0, bytes_reused: int = 0
-    ) -> None:
-        """Accumulate kernel-cache counters into this trace."""
-        self.cache_hits += int(hits)
-        self.cache_misses += int(misses)
-        self.bytes_reused += int(bytes_reused)
-
     def annotate_io(
         self, *, produce_seconds: float = 0.0, wait_seconds: float = 0.0
     ) -> None:
@@ -186,35 +180,20 @@ class PhaseTrace:
         self.io_seconds += float(produce_seconds)
         self.io_wait_seconds += float(wait_seconds)
 
-    def annotate_xfer(
-        self, *, h2d_bytes: int = 0, d2h_bytes: int = 0, device: str | None = None
-    ) -> None:
-        """Accumulate host↔device transfer counters into this trace."""
-        self.h2d_bytes += int(h2d_bytes)
-        self.d2h_bytes += int(d2h_bytes)
-        if device is not None:
-            self.device = str(device)
-
-    def annotate_comm(
-        self, *, comm_bytes: int = 0, reduce_rounds: int = 0
-    ) -> None:
-        """Accumulate cross-shard communication counters into this trace."""
-        self.comm_bytes += int(comm_bytes)
-        self.reduce_rounds += int(reduce_rounds)
-
     def summary(self) -> str:
         """One-line human-readable summary."""
         workers = len(self.tasks_per_worker)
         chunks = ",".join(str(c) for c in self.chunk_sizes) or "-"
+        c = self.counters
         line = (
             f"{self.phase}: {self.seconds:.4f}s backend={self.backend} "
             f"tasks={self.n_tasks} workers={workers}/{self.n_workers} "
             f"chunks=[{chunks}] peak_rss={self.peak_rss_bytes / 2**20:.1f}MiB"
         )
-        if self.cache_hits or self.cache_misses or self.bytes_reused:
+        if c.hits or c.misses or c.bytes_reused:
             line += (
-                f" cache={self.cache_hits}h/{self.cache_misses}m"
-                f" reuse={self.bytes_reused / 2**20:.1f}MiB"
+                f" cache={c.hits}h/{c.misses}m"
+                f" reuse={c.bytes_reused / 2**20:.1f}MiB"
             )
         if self.io_seconds or self.io_wait_seconds:
             line += (
@@ -229,15 +208,15 @@ class PhaseTrace:
             line += f" steals={self.steals}"
         if self.queue_wait_seconds:
             line += f" qwait={self.queue_wait_seconds:.4f}s"
-        if self.h2d_bytes or self.d2h_bytes or self.device != "numpy":
+        if c.bytes_h2d or c.bytes_d2h or self.device != "numpy":
             line += (
                 f" device={self.device}"
-                f" xfer={self.h2d_bytes / 2**20:.1f}MiB>"
-                f"/{self.d2h_bytes / 2**20:.1f}MiB<"
+                f" xfer={c.bytes_h2d / 2**20:.1f}MiB>"
+                f"/{c.bytes_d2h / 2**20:.1f}MiB<"
             )
-        if self.comm_bytes or self.reduce_rounds:
+        if c.bytes_comm or self.reduce_rounds:
             line += (
-                f" comm={self.comm_bytes / 2**20:.1f}MiB"
+                f" comm={c.bytes_comm / 2**20:.1f}MiB"
                 f" reduces={self.reduce_rounds}"
             )
         return line

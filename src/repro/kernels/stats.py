@@ -3,17 +3,22 @@
 Every cached quantity in :class:`~repro.kernels.workspace.SweepWorkspace`
 (the ``A(1)ᵀU`` / ``VᵀA(2)`` projection stacks, the doubly-projected ``W``
 tensor, TTM-chain prefixes) records a hit or a miss under a short kernel
-name.  The counters are cheap plain integers; the iteration phase folds the
-per-phase delta into its :class:`~repro.engine.trace.PhaseTrace`, which is
-what ``python -m repro decompose --trace`` prints and what the perf-smoke
-CI job asserts on (at most one ``w`` evaluation per sweep).
+name.  The counters are cheap plain integers.  Each phase records its
+events once, into its :attr:`~repro.engine.trace.PhaseTrace.counters`
+(:func:`record_into` points a workspace there for the phase); longer-lived
+tallies — a fit's ``kernel_stats``, a stream's ``kernel_stats_`` — get the
+phase's counters merged in when it closes.  The trace is what
+``python -m repro decompose --trace`` prints and what the perf-smoke CI
+job asserts on (at most one ``w`` evaluation per sweep).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Any, Iterator
 
-__all__ = ["KernelStats"]
+__all__ = ["KernelStats", "record_into"]
 
 
 @dataclass
@@ -206,3 +211,20 @@ class KernelStats:
             f"[{per_kernel or '-'}] reuse={self.bytes_reused / 2**20:.1f}MiB "
             f"sweeps={self.sweeps}" + xfer + comm
         )
+
+
+@contextmanager
+def record_into(owner: Any, counters: KernelStats) -> Iterator[KernelStats]:
+    """Point ``owner.stats`` at a phase's ``counters`` inside the block.
+
+    Every event ``owner`` records in the block lands in ``counters`` once;
+    when the block ends ``owner.stats`` is restored and gets the block's
+    counters merged in.
+    """
+    lifetime, owner.stats = owner.stats, counters
+    try:
+        yield counters
+    finally:
+        owner.stats = lifetime
+        if lifetime is not counters:
+            lifetime.merge(counters)

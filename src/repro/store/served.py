@@ -32,7 +32,7 @@ import json
 import os
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
@@ -48,6 +48,7 @@ from ..core.slice_svd import SliceSVD
 from ..engine import ExecutionBackend, resolve_backend
 from ..engine.array_api import resolve_device
 from ..engine.blas import current_blas_threads, limit_blas_threads
+from ..engine.trace import TELEMETRY_HISTORY
 from ..exceptions import StoreError
 from ..kernels.stats import KernelStats
 from ..linalg.svd import leading_left_singular_vectors
@@ -108,10 +109,17 @@ class ServingStats:
     Cache counters live in a :class:`~repro.kernels.stats.KernelStats`
     under the names ``"result"`` (LRU result cache), ``"warm"``
     (warm-started computations) and ``"node"`` (range-index node lookups).
+    ``records`` keeps only the most recent ``TELEMETRY_HISTORY`` queries;
+    the query counts per kind (and, from the counters, per cache outcome)
+    and the total seconds are running totals over every query.
     """
 
-    records: list[QueryRecord] = field(default_factory=list)
+    records: deque[QueryRecord] = field(
+        default_factory=lambda: deque(maxlen=TELEMETRY_HISTORY)
+    )
     counters: KernelStats = field(default_factory=KernelStats)
+    _kinds: dict[str, int] = field(default_factory=dict, repr=False)
+    _seconds: float = field(default=0.0, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record(
@@ -126,6 +134,8 @@ class ServingStats:
         )
         with self._lock:
             self.records.append(entry)
+            self._kinds[kind] = self._kinds.get(kind, 0) + 1
+            self._seconds += entry.seconds
             if entry.cache == "hit":
                 self.counters.record_hit("result")
             elif entry.cache in ("miss", "warm"):
@@ -141,7 +151,7 @@ class ServingStats:
     @property
     def n_queries(self) -> int:
         with self._lock:
-            return len(self.records)
+            return sum(self._kinds.values())
 
     @property
     def cache_hits(self) -> int:
@@ -164,38 +174,39 @@ class ServingStats:
     def by_kind(self) -> dict[str, int]:
         """Query counts per kind."""
         with self._lock:
-            counts: dict[str, int] = {}
-            for r in self.records:
-                counts[r.kind] = counts.get(r.kind, 0) + 1
-            return counts
+            return dict(self._kinds)
 
     def by_cache(self) -> dict[str, int]:
         """Query counts per result-cache outcome (``"-"`` = not applicable)."""
         with self._lock:
-            counts: dict[str, int] = {}
-            for r in self.records:
-                counts[r.cache] = counts.get(r.cache, 0) + 1
-            return counts
+            hits = self.counters.hits_for("result")
+            computed = self.counters.misses_for("result")
+            warm = self.counters.hits_for("warm")
+            counts = {
+                "hit": hits,
+                "miss": computed - warm,
+                "warm": warm,
+                "-": sum(self._kinds.values()) - hits - computed,
+            }
+        return {tag: n for tag, n in counts.items() if n}
 
     @property
     def total_seconds(self) -> float:
         with self._lock:
-            return float(sum(r.seconds for r in self.records))
+            return self._seconds
 
     def summary(self) -> str:
         """One line of telemetry, e.g.::
 
             queries=7 (time_range=4 reconstruct=3) threads=2 total=0.12s \
 cache=2h/2m/1w nodes=5h/3m
+
+        ``threads`` counts the reader threads among the recent records.
         """
         with self._lock:
-            counts: dict[str, int] = {}
-            threads = set()
-            total = 0.0
-            for r in self.records:
-                counts[r.kind] = counts.get(r.kind, 0) + 1
-                threads.add(r.thread)
-                total += r.seconds
+            counts = dict(self._kinds)
+            threads = {r.thread for r in self.records}
+            total = self._seconds
             hits = self.counters.hits_for("result")
             misses = self.counters.misses_for("result")
             warm = self.counters.hits_for("warm")

@@ -283,7 +283,9 @@ class TestXferAccounting:
 
     def test_phase_trace_xfer_summary(self) -> None:
         tr = PhaseTrace(phase="iteration", backend="serial", n_workers=1)
-        tr.annotate_xfer(h2d_bytes=3 * 2**20, d2h_bytes=2**20, device="generic-test")
+        tr.counters.record_transfer("h2d", 3 * 2**20)
+        tr.counters.record_transfer("d2h", 2**20)
+        tr.device = "generic-test"
         line = tr.summary()
         assert "device=generic-test" in line
         assert "xfer=3.0MiB>/1.0MiB<" in line

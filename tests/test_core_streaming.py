@@ -202,8 +202,11 @@ class TestOBlockCost:
         s.partial_fit(temporal[..., :10]).partial_fit(temporal[..., 10:])
         updates = [t for t in s.traces_ if t.phase == "stream:update"]
         assert len(updates) == 2
-        assert updates[0].cache_misses == 10 and updates[0].cache_hits == 0
-        assert updates[1].cache_misses == 10 and updates[1].cache_hits == 10
+        first, second = (u.counters for u in updates)
+        assert first.misses_for("stream:proj") == 10
+        assert first.hits_for("stream:proj") == 0
+        assert second.misses_for("stream:proj") == 10
+        assert second.hits_for("stream:proj") == 10
 
     def test_order4_counts_slices_not_steps(self, rng) -> None:
         x = random_tensor((8, 7, 4, 6), (2, 2, 2, 2), rng=rng, noise=0.02)

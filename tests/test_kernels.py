@@ -158,8 +158,8 @@ class TestKernelStats:
         with backend_scope("serial") as eng:
             als_sweeps(ssvd, (3, 3, 2), factors, config=cfg, engine=eng)
             trace = next(t for t in eng.traces if t.phase == "iteration")
-        assert trace.cache_hits > 0
-        assert trace.cache_misses > 0
+        assert trace.counters.hits > 0
+        assert trace.counters.misses > 0
         assert "cache=" in trace.summary()
 
 
