@@ -106,7 +106,8 @@ def slice_plane_factor(ssvd: SliceSVD, rank: int, *, right: bool = False):
     columns against ``I`` rows — they come from the blockwise
     :func:`scaled_gram` through the same eigen tail
     :func:`~repro.linalg.svd.leading_left_singular_vectors` uses, so the
-    ``(I, K·L)`` matrix is never built; otherwise from its thin SVD.
+    ``(I, K·L)`` matrix is never built; otherwise from
+    :func:`~repro.linalg.svd.leading_left_singular_vectors` of that matrix.
     """
     l, k = (int(d) for d in ssvd.s.shape)
     m = ssvd.slice_shape[1 if right else 0]

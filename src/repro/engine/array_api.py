@@ -353,6 +353,19 @@ class ArrayModule:
         res = self.xp.linalg.eigh(a)
         return res[0], res[1]
 
+    def eigh_top(self, a: Any, k: int):
+        """The ``k`` largest eigenpairs of symmetric ``a``, in ascending order.
+
+        Reads one triangle of ``a``.  A full ``eigh`` and a slice: on
+        NumPy this stays in NumPy's own LAPACK, where SciPy's subset solver
+        would load a second OpenBLAS whose thread team contends with
+        NumPy's.  Input that is not finite raises ``LinAlgError`` or
+        yields non-finite eigenvalues.
+        """
+        w, v = self.eigh(a)
+        n = int(a.shape[-1])
+        return w[n - k :], v[:, n - k :]
+
     def cholesky(self, a: Any) -> Any:
         return self.xp.linalg.cholesky(a)
 

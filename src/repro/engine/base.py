@@ -108,9 +108,9 @@ class ExecutionBackend(abc.ABC):
         #: a caller that needs every phase of its own work uses
         #: :meth:`collect`.
         self.traces: deque[PhaseTrace] = deque(maxlen=TELEMETRY_HISTORY)
-        self._active_trace: PhaseTrace | None = None
-        # Per thread: a phase is collected by the thread that closes it.
-        self._sinks = threading.local()
+        # Per thread: the open phase is the one the dispatching thread
+        # opened, and a phase is collected by the thread that closes it.
+        self._local = threading.local()
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -127,28 +127,28 @@ class ExecutionBackend(abc.ABC):
     def phase(self, name: str) -> Iterator[PhaseTrace]:
         """Group all work dispatched inside the block under one trace."""
         trace = PhaseTrace(phase=name, backend=self.name, n_workers=self.n_workers)
-        previous = self._active_trace
-        self._active_trace = trace
+        previous = getattr(self._local, "trace", None)
+        self._local.trace = trace
         start = time.perf_counter()
         try:
             yield trace
         finally:
             trace.seconds += time.perf_counter() - start
             trace.peak_rss_bytes = peak_rss_bytes()
-            self._active_trace = previous
+            self._local.trace = previous
             self.traces.append(trace)
-            for sink in getattr(self._sinks, "open", ()):
+            for sink in getattr(self._local, "sinks", ()):
                 sink.append(trace)
 
     @contextmanager
     def collect(self) -> Iterator[list[PhaseTrace]]:
         """Collect every phase this thread closes inside the block, in order."""
         sink: list[PhaseTrace] = []
-        self._sinks.open = getattr(self._sinks, "open", ()) + (sink,)
+        self._local.sinks = getattr(self._local, "sinks", ()) + (sink,)
         try:
             yield sink
         finally:
-            self._sinks.open = tuple(s for s in self._sinks.open if s is not sink)
+            self._local.sinks = tuple(s for s in self._local.sinks if s is not sink)
 
     def _record_task(
         self,
@@ -158,8 +158,9 @@ class ExecutionBackend(abc.ABC):
         busy_seconds: float = 0.0,
         wait_seconds: float = 0.0,
     ) -> None:
-        if self._active_trace is not None:
-            self._active_trace.record_task(
+        trace = getattr(self._local, "trace", None)
+        if trace is not None:
+            trace.record_task(
                 worker_id,
                 chunk_size,
                 busy_seconds=busy_seconds,
@@ -167,8 +168,9 @@ class ExecutionBackend(abc.ABC):
             )
 
     def _record_dispatch(self, schedule: str | None = None, *, steals: int = 0) -> None:
-        if self._active_trace is not None:
-            self._active_trace.record_dispatch(schedule, steals=steals)
+        trace = getattr(self._local, "trace", None)
+        if trace is not None:
+            trace.record_dispatch(schedule, steals=steals)
 
     # -- execution ---------------------------------------------------------
     @abc.abstractmethod

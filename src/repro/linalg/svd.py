@@ -6,10 +6,9 @@ These wrappers add four things over ``numpy.linalg.svd``:
 * a deterministic sign convention (the largest-magnitude entry of every left
   singular vector is made positive) so repeated runs and different code paths
   agree bit-for-bit up to round-off,
-* an adaptive *Gram trick*: when a matrix is very wide, its left singular
-  vectors are computed from the eigendecomposition of the small ``A Aᵀ``
-  instead of a full SVD — the key to making D-Tucker's initialization phase
-  cheap when the number of slices is large,
+* leading left singular vectors from one top-``r`` eigensolve of the
+  short-side Gram matrix instead of a thin SVD — the key to making
+  D-Tucker's initialization and factor updates cheap,
 * a LAPACK-driver fallback: ``numpy.linalg.svd`` uses the fast
   divide-and-conquer driver (gesdd), which can fail to converge on
   near-degenerate inputs; :func:`robust_svd` retries with the slower but
@@ -127,22 +126,55 @@ def _complete_basis(u, rank: int):
     m = int(u.shape[0])
     ut = am.mT(u)
     projector = am.eye(m, dtype=am.np_dtype(u)) - am.matmul(u, ut)
-    w, vecs = am.eigh((projector + am.mT(projector)) / 2.0)
-    extra = am.flip(vecs, axis=1)[:, :need]
+    _, extra = am.eigh_top(projector, need)
     extra = extra - am.matmul(u, am.matmul(ut, extra))
     extra, _ = am.qr(extra)
     return am.concatenate([u, extra], axis=1)
 
 
-def leading_left_singular_vectors(matrix, rank: int):
-    """Leading ``rank`` left singular vectors, via SVD or the Gram trick.
+def _top_eigenvectors(gram, rank: int):
+    """Top-``rank`` eigenvectors of a Gram matrix, largest first.
 
-    When the matrix is wide (``n > 2 m``) the left singular vectors are the
-    leading eigenvectors of ``A Aᵀ`` (size ``m × m``), which is much cheaper
-    than an ``m × n`` SVD.  Otherwise a thin SVD is used.  Both paths apply
-    :func:`sign_fix` so results from either branch agree.  If the matrix has
-    fewer than ``rank`` columns, the basis is completed with orthonormal
-    directions from the complement (see :func:`_complete_basis`).
+    Returns ``None`` when the Gram matrix cannot give them accurately: a
+    non-finite eigenvalue (or an eigensolver failure), or
+    ``λ_rank <= q·eps·λ_1`` for a ``q × q`` Gram.  Squaring the spectrum
+    leaves singular values below ``~sqrt(eps)·σ_1`` without a meaningful
+    direction (the guard of :func:`repro.linalg.rsvd.batched_svd_via_gram`);
+    the factor ``q``, the backward-error scale of forming and solving the
+    Gram, keeps the round-off eigenvalues of a rank-deficient matrix
+    (about ``eps·λ_1``) below the threshold.
+    """
+    am = array_module_of(gram)
+    try:
+        w, v = am.eigh_top(gram, rank)
+    except (np.linalg.LinAlgError, RuntimeError):  # torch's LinAlgError is a RuntimeError
+        return None
+    w = np.asarray(am.from_device(w), dtype=np.float64)
+    floor = int(gram.shape[0]) * float(np.finfo(am.np_dtype(gram)).eps)
+    if not np.isfinite(w).all() or w[0] <= floor * w[-1]:
+        return None
+    return am.flip(v, axis=1)
+
+
+def leading_left_singular_vectors(matrix, rank: int):
+    """Leading ``rank`` left singular vectors from a top-``rank`` Gram eigensolve.
+
+    An ``m × n`` matrix ``A`` takes one of three routes:
+
+    * wide or square (``n >= m``): the top-``rank`` eigenvectors of the
+      ``m × m`` Gram ``A Aᵀ``;
+    * tall (``rank <= n < m``): the top-``rank`` eigenvectors ``V`` of the
+      ``n × n`` Gram ``Aᵀ A``, lifted by the left singular vectors of the
+      thin ``m × rank`` product ``A V`` (a Rayleigh–Ritz step, which keeps
+      the result orthonormal to working precision);
+    * fewer columns than ``rank`` (``n < rank``): a thin SVD, completed
+      with orthonormal directions from the complement (see
+      :func:`_complete_basis`).
+
+    When the Gram spectrum is non-finite or reaches ``σ_rank <=
+    sqrt(q·eps)·σ_1`` for the short side ``q`` (see
+    :func:`_top_eigenvectors`), the first two routes fall back to the thin
+    SVD of ``A``.  Every route applies :func:`sign_fix`.
 
     Parameters
     ----------
@@ -157,9 +189,15 @@ def leading_left_singular_vectors(matrix, rank: int):
     if r > m:
         raise RankError(f"rank {r} exceeds the row count {m}")
     am = array_module_of(a)
-    if n > 2 * m:
-        return gram_leading_eigenvectors(am.matmul(a, am.mT(a)), r)
-    u = _complete_basis(robust_svd(a, full_matrices=False)[0], r)
+    u = None
+    if n >= m:
+        u = _top_eigenvectors(am.matmul(a, am.mT(a)), r)
+    elif n >= r:
+        v = _top_eigenvectors(am.matmul(am.mT(a), a), r)
+        if v is not None:
+            u = robust_svd(am.matmul(a, v), full_matrices=False)[0]
+    if u is None:
+        u = _complete_basis(robust_svd(a, full_matrices=False)[0], r)
     u, _ = sign_fix(u)
     return u
 
@@ -167,17 +205,16 @@ def leading_left_singular_vectors(matrix, rank: int):
 def gram_leading_eigenvectors(gram, rank: int):
     """Leading ``rank`` eigenvectors of a Gram matrix ``A Aᵀ``, sign-fixed.
 
-    The wide-matrix tail of :func:`leading_left_singular_vectors`: callers
-    that accumulate ``A Aᵀ`` without forming ``A`` (the blockwise
-    initialization Gram of :mod:`repro.core.initialization`) finish with
-    exactly the same symmetrisation, eigendecomposition, ordering and sign
-    convention.  The result keeps the Gram matrix's dtype.
+    The wide-matrix tail of :func:`leading_left_singular_vectors` for
+    callers that accumulate ``A Aᵀ`` without forming ``A`` (the blockwise
+    initialization Gram of :mod:`repro.core.initialization`): the same
+    top-``rank`` eigensolve and sign convention, without the SVD fallback
+    (there is no ``A`` to fall back to).  Only one triangle of ``gram`` is
+    read.  The result keeps the Gram matrix's dtype.
     """
     am = array_module_of(gram)
-    g = (gram + am.mT(gram)) / 2.0
-    _, v = am.eigh(g)
-    # eigh returns ascending order; take the top-`rank` eigenvectors.
-    u, _ = sign_fix(am.flip(v, axis=1)[:, :rank])
+    _, v = am.eigh_top(gram, rank)
+    u, _ = sign_fix(am.flip(v, axis=1))
     return u
 
 

@@ -248,6 +248,20 @@ class TestGenericFacade:
         NUMPY.gemm_into(a, b, out)
         np.testing.assert_array_equal(out, a @ b)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_eigh_top_is_the_top_of_the_full_eigh(self, generic, dtype) -> None:
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((30, 40))
+        g = (b @ b.T).astype(dtype)
+        w_full, v_full = np.linalg.eigh(g)
+        # Only the lower triangle is read.
+        lower = np.tril(g) + np.triu(np.full_like(g, 7.0), 1)
+        for am in (generic, NUMPY):
+            w, v = am.eigh_top(lower, 4)
+            assert w.dtype == v.dtype == dtype
+            np.testing.assert_array_equal(w, w_full[-4:])
+            np.testing.assert_array_equal(v, v_full[:, -4:])
+
     def test_nbytes_and_np_dtype(self, generic) -> None:
         x = np.zeros((3, 5), dtype=np.float32)
         assert generic.nbytes(x) == x.nbytes

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -181,3 +183,167 @@ class TestRobustSvd:
         a = rng.standard_normal((8, 5))
         u, s, vt = robust_svd(a, full_matrices=True)
         assert u.shape == (8, 8) and s.shape == (5,) and vt.shape == (5, 5)
+
+
+# ---------------------------------------------------------------------------
+# Leading left singular vectors from the top-r Gram eigensolve
+# ---------------------------------------------------------------------------
+
+
+def count_full_svd_calls(monkeypatch) -> list[tuple[int, int]]:
+    """Record each thin SVD ``leading_left_singular_vectors`` takes of its input.
+
+    That SVD is the fallback (and the ``n < rank`` route); the tall route's
+    SVD of the thin ``A·V`` product is not counted.  Returns the list the
+    recorded input shapes are appended to.
+    """
+    from repro.linalg import svd as svd_module
+
+    real = svd_module.robust_svd
+    lsv_code = svd_module.leading_left_singular_vectors.__code__
+    calls: list[tuple[int, int]] = []
+
+    def counting(a, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code is lsv_code and a is caller.f_locals["a"]:
+            calls.append(tuple(a.shape))
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(svd_module, "robust_svd", counting)
+    return calls
+
+
+def matrix_with_spectrum(m: int, n: int, s, dtype, seed: int) -> np.ndarray:
+    """``Q1 · diag(s) · Q2ᵀ`` with random orthonormal ``Q1``, ``Q2``."""
+    rng = np.random.default_rng(seed)
+    q = len(s)
+    q1 = np.linalg.qr(rng.standard_normal((m, q)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((n, q)))[0]
+    return ((q1 * np.asarray(s, dtype=np.float64)) @ q2.T).astype(dtype)
+
+
+@st.composite
+def gapped_problems(draw):
+    """A tall, square, wide or ``n < rank`` matrix with a spectral gap at ``rank``."""
+    kind = draw(st.sampled_from(["tall", "square", "wide", "few_columns"]))
+    if kind == "few_columns":
+        r = draw(st.integers(2, 6))
+        n = draw(st.integers(1, r - 1))
+        m = draw(st.integers(r, 24))
+    else:
+        r = draw(st.integers(1, 6))
+        if kind == "tall":
+            n = draw(st.integers(r, 14))
+            m = draw(st.integers(n + 1, 40))
+        elif kind == "square":
+            m = n = draw(st.integers(r, 20))
+        else:
+            m = draw(st.integers(r, 16))
+            n = draw(st.integers(m + 1, 40))
+    q = min(m, n)
+    spread = draw(st.floats(1.0, 10.0))  # σ_1 / σ_r
+    gap = draw(st.floats(0.0, 0.7))  # σ_{r+1} / σ_r
+    head = np.geomspace(spread, 1.0, min(r, q))
+    tail = gap * np.geomspace(1.0, 0.1, q - min(r, q)) if q > r else np.zeros(0)
+    seed = draw(st.integers(0, 2**31 - 1))
+    return m, n, r, np.concatenate([head, tail]), seed
+
+
+class TestLeadingVectorsOracle:
+    """``leading_left_singular_vectors`` against ``np.linalg.svd`` of the same matrix.
+
+    The Gram routes square the spectrum: forming and solving a ``q × q``
+    Gram perturbs it by ``c·eps·σ_1²`` with ``c = O(max(m, n))``, so by
+    Davis–Kahan the projector onto the leading ``p = min(rank, n)`` vectors
+    is off by at most ``c·eps·σ_1² / (σ_p² − σ_{p+1}²)``.  This holds
+    ``c = 10·max(m, n)``, in the input's own precision (a survey of 3,000
+    random problems of these shapes peaked at ``c = 3.6·max(m, n)``).  The
+    columns are orthonormal to ``10·m·eps`` and each has its
+    largest-magnitude entry positive.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @given(problem=gapped_problems())
+    def test_matches_the_svd_subspace(self, dtype, problem) -> None:
+        m, n, r, s, seed = problem
+        a = matrix_with_spectrum(m, n, s, dtype, seed)
+        u = leading_left_singular_vectors(a, r)
+        assert u.shape == (m, r) and u.dtype == dtype
+        eps = float(np.finfo(dtype).eps)
+
+        u_ref, s_ref, _ = np.linalg.svd(a.astype(np.float64), full_matrices=False)
+        p = min(r, n)
+        s_next = s_ref[p] if p < len(s_ref) else 0.0
+        u64 = u.astype(np.float64)
+        dist = np.linalg.norm(
+            u64[:, :p] @ u64[:, :p].T - u_ref[:, :p] @ u_ref[:, :p].T, 2
+        )
+        gap = s_ref[p - 1] ** 2 - s_next**2
+        assert dist <= 10 * max(m, n) * eps * s_ref[0] ** 2 / gap
+        assert np.abs(u64.T @ u64 - np.eye(r)).max() <= 10 * m * eps
+        pivots = u[np.argmax(np.abs(u), axis=0), np.arange(r)]
+        assert np.all(pivots > 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("shape", [(60, 20), (30, 30), (20, 60)], ids=["tall", "square", "wide"])
+    def test_healthy_input_takes_no_full_svd(self, monkeypatch, dtype, shape) -> None:
+        calls = count_full_svd_calls(monkeypatch)
+        a = matrix_with_spectrum(*shape, np.geomspace(10.0, 0.1, 20), dtype, seed=0)
+        leading_left_singular_vectors(a, 5)
+        assert calls == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("shape", [(60, 20), (30, 30), (20, 60)], ids=["tall", "square", "wide"])
+    @pytest.mark.parametrize("tail", [0.0, 0.1], ids=["rank_deficient", "below_sqrt_eps"])
+    def test_ill_conditioned_gram_falls_back_to_the_svd(
+        self, monkeypatch, dtype, shape, tail
+    ) -> None:
+        # σ_5 is 0, or 0.1·sqrt(eps)·σ_1: the Gram cannot resolve it.
+        eps = float(np.finfo(dtype).eps)
+        s = np.array([4.0, 3.0, 2.0, 1.0, tail * np.sqrt(eps) * 4.0])
+        a = matrix_with_spectrum(*shape, s, dtype, seed=1)
+        calls = count_full_svd_calls(monkeypatch)
+        u = leading_left_singular_vectors(a, 5)
+        assert calls == [shape]
+        u_ref, _ = sign_fix(np.linalg.svd(a, full_matrices=False)[0][:, :5])
+        np.testing.assert_array_equal(u, u_ref)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("shape", [(40, 12), (12, 40)], ids=["tall", "wide"])
+    def test_non_finite_gram_falls_back_to_the_svd(self, monkeypatch, dtype, shape) -> None:
+        # Entries near sqrt(max) overflow the Gram, not the SVD.
+        big = np.sqrt(np.finfo(dtype).max)
+        a = matrix_with_spectrum(*shape, np.geomspace(4.0, 1.0, 12), np.float64, seed=2)
+        a = (a * big).astype(dtype)
+        assert np.isfinite(a).all()
+        calls = count_full_svd_calls(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = leading_left_singular_vectors(a, 3)
+        assert calls == [shape]
+        assert np.isfinite(u).all()
+        assert_orthonormal(u.astype(np.float64), atol=10 * shape[0] * np.finfo(dtype).eps)
+
+
+class TestLeadingVectorsPathGuard:
+    """Factor updates on healthy input never take the thin-SVD fallback.
+
+    A small boats-like fit and one served time-range query (whose ALS runs
+    on the stored slices) make every factor update through
+    ``leading_left_singular_vectors``; none may reach the SVD of its input.
+    """
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_fit_and_served_query_take_the_gram_route(
+        self, monkeypatch, tmp_path, precision
+    ) -> None:
+        from repro import DTucker, DTuckerConfig
+        from repro.datasets import boats_like
+
+        x = boats_like(30, 24, 48, seed=0)
+        config = DTuckerConfig(seed=0, precision=precision, backend="serial")
+        calls = count_full_svd_calls(monkeypatch)
+        model = DTucker((5, 5, 4), config=config).fit(x)
+        with model.save(tmp_path / "m").open() as served:
+            answer = served.query_time_range(8, 40)
+        assert model.n_iters_ >= 1 and answer.shape == (30, 24, 32)
+        assert calls == []

@@ -6,13 +6,15 @@
 * ``TestBoundedTelemetry``: an engine, a served model and a stream that
   live through 2,000 operations keep at most ``TELEMETRY_HISTORY`` recent
   entries, while their running totals stay exact; threads sharing one
-  engine each collect only the phases they close.
+  engine each collect only the phases they close, and each thread's
+  dispatches are recorded in the phase it opened.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -191,3 +193,36 @@ class TestBoundedTelemetry:
         assert collected == {i: [f"t{i}"] * n_phases for i in range(n_threads)}
         assert len(engine.traces) == TELEMETRY_HISTORY
 
+
+    def test_threads_sharing_an_engine_record_tasks_in_their_own_phase(self) -> None:
+        # Each thread's dispatches land in the phase that thread opened:
+        # the open phase is per thread, like the collect() sinks.  The
+        # tasks sleep (releasing the GIL, as BLAS kernels do) so the
+        # threads' phases overlap.
+        engine = SerialBackend()
+        n_threads, n_phases, n_items = 4, 50, 4
+        counts: dict[int, list[int]] = {}
+        start = threading.Barrier(n_threads)
+
+        def task(v: int) -> int:
+            time.sleep(1e-4)
+            return v
+
+        def work(i: int) -> None:
+            seen = []
+            start.wait(timeout=60)
+            for _ in range(n_phases):
+                with engine.phase(f"t{i}") as trace:
+                    engine.map(task, range(n_items))
+                seen.append(trace.n_tasks)
+            counts[i] = seen
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(counts) == n_threads
+        wrong = [n for seen in counts.values() for n in seen if n != n_items]
+        assert not wrong
