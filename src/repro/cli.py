@@ -62,7 +62,6 @@ def _config_from_args(args: argparse.Namespace) -> "object":
         schedule=getattr(args, "schedule", None) or "auto",
         strategy=getattr(args, "strategy", None) or "rsvd",
         precision=getattr(args, "precision", None) or "float64",
-        device=getattr(args, "device", None) or "auto",
         shards=getattr(args, "shards", None),
     )
 
@@ -100,25 +99,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
             "chunk scheduling policy (default: auto — dynamic work-stealing "
             "queue when it can help, else static; REPRO_SCHEDULE env "
             "overrides auto). Results are identical either way."
-        ),
-    )
-    parser.add_argument(
-        "--device",
-        choices=(
-            "auto",
-            "cpu",
-            "cuda",
-            "numpy",
-            "torch",
-            "torch-cuda",
-            "cupy",
-            "array-api-strict",
-        ),
-        default=None,
-        help=(
-            "array namespace / device for the compute kernels (default: "
-            "auto — REPRO_DEVICE env, else cpu). 'cuda' picks the first "
-            "available GPU namespace; 'torch'/'cupy' name one explicitly."
         ),
     )
 

@@ -44,14 +44,6 @@ _SCHEDULE_CHOICES = ("auto", "static", "dynamic")
 _UPDATE_CHOICES = ("refit", "incremental", "sketch")
 
 
-def _device_choices() -> tuple[str, ...]:
-    # Imported lazily: engine.array_api is independent of config, but the
-    # config module loads very early and should not pull the facade eagerly.
-    from ..engine.array_api import DEVICE_NAMES
-
-    return DEVICE_NAMES
-
-
 @dataclass(frozen=True)
 class DTuckerConfig:
     """Hyper-parameters of the three D-Tucker phases plus execution knobs.
@@ -78,7 +70,7 @@ class DTuckerConfig:
         small-short-side Gram shortcut.  Its slice factors are checked
         against the randomized-SVD error bound, not against earlier
         releases; for a fixed seed they are bit-identical across
-        backends, chunkings, blockings, shards and devices.  ``"gram"``
+        backends, chunkings, blockings and shards.  ``"gram"``
         and ``"exact"`` force those algorithms; ``"auto"`` selects per
         input from a flop-cost model over ``(I1, I2, K, dtype)`` — see
         :func:`repro.kernels.compress_plan.plan_compression`.
@@ -104,16 +96,6 @@ class DTuckerConfig:
         Items per engine task; ``None`` splits work evenly across workers
         (one chunk total on the serial backend, reproducing the unchunked
         computation exactly).
-    device:
-        Array namespace / device the compute phases run on: ``"auto"``
-        (default — honours the ``REPRO_DEVICE`` environment override, else
-        CPU/NumPy), ``"cpu"`` / ``"numpy"`` (the host NumPy path),
-        ``"cuda"`` (first available of torch-CUDA and CuPy), or
-        an explicit namespace name (``"torch"``, ``"torch-cuda"``,
-        ``"cupy"``, ``"array-api-strict"``).  Non-NumPy namespaces are
-        optional extras resolved lazily; requesting one that is not
-        installed raises :class:`~repro.exceptions.BackendError` with an
-        actionable message.  See ``docs/devices.md``.
     schedule:
         Chunk-scheduling policy: ``"static"`` (one cost-balanced chunk per
         worker), ``"dynamic"`` (oversplit task queue drained
@@ -167,7 +149,6 @@ class DTuckerConfig:
     n_workers: int | None = None
     chunk_size: int | None = None
     schedule: str = "auto"
-    device: str = "auto"
     update: str = "refit"
     window: int | None = None
     decay: float | None = None
@@ -211,11 +192,6 @@ class DTuckerConfig:
             raise BackendError(
                 f"schedule must be one of {', '.join(_SCHEDULE_CHOICES)}, "
                 f"got {self.schedule!r}"
-            )
-        if not isinstance(self.device, str) or self.device not in _device_choices():
-            raise BackendError(
-                f"device must be one of {', '.join(_device_choices())}, "
-                f"got {self.device!r}"
             )
         if not isinstance(self.update, str) or self.update not in _UPDATE_CHOICES:
             raise ShapeError(

@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from ..engine import ExecutionBackend
-from ..engine.array_api import array_module_of
 from ..kernels.contractions import fused_tensor, w_chunk
 from ..linalg.svd import gram_leading_eigenvectors, leading_left_singular_vectors
 from ..tensor.products import multi_mode_product
@@ -82,19 +81,18 @@ def scaled_gram(stack, s, *, right: bool = False):
     an ``(I, b·K)`` matrix and folded in with one GEMM, so the working set
     is one block.  Accumulates in the stack's dtype.
     """
-    am = array_module_of(stack, s)
     l, k = (int(d) for d in s.shape)
     m = int(stack.shape[2] if right else stack.shape[1])
-    dtype = am.np_dtype(stack)
+    dtype = stack.dtype
     step = max(1, _GRAM_BLOCK_BYTES // (m * k * dtype.itemsize))
-    gram = am.zeros((m, m), dtype=dtype)
+    gram = np.zeros((m, m), dtype=dtype)
     for start in range(0, l, step):
         blk = stack[start : start + step]
         if right:
-            blk = am.mT(blk)
+            blk = blk.swapaxes(-1, -2)
         scaled = blk * s[start : start + step, None, :]  # (b, m, K)
-        flat = am.reshape(am.moveaxis(scaled, 0, 1), (m, -1))  # (m, b·K)
-        gram += am.matmul(flat, am.mT(flat))
+        flat = np.reshape(np.moveaxis(scaled, 0, 1), (m, -1))  # (m, b·K)
+        gram += np.matmul(flat, flat.swapaxes(-1, -2))
     return gram
 
 

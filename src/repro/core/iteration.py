@@ -49,7 +49,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..engine import ExecutionBackend, backend_scope
-from ..engine.array_api import resolve_device
 from ..exceptions import ConvergenceError
 from ..kernels.stats import KernelStats, record_into
 from ..kernels.workspace import SweepWorkspace
@@ -208,16 +207,13 @@ def als_sweeps(
         if workspace is None:
             workspace = SweepWorkspace(
                 ssvd,
-                module=resolve_device(None, config=cfg),
                 compute_dtype=(
                     np.float32 if cfg.precision == "float32" else np.float64
                 ),
             )
-            # A private workspace records into the phase from construction
-            # on: its device uploads count as this call's.
+            # A private workspace records into the phase from construction on.
             tr.counters = workspace.stats
         ws = workspace
-        tr.device = ws.module.name
         previous_engine, ws.engine = ws.engine, eng
         try:
             with record_into(ws, tr.counters):
@@ -237,17 +233,6 @@ def als_sweeps(
                     install=ws.update_factor,
                     callback=end_sweep,
                 )
-                # Kept fork: only device results need a (tallied) d2h download.
-                if not ws.module.is_numpy:
-                    # Bring the finished pieces home: results are host arrays
-                    # regardless of where the sweeps ran.
-                    am = ws.module
-                    result.core = am.from_device(result.core)
-                    ws.stats.record_transfer("d2h", result.core.nbytes)
-                    for n, fac in enumerate(facs):
-                        if type(fac) is not np.ndarray:
-                            facs[n] = am.from_device(fac)
-                            ws.stats.record_transfer("d2h", facs[n].nbytes)
         finally:
             ws.engine = previous_engine
 

@@ -664,11 +664,10 @@ class SparseSource(SliceSourceBase):
             and config.precision == "float64"
             and not config.exact_slice_svd
         )
-        if self._sparse_kernel and (plan.method != "rsvd" or plan.device != "cpu"):
+        if self._sparse_kernel and plan.method != "rsvd":
             # No Gram shortcut on sparse data: the sparse kernel is always
-            # randomized, whatever the dense dispatch would pick — and it
-            # runs on host CSR matrices, so a device placement is moot.
-            plan = replace(plan, method="rsvd", device="cpu")
+            # randomized, whatever the dense dispatch would pick.
+            plan = replace(plan, method="rsvd")
         return plan
 
     def batch_producer(self, plan):
@@ -895,7 +894,7 @@ def compress_source(
         counters merge into when it closes: planner decisions
         (``plan:<method>``), test-matrix draws (``sketch`` — at most one
         per batch, exactly one per source when ``shared_sketch``), buffer
-        reuse, device transfers and shard ``comm:*`` traffic.
+        reuse and shard ``comm:*`` traffic.
 
     Returns
     -------
@@ -982,19 +981,6 @@ def compress_source(
                         wait_seconds=pf.wait_seconds,
                     )
             counters.bytes_reused += pool.bytes_reused
-        if plan.device != "cpu":
-            # The device executor uploads each slab (plus the test matrix)
-            # and downloads the factor triples; the byte totals follow
-            # exactly from the plan and geometry, so they are tallied here
-            # where the phase trace lives.
-            itemsize = np.dtype(plan.compute_dtype).itemsize
-            h2d = count * i1 * i2 * itemsize
-            if plan.method == "rsvd":
-                h2d += len(bounds) * i2 * plan.k_eff * itemsize
-            d2h = count * (i1 + i2 + 1) * k * itemsize
-            trace.device = plan.device
-            counters.record_transfer("h2d", int(h2d))
-            counters.record_transfer("d2h", int(d2h))
     if stats is not None:
         stats.merge(counters)
 

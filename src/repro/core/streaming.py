@@ -54,7 +54,6 @@ import numpy as np
 from dataclasses import replace
 
 from ..engine import ExecutionBackend, IngestQueue
-from ..engine.array_api import resolve_device
 from ..engine.trace import TELEMETRY_HISTORY, PhaseTrace
 from ..exceptions import NotFittedError, RankError, ShapeError, StoreFormatError
 from ..kernels.stats import KernelStats, record_into
@@ -375,7 +374,6 @@ class StreamingDTucker:
         # stack is a cache hit instead of a recompute).
         ws = SweepWorkspace(
             self._ssvd,
-            module=resolve_device(None, config=self.config),
             compute_dtype=(
                 np.float32
                 if self.config.precision == "float32"

@@ -31,17 +31,6 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
 from ..exceptions import BackendError
-from .array_api import (
-    DEVICE_NAMES,
-    ENV_DEVICE,
-    NUMPY,
-    ArrayModule,
-    NumpyModule,
-    array_module_of,
-    get_module,
-    probe_namespaces,
-    resolve_device,
-)
 from .base import (
     SCHEDULE_NAMES,
     ExecutionBackend,
@@ -67,14 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.config import DTuckerConfig
 
 __all__ = [
-    "ArrayModule",
-    "NumpyModule",
-    "NUMPY",
-    "DEVICE_NAMES",
-    "array_module_of",
-    "get_module",
-    "probe_namespaces",
-    "resolve_device",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",

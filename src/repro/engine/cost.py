@@ -20,7 +20,7 @@ responsibility (see :func:`combine_costs`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -36,13 +36,14 @@ __all__ = [
 ]
 
 
-@runtime_checkable
 class CostModel(Protocol):
     """Anything that can estimate per-item costs for a work range.
 
     Implementations return a non-negative float array of length
     ``n_items``; entry ``i`` is the relative cost of item ``i``.  The
     scheduler treats the values as weights — only their ratios matter.
+    A model is recognised by its ``item_costs`` method alone (duck typing,
+    no ``isinstance`` check against this protocol).
     """
 
     def item_costs(self, n_items: int) -> np.ndarray: ...
@@ -121,7 +122,8 @@ def as_cost_array(
     """Normalise a cost spec into a validated float array (or ``None``).
 
     Accepts ``None`` (no model — equal-count planning), a
-    :class:`CostModel`, or a raw array-like of per-item weights.  Raises
+    :class:`CostModel` (anything with an ``item_costs`` method), or a raw
+    array-like of per-item weights.  Raises
     :class:`~repro.exceptions.ShapeError` on length mismatch, negative or
     non-finite entries; an all-zero model degrades to ``None`` (no
     information) rather than producing degenerate partitions.
@@ -129,8 +131,9 @@ def as_cost_array(
     if costs is None:
         return None
     n = int(n_items)
-    if isinstance(costs, CostModel) and not isinstance(costs, (np.ndarray, list, tuple)):
-        arr = np.asarray(costs.item_costs(n), dtype=float)
+    item_costs = getattr(costs, "item_costs", None)
+    if item_costs is not None:
+        arr = np.asarray(item_costs(n), dtype=float)
     else:
         arr = np.asarray(costs, dtype=float)
     if arr.ndim != 1 or arr.shape[0] != n:

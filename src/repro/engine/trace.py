@@ -75,10 +75,10 @@ class PhaseTrace:
     counters:
         The phase's :class:`~repro.kernels.stats.KernelStats` — the one
         place its counter events are recorded: kernel-cache hits/misses and
-        buffer reuse, host↔device transfers (``xfer:*``), cross-shard
-        communication (``comm:*``, one ``comm:reduce`` per coordinator
-        combine round) and planner decisions.  A caller's own
-        ``KernelStats`` gets these merged in once, when the phase closes.
+        buffer reuse, cross-shard communication (``comm:*``, one
+        ``comm:reduce`` per coordinator combine round) and planner
+        decisions.  A caller's own ``KernelStats`` gets these merged in
+        once, when the phase closes.
     io_seconds:
         Time spent inside prefetch IO producers during the phase (the
         out-of-core gather reads), overlapped with compute or not.  See
@@ -102,9 +102,6 @@ class PhaseTrace:
         Tasks a worker pulled from the shared queue *beyond its first* in a
         dynamic dispatch — the work-stealing events that rebalanced the
         oversplit plan.  Zero for static dispatches (one chunk per worker).
-    device:
-        Array namespace the phase computed on (``"numpy"``, ``"torch"``,
-        ``"torch-cuda"``, ``"cupy"``, …).
     """
 
     phase: str
@@ -121,7 +118,6 @@ class PhaseTrace:
     busy_seconds_per_worker: dict[str, float] = field(default_factory=dict)
     queue_wait_seconds: float = 0.0
     steals: int = 0
-    device: str = "numpy"
     counters: "KernelStats" = field(default_factory=_new_counters)
 
     @property
@@ -208,12 +204,6 @@ class PhaseTrace:
             line += f" steals={self.steals}"
         if self.queue_wait_seconds:
             line += f" qwait={self.queue_wait_seconds:.4f}s"
-        if c.bytes_h2d or c.bytes_d2h or self.device != "numpy":
-            line += (
-                f" device={self.device}"
-                f" xfer={c.bytes_h2d / 2**20:.1f}MiB>"
-                f"/{c.bytes_d2h / 2**20:.1f}MiB<"
-            )
         if c.bytes_comm or self.reduce_rounds:
             line += (
                 f" comm={c.bytes_comm / 2**20:.1f}MiB"

@@ -38,7 +38,6 @@ from functools import partial
 import numpy as np
 
 from ..engine import ExecutionBackend, chunked
-from ..engine.array_api import array_module_of, get_module, resolve_device
 from ..exceptions import RankError, ShapeError
 from ..linalg.rsvd import batched_rsvd, batched_svd_via_gram
 from ..linalg.svd import sign_fix
@@ -49,7 +48,6 @@ from .stats import KernelStats
 __all__ = [
     "CompressionPlan",
     "estimate_costs",
-    "estimate_device_costs",
     "plan_compression",
     "plan_from_config",
     "plan_item_costs",
@@ -67,16 +65,6 @@ _METHODS = ("exact", "gram", "rsvd")
 _C_EIG = 8.0  # eigh of a Gram matrix (m × m, or k × k in rsvd), per cube
 _C_QR = 4.0  # batched QR, per M·k² flop block
 _C_SVD_EXACT = 20.0  # full LAPACK SVD tail, per m³
-
-# Device-placement constants (flop-equivalent units, calibrated against the
-# same GEMM-flop scale as the method constants above).  An accelerator runs
-# the batched GEMM/QR work roughly an order of magnitude faster than the
-# host BLAS, but every slab byte must cross PCIe twice (slab up, factors
-# down) at an effective cost of tens of host flops per byte — so small
-# slabs stay on the CPU under ``strategy="auto"`` and only
-# transfer-amortised ones move.
-_DEVICE_SPEEDUP = 8.0  # host-flops of work retired per device "flop"
-_XFER_FLOPS_PER_BYTE = 24.0  # host-flop-equivalents per transferred byte
 
 
 @dataclass(frozen=True)
@@ -99,16 +87,6 @@ class CompressionPlan:
     costs:
         Estimated per-slice flop costs for all three methods (for
         introspection and benchmarks), from :func:`estimate_costs`.
-    device:
-        Where the slab runs: ``"cpu"`` (the historical host path, default)
-        or an array-namespace name (``"torch"``, ``"torch-cuda"``,
-        ``"cupy"``).  ``strategy="auto"`` places the slab by the calibrated
-        transfer + kernel cost model of :func:`estimate_device_costs`;
-        explicit strategies honour the requested device directly.
-    device_costs:
-        Estimated total (transfer + kernel) cost per placement from
-        :func:`estimate_device_costs`; empty when only the CPU was ever a
-        candidate.
     """
 
     method: str
@@ -117,8 +95,6 @@ class CompressionPlan:
     power_iterations: int
     compute_dtype: np.dtype
     costs: dict[str, float] = field(default_factory=dict)
-    device: str = "cpu"
-    device_costs: dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready view (used by the planner benchmark)."""
@@ -129,8 +105,6 @@ class CompressionPlan:
             "power_iterations": self.power_iterations,
             "compute_dtype": str(np.dtype(self.compute_dtype)),
             "costs": dict(self.costs),
-            "device": self.device,
-            "device_costs": dict(self.device_costs),
         }
 
 
@@ -193,9 +167,8 @@ def factor_nbytes(
     The D-Tucker invariant in byte form: ``n_slices · (I1 + I2 + 1) · K``
     factor entries (plus one float64 norm per slice when ``norms``) —
     independent of the slab width ``I1·I2``.  This is the payload that
-    crosses a boundary whenever compressed slices do: device→host
-    downloads (:func:`estimate_device_costs`) and shard→coordinator
-    shipping in the distributed layer both price traffic with it.
+    crosses a boundary whenever compressed slices do: the distributed
+    layer prices shard→coordinator shipping with it.
     """
     l = int(n_slices)
     itemsize = int(np.dtype(dtype).itemsize)
@@ -203,40 +176,6 @@ def factor_nbytes(
     if norms:
         total += l * np.dtype(np.float64).itemsize
     return total
-
-
-def estimate_device_costs(
-    i1: int,
-    i2: int,
-    rank: int,
-    *,
-    n_slices: int = 1,
-    method_cost: float,
-    dtype: "np.dtype | type" = np.float64,
-    device: str = "cuda",
-) -> dict[str, float]:
-    """Total (kernel + transfer) cost of one slab per placement.
-
-    The CPU runs the chosen method at its :func:`estimate_costs` flop cost.
-    A device retires the same flops ``_DEVICE_SPEEDUP`` times faster, but
-    pays ``_XFER_FLOPS_PER_BYTE`` host-flop-equivalents for every byte of
-    the slab shipped up and every byte of the ``(U, s, Vᵀ)`` factors
-    shipped back.  The calibration only needs to *rank* the placements:
-    transfer-dominated (small or skinny) slabs land on the CPU, compute-
-    dominated ones on the device.  Keyed per ``(I1, I2, K, dtype)`` via the
-    arguments; ``n_slices`` scales both terms linearly, so the ranking is
-    batch-size independent unless transfer and kernel costs cross.
-    """
-    l = float(max(1, int(n_slices)))
-    itemsize = float(np.dtype(dtype).itemsize)
-    kernel = l * float(method_cost)
-    slab_bytes = l * float(int(i1)) * float(int(i2)) * itemsize
-    factor_bytes = l * (int(i1) + int(i2) + 1.0) * float(int(rank)) * itemsize
-    xfer = _XFER_FLOPS_PER_BYTE * (slab_bytes + factor_bytes)
-    return {
-        "cpu": kernel,
-        str(device): kernel / _DEVICE_SPEEDUP + xfer,
-    }
 
 
 def plan_compression(
@@ -249,8 +188,6 @@ def plan_compression(
     oversampling: int = 10,
     power_iterations: int = 1,
     exact_slice_svd: bool = False,
-    device: str = "cpu",
-    n_slices: int = 1,
 ) -> CompressionPlan:
     """Choose the compression method for slices of shape ``(i1, i2)``.
 
@@ -262,12 +199,6 @@ def plan_compression(
     else the cheaper of Gram and rsvd.  ``"gram"``/``"exact"`` force those
     methods.  ``exact_slice_svd=True`` (the ablation reference knob)
     overrides everything.
-
-    ``device`` names where the slab *may* run (``"cpu"`` — the default and
-    the historical behaviour — or a resolved accelerator namespace).  With
-    an accelerator offered, ``strategy="auto"`` additionally decides
-    *where* via :func:`estimate_device_costs` (``n_slices`` sizes the
-    slab); any explicit strategy honours the offered device directly.
     """
     m = min(int(i1), int(i2))
     r = int(rank)
@@ -300,25 +231,6 @@ def plan_compression(
             f"strategy must be one of auto, rsvd, gram, exact; got {strategy!r}"
         )
     compute_dtype = np.dtype(np.float32 if precision == "float32" else np.float64)
-    dev = str(device).lower().replace("_", "-")
-    if dev in ("", "auto", "numpy"):
-        dev = "cpu"
-    device_costs: dict[str, float] = {}
-    placed = "cpu"
-    if dev != "cpu":
-        device_costs = estimate_device_costs(
-            i1,
-            i2,
-            rank,
-            n_slices=n_slices,
-            method_cost=costs[method],
-            dtype=compute_dtype,
-            device=dev,
-        )
-        if strategy == "auto":
-            placed = min(device_costs, key=device_costs.get)
-        else:
-            placed = dev
     return CompressionPlan(
         method=method,
         strategy=strategy,
@@ -326,23 +238,11 @@ def plan_compression(
         power_iterations=max(0, int(power_iterations)),
         compute_dtype=compute_dtype,
         costs=costs,
-        device=placed,
-        device_costs=device_costs,
     )
 
 
-def plan_from_config(
-    i1: int, i2: int, rank: int, config, *, n_slices: int = 1
-) -> CompressionPlan:
-    """:func:`plan_compression` with knobs taken from a ``DTuckerConfig``.
-
-    The config's ``device`` spec is resolved here (``"auto"`` honours the
-    ``REPRO_DEVICE`` environment variable, then CPU), so the plan's
-    ``device`` is always a concrete namespace name.  Requesting a namespace
-    that is not installed raises at planning time with an actionable
-    message rather than mid-phase.
-    """
-    module = resolve_device(None, config=config)
+def plan_from_config(i1: int, i2: int, rank: int, config) -> CompressionPlan:
+    """:func:`plan_compression` with knobs taken from a ``DTuckerConfig``."""
     return plan_compression(
         i1,
         i2,
@@ -352,9 +252,6 @@ def plan_from_config(
         oversampling=max(0, int(config.oversampling)),
         power_iterations=int(config.power_iterations),
         exact_slice_svd=bool(config.exact_slice_svd),
-        # Kept fork: the plan labels the host path "cpu", not by namespace.
-        device="cpu" if module.is_numpy else module.name,
-        n_slices=n_slices,
     )
 
 
@@ -489,10 +386,9 @@ def factor_outputs(
 
 
 def _exact_svd(blk: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    am = array_module_of(blk)
-    u, s, vt = am.svd(blk, full_matrices=False)
+    u, s, vt = np.linalg.svd(blk, full_matrices=False)
     u, vt = sign_fix(u[:, :, :rank], vt[:, :rank, :])
-    return u, am.ascontiguousarray(s[:, :rank]), vt
+    return u, np.ascontiguousarray(s[:, :rank]), vt
 
 
 def plan_chunk(
@@ -535,59 +431,6 @@ def plan_chunk(
     return _blockwise(
         stack, factor, rank=rank, dtype=dtype, block=block, buffer=buffer, out=out
     )
-
-
-def _execute_plan_device(
-    stack: np.ndarray,
-    rank: int,
-    plan: CompressionPlan,
-    *,
-    rng: "int | np.random.Generator | None" = None,
-    omega: "np.ndarray | None" = None,
-    stats: KernelStats | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run a device-placed plan inline: upload the slab, factor, download.
-
-    The per-slice norms accumulate on the host slab in float64 *before* the
-    upload (same code as the CPU path); the factorization itself runs
-    through the batched functions of :mod:`repro.linalg.rsvd` on the
-    plan's device.  Transfers are tallied on ``stats`` as ``xfer:h2d`` /
-    ``xfer:d2h``.  Factors return as host arrays, so the resulting
-    :class:`~repro.core.slice_svd.SliceSVD` is host-resident either way.
-    """
-    am = get_module(plan.device)
-    l, i1, i2 = stack.shape
-    norms = slab_norms(stack)
-    dev = am.to_device(stack)
-    if stats is not None:
-        stats.record_transfer("h2d", stack.nbytes)
-    if plan.method == "exact":
-        u, s, vt = _exact_svd(dev, rank)
-    elif plan.method == "gram":
-        u, s, vt = batched_svd_via_gram(dev, rank)
-    else:
-        if omega is None:
-            gen = default_rng(rng)
-            omega = gen.standard_normal((i2, plan.k_eff))
-        om = np.asarray(omega, dtype=plan.compute_dtype)
-        if om.shape != (i2, plan.k_eff):
-            raise ShapeError(
-                f"omega must have shape ({i2}, {plan.k_eff}), got {om.shape}"
-            )
-        if stats is not None:
-            stats.record_miss("sketch")
-        om_dev = am.to_device(om)
-        if stats is not None:
-            stats.record_transfer("h2d", om.nbytes)
-        y = am.matmul(dev, om_dev)
-        u, s, vt = batched_rsvd(
-            dev, rank, power_iterations=plan.power_iterations, sketch=y
-        )
-    u, s, vt = am.from_device(u), am.from_device(s), am.from_device(vt)
-    if stats is not None:
-        for arr in (u, s, vt):
-            stats.record_transfer("d2h", arr.nbytes)
-    return u, np.ascontiguousarray(s), vt, norms
 
 
 def execute_plan(
@@ -655,11 +498,6 @@ def execute_plan(
     l, i1, i2 = a.shape
     if stats is not None:
         stats.record_miss(f"plan:{plan.method}")
-    if plan.device != "cpu":
-        return _execute_plan_device(
-            np.asarray(a, dtype=plan.compute_dtype), rank, plan,
-            rng=rng, omega=omega, stats=stats,
-        )
     dtype = plan.compute_dtype
     block = block_slices(i1, i2, dtype)
     broadcast: dict[str, object] = dict(rank=int(rank), dtype=dtype, block=block)

@@ -38,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import ExecutionBackend, chunked
-from ..engine.array_api import array_module_of
 
 __all__ = [
     "project_left_chunk",
@@ -61,15 +60,14 @@ def project_left_chunk(
     u: np.ndarray, *, a1: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-slice ``A(1)ᵀ U_l`` stacked as ``(L, J1, K)``."""
-    am = array_module_of(u, a1)
-    return am.matmul_into(am.mT(a1), u, out=out)
+    return np.matmul(a1.swapaxes(-1, -2), u, out=out)
 
 
 def project_right_chunk(
     vt: np.ndarray, *, a2: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-slice ``V_lᵀ A(2)`` stacked as ``(L, K, J2)``."""
-    return array_module_of(vt, a2).matmul_into(vt, a2, out=out)
+    return np.matmul(vt, a2, out=out)
 
 
 # -- fused kernels (recompute projections per call) --------------------------
@@ -121,21 +119,21 @@ def w_from_projections_chunk(
     au: np.ndarray, s: np.ndarray, av: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Final ``W`` contraction ``(A(1)ᵀU diag(s)) @ (VᵀA(2))`` from cached stacks."""
-    return array_module_of(au, s, av).matmul_into(au * s[:, None, :], av, out=out)
+    return np.matmul(au * s[:, None, :], av, out=out)
 
 
 def mode1_from_projection_chunk(
     u: np.ndarray, s: np.ndarray, av: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Mode-1 partial ``U @ (diag(s) VᵀA(2))`` from the cached ``VᵀA(2)`` stack."""
-    return array_module_of(u, s, av).matmul_into(u, s[:, :, None] * av, out=out)
+    return np.matmul(u, s[:, :, None] * av, out=out)
 
 
 def mode2_from_projection_chunk(
     au: np.ndarray, s: np.ndarray, vt: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Mode-2 partial ``(A(1)ᵀU diag(s)) @ Vᵀ`` from the cached ``A(1)ᵀU`` stack."""
-    return array_module_of(au, s, vt).matmul_into(au * s[:, None, :], vt, out=out)
+    return np.matmul(au * s[:, None, :], vt, out=out)
 
 
 # -- shaping -----------------------------------------------------------------
@@ -146,10 +144,9 @@ def stack_to_tensor(stack: np.ndarray, trailing: tuple[int, ...]) -> np.ndarray:
     The slice index is Fortran-ordered over the trailing modes, matching
     :func:`repro.tensor.slices.to_slices`.
     """
-    am = array_module_of(stack)
-    moved = am.moveaxis(stack, 0, 2)  # (a, b, L)
+    moved = np.moveaxis(stack, 0, 2)  # (a, b, L)
     shape = tuple(int(d) for d in stack.shape[1:3]) + tuple(trailing)
-    return am.reshape(moved, shape, order="F")
+    return np.reshape(moved, shape, order="F")
 
 
 # -- dispatch ----------------------------------------------------------------

@@ -41,8 +41,6 @@ class KernelStats:
     counts: dict[str, list[int]] = field(default_factory=dict)
     bytes_reused: int = 0
     sweeps: int = 0
-    bytes_h2d: int = 0
-    bytes_d2h: int = 0
     bytes_comm: int = 0
 
     # -- recording ---------------------------------------------------------
@@ -51,21 +49,6 @@ class KernelStats:
 
     def record_miss(self, name: str) -> None:
         self.counts.setdefault(name, [0, 0])[1] += 1
-
-    def record_transfer(self, direction: str, nbytes: int) -> None:
-        """Record one host↔device transfer (``"h2d"`` or ``"d2h"``).
-
-        Each transfer counts as a miss under ``xfer:h2d`` / ``xfer:d2h``
-        (so transfer *counts* surface wherever kernel counters do) and the
-        bytes moved accumulate on :attr:`bytes_h2d` / :attr:`bytes_d2h`.
-        """
-        if direction not in ("h2d", "d2h"):
-            raise ValueError(f"direction must be 'h2d' or 'd2h', got {direction!r}")
-        self.record_miss(f"xfer:{direction}")
-        if direction == "h2d":
-            self.bytes_h2d += int(nbytes)
-        else:
-            self.bytes_d2h += int(nbytes)
 
     def record_comm(self, kind: str, nbytes: int) -> None:
         """Record one cross-shard communication event.
@@ -147,8 +130,6 @@ class KernelStats:
             pair[1] += m
         self.bytes_reused += other.bytes_reused
         self.sweeps += other.sweeps
-        self.bytes_h2d += other.bytes_h2d
-        self.bytes_d2h += other.bytes_d2h
         self.bytes_comm += other.bytes_comm
 
     # -- snapshots ---------------------------------------------------------
@@ -157,8 +138,6 @@ class KernelStats:
             counts={k: list(v) for k, v in self.counts.items()},
             bytes_reused=self.bytes_reused,
             sweeps=self.sweeps,
-            bytes_h2d=self.bytes_h2d,
-            bytes_d2h=self.bytes_d2h,
             bytes_comm=self.bytes_comm,
         )
 
@@ -173,8 +152,6 @@ class KernelStats:
             counts=counts,
             bytes_reused=self.bytes_reused - earlier.bytes_reused,
             sweeps=self.sweeps - earlier.sweeps,
-            bytes_h2d=self.bytes_h2d - earlier.bytes_h2d,
-            bytes_d2h=self.bytes_d2h - earlier.bytes_d2h,
             bytes_comm=self.bytes_comm - earlier.bytes_comm,
         )
 
@@ -187,8 +164,6 @@ class KernelStats:
             "bytes_reused": self.bytes_reused,
             "sweeps": self.sweeps,
             "w_evals": self.w_evals,
-            "bytes_h2d": self.bytes_h2d,
-            "bytes_d2h": self.bytes_d2h,
             "bytes_comm": self.bytes_comm,
         }
 
@@ -197,19 +172,13 @@ class KernelStats:
         per_kernel = " ".join(
             f"{name}={pair[0]}h/{pair[1]}m" for name, pair in sorted(self.counts.items())
         )
-        xfer = ""
-        if self.bytes_h2d or self.bytes_d2h:
-            xfer = (
-                f" xfer={self.bytes_h2d / 2**20:.1f}MiB>/"
-                f"{self.bytes_d2h / 2**20:.1f}MiB<"
-            )
         comm = ""
         if self.bytes_comm:
             comm = f" comm={self.bytes_comm / 2**20:.1f}MiB"
         return (
             f"kernel cache: {self.hits} hits / {self.misses} misses "
             f"[{per_kernel or '-'}] reuse={self.bytes_reused / 2**20:.1f}MiB "
-            f"sweeps={self.sweeps}" + xfer + comm
+            f"sweeps={self.sweeps}" + comm
         )
 
 

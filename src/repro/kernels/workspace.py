@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..engine import ExecutionBackend
-from ..engine.array_api import NUMPY, ArrayModule
 from ..exceptions import ShapeError
 from ..tensor.products import mode_product
 from .buffers import BufferPool
@@ -77,16 +76,7 @@ class SweepWorkspace:
     engine:
         Optional execution backend for the per-slice contractions.  May be
         swapped per phase (``als_sweeps`` installs its resolved backend for
-        the duration of the iteration); results do not depend on it.  On a
-        non-NumPy ``module`` the engine is forced to ``None``: device slabs
-        run inline at slab granularity (chunking host backends would ship
-        device arrays across thread/process boundaries for no gain).
-    module:
-        The :class:`~repro.engine.array_api.ArrayModule` the sweeps compute
-        on.  NumPy (the default) is bit-identical to earlier releases; any
-        other namespace uploads the slice triples once at construction
-        (recorded as ``xfer:h2d`` on :attr:`stats`) and keeps every cached
-        projection device-resident.
+        the duration of the iteration); results do not depend on it.
     compute_dtype:
         Dtype the sweep contractions run in.  The default ``float64``
         matches the stored representation (no cast, no copy); ``float32``
@@ -101,7 +91,7 @@ class SweepWorkspace:
         workspace lifetime (snapshot/delta to attribute per phase).
     pool:
         The :class:`~repro.kernels.buffers.BufferPool` backing the slice
-        stacks and chain scratch (allocating on :attr:`module`).
+        stacks and chain scratch.
     """
 
     def __init__(
@@ -109,33 +99,20 @@ class SweepWorkspace:
         ssvd: "SliceSVD",
         engine: ExecutionBackend | None = None,
         *,
-        module: ArrayModule | None = None,
         compute_dtype: "np.dtype | type | None" = None,
     ) -> None:
         self.ssvd = ssvd
-        self.module = module if module is not None else NUMPY
+        self.engine = engine
         self.compute_dtype = np.dtype(
             np.float64 if compute_dtype is None else compute_dtype
         )
-        self.pool = BufferPool(self.module)
+        self.pool = BufferPool()
         self.stats = KernelStats()
-        # Kept fork: host slabs may fan out to the engine; device slabs run inline.
-        if self.module.is_numpy:
-            self.engine = engine
-            # Identity (no copy) for the default float64: SliceSVD stores
-            # float64, so the historical path is untouched bit for bit.
-            self._u = np.asarray(ssvd.u, dtype=self.compute_dtype)
-            self._s = np.asarray(ssvd.s, dtype=self.compute_dtype)
-            self._vt = np.asarray(ssvd.vt, dtype=self.compute_dtype)
-        else:
-            self.engine = None
-            am = self.module
-            self._u = am.to_device(np.asarray(ssvd.u, dtype=self.compute_dtype))
-            self._s = am.to_device(np.asarray(ssvd.s, dtype=self.compute_dtype))
-            self._vt = am.to_device(np.asarray(ssvd.vt, dtype=self.compute_dtype))
-            itemsize = self.compute_dtype.itemsize
-            for host in (ssvd.u, ssvd.s, ssvd.vt):
-                self.stats.record_transfer("h2d", host.size * itemsize)
+        # Identity (no copy) for the default float64: SliceSVD stores
+        # float64, so the historical path is untouched bit for bit.
+        self._u = np.asarray(ssvd.u, dtype=self.compute_dtype)
+        self._s = np.asarray(ssvd.s, dtype=self.compute_dtype)
+        self._vt = np.asarray(ssvd.vt, dtype=self.compute_dtype)
         self._factors: dict[int, np.ndarray] = {}
         self._factors_src: dict[int, np.ndarray] = {}
         self._versions: dict[int, int] = {}
@@ -176,19 +153,10 @@ class SweepWorkspace:
     def update_factor(self, mode: int, factor: np.ndarray) -> None:
         """Install a new factor for ``mode`` and invalidate dependents.
 
-        Factors are normalised to the workspace's compute dtype and, on a
-        device module, uploaded once here (tallied as ``xfer:h2d``); device
-        arrays produced by the sweeps themselves are stored as-is.
+        Factors are normalised to the workspace's compute dtype (no copy
+        when they already have it).
         """
-        prepared = factor
-        if type(prepared) is np.ndarray:
-            if prepared.dtype != self.compute_dtype:
-                prepared = np.asarray(prepared, dtype=self.compute_dtype)
-            # Kept fork: only a real upload is tallied as h2d traffic.
-            if not self.module.is_numpy:
-                self.stats.record_transfer("h2d", prepared.nbytes)
-                prepared = self.module.to_device(prepared)
-        self._factors[int(mode)] = prepared
+        self._factors[int(mode)] = np.asarray(factor, dtype=self.compute_dtype)
         self._factors_src[int(mode)] = factor
         self._versions[int(mode)] = self._versions.get(int(mode), -1) + 1
 
@@ -238,7 +206,7 @@ class SweepWorkspace:
         self._au = dispatch_slices(
             self.engine, project_left_chunk, ssvd.num_slices,
             (self._u,), {"a1": self._factors[0]},
-            out=self.module.empty((ssvd.num_slices, j1, k), self.compute_dtype),
+            out=np.empty((ssvd.num_slices, j1, k), dtype=self.compute_dtype),
             costs=self._slice_costs(2.0 * i1 * j1 * k),
         )
         self._au_version = version
@@ -260,7 +228,7 @@ class SweepWorkspace:
         self._av = dispatch_slices(
             self.engine, project_right_chunk, ssvd.num_slices,
             (self._vt,), {"a2": self._factors[1]},
-            out=self.module.empty((ssvd.num_slices, k, j2), self.compute_dtype),
+            out=np.empty((ssvd.num_slices, k, j2), dtype=self.compute_dtype),
             costs=self._slice_costs(2.0 * k * i2 * j2),
         )
         self._av_version = version

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.array_api import array_module_of
 from ..exceptions import ShapeError
 from ..validation import check_positive_int
 
@@ -73,13 +72,8 @@ class FrequentDirections:
         self._buffer[: self._filled] *= f
 
     def update(self, rows: np.ndarray) -> None:
-        """Insert a batch of rows ``(m, dim)`` (a single row ``(dim,)`` works too).
-
-        The sketch state is host-resident; rows arriving from a non-NumPy
-        namespace are pulled back to the host first (one ``xfer:d2h``-sized
-        copy per update — negligible next to the sketch SVD).
-        """
-        arr = np.asarray(array_module_of(rows).from_device(rows), dtype=float)
+        """Insert a batch of rows ``(m, dim)`` (a single row ``(dim,)`` works too)."""
+        arr = np.asarray(rows, dtype=float)
         if arr.ndim == 1:
             arr = arr[None, :]
         if arr.ndim != 2 or arr.shape[1] != self.dim:

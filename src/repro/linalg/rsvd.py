@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.array_api import array_module_of
 from ..exceptions import RankError
 from ..tensor.random import default_rng
 from ..validation import check_matrix, check_positive_int
@@ -37,12 +36,11 @@ def _as_compute_stack(stack: np.ndarray) -> np.ndarray:
 
     float32 inputs are kept in float32 (the reduced-precision compression
     path); everything else is coerced to float64, exactly as the historical
-    ``dtype=float`` coercion did.  Non-NumPy stacks keep their namespace.
+    ``dtype=float`` coercion did.
     """
-    am = array_module_of(stack)
-    a = am.asarray(stack)
-    if am.np_dtype(a) != np.float32:
-        a = am.astype(a, np.float64)
+    a = np.asarray(stack)
+    if a.dtype != np.float32:
+        a = np.asarray(a, dtype=np.float64)
     return a
 
 
@@ -79,13 +77,12 @@ def randomized_range_finder(
             f"size {k} exceeds min(matrix shape) {min(int(d) for d in a.shape)}"
         )
     gen = default_rng(rng)
-    am = array_module_of(a)
-    omega = am.standard_normal((int(a.shape[1]), k), am.np_dtype(a), gen)
-    q, _ = am.qr(am.matmul(a, omega))
+    omega = gen.standard_normal((int(a.shape[1]), k)).astype(a.dtype, copy=False)
+    q, _ = np.linalg.qr(np.matmul(a, omega))
     for _ in range(max(0, int(power_iterations))):
         # QR after each half-pass for numerical stability of the power scheme.
-        z, _ = am.qr(am.matmul(am.mT(a), q))
-        q, _ = am.qr(am.matmul(a, z))
+        z, _ = np.linalg.qr(np.matmul(a.swapaxes(-1, -2), q))
+        q, _ = np.linalg.qr(np.matmul(a, z))
     return q
 
 
@@ -127,10 +124,9 @@ def rsvd(
     q = randomized_range_finder(
         a, k, power_iterations=power_iterations, rng=rng
     )
-    am = array_module_of(a)
-    b = am.matmul(am.mT(q), a)
-    ub, s, vt = am.svd(b, full_matrices=False)
-    u = am.matmul(q, ub[:, :r])
+    b = np.matmul(q.swapaxes(-1, -2), a)
+    ub, s, vt = np.linalg.svd(b, full_matrices=False)
+    u = np.matmul(q, ub[:, :r])
     u, vt_fixed = sign_fix(u, vt[:r])
     assert vt_fixed is not None
     return u, s[:r], vt_fixed
@@ -175,8 +171,7 @@ def batched_rsvd(
         call.  When given, ``rng`` is ignored.
     sketch:
         Precomputed range sketch ``Y = stack @ Ω`` of shape
-        ``(L, m, size)``, e.g. computed on an accelerator next to the
-        slab; the sketch product is then skipped here.  When given,
+        ``(L, m, size)``; the sketch product is then skipped here.  When given,
         ``test_matrix`` and ``rng`` are ignored.
 
     Returns
@@ -187,18 +182,17 @@ def batched_rsvd(
     a = _as_compute_stack(stack)
     if a.ndim != 3:
         raise RankError(f"stack must be 3-D (L, m, n), got shape {tuple(a.shape)}")
-    am = array_module_of(a)
     # Batched BLAS on a strided view is several times slower than on a
     # contiguous buffer; one upfront copy pays for itself immediately.
-    a = am.ascontiguousarray(a)
+    a = np.ascontiguousarray(a)
     _, m, n = (int(d) for d in a.shape)
-    dtype = am.np_dtype(a)
+    dtype = a.dtype
     r = check_positive_int(rank, name="rank")
     if r > min(m, n):
         raise RankError(f"rank {r} exceeds min(m, n) = {min(m, n)}")
     k = min(r + max(0, int(oversampling)), min(m, n))
     if sketch is not None:
-        y = am.astype(am.asarray(sketch), dtype)
+        y = np.asarray(sketch, dtype=dtype)
         if y.ndim != 3 or tuple(int(d) for d in y.shape[:2]) != tuple(
             int(d) for d in a.shape[:2]
         ):
@@ -213,7 +207,7 @@ def batched_rsvd(
             )
     else:
         if test_matrix is not None:
-            omega = am.astype(am.asarray(test_matrix), dtype)
+            omega = np.asarray(test_matrix, dtype=dtype)
             if omega.ndim != 2 or int(omega.shape[0]) != n:
                 raise RankError(
                     f"test_matrix must have shape ({n}, size), got {tuple(omega.shape)}"
@@ -225,17 +219,17 @@ def batched_rsvd(
                 )
         else:
             gen = default_rng(rng)
-            omega = am.astype(am.standard_normal((n, k), np.float64, gen), dtype)
-        y = am.matmul(a, omega)  # (L, m, k)
-    q, _ = am.qr(y)
+            omega = np.asarray(gen.standard_normal((n, k)), dtype=dtype)
+        y = np.matmul(a, omega)  # (L, m, k)
+    q, _ = np.linalg.qr(y)
     for _ in range(max(0, int(power_iterations))):
         # Aᵀ·Q is not re-orthonormalized: the steep-spectrum oracles hold without it.
-        q, _ = am.qr(am.matmul(a, am.matmul(am.mT(a), q)))
-    b = am.matmul(am.mT(q), a)  # (L, k, n)
+        q, _ = np.linalg.qr(np.matmul(a, np.matmul(a.swapaxes(-1, -2), q)))
+    b = np.matmul(q.swapaxes(-1, -2), a)  # (L, k, n)
     # The small factor from the k×k Gram B·Bᵀ (with its exact-SVD fallback
     # for slices whose retained spectrum reaches sqrt(eps)·s_max).
     ub, s, vt = batched_svd_via_gram(b, r)
-    u, vt = sign_fix(am.matmul(q, ub), vt)  # U = Q·U_B, (L, m, r)
+    u, vt = sign_fix(np.matmul(q, ub), vt)  # U = Q·U_B, (L, m, r)
     return u, s, vt
 
 
@@ -273,10 +267,9 @@ def batched_svd_via_gram(
     a = _as_compute_stack(stack)
     if a.ndim != 3:
         raise RankError(f"stack must be 3-D (L, m, n), got shape {tuple(a.shape)}")
-    am = array_module_of(a)
-    a = am.ascontiguousarray(a)
+    a = np.ascontiguousarray(a)
     _, m, n = (int(d) for d in a.shape)
-    dtype = am.np_dtype(a)
+    dtype = a.dtype
     r = check_positive_int(rank, name="rank")
     if r > min(m, n):
         raise RankError(f"rank {r} exceeds min(m, n) = {min(m, n)}")
@@ -287,37 +280,35 @@ def batched_svd_via_gram(
         rel_floor, abs_floor = float(np.finfo(np.float32).eps), 1e-30
     else:
         rel_floor, abs_floor = 1e-12, 1e-300
-    at = am.mT(a)
-    abs_floor = am.asarray(abs_floor, dtype=dtype)
+    at = a.swapaxes(-1, -2)
+    abs_floor = np.asarray(abs_floor, dtype=dtype)
     if n <= m:
-        g = am.matmul(at, a)  # (L, n, n)
-        w, vecs = am.eigh(g)
-        s = am.sqrt(am.clip_min(am.flip(w, axis=1)[:, :r], 0.0))  # (L, r), descending
-        v = am.flip(vecs, axis=2)[:, :, :r]  # (L, n, r)
-        floor = am.maximum(s[:, :1] * rel_floor, abs_floor)
-        u = am.matmul(a, v / am.maximum(s, floor)[:, None, :])
-        vt = am.mT(v)
+        g = np.matmul(at, a)  # (L, n, n)
+        w, vecs = np.linalg.eigh(g)
+        s = np.sqrt(np.clip(w[:, ::-1][:, :r], 0.0, None))  # (L, r), descending
+        v = vecs[:, :, ::-1][:, :, :r]  # (L, n, r)
+        floor = np.maximum(s[:, :1] * rel_floor, abs_floor)
+        u = np.matmul(a, v / np.maximum(s, floor)[:, None, :])
+        vt = v.swapaxes(-1, -2)
     else:
-        g = am.matmul(a, at)  # (L, m, m)
-        w, vecs = am.eigh(g)
-        s = am.sqrt(am.clip_min(am.flip(w, axis=1)[:, :r], 0.0))
-        u = am.flip(vecs, axis=2)[:, :, :r]  # (L, m, r)
-        floor = am.maximum(s[:, :1] * rel_floor, abs_floor)
-        vt = am.matmul(am.mT(u / am.maximum(s, floor)[:, None, :]), a)
+        g = np.matmul(a, at)  # (L, m, m)
+        w, vecs = np.linalg.eigh(g)
+        s = np.sqrt(np.clip(w[:, ::-1][:, :r], 0.0, None))
+        u = vecs[:, :, ::-1][:, :, :r]  # (L, m, r)
+        floor = np.maximum(s[:, :1] * rel_floor, abs_floor)
+        vt = np.matmul((u / np.maximum(s, floor)[:, None, :]).swapaxes(-1, -2), a)
     u, vt = sign_fix(u, vt)
     # Numerical guard: squaring the condition number in the Gram matrix makes
     # components with s <= ~sqrt(eps)·s_max meaningless (and a rank-deficient
     # slice divides by the floor, yielding garbage or non-finite columns).
-    # Recompute exactly those slices with a direct SVD; the triage runs on
-    # the host (a tiny boolean vector).
+    # Recompute exactly those slices with a direct SVD.
     tiny = float(np.sqrt(np.finfo(dtype).eps))
-    u_ok = np.isfinite(am.from_device(u)).all(axis=(1, 2))
-    vt_ok = np.isfinite(am.from_device(vt)).all(axis=(1, 2))
-    s_host = am.from_device(s)
-    bad = ~u_ok | ~vt_ok | (s_host[:, -1] <= tiny * s_host[:, 0])
+    u_ok = np.isfinite(u).all(axis=(1, 2))
+    vt_ok = np.isfinite(vt).all(axis=(1, 2))
+    bad = ~u_ok | ~vt_ok | (s[:, -1] <= tiny * s[:, 0])
     if np.any(bad):
         for idx in np.flatnonzero(bad):
-            ud, sd, vtd = am.svd(a[int(idx)], full_matrices=False)
+            ud, sd, vtd = np.linalg.svd(a[int(idx)], full_matrices=False)
             ud, vtd_fixed = sign_fix(ud[:, :r], vtd[:r])
             assert vtd_fixed is not None
             u[int(idx)], s[int(idx)], vt[int(idx)] = ud, sd[:r], vtd_fixed

@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from ..engine.array_api import array_module_of
 from ..exceptions import ShapeError
 from ..tensor.random import default_rng
 from ..validation import check_positive_int
@@ -80,12 +79,8 @@ class CountSketch:
         return self._operator
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Sketch a vector ``(n,)`` or the columns of a matrix ``(n, k)``.
-
-        CountSketch is a scipy.sparse operator and therefore host-only;
-        arrays from other namespaces are pulled back to NumPy first.
-        """
-        arr = np.asarray(array_module_of(x).from_device(x), dtype=float)
+        """Sketch a vector ``(n,)`` or the columns of a matrix ``(n, k)``."""
+        arr = np.asarray(x, dtype=float)
         if arr.shape[0] != self.dim_in:
             raise ShapeError(
                 f"input has leading dimension {arr.shape[0]}, expected {self.dim_in}"
@@ -161,7 +156,7 @@ class TensorSketch:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Sketch a flat vector ``(prod dims,)`` or matrix ``(prod dims, k)``."""
-        arr = np.asarray(array_module_of(x).from_device(x), dtype=float)
+        arr = np.asarray(x, dtype=float)
         if arr.shape[0] != self.dim_in:
             raise ShapeError(
                 f"input has leading dimension {arr.shape[0]}, expected {self.dim_in}"

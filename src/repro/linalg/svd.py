@@ -15,19 +15,12 @@ These wrappers add four things over ``numpy.linalg.svd``:
   sturdier QR-iteration driver (gesvd) before giving up — mirroring the
   bad-slice fallback in
   :func:`repro.linalg.rsvd.batched_svd_via_gram`.
-
-All entry points dispatch through the array-namespace facade
-(:func:`repro.engine.array_api.array_module_of`) with one body each:
-NumPy inputs reach the literal NumPy calls of
-:class:`~repro.engine.array_api.NumpyModule`, while torch / CuPy /
-array-API inputs stay in their namespace end to end.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..engine.array_api import array_module_of
 from ..exceptions import RankError
 from ..validation import check_matrix, check_positive_int
 
@@ -46,23 +39,41 @@ def robust_svd(a, *, full_matrices: bool = False):
 
     NumPy's default divide-and-conquer driver (gesdd) is fast but can raise
     ``LinAlgError: SVD did not converge`` on near-degenerate matrices.  When
-    that happens, retry on the host with SciPy's QR-iteration driver
+    that happens, retry in float64 with SciPy's QR-iteration driver
     (gesvd), which is slower but converges on a strictly larger input
-    class, and move the factors back to the caller's namespace.  Only the
-    failure path differs — healthy inputs see the plain ``svd`` call.
+    class.  Only the failure path differs — healthy inputs see the plain
+    ``svd`` call.
     """
-    am = array_module_of(a)
     try:
-        return am.svd(a, full_matrices=full_matrices)
+        return np.linalg.svd(a, full_matrices=full_matrices)
     except np.linalg.LinAlgError:
         from scipy.linalg import svd as scipy_svd
 
-        u, s, vt = scipy_svd(
-            np.asarray(am.from_device(a), dtype=np.float64),
+        return scipy_svd(
+            np.asarray(a, dtype=np.float64),
             full_matrices=full_matrices,
             lapack_driver="gesvd",
         )
-        return am.to_device(u), am.to_device(s), am.to_device(vt)
+
+
+def _sign_nonzero(arr):
+    """``sign(arr)`` with zeros mapped to +1 (a deterministic sign flip)."""
+    signs = np.sign(arr)
+    signs[signs == 0] = 1.0
+    return signs
+
+
+def _pivot_signs(u):
+    """Sign of each column's largest-magnitude entry, zeros mapped to +1.
+
+    ``u`` is a matrix ``(m, r)`` or a stack ``(L, m, r)``; the result has
+    shape ``(r,)`` / ``(L, r)``.
+    """
+    idx = np.argmax(np.abs(u), axis=-2)
+    cols = np.arange(u.shape[-1])
+    if u.ndim == 2:
+        return _sign_nonzero(u[idx, cols])
+    return _sign_nonzero(u[np.arange(u.shape[0])[:, None], idx, cols[None, :]])
 
 
 def sign_fix(u, vt=None):
@@ -74,12 +85,11 @@ def sign_fix(u, vt=None):
     ``u`` of shape ``(L, m, r)`` with ``vt`` of shape ``(L, r, n)`` is fixed
     slice by slice.
     """
-    am = array_module_of(u, vt)
-    u = am.asarray(u)
-    signs = am.pivot_signs(u)
+    u = np.asarray(u)
+    signs = _pivot_signs(u)
     u = u * signs[..., None, :]
     if vt is not None:
-        vt = am.asarray(vt) * signs[..., :, None]
+        vt = np.asarray(vt) * signs[..., :, None]
     return u, vt
 
 
@@ -122,14 +132,26 @@ def _complete_basis(u, rank: int):
     need = rank - int(u.shape[1])
     if need <= 0:
         return u[:, :rank]
-    am = array_module_of(u)
     m = int(u.shape[0])
-    ut = am.mT(u)
-    projector = am.eye(m, dtype=am.np_dtype(u)) - am.matmul(u, ut)
-    _, extra = am.eigh_top(projector, need)
-    extra = extra - am.matmul(u, am.matmul(ut, extra))
-    extra, _ = am.qr(extra)
-    return am.concatenate([u, extra], axis=1)
+    ut = u.swapaxes(-1, -2)
+    projector = np.eye(m, dtype=u.dtype) - np.matmul(u, ut)
+    _, extra = _eigh_top(projector, need)
+    extra = extra - np.matmul(u, np.matmul(ut, extra))
+    extra, _ = np.linalg.qr(extra)
+    return np.concatenate([u, extra], axis=1)
+
+
+def _eigh_top(a, k: int):
+    """The ``k`` largest eigenpairs of symmetric ``a``, in ascending order.
+
+    Reads one triangle of ``a``.  A full ``eigh`` and a slice: this stays
+    in NumPy's own LAPACK, where SciPy's subset solver would load a second
+    OpenBLAS whose thread team contends with NumPy's.  Input that is not
+    finite raises ``LinAlgError`` or yields non-finite eigenvalues.
+    """
+    w, v = np.linalg.eigh(a)
+    n = int(a.shape[-1])
+    return w[n - k :], v[:, n - k :]
 
 
 def _top_eigenvectors(gram, rank: int):
@@ -144,16 +166,15 @@ def _top_eigenvectors(gram, rank: int):
     Gram, keeps the round-off eigenvalues of a rank-deficient matrix
     (about ``eps·λ_1``) below the threshold.
     """
-    am = array_module_of(gram)
     try:
-        w, v = am.eigh_top(gram, rank)
-    except (np.linalg.LinAlgError, RuntimeError):  # torch's LinAlgError is a RuntimeError
+        w, v = _eigh_top(gram, rank)
+    except np.linalg.LinAlgError:
         return None
-    w = np.asarray(am.from_device(w), dtype=np.float64)
-    floor = int(gram.shape[0]) * float(np.finfo(am.np_dtype(gram)).eps)
+    w = np.asarray(w, dtype=np.float64)
+    floor = int(gram.shape[0]) * float(np.finfo(gram.dtype).eps)
     if not np.isfinite(w).all() or w[0] <= floor * w[-1]:
         return None
-    return am.flip(v, axis=1)
+    return v[:, ::-1]
 
 
 def leading_left_singular_vectors(matrix, rank: int):
@@ -188,14 +209,13 @@ def leading_left_singular_vectors(matrix, rank: int):
     m, n = (int(d) for d in a.shape)
     if r > m:
         raise RankError(f"rank {r} exceeds the row count {m}")
-    am = array_module_of(a)
     u = None
     if n >= m:
-        u = _top_eigenvectors(am.matmul(a, am.mT(a)), r)
+        u = _top_eigenvectors(np.matmul(a, a.swapaxes(-1, -2)), r)
     elif n >= r:
-        v = _top_eigenvectors(am.matmul(am.mT(a), a), r)
+        v = _top_eigenvectors(np.matmul(a.swapaxes(-1, -2), a), r)
         if v is not None:
-            u = robust_svd(am.matmul(a, v), full_matrices=False)[0]
+            u = robust_svd(np.matmul(a, v), full_matrices=False)[0]
     if u is None:
         u = _complete_basis(robust_svd(a, full_matrices=False)[0], r)
     u, _ = sign_fix(u)
@@ -212,9 +232,8 @@ def gram_leading_eigenvectors(gram, rank: int):
     (there is no ``A`` to fall back to).  Only one triangle of ``gram`` is
     read.  The result keeps the Gram matrix's dtype.
     """
-    am = array_module_of(gram)
-    _, v = am.eigh_top(gram, rank)
-    u, _ = sign_fix(am.flip(v, axis=1))
+    _, v = _eigh_top(gram, rank)
+    u, _ = sign_fix(v[:, ::-1])
     return u
 
 
@@ -229,15 +248,14 @@ def solve_gram(gram_matrix, rhs, *, ridge: float = 0.0):
     g = check_matrix(gram_matrix, name="gram_matrix")
     if g.shape[0] != g.shape[1]:
         raise RankError(f"gram_matrix must be square, got {tuple(g.shape)}")
-    am = array_module_of(g, rhs)
-    b = am.asarray(rhs)
-    single = am.np_dtype(g) == np.float32 and am.np_dtype(b) == np.float32
+    b = np.asarray(rhs)
+    single = g.dtype == np.float32 and b.dtype == np.float32
     dtype = np.float32 if single else np.float64
-    b = am.astype(b, dtype)
-    a = g + ridge * am.eye(int(g.shape[0]), dtype=dtype) if ridge else g
+    b = np.asarray(b, dtype=dtype)
+    a = g + ridge * np.eye(int(g.shape[0]), dtype=dtype) if ridge else g
     try:
-        c = am.cholesky(a)
-        y = am.solve(c, b)
-        return am.solve(am.mT(c), y)
-    except (np.linalg.LinAlgError, RuntimeError):  # torch's LinAlgError is a RuntimeError
-        return am.matmul(am.pinv(a), b)
+        c = np.linalg.cholesky(a)
+        y = np.linalg.solve(c, b)
+        return np.linalg.solve(c.swapaxes(-1, -2), y)
+    except np.linalg.LinAlgError:
+        return np.matmul(np.linalg.pinv(a), b)

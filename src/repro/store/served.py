@@ -46,7 +46,6 @@ from ..core.initialization import initialize_from_factors
 from ..core.result import TuckerResult
 from ..core.slice_svd import SliceSVD
 from ..engine import ExecutionBackend, resolve_backend
-from ..engine.array_api import resolve_device
 from ..engine.blas import current_blas_threads, limit_blas_threads
 from ..engine.trace import TELEMETRY_HISTORY
 from ..exceptions import StoreError
@@ -715,17 +714,12 @@ class ServedModel:
             cache_tag = "warm"
         else:
             blocks1, blocks2 = self._range_index().range_blocks(lo_t, hi_t)
-            # The concatenated node bases are factored on the configured
-            # namespace, and only the two small factor matrices come back
-            # to the host (the downstream ALS uploads the slice views itself).
-            am = resolve_device(None, config=cfg)
-
-            def recombine(blocks, rank):
-                basis = am.to_device(np.concatenate(blocks, axis=1))
-                return am.from_device(leading_left_singular_vectors(basis, rank))
-
-            a1 = recombine(blocks1, stored_ranks[0])
-            a2 = recombine(blocks2, stored_ranks[1])
+            a1 = leading_left_singular_vectors(
+                np.concatenate(blocks1, axis=1), stored_ranks[0]
+            )
+            a2 = leading_left_singular_vectors(
+                np.concatenate(blocks2, axis=1), stored_ranks[1]
+            )
             cache_tag = "miss"
         _, init_factors = initialize_from_factors(local, stored_ranks, a1, a2)
 

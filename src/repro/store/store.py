@@ -66,6 +66,23 @@ SLICES_DIR = "slices"
 TUCKER_DIR = "tucker"
 INDEX_DIR = "index"
 
+#: Config keys that earlier releases wrote and this one no longer has.  A
+#: reader drops them, so stores written before their removal still open.
+_RETIRED_CONFIG_KEYS = frozenset({"device"})
+
+
+def _manifest_config(raw, path: Path) -> DTuckerConfig:
+    """The manifest's config table as a :class:`DTuckerConfig`."""
+    if not isinstance(raw, Mapping):
+        raise StoreFormatError(f"store manifest at {path}: config must be a table")
+    fields = {k: v for k, v in raw.items() if k not in _RETIRED_CONFIG_KEYS}
+    try:
+        return DTuckerConfig(**fields)
+    except TypeError as exc:
+        raise StoreFormatError(
+            f"store manifest at {path} carries an unusable config: {exc}"
+        ) from exc
+
 
 def _fit_metadata(
     *,
@@ -318,17 +335,7 @@ class ModelStore:
     @property
     def config(self) -> DTuckerConfig:
         """The fit's :class:`DTuckerConfig`, reconstructed from the manifest."""
-        raw = self.manifest["config"]
-        if not isinstance(raw, Mapping):
-            raise StoreFormatError(
-                f"store manifest at {self.path}: config must be a table"
-            )
-        try:
-            return DTuckerConfig(**dict(raw))
-        except TypeError as exc:
-            raise StoreFormatError(
-                f"store manifest at {self.path} carries an unusable config: {exc}"
-            ) from exc
+        return _manifest_config(self.manifest["config"], self.path)
 
     @property
     def nbytes(self) -> int:
@@ -498,13 +505,7 @@ class ModelStore:
                 f"store at {self.path}: Tucker payloads have order "
                 f"{len(result.factors)}, manifest says {len(stored)}"
             )
-        raw_cfg = manifest["config"]
-        try:
-            config = DTuckerConfig(**dict(raw_cfg))
-        except TypeError as exc:
-            raise StoreFormatError(
-                f"store manifest at {self.path} carries an unusable config: {exc}"
-            ) from exc
+        config = _manifest_config(manifest["config"], self.path)
         index_nodes = None
         index_min_span = None
         if self.has_index:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.array_api import array_module_of
 from ..exceptions import ShapeError
 from ..validation import as_tensor
 
@@ -27,7 +26,7 @@ __all__ = [
 def frobenius_norm(tensor: np.ndarray) -> float:
     """Frobenius norm of a tensor of any order."""
     x = as_tensor(tensor, min_order=1, name="tensor")
-    return array_module_of(x).vector_norm(x)
+    return float(np.linalg.norm(np.ravel(x)))
 
 
 def frobenius_norm_squared(tensor: np.ndarray) -> float:
@@ -39,8 +38,10 @@ def frobenius_norm_squared(tensor: np.ndarray) -> float:
     precision contract as :func:`repro.kernels.compress_plan.slab_norms`.
     The float64 path is unchanged (``flat @ flat``).
     """
-    x = as_tensor(tensor, min_order=1, name="tensor")
-    return array_module_of(x).vdot_float64(x)
+    flat = np.ravel(as_tensor(tensor, min_order=1, name="tensor"))
+    if flat.dtype == np.float64:
+        return float(flat @ flat)
+    return float(np.einsum("i,i->", flat, flat, dtype=np.float64))
 
 
 def relative_error(reference: np.ndarray, estimate: np.ndarray) -> float:
@@ -58,11 +59,10 @@ def relative_error(reference: np.ndarray, estimate: np.ndarray) -> float:
             f"reference {tuple(x.shape)} and estimate {tuple(y.shape)} "
             "must have equal shapes"
         )
-    am = array_module_of(x, y)
-    denom = am.vector_norm(x)
+    denom = float(np.linalg.norm(np.ravel(x)))
     if denom == 0.0:
         raise ShapeError("relative error undefined for a zero reference tensor")
-    return am.vector_norm(x - y) / denom
+    return float(np.linalg.norm(np.ravel(x - y))) / denom
 
 
 def reconstruction_error(reference: np.ndarray, estimate: np.ndarray) -> float:

@@ -12,7 +12,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..engine.array_api import array_module_of
 from ..exceptions import ShapeError
 from ..validation import as_tensor, check_matrix, check_mode
 __all__ = [
@@ -69,17 +68,16 @@ def mode_product(
     x = as_tensor(tensor, min_order=1, name="tensor")
     a = check_matrix(matrix, name="matrix")
     m = check_mode(mode, x.ndim)
-    am = array_module_of(x, a)
-    op = am.mT(a) if transpose else a
+    op = a.swapaxes(-1, -2) if transpose else a
     if int(op.shape[1]) != int(x.shape[m]):
         raise ShapeError(
             f"matrix with {int(op.shape[1])} columns cannot multiply mode {m} of "
             f"dimensionality {int(x.shape[m])}"
         )
     # Move the contracted mode to the front, contract, move the result back.
-    moved = am.moveaxis(x, m, 0)
+    moved = np.moveaxis(x, m, 0)
     if out is None:
-        res = am.tensordot(op, moved, axes=(1, 0))
+        res = np.tensordot(op, moved, axes=(1, 0))
     else:
         # Same 2-D GEMM tensordot performs internally, targeted at `out`.
         rows = int(op.shape[0])
@@ -89,11 +87,9 @@ def mode_product(
                 f"out buffer shape {tuple(out.shape)} does not match result "
                 f"shape {expected}"
             )
-        flat = am.reshape(moved, (int(x.shape[m]), -1))
-        res = am.reshape(
-            am.gemm_into(op, flat, am.reshape(out, (rows, -1))), expected
-        )
-    return am.moveaxis(res, 0, m)
+        flat = np.reshape(moved, (int(x.shape[m]), -1))
+        res = np.reshape(np.dot(op, flat, out=np.reshape(out, (rows, -1))), expected)
+    return np.moveaxis(res, 0, m)
 
 
 def multi_mode_product(
@@ -182,10 +178,9 @@ def kron_all(matrices: Iterable[np.ndarray]) -> np.ndarray:
     mats = [check_matrix(m, name="matrices[i]") for m in matrices]
     if not mats:
         raise ShapeError("kron_all requires at least one matrix")
-    am = array_module_of(*mats)
     out = mats[0]
     for m in mats[1:]:
-        out = am.kron(out, m)
+        out = np.kron(out, m)
     return out
 
 
@@ -231,11 +226,12 @@ def khatri_rao(matrices: Sequence[np.ndarray], *, reverse: bool = False) -> np.n
         raise ShapeError(f"khatri_rao inputs must share a column count, got {cols}")
     if reverse:
         mats = mats[::-1]
-    am = array_module_of(*mats)
     out = mats[0]
     for m in mats[1:]:
         # (a ⊙ b)[:, r] = kron(a[:, r], b[:, r]); einsum keeps it allocation-lean.
-        out = am.reshape(am.einsum("ir,jr->ijr", out, m), (-1, int(out.shape[1])))
+        out = np.reshape(
+            np.einsum("ir,jr->ijr", out, m, optimize=True), (-1, int(out.shape[1]))
+        )
     return out
 
 
@@ -268,6 +264,5 @@ def tucker_to_tensor(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndar
 def gram(matrix: np.ndarray) -> np.ndarray:
     """Return the Gram matrix ``matrix.T @ matrix`` (symmetrised)."""
     a = check_matrix(matrix, name="matrix")
-    am = array_module_of(a)
-    g = am.matmul(am.mT(a), a)
-    return (g + am.mT(g)) / 2.0
+    g = np.matmul(a.swapaxes(-1, -2), a)
+    return (g + g.swapaxes(-1, -2)) / 2.0

@@ -30,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..engine.array_api import array_module_of
 from ..validation import as_tensor, check_mode
 
 __all__ = ["unfold", "fold", "unfolding_shape", "vectorize", "tensorize"]
@@ -61,8 +60,7 @@ def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
     """
     x = as_tensor(tensor, min_order=1, name="tensor")
     m = check_mode(mode, x.ndim)
-    am = array_module_of(x)
-    return am.reshape(am.moveaxis(x, m, 0), (int(x.shape[m]), -1), order="F")
+    return np.reshape(np.moveaxis(x, m, 0), (int(x.shape[m]), -1), order="F")
 
 
 def fold(matrix: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarray:
@@ -89,8 +87,7 @@ def fold(matrix: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarray:
     """
     from ..exceptions import ShapeError
 
-    am = array_module_of(matrix)
-    mat = am.asarray(matrix)
+    mat = np.asarray(matrix)
     full_shape = tuple(int(s) for s in shape)
     m = check_mode(mode, len(full_shape))
     expected = (full_shape[m], int(np.prod(full_shape)) // full_shape[m])
@@ -100,7 +97,7 @@ def fold(matrix: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarray:
             f"{full_shape} at mode {m} (expected {expected})"
         )
     moved = full_shape[m : m + 1] + full_shape[:m] + full_shape[m + 1 :]
-    return am.moveaxis(am.reshape(mat, moved, order="F"), 0, m)
+    return np.moveaxis(np.reshape(mat, moved, order="F"), 0, m)
 
 
 def unfolding_shape(shape: Sequence[int], mode: int) -> tuple[int, int]:
@@ -115,19 +112,17 @@ def unfolding_shape(shape: Sequence[int], mode: int) -> tuple[int, int]:
 
 def vectorize(tensor: np.ndarray) -> np.ndarray:
     """Flatten a tensor to a vector in Fortran order (mode 1 fastest)."""
-    am = array_module_of(tensor)
-    return am.reshape(am.asarray(tensor), (-1,), order="F")
+    return np.reshape(np.asarray(tensor), (-1,), order="F")
 
 
 def tensorize(vector: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     """Invert :func:`vectorize` for the given target ``shape``."""
     from ..exceptions import ShapeError
 
-    am = array_module_of(vector)
     full_shape = tuple(int(s) for s in shape)
-    v = am.reshape(am.asarray(vector), (-1,))
+    v = np.reshape(np.asarray(vector), (-1,))
     if int(v.shape[0]) != int(np.prod(full_shape)):
         raise ShapeError(
             f"vector of size {int(v.shape[0])} cannot be reshaped to {full_shape}"
         )
-    return am.reshape(v, full_shape, order="F")
+    return np.reshape(v, full_shape, order="F")

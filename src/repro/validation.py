@@ -49,24 +49,7 @@ def as_tensor(x: np.ndarray, *, min_order: int = 1, name: str = "tensor") -> np.
     ShapeError
         If the input has fewer than ``min_order`` dimensions, a zero-length
         mode, or contains non-finite values.
-
-    Notes
-    -----
-    Arrays owned by a non-NumPy namespace (torch / CuPy / array-API) are
-    validated through their :class:`~repro.engine.array_api.ArrayModule`
-    and returned *in place* — they are never pulled back to the host, so
-    device-resident pipelines keep their residency through validation.
     """
-    if type(x) is not np.ndarray and (
-        hasattr(x, "__array_namespace__")
-        or type(x).__module__.partition(".")[0] in ("torch", "cupy")
-    ):
-        from .engine.array_api import array_module_of
-
-        am = array_module_of(x)
-        # Kept fork: boundary check; lists and scalars take the NumPy route below.
-        if not am.is_numpy:
-            return _as_foreign_tensor(am, x, min_order=min_order, name=name)
     arr = np.asarray(x)
     if arr.dtype.kind not in "fiu":
         raise ShapeError(f"{name} must be numeric, got dtype {arr.dtype!r}")
@@ -83,25 +66,6 @@ def as_tensor(x: np.ndarray, *, min_order: int = 1, name: str = "tensor") -> np.
     if not np.isfinite(arr).all():
         raise ShapeError(f"{name} contains non-finite values (NaN or Inf)")
     return arr
-
-
-def _as_foreign_tensor(am, x, *, min_order: int, name: str):
-    """Validate a non-NumPy array via its namespace facade (no host copy)."""
-    dt = am.np_dtype(x)
-    if dt.kind not in "fiu":
-        raise ShapeError(f"{name} must be numeric, got dtype {dt!r}")
-    if dt.kind in "iu" or dt not in (np.float32, np.float64):
-        x = am.astype(x, np.float64)
-    if x.ndim < min_order:
-        raise ShapeError(
-            f"{name} must have at least {min_order} mode(s), got shape "
-            f"{tuple(x.shape)}"
-        )
-    if any(int(s) == 0 for s in x.shape):
-        raise ShapeError(f"{name} has an empty mode: shape {tuple(x.shape)}")
-    if not am.all_finite(x):
-        raise ShapeError(f"{name} contains non-finite values (NaN or Inf)")
-    return x
 
 
 def check_mode(mode: int, order: int, *, name: str = "mode") -> int:

@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.initialization import initialize, random_initialize
+from repro.core.config import DTuckerConfig
+from repro.core.dtucker import DTucker
+from repro.core.initialization import initialize, random_initialize, scaled_gram
 from repro.core.slice_svd import compress
 from repro.exceptions import RankError
+from repro.kernels import SweepWorkspace
+from repro.linalg.svd import gram_leading_eigenvectors
 from repro.tensor.norms import core_based_error, frobenius_norm_squared
 from repro.tensor.products import tucker_to_tensor
 from repro.tensor.random import random_tensor
@@ -95,3 +99,21 @@ class TestRandomInitialize:
         core_rand, _ = random_initialize(ss, (3, 3, 3), rng=0)
         nsq = frobenius_norm_squared(x)
         assert core_based_error(nsq, core_svd) < core_based_error(nsq, core_rand)
+
+
+class TestFloat32Contract:
+    def test_blockwise_gram_on_a_float32_fit(self) -> None:
+        # SliceSVD stores float64, so a precision="float32" fit initializes
+        # from float64 slices; its float32 sweep workspace casts the stacks
+        # once, and the blockwise Gram keeps whatever dtype it is given.
+        x = random_tensor((20, 18, 30), (3, 3, 2), rng=0, noise=0.01)
+        model = DTucker((3, 3, 2), config=DTuckerConfig(precision="float32", seed=0))
+        sv = model.fit(x).slice_svd_
+        ws = SweepWorkspace(sv, compute_dtype=np.float32)
+        for stack, right in ((ws._u, False), (ws._vt, True)):
+            g32 = scaled_gram(stack, ws._s, right=right)
+            assert g32.dtype == np.float32
+            assert gram_leading_eigenvectors(g32, 3).dtype == np.float32
+            g64 = scaled_gram(sv.vt if right else sv.u, sv.s, right=right)
+            assert g64.dtype == np.float64
+            np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-3)

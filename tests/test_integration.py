@@ -22,7 +22,7 @@ from repro import (
     tucker_ttmts,
 )
 from repro.datasets import load_dataset
-from repro.experiments import run_grid, speedup_over, storage_ratio_over
+from repro.experiments import run_grid, storage_ratio_over
 
 
 class TestMethodAgreement:
@@ -112,13 +112,23 @@ class TestHarnessHeadlines:
 
     def test_airquality_speedup(self) -> None:
         # The shape class where slice compression shines: one pass over six
-        # big slices vs HOOI's repeated full-tensor TTMs.
-        recs = run_grid(
-            ["airquality"], ["dtucker", "tucker_als"], scale="small", seed=0,
-            compute_error=False,
-        )
-        sp = speedup_over(recs)["airquality"]["tucker_als"]
-        assert sp > 1.0
+        # big slices vs HOOI's repeated full-tensor TTMs.  Each method's
+        # time is the median of 3 runs, so one cold or preempted run of
+        # either side cannot decide the comparison.
+        runs = [
+            run_grid(
+                ["airquality"], ["dtucker", "tucker_als"], scale="small", seed=0,
+                compute_error=False,
+            )
+            for _ in range(3)
+        ]
+        median = {
+            method: float(np.median(
+                [r.total_seconds for recs in runs for r in recs if r.method == method]
+            ))
+            for method in ("dtucker", "tucker_als")
+        }
+        assert median["tucker_als"] / median["dtucker"] > 1.0
 
 
 class TestFunctionalApi:

@@ -274,6 +274,74 @@ class TestContractionKernels:
         np.testing.assert_array_equal(np.concatenate(parts, axis=0), full)
 
 
+
+class TestComputeDtype:
+    """The workspace computes in its compute dtype, with no silent upcast."""
+
+    def test_float64_default_is_identity(self) -> None:
+        ssvd, _ = _problem(*CASES[0])
+        ws = SweepWorkspace(ssvd)
+        # No cast, no copy: the views alias the stored representation.
+        assert ws._u is ssvd.u or ws._u.base is ssvd.u
+        assert ws.compute_dtype == np.float64
+
+    def test_every_cached_projection_is_float32(self) -> None:
+        ssvd, factors = _problem(*CASES[0])
+        ws = SweepWorkspace(ssvd, compute_dtype=np.float32)
+        ws.bind_factors(factors)
+        assert ws.factor(0).dtype == np.float32
+        assert ws.factor(1).dtype == np.float32
+        assert ws.au().dtype == np.float32
+        assert ws.av().dtype == np.float32
+        assert ws.w().dtype == np.float32
+        assert ws.mode1_partial().dtype == np.float32
+        assert ws.mode2_partial().dtype == np.float32
+        assert ws.project_w_trailing(skip=None).dtype == np.float32
+        assert ws.project_w_trailing(skip=2).dtype == np.float32
+        z1 = ws.project_trailing(ws.mode1_partial(), skip=None, tag="z1")
+        assert z1.dtype == np.float32
+
+    def test_float32_factor_updates_stay_float32(self) -> None:
+        ssvd, factors = _problem(*CASES[0])
+        ws = SweepWorkspace(ssvd, compute_dtype=np.float32)
+        ws.bind_factors(factors)
+        # A float64 factor update (e.g. from an SVD on a float64 unfolding)
+        # must not leak float64 into the cached projections.
+        ws.update_factor(0, np.asarray(factors[0], dtype=np.float64))
+        assert ws.factor(0).dtype == np.float32
+        assert ws.au().dtype == np.float32
+        assert ws.w().dtype == np.float32
+
+    def test_pool_allocates_compute_dtype(self) -> None:
+        pool = BufferPool()
+        buf64 = pool.take("t", (4, 5), np.float64)
+        buf32 = pool.take("t", (4, 5), np.float32)
+        assert buf64.dtype == np.float64
+        assert buf32.dtype == np.float32
+
+
+class TestFloat32Contract:
+    """float32 in gives float32 out, in every contraction kernel."""
+
+    def test_contraction_kernels(self) -> None:
+        rng = np.random.default_rng(0)
+
+        def f32(*shape):
+            return rng.standard_normal(shape).astype(np.float32)
+
+        u, s, vt = f32(5, 9, 4), f32(5, 4), f32(5, 4, 7)
+        a1, a2 = f32(9, 3), f32(7, 2)
+        au = project_left_chunk(u, a1=a1)
+        av = project_right_chunk(vt, a2=a2)
+        outs = [
+            au,
+            av,
+            w_from_projections_chunk(au, s, av),
+            mode1_from_projection_chunk(u, s, av),
+            mode2_from_projection_chunk(au, s, vt),
+        ]
+        assert [o.dtype for o in outs] == [np.float32] * 5
+
 def _traced_peak(fn):
     import tracemalloc
 

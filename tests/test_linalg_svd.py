@@ -10,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import RankError, ShapeError
+from repro.linalg.rsvd import randomized_range_finder, rsvd
 from repro.linalg.svd import (
+    _eigh_top,
     leading_left_singular_vectors,
     robust_svd,
     sign_fix,
@@ -165,6 +167,28 @@ class TestRobustSvd:
         np.testing.assert_allclose(s, s_ref, atol=1e-10)
         assert_orthonormal(u)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_one_gesdd_failure_falls_back_to_gesvd_in_float64(
+        self, rng, monkeypatch, dtype
+    ) -> None:
+        a = rng.standard_normal((9, 6)).astype(dtype)
+        calls = []
+        real_svd = np.linalg.svd
+
+        def flaky_svd(arr, *args, **kwargs):
+            calls.append(arr)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(arr, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+        u, s, vt = robust_svd(a)
+        assert len(calls) == 1  # gesdd tried once; gesvd is SciPy's, not np's
+        assert u.dtype == s.dtype == vt.dtype == np.float64
+        a64 = a.astype(np.float64)
+        np.testing.assert_allclose(u @ np.diag(s) @ vt, a64, atol=1e-10)
+        np.testing.assert_allclose(s, real_svd(a64, compute_uv=False), atol=1e-10)
+
     def test_persistent_failure_propagates(self, monkeypatch) -> None:
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -183,6 +207,46 @@ class TestRobustSvd:
         a = rng.standard_normal((8, 5))
         u, s, vt = robust_svd(a, full_matrices=True)
         assert u.shape == (8, 8) and s.shape == (5,) and vt.shape == (5, 5)
+
+
+class TestEighTop:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_is_the_top_of_the_full_eigh(self, dtype) -> None:
+        b = np.random.default_rng(5).standard_normal((30, 40))
+        g = (b @ b.T).astype(dtype)
+        w_full, v_full = np.linalg.eigh(g)
+        # Only the lower triangle is read.
+        lower = np.tril(g) + np.triu(np.full_like(g, 7.0), 1)
+        w, v = _eigh_top(lower, 4)
+        assert w.dtype == v.dtype == dtype
+        np.testing.assert_array_equal(w, w_full[-4:])
+        np.testing.assert_array_equal(v, v_full[:, -4:])
+
+
+class TestFloat32Contract:
+    """float32 in gives float32 out, in every single-matrix helper."""
+
+    @staticmethod
+    def _f32(*shape, seed=0):
+        return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
+
+    def test_single_matrix_helpers(self) -> None:
+        a = self._f32(30, 20)
+        assert all(f.dtype == np.float32 for f in rsvd(a, 4, rng=0))
+        assert randomized_range_finder(a, 6, rng=0).dtype == np.float32
+        # Thin-SVD branch, wide (Gram) branch, and basis completion.
+        assert leading_left_singular_vectors(a, 5).dtype == np.float32
+        assert leading_left_singular_vectors(self._f32(6, 40), 3).dtype == np.float32
+        assert leading_left_singular_vectors(self._f32(8, 3), 6).dtype == np.float32
+        g = a.T @ a
+        rhs = self._f32(20, 2, seed=1)
+        assert solve_gram(g, rhs).dtype == np.float32
+        assert solve_gram(g, rhs, ridge=0.5).dtype == np.float32
+        np.testing.assert_allclose(
+            solve_gram(g, rhs, ridge=0.5),
+            solve_gram(g.astype(float), rhs.astype(float), ridge=0.5),
+            rtol=1e-3, atol=1e-4,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from repro.core.slice_svd import compress
 from repro.engine import (
     OVERSPLIT,
     ArrayCost,
+    CommCost,
+    CostModel,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
@@ -132,6 +134,66 @@ class TestCostModels:
 
     def test_all_zero_treated_as_uniform(self) -> None:
         assert as_cost_array([0.0, 0.0, 0.0], 3) is None
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            np.array([1.0, 2.0, 3.0]),
+            [1.0, 2.0, 3.0],
+            (1.0, 2.0, 3.0),
+            np.array([1, 2, 3]),
+        ],
+        ids=["ndarray", "list", "tuple", "int-ndarray"],
+    )
+    def test_array_likes_are_weights(self, spec) -> None:
+        out = as_cost_array(spec, 3)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "model, expected",
+        [
+            (UniformCost(2.0), [2.0, 2.0, 2.0]),
+            (ArrayCost(np.array([3.0, 1.0, 2.0])), [3.0, 1.0, 2.0]),
+            (CommCost(np.array([10.0, 20.0, 30.0]), 0.5), [5.0, 10.0, 15.0]),
+            (CommCost(np.float64(4.0), 2.0), [8.0, 8.0, 8.0]),
+        ],
+        ids=["uniform", "array", "comm", "comm-scalar"],
+    )
+    def test_each_cost_model_class(self, model, expected) -> None:
+        np.testing.assert_array_equal(as_cost_array(model, 3), expected)
+
+    def test_models_are_duck_typed(self) -> None:
+        class Ramp:
+            def item_costs(self, n_items: int) -> np.ndarray:
+                return np.arange(1.0, n_items + 1.0)
+
+        np.testing.assert_array_equal(as_cost_array(Ramp(), 3), [1.0, 2.0, 3.0])
+        # CostModel is a static-typing protocol only: no runtime isinstance
+        # check (and its cost) sits on the dispatch path.
+        with pytest.raises(TypeError):
+            isinstance(UniformCost(), CostModel)
+
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            (np.array([1.0, 2.0]), 3),
+            ([1.0, np.nan], 2),
+            ((1.0, np.inf), 2),
+            (np.array([1.0, -1.0]), 2),
+            (np.ones((2, 1)), 2),
+            (ArrayCost(np.array([1.0, 2.0])), 3),
+            (CommCost(np.array([1.0, 2.0])), 3),
+            (ArrayCost(np.array([1.0, -2.0])), 2),
+        ],
+        ids=[
+            "short-ndarray", "nan-list", "inf-tuple", "negative", "2-d",
+            "array-model-length", "comm-model-length", "negative-model",
+        ],
+    )
+    def test_shape_errors(self, spec, n) -> None:
+        with pytest.raises(ShapeError):
+            as_cost_array(spec, n)
 
     def test_combine_costs(self) -> None:
         out = combine_costs([1.0, 2.0], [10.0, 0.0], io_weight=0.5)

@@ -43,9 +43,7 @@ def summed(traces) -> KernelStats:
 
 def assert_sum_matches(traces, stats: KernelStats) -> None:
     total = summed(traces)
-    for name in (
-        "hits", "misses", "bytes_reused", "bytes_h2d", "bytes_d2h", "bytes_comm"
-    ):
+    for name in ("hits", "misses", "bytes_reused", "bytes_comm"):
         assert getattr(total, name) == getattr(stats, name), name
 
     def comm(s: KernelStats) -> dict:

@@ -37,6 +37,14 @@ class TestFrobenius:
     def test_zero(self) -> None:
         assert frobenius_norm(np.zeros((2, 3))) == 0.0
 
+    def test_float32_squared_norm_accumulates_in_float64(self) -> None:
+        x = np.random.default_rng(3).standard_normal((50, 40)).astype(np.float32)
+        x64 = x.astype(np.float64).ravel()
+        got = frobenius_norm_squared(x)
+        assert isinstance(got, float)
+        # A float32 accumulator is off by ~6e-9 relative here.
+        assert got == pytest.approx(float(x64 @ x64), rel=1e-12)
+
 
 class TestRelativeError:
     def test_exact_match_is_zero(self, tensor3: np.ndarray) -> None:
