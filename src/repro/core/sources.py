@@ -14,9 +14,9 @@ accounting, uniformly for every source.
 
 Four adapters cover the library's entry points:
 
-* :class:`DenseSource` — an in-memory array (one strided view, no copy);
+* :class:`DenseSource` — an in-memory array (its slice stack, no copy);
 * :class:`NpySource` — a memory-mapped ``.npy`` file (one cached read-only
-  handle per process, batches gathered page-by-page);
+  handle per process, batches served as slice-stack views of the map);
 * :class:`SparseSource` — a :class:`~repro.sparse.coo.SparseTensor`
   (``O(nnz)`` per-slice randomized SVDs on the default strategy, densified
   batches through the planner otherwise);
@@ -49,11 +49,13 @@ from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from ..engine import ExecutionBackend, Prefetcher, backend_scope, combine_costs
+from ..engine.base import store_chunk
 from ..exceptions import RankError, ShapeError
 from ..kernels.buffers import BufferPool
 from ..kernels.compress_plan import (
     CompressionPlan,
     execute_plan,
+    factor_outputs,
     plan_chunk,
     plan_from_config,
     plan_item_costs,
@@ -61,7 +63,12 @@ from ..kernels.compress_plan import (
 from ..kernels.stats import KernelStats
 from ..linalg.svd import sign_fix
 from ..tensor.random import default_rng
-from ..tensor.slices import slice_count, slice_index_to_multi
+from ..tensor.slices import (
+    SliceRuns,
+    slice_count,
+    slice_index_to_multi,
+    slice_stack,
+)
 from ..validation import as_tensor, check_positive_int
 from .config import DTuckerConfig
 from .slice_svd import SliceSVD
@@ -228,15 +235,19 @@ class SliceSourceBase:
         plan: CompressionPlan,
         omega: np.ndarray | None,
         pool: BufferPool | None,
-        costs: np.ndarray | None = None,
+        costs: np.ndarray | None,
+        out: "tuple[np.ndarray, ...] | None",
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Factor one batch payload into ``(u, s, vt, norms)`` stacks.
 
         ``costs`` are this batch's per-slice scheduling weights (the
         :meth:`item_costs` restriction to the batch range, or ``None``).
+        The stacks are written into ``out`` (the batch's rows of the
+        whole output) when given and returned.
         """
         return execute_plan(
-            engine, payload, rank, plan, omega=omega, pool=pool, costs=costs
+            engine, payload, rank, plan, omega=omega, pool=pool, costs=costs,
+            out=out,
         )
 
     def process_parts(
@@ -248,21 +259,43 @@ class SliceSourceBase:
         omegas: list[np.ndarray | None],
         config: DTuckerConfig,
         *,
+        out: tuple[np.ndarray, ...],
         stats: KernelStats | None = None,
-    ) -> list[tuple] | None:
-        """Process-backend fan-out; ``None`` falls back to inline batches.
+    ) -> bool:
+        """Process-backend fan-out into ``out``; ``False`` falls back to inline batches.
 
-        Resident sources return ``None``: their batches run through
+        Resident sources return ``False``: their batches run through
         :func:`~repro.kernels.compress_plan.execute_plan`, whose ``chunked``
         dispatch already parallelises each slab across worker processes.
         Non-resident sources override this to ship *batch descriptors*
-        instead, so no tensor data crosses process boundaries.
+        instead, so no tensor data crosses process boundaries, and write
+        each task's ``(u, s, vt, norms)`` into its rows of ``out`` as it
+        arrives (:func:`store_parts`).
 
         ``stats`` is the compression phase's counters; sources whose
         fan-out ships data across process/shard boundaries (the
         distributed layer) record their ``comm:*`` events there.
         """
-        return None
+        return False
+
+
+def store_parts(
+    engine: ExecutionBackend,
+    fn: Callable[[Any], Any],
+    tasks: Sequence[Any],
+    rows: Sequence[tuple[int, int]],
+    out: tuple[np.ndarray, ...],
+    *,
+    costs: "np.ndarray | None" = None,
+) -> bool:
+    """Map ``fn`` over ``tasks``; task ``i``'s arrays land in rows ``rows[i]`` of ``out``.
+
+    Each result is copied in as it arrives and then dropped, so no list of
+    per-task parts builds up beside the output.
+    """
+    for i, part in engine.map_completed(fn, tasks, costs=costs):
+        store_chunk(out, rows[i][0], rows[i][1], part)
+    return True
 
 
 # -- memory-mapped .npy files ----------------------------------------------
@@ -388,16 +421,6 @@ def batched_slice_view(
     return out
 
 
-def _slice_stack(x: np.ndarray) -> np.ndarray:
-    """The ``(L, I1, I2)`` slice-stack view of a validated tensor.
-
-    The :func:`~repro.tensor.slices.to_slices` reshape (Fortran order over
-    the trailing modes) without its second validation scan.
-    """
-    i1, i2 = x.shape[:2]
-    return np.moveaxis(x.reshape((i1, i2, -1), order="F"), 2, 0)
-
-
 # -- adapters ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -411,15 +434,17 @@ class DenseDescriptor:
 
 
 class DenseSource(SliceSourceBase):
-    """An in-memory dense tensor, served as one strided slice-stack view.
+    """An in-memory dense tensor, served as its slice stack without a copy.
 
-    ``read_batch`` returns views into the original array — no copy is made
-    for the default whole-tensor batch.  The compression kernels copy the
-    view one cache-sized block of slices at a time into a contiguous
-    buffer, so the slice layout (strided for order 3, Fortran-ordered
-    slices for higher orders) never reaches the factorization: given the
-    same test matrix, the factors match those of a ``.npy`` gather of the
-    same tensor bit for bit.
+    ``read_batch`` returns a view into the original array — a strided
+    ``(B, I1, I2)`` view for order 3, and for a C-order tensor of order
+    ``>= 4`` (whose slice stack is no view) a
+    :class:`~repro.tensor.slices.SliceRuns` over its mode-3 runs.  The
+    compression kernels copy one cache-sized block of slices at a time
+    into a contiguous buffer, reading the runs directly, so no
+    whole-tensor copy is ever made and the slice layout never reaches the
+    factorization: given the same test matrix, the factors match those of
+    a ``.npy`` source of the same tensor bit for bit.
     """
 
     def __init__(self, tensor: np.ndarray) -> None:
@@ -438,7 +463,7 @@ class DenseSource(SliceSourceBase):
 
     def _bind(self, x: np.ndarray) -> None:
         self._tensor = x
-        self._stack = _slice_stack(x)
+        self._stack = slice_stack(x)
         self._shape = tuple(int(d) for d in x.shape)
         self._dtype = x.dtype
 
@@ -503,10 +528,11 @@ class NpySource(SliceSourceBase):
     """A dense tensor stored in a ``.npy`` file, memory-mapped in batches.
 
     The file must hold a C-contiguous array of order ``>= 2`` (NumPy
-    default).  Batches of consecutive slice indices are *not* contiguous
-    on disk in general; the memory map's fancy-index gather reads only the
-    touched pages.  One read-only handle is opened per process and reused
-    across batches (see :func:`clear_memmap_cache`).
+    default).  ``read_batch`` returns the memory map's slice-stack view
+    (:func:`~repro.tensor.slices.slice_stack`), so the compression block
+    copy is the only copy of the data and reads only the touched pages.
+    One read-only handle is opened per process and reused across batches
+    (see :func:`clear_memmap_cache`).
     """
 
     resident = False
@@ -527,13 +553,13 @@ class NpySource(SliceSourceBase):
 
     def read_batch(self, start: int, stop: int) -> np.ndarray:
         lo, hi = self._check_range(start, stop)
-        return batched_slice_view(_open_memmap_cached(self._path), lo, hi)
+        return slice_stack(_open_memmap_cached(self._path))[lo:hi]
 
     def descriptor(self) -> NpyDescriptor:
         return NpyDescriptor(self._path)
 
     def process_parts(
-        self, engine, rank, plan, bounds, omegas, config, *, stats=None
+        self, engine, rank, plan, bounds, omegas, config, *, out, stats=None
     ):
         # Batch descriptors fan out across worker processes; pooled buffers
         # must not be used here (shared-memory uploads are cached by array
@@ -543,8 +569,9 @@ class NpySource(SliceSourceBase):
             (descriptor, start, stop, omega)
             for (start, stop), omega in zip(bounds, omegas)
         ]
-        return engine.map(
-            batch_task_fn(rank, plan), tasks, costs=self.batch_costs(plan, bounds)
+        return store_parts(
+            engine, batch_task_fn(rank, plan), tasks, bounds, out,
+            costs=self.batch_costs(plan, bounds),
         )
 
 
@@ -597,18 +624,6 @@ def _sparse_slice_svd(
     s_out[: s[:rank].shape[0]] = s[:rank]
     vt_out[: vt_fixed.shape[0]] = vt_fixed
     return u_out, s_out, vt_out, norm
-
-
-def _stack_slice_parts(
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, float]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack per-slice ``(u, s, vt, norm)`` tuples into batch arrays."""
-    return (
-        np.stack([p[0] for p in parts]),
-        np.stack([p[1] for p in parts]),
-        np.stack([p[2] for p in parts]),
-        np.array([p[3] for p in parts]),
-    )
 
 
 class SparseSource(SliceSourceBase):
@@ -690,13 +705,9 @@ class SparseSource(SliceSourceBase):
         dense = plan_item_costs(plan, int(stop) - int(start))
         return combine_costs(dense, nnz, io_weight=1.0)
 
-    def compress_batch(self, engine, payload, rank, plan, omega, pool, costs=None):
-        if not self._sparse_kernel:
-            return super().compress_batch(
-                engine, payload, rank, plan, omega, pool, costs
-            )
+    def _slice_task(self, rank, plan, omega):
         i1, i2 = self._shape[:2]
-        fn = partial(
+        return partial(
             _sparse_slice_svd,
             rank=rank,
             omega=omega,
@@ -704,10 +715,23 @@ class SparseSource(SliceSourceBase):
             i1=i1,
             i2=i2,
         )
-        return _stack_slice_parts(engine.map(fn, payload, costs=costs))
+
+    def compress_batch(self, engine, payload, rank, plan, omega, pool, costs, out):
+        if not self._sparse_kernel:
+            return super().compress_batch(
+                engine, payload, rank, plan, omega, pool, costs, out
+            )
+        if out is None:
+            out = factor_outputs(len(payload), *self._shape[:2], rank, np.float64)
+        rows = [(i, i + 1) for i in range(len(payload))]
+        store_parts(
+            engine, self._slice_task(rank, plan, omega), payload, rows, out,
+            costs=costs,
+        )
+        return out
 
     def process_parts(
-        self, engine, rank, plan, bounds, omegas, config, *, stats=None
+        self, engine, rank, plan, bounds, omegas, config, *, out, stats=None
     ):
         if not self._sparse_kernel:
             # Densified planner path: ship whole dense batches as tasks.
@@ -716,27 +740,19 @@ class SparseSource(SliceSourceBase):
                 (descriptor, start, stop, omega)
                 for (start, stop), omega in zip(bounds, omegas)
             ]
-            return engine.map(
-                batch_task_fn(rank, plan),
-                tasks,
+            return store_parts(
+                engine, batch_task_fn(rank, plan), tasks, bounds, out,
                 costs=self.batch_costs(plan, bounds),
             )
         # Historical sparse fan-out: every CSR slice is an independent task.
-        i1, i2 = self._shape[:2]
-        fn = partial(
-            _sparse_slice_svd,
-            rank=rank,
-            omega=omegas[0],
-            power_iterations=plan.power_iterations,
-            i1=i1,
-            i2=i2,
-        )
-        parts = engine.map(
-            fn,
+        return store_parts(
+            engine,
+            self._slice_task(rank, plan, omegas[0]),
             self._tensor.slice_matrices(),
+            [(i, i + 1) for i in range(self.slice_count)],
+            out,
             costs=self.item_costs(plan, 0, self.slice_count),
         )
-        return [_stack_slice_parts(parts)]
 
 
 @dataclass(frozen=True)
@@ -761,7 +777,8 @@ class BlockSource(SliceSourceBase):
 
     Single-block batches that fall inside one block are served as views
     (bit-identical to :class:`DenseSource` over that block); batches that
-    straddle block boundaries are concatenated copies.
+    straddle block boundaries are a :class:`~repro.tensor.slices.SliceRuns`
+    over the pieces, which the compression block copy reads directly.
 
     Blocks may mix resident arrays and memory-mapped ones (``np.memmap``,
     e.g. ``np.load(..., mmap_mode="r")``); slices backed by a memmap carry
@@ -787,7 +804,7 @@ class BlockSource(SliceSourceBase):
                 )
         self._blocks = tuple(arrays)
         self._mapped = tuple(mapped)
-        self._stacks = [_slice_stack(b) for b in arrays]
+        self._stacks = [slice_stack(b) for b in arrays]
         self._offsets = np.cumsum([0] + [s.shape[0] for s in self._stacks])
         self._shape = tuple(int(d) for d in lead) + (
             int(sum(b.shape[-1] for b in arrays)),
@@ -813,7 +830,7 @@ class BlockSource(SliceSourceBase):
             b = min(hi - int(offset), stack.shape[0])
             if a < b:
                 pieces.append(stack[a:b])
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
+        return pieces[0] if len(pieces) == 1 else SliceRuns.concat(pieces)
 
     def descriptor(self) -> BlockDescriptor:
         return BlockDescriptor(self._blocks)
@@ -870,7 +887,9 @@ def compress_source(
        dispatch parallelises within each slab), through a double-buffered
        :class:`~repro.engine.pipeline.Prefetcher` for non-resident ones,
        or as picklable batch descriptors on the process backend,
-    4. concatenate the per-batch triples into one :class:`SliceSVD`.
+    4. write every batch's triples into its rows of one preallocated
+       ``(U, s, Vt, norms)`` as it arrives (a lone inline batch keeps the
+       arrays it returns) — the factors exist once.
 
     Parameters
     ----------
@@ -936,46 +955,37 @@ def compress_source(
             counters.record_miss(f"plan:{plan.method}")
             if plan.method == "rsvd":
                 counters.record_miss("sketch")
-        parts = None
-        if eng.name == "process":
-            parts = source.process_parts(
-                eng, k, plan, bounds, omegas, cfg, stats=counters
-            )
-        if parts is None:
+        # Every batch (or worker task) writes its rows of one preallocated
+        # output; a lone inline batch keeps the arrays its kernel returns.
+        out = None
+        if len(bounds) > 1 or eng.name == "process":
+            out = factor_outputs(count, i1, i2, k, plan.compute_dtype)
+        filled = eng.name == "process" and source.process_parts(
+            eng, k, plan, bounds, omegas, cfg, out=out, stats=counters
+        )
+        if not filled:
             pool = BufferPool()
             producer = source.batch_producer(plan)
+
+            def compress_batch(payload: Any, bound: tuple[int, int], omega):
+                lo, hi = bound
+                return source.compress_batch(
+                    eng, payload, k, plan, omega, pool,
+                    source.item_costs(plan, lo, hi),
+                    None if out is None else tuple(o[lo:hi] for o in out),
+                )
+
             if source.resident:
-                parts = [
-                    source.compress_batch(
-                        eng,
-                        producer(bound),
-                        k,
-                        plan,
-                        omega,
-                        pool,
-                        source.item_costs(plan, bound[0], bound[1]),
-                    )
-                    for bound, omega in zip(bounds, omegas)
-                ]
+                for bound, omega in zip(bounds, omegas):
+                    last = compress_batch(producer(bound), bound, omega)
             else:
                 # Double-buffered pipeline: the background thread gathers
                 # batch b+1 while batch b is factored; the lookahead deepens
                 # adaptively (within a 4-batch memory budget) when the IO
                 # fails to keep up with the factorization.
-                parts = []
                 with Prefetcher(producer, bounds, max_depth=4) as pf:
                     for payload, (omega, bound) in zip(pf, zip(omegas, bounds)):
-                        parts.append(
-                            source.compress_batch(
-                                eng,
-                                payload,
-                                k,
-                                plan,
-                                omega,
-                                pool,
-                                source.item_costs(plan, bound[0], bound[1]),
-                            )
-                        )
+                        last = compress_batch(payload, bound, omega)
                     trace.annotate_io(
                         produce_seconds=pf.produce_seconds,
                         wait_seconds=pf.wait_seconds,
@@ -984,16 +994,7 @@ def compress_source(
     if stats is not None:
         stats.merge(counters)
 
-    if len(parts) == 1:
-        u, s, vt, slice_norms = parts[0]
-        slice_norms = np.asarray(slice_norms, dtype=float)
-    else:
-        u = np.concatenate([p[0] for p in parts], axis=0)
-        s = np.concatenate([p[1] for p in parts], axis=0)
-        vt = np.concatenate([p[2] for p in parts], axis=0)
-        slice_norms = np.concatenate(
-            [np.asarray(p[3], dtype=float) for p in parts]
-        )
+    u, s, vt, slice_norms = last if out is None else out
     return SliceSVD(
         u=u,
         s=s,

@@ -58,6 +58,7 @@ from ..core.sources import (
     SourceDescriptor,
     batch_task_fn,
     batched_slice_view,
+    store_parts,
 )
 from ..engine import CommCost, ExecutionBackend, combine_costs
 from ..exceptions import BackendError, ShapeError
@@ -67,7 +68,7 @@ from ..kernels.compress_plan import (
     plan_item_costs,
 )
 from ..kernels.stats import KernelStats
-from ..tensor.slices import slice_count
+from ..tensor.slices import SliceRuns, slice_count
 
 __all__ = [
     "GroupDescriptor",
@@ -387,7 +388,8 @@ class ShardedSource(SliceSourceBase):
             b = min(hi - int(offset), int(member.slice_count))
             if a < b:
                 pieces.append(member.read_batch(a, b))
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
+        # A batch straddling members is served as their pieces, not a copy.
+        return pieces[0] if len(pieces) == 1 else SliceRuns.concat(pieces)
 
     def descriptor(self) -> ShardedDescriptor:
         return ShardedDescriptor(tuple(m.descriptor() for m in self._members))
@@ -417,28 +419,30 @@ class ShardedSource(SliceSourceBase):
         omegas: list["np.ndarray | None"],
         config: DTuckerConfig,
         *,
+        out: "tuple[np.ndarray, ...]",
         stats: KernelStats | None = None,
-    ) -> "list[tuple] | None":
+    ) -> bool:
         """Shard-local compression: ship member descriptors, never slabs.
 
         Each batch bound is cut at member boundaries into ``(descriptor,
         local_lo, local_hi, Ω)`` tasks; workers open their member and
         compress locally.  Per task the coordinator receives
-        ``(I1+I2+1)·K`` numbers per slice (plus one norm) and ships at
-        most one ``I2×K`` test matrix — both tallied as ``comm:`` counters
-        — while the raw ``I1·I2`` slab bytes never cross the boundary.
+        ``(I1+I2+1)·K`` numbers per slice (plus one norm), written into its
+        rows of ``out`` as it arrives, and ships at most one ``I2×K`` test
+        matrix — both tallied as ``comm:`` counters — while the raw
+        ``I1·I2`` slab bytes never cross the boundary.
 
-        Resident members return ``None``: their data already lives in the
+        Resident members return ``False``: their data already lives in the
         coordinator process, so the inline :func:`~repro.kernels
         .compress_plan.execute_plan` path (whose chunked dispatch uses
         shared-memory uploads) is both faster and byte-identical.
         """
         if all(m.resident for m in self._members):
-            return None
+            return False
         i1, i2 = self._shape[:2]
         descriptors = [m.descriptor() for m in self._members]
         tasks: list[tuple] = []
-        sizes: list[int] = []
+        rows: list[tuple[int, int]] = []
         for (start, stop), omega in zip(bounds, omegas):
             for descriptor, offset, member in zip(
                 descriptors, self._offsets[:-1], self._members
@@ -447,7 +451,8 @@ class ShardedSource(SliceSourceBase):
                 b = min(int(stop) - int(offset), int(member.slice_count))
                 if a < b:
                     tasks.append((descriptor, a, b, omega))
-                    sizes.append(b - a)
+                    rows.append((int(offset) + a, int(offset) + b))
+        sizes = [hi - lo for lo, hi in rows]
         ship = np.array(
             [
                 factor_nbytes(
@@ -471,7 +476,7 @@ class ShardedSource(SliceSourceBase):
         costs = combine_costs(
             compute, CommCost(ship + bcast).item_costs(len(tasks)), io_weight=1.0
         )
-        parts = engine.map(batch_task_fn(rank, plan), tasks, costs=costs)
+        store_parts(engine, batch_task_fn(rank, plan), tasks, rows, out, costs=costs)
         if stats is not None:
             for nbytes in ship:
                 stats.record_comm("ship", int(nbytes))
@@ -479,7 +484,7 @@ class ShardedSource(SliceSourceBase):
                 if nbytes:
                     stats.record_comm("bcast", int(nbytes))
             stats.record_comm("reduce", 0)
-        return parts
+        return True
 
 
 # -- manifest writers --------------------------------------------------------

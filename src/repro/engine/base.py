@@ -203,6 +203,30 @@ class ExecutionBackend(abc.ABC):
         """
 
     @abc.abstractmethod
+    def map_completed(
+        self,
+        fn: Callable[[Any], Any],
+        items: Sequence[Any],
+        *,
+        costs: "CostModel | Sequence[float] | None" = None,
+        schedule: str | None = None,
+    ) -> Iterator[tuple[int, Any]]:
+        """Run a task function over items, yielding ``(index, result)`` as each finishes.
+
+        For the process backend ``fn`` and every item must be picklable
+        (module-level functions, ``functools.partial`` of them, plain data).
+        Used by workloads whose inputs are not slab arrays — e.g. the
+        out-of-core path maps over ``(start, stop, Ω)`` file-batch
+        descriptors and each worker memory-maps the file itself.  A caller
+        that stores each result as it arrives (into a preallocated output)
+        never holds more results than are in flight.
+
+        ``costs`` are optional per-item weights: under a dynamic schedule
+        parallel backends submit the heaviest items first (longest
+        processing time first), so the pool queue drains into a balanced
+        finish.
+        """
+
     def map(
         self,
         fn: Callable[[Any], Any],
@@ -211,19 +235,11 @@ class ExecutionBackend(abc.ABC):
         costs: "CostModel | Sequence[float] | None" = None,
         schedule: str | None = None,
     ) -> list[Any]:
-        """Ordered map of an arbitrary task function over items.
-
-        For the process backend ``fn`` and every item must be picklable
-        (module-level functions, ``functools.partial`` of them, plain data).
-        Used by workloads whose inputs are not slab arrays — e.g. the
-        out-of-core path maps over ``(start, stop, Ω)`` file-batch
-        descriptors and each worker memory-maps the file itself.
-
-        ``costs`` are optional per-item weights: under a dynamic schedule
-        parallel backends submit the heaviest items first (longest
-        processing time first), so the pool queue drains into a balanced
-        finish.  Results are always returned in item order regardless.
-        """
+        """Ordered map: :meth:`map_completed`'s results in item order."""
+        results: list[Any] = [None] * len(items)
+        for idx, out in self.map_completed(fn, items, costs=costs, schedule=schedule):
+            results[idx] = out
+        return results
 
     def _map_order(
         self,

@@ -6,19 +6,23 @@ that price low with two mechanisms:
 
 * **Shared-memory slabs** — slab arrays (the slice triples ``U``/``s``/
   ``Vt``, the slice stack being compressed) are copied once into
-  :class:`multiprocessing.shared_memory.SharedMemory` segments and cached
-  for the lifetime of the backend, keyed by array identity.  Tasks ship
-  only ``(segment name, shape, dtype, start, stop)`` descriptors; workers
-  attach and compute on zero-copy views.  An ALS run that dispatches
-  dozens of per-mode contractions per sweep therefore uploads its triples
-  exactly once.
+  :class:`multiprocessing.shared_memory.SharedMemory` segments, keyed by
+  array identity, and each segment lives exactly as long as the array it
+  mirrors (a :func:`weakref.finalize` unlinks it when the array is
+  collected).  The copy goes straight into the segment, so a strided
+  view or a :class:`~repro.tensor.slices.SliceRuns` stack makes no
+  second, process-local copy.  Tasks ship only ``(segment name, shape,
+  dtype, start, stop)`` descriptors; workers attach and compute on
+  zero-copy views.  An ALS run that dispatches dozens of per-mode
+  contractions per sweep therefore uploads its triples exactly once.
 * **A persistent pool** — workers are forked once (``fork`` start method
   where available, ``spawn`` elsewhere) and reused across all chunk maps.
   A worker that dies mid-dispatch breaks the pool: the dispatch raises
   :class:`~repro.exceptions.BackendError` (chained from the
   :class:`~concurrent.futures.process.BrokenProcessPool`), the broken pool
   is discarded, and the next dispatch starts a fresh one.  Published slabs
-  stay owned by the backend and are unlinked by :meth:`close` as usual.
+  survive the broken pool; each is unlinked when its array dies or at
+  :meth:`close`.
 
 Kernels must be module-level functions (or ``functools.partial`` of them)
 and must return fresh arrays, never views into the shared slabs — the view
@@ -38,14 +42,16 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from ..exceptions import BackendError
+from ..tensor.slices import SliceRuns
 from .base import ChunkKernel, ExecutionBackend, run_chunk_here, store_chunk
 from .cost import CostModel
 
@@ -81,6 +87,18 @@ def _chunk_worker(
     return os.getpid(), begin - submitted, time.perf_counter() - t0, result
 
 
+def _release(
+    slabs: dict, key: int, segment: shared_memory.SharedMemory
+) -> None:
+    """Unlink one published segment and forget it (the array died or close())."""
+    slabs.pop(key, None)
+    segment.close()
+    try:
+        segment.unlink()
+    except FileNotFoundError:  # pragma: no cover - already reclaimed
+        pass
+
+
 def _task_worker(
     fn: Callable[[Any], Any], item: Any, submitted: float
 ) -> tuple[int, float, float, Any]:
@@ -104,10 +122,12 @@ class ProcessBackend(ExecutionBackend):
     ) -> None:
         super().__init__(n_workers=n_workers, chunk_size=chunk_size, schedule=schedule)
         self._pool: ProcessPoolExecutor | None = None
-        # id(array) -> (array, segment, descriptor).  The array reference
-        # both prevents the id from being recycled and keeps the cache
-        # valid for the backend's lifetime.
-        self._slabs: dict[int, tuple[np.ndarray, shared_memory.SharedMemory, _SlabDescr]] = {}
+        # id(array) -> (finalizer, segment, descriptor).  The finalizer
+        # unlinks the segment and drops the entry when the array is
+        # collected, before its id can be recycled.
+        self._slabs: dict[
+            int, tuple[weakref.finalize, shared_memory.SharedMemory, _SlabDescr]
+        ] = {}
 
     # -- lifecycle ---------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -131,26 +151,29 @@ class ProcessBackend(ExecutionBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        for _, segment, _ in self._slabs.values():
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already reclaimed
-                pass
-        self._slabs.clear()
+        for release, _, _ in list(self._slabs.values()):
+            release()
 
     # -- shared-memory slabs -----------------------------------------------
-    def _share(self, array: np.ndarray) -> _SlabDescr:
-        """Publish ``array`` as a shared slab (cached by array identity)."""
+    def _share(self, array: "np.ndarray | SliceRuns") -> _SlabDescr:
+        """Publish ``array`` as a shared slab (cached while the array lives)."""
         key = id(array)
         cached = self._slabs.get(key)
         if cached is not None:
             return cached[2]
-        contiguous = np.ascontiguousarray(array)
-        segment = shared_memory.SharedMemory(create=True, size=contiguous.nbytes)
-        np.ndarray(contiguous.shape, dtype=contiguous.dtype, buffer=segment.buf)[...] = contiguous
-        descr: _SlabDescr = (segment.name, contiguous.shape, contiguous.dtype.str)
-        self._slabs[key] = (array, segment, descr)
+        shape, dtype = tuple(int(d) for d in array.shape), np.dtype(array.dtype)
+        segment = shared_memory.SharedMemory(
+            create=True, size=max(1, int(np.prod(shape)) * dtype.itemsize)
+        )
+        target = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
+        if isinstance(array, SliceRuns):
+            array.copy_into(target)
+        else:
+            np.copyto(target, array)
+        del target  # the segment cannot close while a view exports it
+        descr: _SlabDescr = (segment.name, shape, dtype.str)
+        release = weakref.finalize(array, _release, self._slabs, key, segment)
+        self._slabs[key] = (release, segment, descr)
         return descr
 
     def _tally_steals(self, workers: Sequence[str], n_tasks: int) -> None:
@@ -216,42 +239,41 @@ class ProcessBackend(ExecutionBackend):
         self._tally_steals(workers, len(plan))
         return results if out is None else None
 
-    def map(
+    def map_completed(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
         *,
         costs: "CostModel | Sequence[float] | None" = None,
         schedule: str | None = None,
-    ) -> list[Any]:
+    ) -> Iterator[tuple[int, Any]]:
         if len(items) <= 1:
-            results = []
-            for item in items:
+            for idx, item in enumerate(items):
                 t0 = time.perf_counter()
-                results.append(fn(item))
+                out = fn(item)
                 self._record_task(
                     f"pid:{os.getpid()}", 1, busy_seconds=time.perf_counter() - t0
                 )
-            return results
+                yield idx, out
+            return
         order = self._map_order(len(items), costs, schedule)
         indices = order if order is not None else range(len(items))
         pool = self._ensure_pool()
-        results: list[Any] = [None] * len(items)
         workers = []
         try:
             futures = {
-                idx: pool.submit(_task_worker, fn, items[idx], time.time())
+                pool.submit(_task_worker, fn, items[idx], time.time()): idx
                 for idx in indices
             }
-            for idx, future in futures.items():
+            for future in as_completed(futures):
+                idx = futures.pop(future)
                 pid, wait, busy, out = future.result()
                 worker = f"pid:{pid}"
                 workers.append(worker)
                 self._record_task(
                     worker, 1, busy_seconds=busy, wait_seconds=max(0.0, wait)
                 )
-                results[idx] = out
+                yield idx, out
         except BrokenProcessPool as exc:
             raise self._discard_broken_pool() from exc
         self._tally_steals(workers, len(items))
-        return results

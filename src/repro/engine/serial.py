@@ -10,7 +10,7 @@ parallel backends against this one.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,18 +53,17 @@ class SerialBackend(ExecutionBackend):
             )
         return results if out is None else None
 
-    def map(
+    def map_completed(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
         *,
         costs: "CostModel | Sequence[float] | None" = None,
         schedule: str | None = None,
-    ) -> list[Any]:
+    ) -> Iterator[tuple[int, Any]]:
         # One worker: costs/schedule cannot change anything — run in order.
-        results = []
-        for item in items:
+        for idx, item in enumerate(items):
             t0 = time.perf_counter()
-            results.append(fn(item))
+            out = fn(item)
             self._record_task("main", 1, busy_seconds=time.perf_counter() - t0)
-        return results
+            yield idx, out

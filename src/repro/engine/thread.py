@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor, as_completed
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,25 +127,25 @@ class ThreadBackend(ExecutionBackend):
         self._tally_steals(workers, len(plan))
         return results if out is None else None
 
-    def map(
+    def map_completed(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
         *,
         costs: "CostModel | Sequence[float] | None" = None,
         schedule: str | None = None,
-    ) -> list[Any]:
+    ) -> Iterator[tuple[int, Any]]:
         if len(items) <= 1:
-            results = []
-            for item in items:
+            for idx, item in enumerate(items):
                 t0 = time.perf_counter()
-                results.append(fn(item))
+                out = fn(item)
                 self._record_task(
                     threading.current_thread().name,
                     1,
                     busy_seconds=time.perf_counter() - t0,
                 )
-            return results
+                yield idx, out
+            return
 
         def task(item: Any, submitted: float) -> tuple[str, float, float, Any]:
             begin = time.perf_counter()
@@ -162,15 +162,14 @@ class ThreadBackend(ExecutionBackend):
         pool = self._ensure_pool()
         with limit_blas_threads(self._blas_cap()):
             futures = {
-                idx: pool.submit(task, items[idx], time.perf_counter())
+                pool.submit(task, items[idx], time.perf_counter()): idx
                 for idx in indices
             }
-            results: list[Any] = [None] * len(items)
             workers = []
-            for idx, future in futures.items():
+            for future in as_completed(futures):
+                idx = futures.pop(future)
                 worker, wait, busy, out = future.result()
                 workers.append(worker)
                 self._record_task(worker, 1, busy_seconds=busy, wait_seconds=wait)
-                results[idx] = out
+                yield idx, out
         self._tally_steals(workers, len(items))
-        return results

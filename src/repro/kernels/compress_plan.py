@@ -42,6 +42,7 @@ from ..exceptions import RankError, ShapeError
 from ..linalg.rsvd import batched_rsvd, batched_svd_via_gram
 from ..linalg.svd import sign_fix
 from ..tensor.random import default_rng
+from ..tensor.slices import SliceRuns
 from .buffers import BufferPool
 from .stats import KernelStats
 
@@ -269,11 +270,33 @@ def plan_item_costs(plan: CompressionPlan, n_items: int) -> np.ndarray:
     return np.full(int(n_items), per_slice)
 
 
+#: Bytes of float64 that :func:`slab_norms` widens a float32 block by at a time.
+_WIDEN_BYTES = 1 << 20
+
+
 def slab_norms(stack: np.ndarray) -> np.ndarray:
-    """Per-slice ``‖X_l‖_F²`` with float64 accumulation regardless of dtype."""
-    if stack.dtype == np.float64:
-        return np.einsum("lij,lij->l", stack, stack, optimize=True)
-    return np.einsum("lij,lij->l", stack, stack, optimize=True, dtype=np.float64)
+    """Per-slice ``‖X_l‖_F²`` with float64 accumulation regardless of dtype.
+
+    One dot product per slice of the flattened block (``np.vecdot``), with
+    no block-sized temporary: float32 slices are widened to float64 a few
+    at a time (about ``_WIDEN_BYTES``, at least one slice per step).
+    """
+    flat = stack.reshape(stack.shape[0], -1)
+    if flat.dtype == np.float64:
+        return _vecdot(flat, flat)
+    out = np.empty(flat.shape[0])
+    step = max(1, _WIDEN_BYTES // (8 * flat.shape[1]))
+    for start in range(0, flat.shape[0], step):
+        wide = flat[start : start + step].astype(np.float64)
+        out[start : start + step] = _vecdot(wide, wide)
+    return out
+
+
+def _vecdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products: ``np.vecdot`` where NumPy has it (>= 2.0)."""
+    if hasattr(np, "vecdot"):
+        return np.vecdot(a, b)
+    return np.einsum("ij,ij->i", a, b, optimize=True)  # pragma: no cover
 
 
 # -- chunk kernels (module level so the process backend can pickle them) ----
@@ -318,9 +341,13 @@ def _copy_block(blk: np.ndarray, src: np.ndarray) -> None:
     small 2-D transpose) reuses each line across the block's slices, about
     2-3x faster on the paper's slab shapes.  A block of a few slices gains
     nothing from that reuse and pays one call per row, so it, and every
-    other layout, takes the single copy.
+    other layout, takes the single copy.  A :class:`~repro.tensor.slices
+    .SliceRuns` range is copied run by run, each run by the same rule.
     """
-    if _copies_by_row(src):
+    if isinstance(src, SliceRuns):
+        for offset, run in src.runs():
+            _copy_block(blk[offset : offset + run.shape[0]], run)
+    elif _copies_by_row(src):
         for i in range(src.shape[1]):
             np.copyto(blk[:, i, :], src[:, i, :], casting="unsafe")
     else:
@@ -444,6 +471,7 @@ def execute_plan(
     pool: BufferPool | None = None,
     stats: KernelStats | None = None,
     costs: "np.ndarray | None" = None,
+    out: "tuple[np.ndarray, ...] | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run a :class:`CompressionPlan` on one ``(L, I1, I2)`` slab.
 
@@ -454,8 +482,9 @@ def execute_plan(
         the slice axis (bitwise identical to the unchunked batched call,
         because every batched LAPACK/BLAS primitive is a per-matrix loop).
     stack:
-        The slab, in any memory layout (a strided slice view is fine).  No
-        whole-slab copy is made: each chunk copies one block of slices at
+        The slab, in any memory layout (a strided slice view, or the
+        :class:`~repro.tensor.slices.SliceRuns` of an order-``>= 4``
+        tensor).  No whole-slab copy is made: each chunk copies one block of slices at
         a time into a C-contiguous buffer, casting to ``plan.compute_dtype``
         in the same copy, and the per-slice norms accumulate in float64 on
         that block (so they may differ from a norm taken on the caller's
@@ -485,6 +514,10 @@ def execute_plan(
         source, or :func:`plan_item_costs` combined with IO weights);
         ``None`` lets the scheduler treat slices as uniform — correct
         here, since one slab's slices share a shape.
+    out:
+        Optional ``(U, s, Vt, norms)`` arrays (see :func:`factor_outputs`)
+        that every chunk writes its rows of in place; allocated when
+        ``None``.
 
     Returns
     -------
@@ -492,7 +525,7 @@ def execute_plan(
         ``(U, s, Vt, norms)`` — factors in ``plan.compute_dtype``, per-slice
         squared norms always in float64.
     """
-    a = np.asarray(stack)
+    a = stack if isinstance(stack, SliceRuns) else np.asarray(stack)
     if a.ndim != 3:
         raise ShapeError(f"stack must be 3-D (L, I1, I2), got shape {a.shape}")
     l, i1, i2 = a.shape
@@ -527,5 +560,7 @@ def execute_plan(
         slabs=(a,),
         broadcast=broadcast,
         costs=costs,
-        out=partial(factor_outputs, l, i1, i2, int(rank), dtype),
+        out=out if out is not None else partial(
+            factor_outputs, l, i1, i2, int(rank), dtype
+        ),
     )

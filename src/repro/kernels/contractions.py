@@ -31,6 +31,18 @@ suite in ``tests/test_kernels.py`` pins both properties across all
 backends.
 
 All kernels are module level so the process backend can pickle them.
+
+Temporal blocks
+---------------
+A mode-1 (mode-2) partial is an ``(L, I1, J2)`` (``(L, J1, I2)``) slice
+stack — ``O(I·J·L)`` memory, larger than anything else the iteration phase
+holds.  Its trailing TTM chain always contracts the last mode, so the
+chain is *additive* over spans of whole last-mode steps once the last
+factor is restricted to the span's rows.  :func:`temporal_blocks` cuts the
+slices into such spans of at most ``_PARTIAL_BYTES`` of stack, and
+:func:`reduce_blocks` sums the per-block chains in block order — the
+reduce shard partials use, with blocks in place of shards.  A stack that
+fits one block is one span, computed exactly as unblocked.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import ExecutionBackend, chunked
+from ..tensor.slices import slice_count
 
 __all__ = [
     "project_left_chunk",
@@ -51,7 +64,15 @@ __all__ = [
     "stack_to_tensor",
     "dispatch_slices",
     "fused_tensor",
+    "temporal_blocks",
+    "block_steps",
+    "block_trailing",
+    "reduce_blocks",
 ]
+
+#: Bytes of slice stack per temporal block of a mode-1/mode-2 partial
+#: (see :func:`temporal_blocks`); the compression block budget's size.
+_PARTIAL_BYTES = 4 << 20
 
 
 # -- projection kernels ------------------------------------------------------
@@ -149,6 +170,57 @@ def stack_to_tensor(stack: np.ndarray, trailing: tuple[int, ...]) -> np.ndarray:
     return np.reshape(moved, shape, order="F")
 
 
+# -- temporal blocks ---------------------------------------------------------
+
+def temporal_blocks(
+    shape: tuple[int, ...], row_bytes: int
+) -> list[tuple[int, int]]:
+    """Slice spans of whole last-mode steps whose partial stack fits the budget.
+
+    ``row_bytes`` is one slice's share of the partial stack.  Spans hold
+    as many last-mode steps as fit ``_PARTIAL_BYTES`` (at least one); a
+    stack that fits — or a tensor without a trailing mode — is one span.
+    """
+    count = slice_count(shape)
+    if len(shape) < 3 or count * int(row_bytes) <= _PARTIAL_BYTES:
+        return [(0, count)]
+    steps = int(shape[-1])
+    per_step = count // steps
+    per_block = max(1, _PARTIAL_BYTES // (per_step * int(row_bytes)))
+    return [
+        (t * per_step, min(t + per_block, steps) * per_step)
+        for t in range(0, steps, per_block)
+    ]
+
+
+def block_steps(shape: tuple[int, ...], lo: int, hi: int) -> tuple[int, int]:
+    """Last-mode steps ``[t_lo, t_hi)`` that the slice span ``[lo, hi)`` covers."""
+    per_step = slice_count(shape) // int(shape[-1])
+    return lo // per_step, hi // per_step
+
+
+def block_trailing(
+    shape: tuple[int, ...], span: "tuple[int, int] | None" = None
+) -> tuple[int, ...]:
+    """Modes ``3..N`` of a partial over slice ``span`` (``None``: every slice)."""
+    if span is None:
+        return tuple(shape[2:])
+    t_lo, t_hi = block_steps(shape, *span)
+    return tuple(shape[2:-1]) + (t_hi - t_lo,)
+
+
+def reduce_blocks(blocks: list[tuple[int, int]], partial) -> np.ndarray:
+    """``Σ partial(lo, hi)`` over ``blocks``, summed in block order.
+
+    Every ``partial`` after the first is added into the first's result, so
+    that one must be a fresh array; one block returns it untouched.
+    """
+    total = partial(*blocks[0])
+    for lo, hi in blocks[1:]:
+        total += partial(lo, hi)
+    return total
+
+
 # -- dispatch ----------------------------------------------------------------
 
 def dispatch_slices(
@@ -184,19 +256,19 @@ def fused_tensor(
     kernel,
     ssvd,
     rows: tuple[int, int],
+    span: "tuple[int, int] | None" = None,
     **broadcast: np.ndarray,
 ) -> np.ndarray:
-    """Run a fused kernel over every slice triple of ``ssvd`` into a fresh tensor.
+    """Run a fused kernel over the slice triples of ``ssvd`` into a fresh tensor.
 
-    The ``(L, *rows)`` stack is allocated here, filled by
-    :func:`dispatch_slices` and reshaped by :func:`stack_to_tensor`; no
-    projection is cached.
+    The ``(n, *rows)`` stack of the slices in ``span`` (default: all ``L``)
+    is allocated here, filled by :func:`dispatch_slices` and reshaped by
+    :func:`stack_to_tensor`; no projection is cached.
     """
-    out = np.empty(
-        (ssvd.num_slices, *rows), dtype=np.result_type(ssvd.u, *broadcast.values())
-    )
-    stack = dispatch_slices(
-        engine, kernel, ssvd.num_slices, (ssvd.u, ssvd.s, ssvd.vt), broadcast,
-        out=out,
-    )
-    return stack_to_tensor(stack, ssvd.shape[2:])
+    slabs = (ssvd.u, ssvd.s, ssvd.vt)
+    if span is not None:
+        slabs = tuple(a[span[0] : span[1]] for a in slabs)
+    n = int(slabs[0].shape[0])
+    out = np.empty((n, *rows), dtype=np.result_type(ssvd.u, *broadcast.values()))
+    stack = dispatch_slices(engine, kernel, n, slabs, broadcast, out=out)
+    return stack_to_tensor(stack, block_trailing(ssvd.shape, span))

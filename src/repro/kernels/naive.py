@@ -6,7 +6,10 @@ before the sweep-level kernel layer existed: every per-mode contraction
 recomputes its slice projections from scratch, and each sweep of an
 order-``≥ 3`` tensor evaluates the doubly-projected ``W`` tensor *twice* —
 once for the ``skip = n`` factor updates and once more for the core
-projection, even though no factor changed in between.
+projection, even though no factor changed in between.  Its mode-1/mode-2
+partials run in the workspace's temporal blocks
+(:func:`~repro.kernels.contractions.temporal_blocks`), so both sum the
+same blocks in the same order.
 
 It exists so the optimized path has a ground truth: ``tests/test_kernels.py``
 asserts the :class:`~repro.kernels.workspace.SweepWorkspace`-backed
@@ -23,31 +26,48 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..engine import ExecutionBackend
-from .contractions import fused_tensor, mode1_chunk, mode2_chunk
+from .contractions import (
+    block_steps,
+    fused_tensor,
+    mode1_chunk,
+    mode2_chunk,
+    reduce_blocks,
+    temporal_blocks,
+)
 
 __all__ = ["naive_als_sweeps", "mode1_partial", "mode2_partial"]
 
 
 def mode1_partial(
-    ssvd, a2: np.ndarray, *, engine: ExecutionBackend | None = None
+    ssvd,
+    a2: np.ndarray,
+    *,
+    engine: ExecutionBackend | None = None,
+    span: "tuple[int, int] | None" = None,
 ) -> np.ndarray:
     """``X̃ ×_2 A(2)ᵀ`` as a tensor of shape ``(I1, J2, I3, …, IN)``.
 
-    The slice projections ``V_lᵀA(2)`` are rebuilt on every call.
+    The slice projections ``V_lᵀA(2)`` are rebuilt on every call.  A
+    ``span`` of whole last-mode steps gives that temporal block's partial.
     """
     rows = (ssvd.slice_shape[0], a2.shape[1])
-    return fused_tensor(engine, mode1_chunk, ssvd, rows, a2=a2)
+    return fused_tensor(engine, mode1_chunk, ssvd, rows, span, a2=a2)
 
 
 def mode2_partial(
-    ssvd, a1: np.ndarray, *, engine: ExecutionBackend | None = None
+    ssvd,
+    a1: np.ndarray,
+    *,
+    engine: ExecutionBackend | None = None,
+    span: "tuple[int, int] | None" = None,
 ) -> np.ndarray:
     """``X̃ ×_1 A(1)ᵀ`` as a tensor of shape ``(J1, I2, I3, …, IN)``.
 
-    The slice projections ``A(1)ᵀU_l`` are rebuilt on every call.
+    The slice projections ``A(1)ᵀU_l`` are rebuilt on every call.  A
+    ``span`` of whole last-mode steps gives that temporal block's partial.
     """
     rows = (a1.shape[1], ssvd.slice_shape[1])
-    return fused_tensor(engine, mode2_chunk, ssvd, rows, a1=a1)
+    return fused_tensor(engine, mode2_chunk, ssvd, rows, span, a1=a1)
 
 
 def naive_als_sweeps(
@@ -86,25 +106,42 @@ def naive_als_sweeps(
     with backend_scope(engine, config=cfg) as eng, eng.phase("iteration-naive"):
         w = None
 
-        def contract(target: int | None) -> np.ndarray:
-            nonlocal w
-            if target == 0:
-                tensor, skip = mode1_partial(ssvd, facs[1], engine=eng), None
-            elif target == 1:
-                tensor, skip = mode2_partial(ssvd, facs[0], engine=eng), None
-            else:
-                # The historical redundancy under test: W is built for the
-                # first trailing mode and rebuilt for the core, although
-                # factors 0/1 have not changed in between.
-                if target is None or target == 2:
-                    w = w_tensor(ssvd, facs[0], facs[1], engine=eng)
-                tensor, skip = w, target
+        def trailing(tensor, skip, steps=None) -> np.ndarray:
             modes = [m for m in range(2, order) if m != skip]
             if not modes:
                 return tensor
-            return multi_mode_product(
-                tensor, [facs[m] for m in modes], modes=modes, transpose=True
-            )
+            mats = [facs[m] for m in modes]
+            if steps is not None:
+                mats[-1] = mats[-1][steps[0] : steps[1]]
+            return multi_mode_product(tensor, mats, modes=modes, transpose=True)
+
+        def contract(target: int | None) -> np.ndarray:
+            nonlocal w
+            if target in (0, 1):
+                # The workspace's temporal blocking, on uncached partials.
+                if target == 0:
+                    partial, fac = mode1_partial, facs[1]
+                    rows = ssvd.slice_shape[0] * fac.shape[1]
+                else:
+                    partial, fac = mode2_partial, facs[0]
+                    rows = fac.shape[1] * ssvd.slice_shape[1]
+                blocks = temporal_blocks(ssvd.shape, rows * fac.itemsize)
+                if len(blocks) == 1:
+                    return trailing(partial(ssvd, fac, engine=eng), None)
+                return reduce_blocks(
+                    blocks,
+                    lambda lo, hi: trailing(
+                        partial(ssvd, fac, engine=eng, span=(lo, hi)),
+                        None,
+                        block_steps(ssvd.shape, lo, hi),
+                    ),
+                )
+            # The historical redundancy under test: W is built for the
+            # first trailing mode and rebuilt for the core, although
+            # factors 0/1 have not changed in between.
+            if target is None or target == 2:
+                w = w_tensor(ssvd, facs[0], facs[1], engine=eng)
+            return trailing(w, target)
 
         return _sweep_loop(
             contract, facs, rank_tuple, ssvd.norm_squared, cfg, callback=callback

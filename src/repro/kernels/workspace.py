@@ -17,12 +17,18 @@ iteration phase and makes each one *incremental* across the sweep:
   reuse the intermediate instead of recontracting it;
 * the large slice stacks are written into preallocated
   :class:`~repro.kernels.buffers.BufferPool` slots via ``out=`` matmuls, so
-  steady-state sweeps stop allocating for the hot contractions.
+  steady-state sweeps stop allocating for the hot contractions;
+* the mode-1/mode-2 partials — ``(L, I1, J2)`` / ``(L, J1, I2)`` stacks,
+  the only ``O(I·J·L)`` intermediates — are filled and contracted one
+  temporal block at a time and the blocks' chains summed
+  (:func:`~repro.kernels.contractions.temporal_blocks`), so a sweep's
+  transient memory is one block's stack, not the whole partial.
 
 Every cached value is produced by exactly the operations the uncached path
-would run on identical inputs, so results are bit-identical to the naive
-implementation (:mod:`repro.kernels.naive`) — the property
-``tests/test_kernels.py`` pins across backends and tensor orders.
+would run on identical inputs (the naive path blocks its partials the same
+way), so results are bit-identical to the naive implementation
+(:mod:`repro.kernels.naive`) — the property ``tests/test_kernels.py`` pins
+across backends and tensor orders.
 
 Invalidation rules
 ------------------
@@ -43,12 +49,16 @@ from ..exceptions import ShapeError
 from ..tensor.products import mode_product
 from .buffers import BufferPool
 from .contractions import (
+    block_steps,
+    block_trailing,
     dispatch_slices,
     mode1_from_projection_chunk,
     mode2_from_projection_chunk,
     project_left_chunk,
     project_right_chunk,
+    reduce_blocks,
     stack_to_tensor,
+    temporal_blocks,
     w_from_projections_chunk,
 )
 from .planner import plan_ttm_chain
@@ -66,6 +76,12 @@ _MAX_CHAIN_ENTRIES = 256
 
 class SweepWorkspace:
     """Reusable kernel state for compressed-domain ALS sweeps.
+
+    Its memory is the bound ``SliceSVD`` (cast once for float32), the
+    ``O(L·J·K)`` projection stacks and ``W``, and one pooled slot of at
+    most one temporal block (4 MiB) that both mode-1/mode-2 partials fill
+    block by block — never a whole ``(L, I1, J2)`` or ``(L, J1, I2)``
+    partial.
 
     Parameters
     ----------
@@ -175,7 +191,9 @@ class SweepWorkspace:
         return buf
 
     # -- scheduling costs --------------------------------------------------
-    def _slice_costs(self, flops_per_slice: float) -> np.ndarray:
+    def _slice_costs(
+        self, flops_per_slice: float, n_slices: int | None = None
+    ) -> np.ndarray:
         """Uniform per-slice cost model for one sweep contraction.
 
         Slices share a shape, so within one dispatch the costs are flat —
@@ -184,7 +202,8 @@ class SweepWorkspace:
         cache hit carries only its final-GEMM flops, while a dirty
         projection's rebuild dispatch carries the projection flops.
         """
-        return np.full(self.ssvd.num_slices, max(1.0, float(flops_per_slice)))
+        n = self.ssvd.num_slices if n_slices is None else n_slices
+        return np.full(n, max(1.0, float(flops_per_slice)))
 
     # -- cached projections ------------------------------------------------
     def au(self) -> np.ndarray:
@@ -235,31 +254,66 @@ class SweepWorkspace:
         return self._av
 
     # -- partials and W ----------------------------------------------------
+    def _partial_spec(self, target: int) -> tuple:
+        """``(kernel, slabs, rows, flops per slice)`` of partial ``target``.
+
+        Target 0 is the mode-1 partial ``U @ (diag(s) VᵀA(2))`` over the
+        cached ``av``, target 1 the mode-2 partial over the cached ``au``;
+        ``rows`` is one slice's ``(a, b)`` block of the ``(L, a, b)`` stack.
+        """
+        if target == 0:
+            av = self.av()
+            i1, k, j2 = self.ssvd.slice_shape[0], self._u.shape[2], av.shape[2]
+            return (mode1_from_projection_chunk, (self._u, self._s, av),
+                    (i1, j2), 2.0 * i1 * k * j2)
+        au = self.au()
+        j1, k, i2 = au.shape[1], au.shape[2], self.ssvd.slice_shape[1]
+        return (mode2_from_projection_chunk, (au, self._s, self._vt),
+                (j1, i2), 2.0 * j1 * k * i2)
+
+    def _blocks(self, rows: tuple[int, int]) -> list[tuple[int, int]]:
+        """Temporal blocks of a partial whose slices are ``rows``-shaped."""
+        itemsize = self.compute_dtype.itemsize
+        return temporal_blocks(self.ssvd.shape, rows[0] * rows[1] * itemsize)
+
+    def _stack_items(self) -> int:
+        """Items of the pooled slot both partials share: the larger first block."""
+        i1, i2 = self.ssvd.slice_shape
+        j1, j2 = self._factors[0].shape[1], self._factors[1].shape[1]
+        items = 0
+        for a, b in ((i1, j2), (j1, i2)):
+            lo, hi = self._blocks((a, b))[0]
+            items = max(items, (hi - lo) * a * b)
+        return items
+
+    def _partial(
+        self, spec: tuple, span: "tuple[int, int] | None" = None
+    ) -> np.ndarray:
+        """The partial of ``spec`` over slice ``span`` (``None``: all), as a tensor.
+
+        Both partials' stacks land in one pooled slot sized for the larger
+        first block, so every block of every sweep reuses one buffer.
+        """
+        kernel, slabs, rows, flops = spec
+        n = self.ssvd.num_slices
+        if span is not None:
+            slabs = tuple(a[span[0] : span[1]] for a in slabs)
+            n = span[1] - span[0]
+        items = n * rows[0] * rows[1]
+        buf = self._take("partial_stack", (max(items, self._stack_items()),))
+        stack = dispatch_slices(
+            self.engine, kernel, n, slabs, {}, out=buf[:items].reshape(n, *rows),
+            costs=self._slice_costs(flops, n),
+        )
+        return stack_to_tensor(stack, block_trailing(self.ssvd.shape, span))
+
     def mode1_partial(self) -> np.ndarray:
         """``X̃ ×_2 A(2)ᵀ`` of shape ``(I1, J2, I3, …)`` via the cached ``av``."""
-        av = self.av()
-        ssvd = self.ssvd
-        i1 = ssvd.slice_shape[0]
-        buf = self._take("m1_stack", (ssvd.num_slices, i1, av.shape[2]))
-        stack = dispatch_slices(
-            self.engine, mode1_from_projection_chunk, ssvd.num_slices,
-            (self._u, self._s, av), {}, out=buf,
-            costs=self._slice_costs(2.0 * i1 * self._u.shape[2] * av.shape[2]),
-        )
-        return stack_to_tensor(stack, ssvd.shape[2:])
+        return self._partial(self._partial_spec(0))
 
     def mode2_partial(self) -> np.ndarray:
         """``X̃ ×_1 A(1)ᵀ`` of shape ``(J1, I2, I3, …)`` via the cached ``au``."""
-        au = self.au()
-        ssvd = self.ssvd
-        i2 = ssvd.slice_shape[1]
-        buf = self._take("m2_stack", (ssvd.num_slices, au.shape[1], i2))
-        stack = dispatch_slices(
-            self.engine, mode2_from_projection_chunk, ssvd.num_slices,
-            (au, self._s, self._vt), {}, out=buf,
-            costs=self._slice_costs(2.0 * au.shape[1] * au.shape[2] * i2),
-        )
-        return stack_to_tensor(stack, ssvd.shape[2:])
+        return self._partial(self._partial_spec(1))
 
     def w(self) -> np.ndarray:
         """``W = X̃ ×_1 A(1)ᵀ ×_2 A(2)ᵀ``, cached on the factor-version pair."""
@@ -320,20 +374,29 @@ class SweepWorkspace:
         return out
 
     def project_trailing(
-        self, tensor: np.ndarray, *, skip: int | None = None, tag: str | None = None
+        self,
+        tensor: np.ndarray,
+        *,
+        skip: int | None = None,
+        tag: str | None = None,
+        steps: "tuple[int, int] | None" = None,
     ) -> np.ndarray:
         """Contract modes ``2..N-1`` (minus ``skip``) of an arbitrary tensor.
 
         Used for the mode-1/mode-2 partials, whose base tensor changes
         every sweep (no chain reuse), but which still benefit from the
         memoized plan and — when ``tag`` is given — from pooled ``out=``
-        buffers for the per-step GEMMs.  The final result always lands in a
-        fresh array so callers may hold it across pool reuse.
+        buffers for the per-step GEMMs.  ``steps`` restricts the last
+        factor to rows ``[t_lo, t_hi)`` for a temporal block's partial.
+        The final result always lands in a fresh array so callers may hold
+        it across pool reuse.
         """
         modes = [m for m in range(2, self.ssvd.order) if m != skip]
         if not modes:
             return tensor
         mats = [self._factors[m] for m in modes]
+        if steps is not None:
+            mats[-1] = mats[-1][steps[0] : steps[1]]
         order = plan_ttm_chain(
             tensor.shape, tuple(m.shape for m in mats), tuple(modes), transpose=True
         )
@@ -346,23 +409,33 @@ class SweepWorkspace:
                 shape[mode] = mats[idx].shape[1]
                 moved = [shape[mode]] + shape[:mode] + shape[mode + 1:]
                 buf = self._take(f"{tag}:{step}", tuple(moved))
-            out = mode_product(
-                out, self._factors[mode], mode, transpose=True, out=buf
-            )
+            out = mode_product(out, mats[idx], mode, transpose=True, out=buf)
         return out
 
     def contract(self, target: int | None) -> np.ndarray:
         """Mode ``target``'s TTM chain ``X̃ ×_{k≠target} A(k)ᵀ``; ``None`` gives the core.
 
         Modes 0 and 1 contract the other slice mode through the cached
-        projections, then the trailing modes; modes ``≥ 2`` and the core
+        projections, then the trailing modes, one temporal block at a time
+        (:func:`~repro.kernels.contractions.temporal_blocks`) with the
+        blocks' chains summed in block order; modes ``≥ 2`` and the core
         are chains off the cached ``W``.
         """
-        if target == 0:
-            return self.project_trailing(self.mode1_partial(), tag="z1")
-        if target == 1:
-            return self.project_trailing(self.mode2_partial(), tag="z2")
-        return self.project_w_trailing(skip=target)
+        if target not in (0, 1):
+            return self.project_w_trailing(skip=target)
+        spec = self._partial_spec(target)
+        blocks = self._blocks(spec[2])
+        if len(blocks) == 1:
+            return self.project_trailing(
+                self._partial(spec), tag=f"z{target + 1}"
+            )
+        shape = self.ssvd.shape
+        return reduce_blocks(
+            blocks,
+            lambda lo, hi: self.project_trailing(
+                self._partial(spec, (lo, hi)), steps=block_steps(shape, lo, hi)
+            ),
+        )
 
     # -- bookkeeping -------------------------------------------------------
     def finish_sweep(self) -> None:

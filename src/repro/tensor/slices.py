@@ -17,7 +17,7 @@ blocks, and any per-slice SVD immediately factors those unfoldings.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +25,9 @@ from ..exceptions import ShapeError
 from ..validation import as_tensor
 
 __all__ = [
+    "SliceRuns",
     "slice_count",
+    "slice_stack",
     "to_slices",
     "from_slices",
     "iter_slices",
@@ -125,3 +127,102 @@ def multi_to_slice_index(multi: Sequence[int], shape: Sequence[int]) -> int:
     if not trailing:
         return 0
     return int(np.ravel_multi_index(tuple(int(i) for i in multi), trailing, order="F"))
+
+
+def slice_stack(x: np.ndarray) -> "np.ndarray | SliceRuns":
+    """The ``(L, I1, I2)`` slice stack of ``x``, without copying any data.
+
+    A strided view when the trailing modes merge in Fortran order without
+    a copy (every order-3 tensor, any layout).  Otherwise — a C-order
+    tensor of order ``>= 4`` — the last mode varies slowest, so the stack
+    is the concatenation of the stacks of ``x[..., j]``, one order lower:
+    a :class:`SliceRuns` that gathers slices only when they are copied.
+    """
+    i1, i2 = x.shape[:2]
+    trailing = [(d, st) for d, st in zip(x.shape[2:], x.strides[2:]) if d != 1]
+    if all(b[1] == a[1] * a[0] for a, b in zip(trailing, trailing[1:])):
+        return np.moveaxis(x.reshape((i1, i2, -1), order="F"), 2, 0)
+    steps = int(x.shape[-1])
+    per_step = slice_count(x.shape) // steps
+    return SliceRuns(
+        lambda j: slice_stack(x[..., j]), np.arange(steps + 1) * per_step
+    )
+
+
+class SliceRuns:
+    """A slice stack served as strided views, gathered only when copied.
+
+    Some stacks are no single view: the stack of a C-order tensor of order
+    ``>= 4`` (see :func:`slice_stack`), and a batch that straddles the
+    blocks or members of a source (:meth:`concat`).  This array-like holds
+    such a stack as a lazy concatenation — ``piece(j)`` returns piece ``j``
+    (a view or another :class:`SliceRuns`), which starts at slice
+    ``offsets[j]`` — restricted to slices ``[start, stop)``.  It has
+    ``shape``/``dtype``, slices along axis 0 into another
+    :class:`SliceRuns`, and :meth:`runs` yields ``(offset, view)`` pairs so
+    a consumer copies each strided view straight into its own buffer.
+    ``np.asarray`` gathers the whole range (a copy).
+    """
+
+    ndim = 3
+
+    def __init__(
+        self,
+        piece: Callable[[int], "np.ndarray | SliceRuns"],
+        offsets: Sequence[int],
+        start: int = 0,
+        stop: int | None = None,
+    ) -> None:
+        self._piece = piece
+        self._offsets = np.asarray(offsets, dtype=np.int64)
+        self.start = int(start)
+        self.stop = int(self._offsets[-1]) if stop is None else int(stop)
+        first = piece(0)
+        self._slice_shape = tuple(int(d) for d in first.shape[1:])
+        self.dtype = np.dtype(first.dtype)
+
+    @classmethod
+    def concat(cls, stacks: Sequence["np.ndarray | SliceRuns"]) -> "SliceRuns":
+        """``stacks`` concatenated along the slice axis, without a copy."""
+        return cls(stacks.__getitem__, np.cumsum([0] + [len(s) for s in stacks]))
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.stop - self.start,) + self._slice_shape
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, key: slice) -> "SliceRuns":
+        lo, hi, step = key.indices(len(self))
+        if step != 1:
+            raise ShapeError("SliceRuns supports contiguous slice ranges only")
+        return SliceRuns(
+            self._piece, self._offsets, self.start + lo, self.start + max(lo, hi)
+        )
+
+    def runs(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(offset, view)``: ``view`` holds slices ``offset..`` of the range."""
+        offsets = self._offsets
+        j = int(np.searchsorted(offsets, self.start, side="right")) - 1
+        l = self.start
+        while l < self.stop:
+            lo, hi = int(offsets[j]), int(offsets[j + 1])
+            part = self._piece(j)[l - lo : min(self.stop, hi) - lo]
+            if isinstance(part, SliceRuns):
+                for offset, view in part.runs():
+                    yield l - self.start + offset, view
+            else:
+                yield l - self.start, part
+            l = max(l, min(self.stop, hi))
+            j += 1
+
+    def copy_into(self, out: np.ndarray) -> np.ndarray:
+        """Copy (and cast) the range into ``out`` of shape :attr:`shape`."""
+        for offset, view in self.runs():
+            np.copyto(out[offset : offset + view.shape[0]], view, casting="unsafe")
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.empty(self.shape, dtype=self.dtype if dtype is None else dtype)
+        return self.copy_into(out)

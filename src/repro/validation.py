@@ -63,9 +63,38 @@ def as_tensor(x: np.ndarray, *, min_order: int = 1, name: str = "tensor") -> np.
         )
     if any(s == 0 for s in arr.shape):
         raise ShapeError(f"{name} has an empty mode: shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ShapeError(f"{name} contains non-finite values (NaN or Inf)")
     return arr
+
+
+#: Elements per finiteness-scan block: the boolean temporary of one
+#: ``np.isfinite`` call is at most this many bytes, whatever the tensor size.
+_FINITE_BLOCK = 1 << 19
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """``np.isfinite(arr).all()`` scanned in blocks of ``_FINITE_BLOCK`` items.
+
+    A contiguous array is scanned as runs of its flat view; any other
+    layout in runs along its leading axis (a row larger than a block is
+    scanned row by row), so no temporary grows with the tensor.
+    """
+    if arr.size <= _FINITE_BLOCK:
+        return bool(np.isfinite(arr).all())
+    if arr.flags.c_contiguous or arr.flags.f_contiguous:
+        flat = arr.ravel(order="K")
+        return all(
+            np.isfinite(flat[i : i + _FINITE_BLOCK]).all()
+            for i in range(0, flat.size, _FINITE_BLOCK)
+        )
+    row = arr.size // arr.shape[0]
+    if row > _FINITE_BLOCK:
+        return all(_all_finite(r) for r in arr)
+    step = _FINITE_BLOCK // row
+    return all(
+        np.isfinite(arr[i : i + step]).all() for i in range(0, arr.shape[0], step)
+    )
 
 
 def check_mode(mode: int, order: int, *, name: str = "mode") -> int:

@@ -258,6 +258,45 @@ class TestWorkerCrash:
             assert set(shm.iterdir()) - before == set()
 
 
+class TestSharedSlabLifetime:
+    """A published segment lives only as long as the array it mirrors."""
+
+    def test_twenty_fits_hold_no_more_segments_than_one(self) -> None:
+        x = random_tensor((14, 12, 10), (3, 3, 2), rng=5, noise=0.05)
+        cfg = DTuckerConfig(seed=0, backend="process", n_workers=2)
+        eng = ProcessBackend(n_workers=2)
+        try:
+            live = []
+            for _ in range(20):
+                model = DTucker((3, 3, 2), config=cfg, engine=eng).fit(x)
+                live.append(len(eng._slabs))
+            assert live[0] > 0
+            assert max(live) <= live[0], live
+            published = [descr[0] for _, _, descr in eng._slabs.values()]
+            del model
+            # The last model held the only arrays still published.
+            assert len(eng._slabs) < live[-1]
+        finally:
+            eng.close()
+        assert not eng._slabs
+        for name in published:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+    def test_segment_is_unlinked_when_its_array_is_collected(self) -> None:
+        eng = ProcessBackend(n_workers=2)
+        try:
+            slab = np.arange(12.0).reshape(6, 2)
+            eng.run_chunks(_double_chunk, [(0, 3), (3, 6)], [slab], {"scale": 2.0})
+            (name,) = [descr[0] for _, _, descr in eng._slabs.values()]
+            del slab
+            assert not eng._slabs
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+        finally:
+            eng.close()
+
+
 class TestBackendParity:
     """Serial, thread and process backends must agree bit-for-bit."""
 
