@@ -68,12 +68,13 @@ RANKS = (4, 4, 4)
 
 #: Skewed shard layout: one member owns most of the temporal extent — the
 #: adversarial case for an equal-count split, and the common one when one
-#: site accumulated most of the history.  Cost-balanced LPT over the
-#: per-member tasks is what earns the two-worker win.
+#: site accumulated most of the history.  The pool queue gives the long
+#: member task to one worker while the other drains the short ones, which
+#: earns the two-worker win.
 SHARD_EXTENTS = (28, 8, 6, 6)
 
 #: Per-slice read stall (seconds): emulates remote/cold-storage latency.
-#: Total stall ≈ 0.38 s sequential, ≈ 0.22 s on two workers (LPT bound).
+#: Total stall ≈ 0.38 s sequential, ≈ 0.22 s on two workers (the long task).
 SLEEP_PER_SLICE = 0.008
 
 

@@ -59,7 +59,6 @@ def _config_from_args(args: argparse.Namespace) -> "object":
         backend=getattr(args, "backend", None) or "auto",
         n_workers=getattr(args, "workers", None),
         chunk_size=getattr(args, "chunk_size", None),
-        schedule=getattr(args, "schedule", None) or "auto",
         strategy=getattr(args, "strategy", None) or "rsvd",
         precision=getattr(args, "precision", None) or "float64",
         shards=getattr(args, "shards", None),
@@ -89,16 +88,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
             "only small factor products cross shard boundaries (see "
             "docs/distributed.md). Results are identical to the unsharded "
             "fit."
-        ),
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=("auto", "static", "dynamic"),
-        default=None,
-        help=(
-            "chunk scheduling policy (default: auto — dynamic work-stealing "
-            "queue when it can help, else static; REPRO_SCHEDULE env "
-            "overrides auto). Results are identical either way."
         ),
     )
 

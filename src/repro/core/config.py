@@ -34,11 +34,6 @@ _STRATEGY_CHOICES = ("rsvd", "auto", "gram", "exact")
 #: Compute precisions accepted by :attr:`DTuckerConfig.precision`.
 _PRECISION_CHOICES = ("float64", "float32")
 
-#: Scheduling policies accepted by :attr:`DTuckerConfig.schedule` (``"auto"``
-#: lets the engine pick: dynamic when oversplitting can help, else static;
-#: the ``REPRO_SCHEDULE`` environment variable overrides ``"auto"``).
-_SCHEDULE_CHOICES = ("auto", "static", "dynamic")
-
 #: Streaming update modes accepted by :attr:`DTuckerConfig.update` (see
 #: :class:`repro.core.streaming.StreamingDTucker` and ``docs/streaming.md``).
 _UPDATE_CHOICES = ("refit", "incremental", "sketch")
@@ -93,17 +88,10 @@ class DTuckerConfig:
         Worker count for parallel backends; ``None`` defers to
         ``REPRO_WORKERS``, then the CPU count.
     chunk_size:
-        Items per engine task; ``None`` splits work evenly across workers
-        (one chunk total on the serial backend, reproducing the unchunked
-        computation exactly).
-    schedule:
-        Chunk-scheduling policy: ``"static"`` (one cost-balanced chunk per
-        worker), ``"dynamic"`` (oversplit task queue drained
-        work-stealing-style by the persistent pools), or ``"auto"``
-        (default — dynamic exactly when more than one worker and more
-        items than workers; honours the ``REPRO_SCHEDULE`` environment
-        override).  Purely a performance knob: results are bit-identical
-        under every policy.  See ``docs/performance.md``.
+        Items per engine task; ``None`` makes one chunk on one worker
+        (reproducing the unchunked computation exactly) and oversplits
+        into equal-count chunks, ``OVERSPLIT`` per worker, on more.
+        Results are bit-identical under every chunking.
     update:
         Streaming update mode for :class:`~repro.core.streaming.StreamingDTucker`:
         ``"refit"`` (default — full ALS refit over all accumulated
@@ -148,7 +136,6 @@ class DTuckerConfig:
     backend: str = "auto"
     n_workers: int | None = None
     chunk_size: int | None = None
-    schedule: str = "auto"
     update: str = "refit"
     window: int | None = None
     decay: float | None = None
@@ -188,11 +175,6 @@ class DTuckerConfig:
             raise ShapeError(f"n_workers must be >= 1 or None, got {self.n_workers}")
         if self.chunk_size is not None and int(self.chunk_size) < 1:
             raise ShapeError(f"chunk_size must be >= 1 or None, got {self.chunk_size}")
-        if not isinstance(self.schedule, str) or self.schedule not in _SCHEDULE_CHOICES:
-            raise BackendError(
-                f"schedule must be one of {', '.join(_SCHEDULE_CHOICES)}, "
-                f"got {self.schedule!r}"
-            )
         if not isinstance(self.update, str) or self.update not in _UPDATE_CHOICES:
             raise ShapeError(
                 f"update must be one of {', '.join(_UPDATE_CHOICES)}, "

@@ -48,7 +48,7 @@ from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from ..engine import ExecutionBackend, Prefetcher, backend_scope, combine_costs
+from ..engine import ExecutionBackend, Prefetcher, backend_scope
 from ..engine.base import store_chunk
 from ..exceptions import RankError, ShapeError
 from ..kernels.buffers import BufferPool
@@ -58,7 +58,6 @@ from ..kernels.compress_plan import (
     factor_outputs,
     plan_chunk,
     plan_from_config,
-    plan_item_costs,
 )
 from ..kernels.stats import KernelStats
 from ..linalg.svd import sign_fix
@@ -184,43 +183,6 @@ class SliceSourceBase:
         i1, i2 = self._shape[:2]
         return plan_from_config(i1, i2, rank, config)
 
-    def item_costs(
-        self, plan: CompressionPlan, start: int, stop: int
-    ) -> np.ndarray | None:
-        """Per-slice scheduling costs for slices ``start..stop``.
-
-        ``None`` (the default) means "all slices cost the same" — correct
-        for dense same-shape slabs, where the scheduler's equal-count split
-        is already balanced.  Sources whose per-slice work varies (sparse
-        nnz profiles, mixed resident/memmapped blocks) override this; the
-        engine then balances chunk boundaries and drains its dynamic queue
-        heaviest-first.  Values are relative weights — see
-        :mod:`repro.engine.cost`.
-        """
-        return None
-
-    def batch_costs(
-        self, plan: CompressionPlan, bounds: list[tuple[int, int]]
-    ) -> np.ndarray | None:
-        """Per-batch scheduling costs for descriptor fan-outs.
-
-        Defaults to the per-batch sums of :meth:`item_costs` when a model
-        exists, else the batch sizes (the remainder batch then weighs
-        proportionally less than the full ones).
-        """
-        per_batch = []
-        uniform = True
-        for start, stop in bounds:
-            c = self.item_costs(plan, start, stop)
-            if c is None:
-                per_batch.append(float(stop - start))
-            else:
-                uniform = False
-                per_batch.append(float(np.sum(c)))
-        if uniform and len(set(per_batch)) == 1:
-            return None
-        return np.asarray(per_batch, dtype=float)
-
     def batch_producer(
         self, plan: CompressionPlan
     ) -> Callable[[tuple[int, int]], Any]:
@@ -235,19 +197,15 @@ class SliceSourceBase:
         plan: CompressionPlan,
         omega: np.ndarray | None,
         pool: BufferPool | None,
-        costs: np.ndarray | None,
         out: "tuple[np.ndarray, ...] | None",
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Factor one batch payload into ``(u, s, vt, norms)`` stacks.
 
-        ``costs`` are this batch's per-slice scheduling weights (the
-        :meth:`item_costs` restriction to the batch range, or ``None``).
         The stacks are written into ``out`` (the batch's rows of the
         whole output) when given and returned.
         """
         return execute_plan(
-            engine, payload, rank, plan, omega=omega, pool=pool, costs=costs,
-            out=out,
+            engine, payload, rank, plan, omega=omega, pool=pool, out=out
         )
 
     def process_parts(
@@ -285,15 +243,13 @@ def store_parts(
     tasks: Sequence[Any],
     rows: Sequence[tuple[int, int]],
     out: tuple[np.ndarray, ...],
-    *,
-    costs: "np.ndarray | None" = None,
 ) -> bool:
     """Map ``fn`` over ``tasks``; task ``i``'s arrays land in rows ``rows[i]`` of ``out``.
 
     Each result is copied in as it arrives and then dropped, so no list of
     per-task parts builds up beside the output.
     """
-    for i, part in engine.map_completed(fn, tasks, costs=costs):
+    for i, part in engine.map_completed(fn, tasks):
         store_chunk(out, rows[i][0], rows[i][1], part)
     return True
 
@@ -569,10 +525,7 @@ class NpySource(SliceSourceBase):
             (descriptor, start, stop, omega)
             for (start, stop), omega in zip(bounds, omegas)
         ]
-        return store_parts(
-            engine, batch_task_fn(rank, plan), tasks, bounds, out,
-            costs=self.batch_costs(plan, bounds),
-        )
+        return store_parts(engine, batch_task_fn(rank, plan), tasks, bounds, out)
 
 
 @dataclass(frozen=True)
@@ -692,19 +645,6 @@ class SparseSource(SliceSourceBase):
             return lambda bound: self._tensor.slice_matrices(bound[0], bound[1])
         return super().batch_producer(plan)
 
-    def item_costs(self, plan, start, stop):
-        # The per-slice work profile: the O(nnz) kernel costs nnz_l sparse
-        # GEMM rows plus a dense QR/SVD tail that every non-empty slice
-        # pays; densified batches cost nnz-independent dense flops plus a
-        # densification gather proportional to nnz_l.
-        nnz = self._tensor.slice_nnz()[int(start):int(stop)].astype(float)
-        if self._sparse_kernel:
-            k = float(max(1, plan.k_eff))
-            base = k * k * float(min(self._shape[:2]))
-            return nnz * k + np.where(nnz > 0, base, 1.0)
-        dense = plan_item_costs(plan, int(stop) - int(start))
-        return combine_costs(dense, nnz, io_weight=1.0)
-
     def _slice_task(self, rank, plan, omega):
         i1, i2 = self._shape[:2]
         return partial(
@@ -716,18 +656,15 @@ class SparseSource(SliceSourceBase):
             i2=i2,
         )
 
-    def compress_batch(self, engine, payload, rank, plan, omega, pool, costs, out):
+    def compress_batch(self, engine, payload, rank, plan, omega, pool, out):
         if not self._sparse_kernel:
             return super().compress_batch(
-                engine, payload, rank, plan, omega, pool, costs, out
+                engine, payload, rank, plan, omega, pool, out
             )
         if out is None:
             out = factor_outputs(len(payload), *self._shape[:2], rank, np.float64)
         rows = [(i, i + 1) for i in range(len(payload))]
-        store_parts(
-            engine, self._slice_task(rank, plan, omega), payload, rows, out,
-            costs=costs,
-        )
+        store_parts(engine, self._slice_task(rank, plan, omega), payload, rows, out)
         return out
 
     def process_parts(
@@ -741,8 +678,7 @@ class SparseSource(SliceSourceBase):
                 for (start, stop), omega in zip(bounds, omegas)
             ]
             return store_parts(
-                engine, batch_task_fn(rank, plan), tasks, bounds, out,
-                costs=self.batch_costs(plan, bounds),
+                engine, batch_task_fn(rank, plan), tasks, bounds, out
             )
         # Historical sparse fan-out: every CSR slice is an independent task.
         return store_parts(
@@ -751,7 +687,6 @@ class SparseSource(SliceSourceBase):
             self._tensor.slice_matrices(),
             [(i, i + 1) for i in range(self.slice_count)],
             out,
-            costs=self.item_costs(plan, 0, self.slice_count),
         )
 
 
@@ -779,19 +714,11 @@ class BlockSource(SliceSourceBase):
     (bit-identical to :class:`DenseSource` over that block); batches that
     straddle block boundaries are a :class:`~repro.tensor.slices.SliceRuns`
     over the pieces, which the compression block copy reads directly.
-
     Blocks may mix resident arrays and memory-mapped ones (``np.memmap``,
-    e.g. ``np.load(..., mmap_mode="r")``); slices backed by a memmap carry
-    an IO surcharge in the scheduling cost model so chunk boundaries and
-    the dynamic queue account for their page reads.
+    e.g. ``np.load(..., mmap_mode="r")``).
     """
 
-    #: Relative scheduling-cost surcharge of a memmap-backed slice over a
-    #: resident one (a cold page read roughly doubles the slice's cost).
-    memmap_io_surcharge: float = 1.0
-
     def __init__(self, blocks: Sequence[np.ndarray]) -> None:
-        mapped = [isinstance(b, np.memmap) for b in blocks]
         arrays = [as_tensor(b, min_order=2, name="block") for b in blocks]
         if not arrays:
             raise ShapeError("BlockSource needs at least one block")
@@ -803,24 +730,12 @@ class BlockSource(SliceSourceBase):
                     f"got {arrays[0].shape} and {b.shape}"
                 )
         self._blocks = tuple(arrays)
-        self._mapped = tuple(mapped)
         self._stacks = [slice_stack(b) for b in arrays]
         self._offsets = np.cumsum([0] + [s.shape[0] for s in self._stacks])
         self._shape = tuple(int(d) for d in lead) + (
             int(sum(b.shape[-1] for b in arrays)),
         )
         self._dtype = arrays[0].dtype
-
-    def item_costs(self, plan, start, stop):
-        if not any(self._mapped):
-            return None
-        per_slice = np.empty(self.slice_count)
-        for stack, offset, mapped in zip(
-            self._stacks, self._offsets[:-1], self._mapped
-        ):
-            lo, hi = int(offset), int(offset) + stack.shape[0]
-            per_slice[lo:hi] = 1.0 + (self.memmap_io_surcharge if mapped else 0.0)
-        return per_slice[int(start):int(stop)]
 
     def read_batch(self, start: int, stop: int) -> np.ndarray:
         lo, hi = self._check_range(start, stop)
@@ -971,7 +886,6 @@ def compress_source(
                 lo, hi = bound
                 return source.compress_batch(
                     eng, payload, k, plan, omega, pool,
-                    source.item_costs(plan, lo, hi),
                     None if out is None else tuple(o[lo:hi] for o in out),
                 )
 

@@ -60,13 +60,9 @@ from ..core.sources import (
     batched_slice_view,
     store_parts,
 )
-from ..engine import CommCost, ExecutionBackend, combine_costs
+from ..engine import ExecutionBackend
 from ..exceptions import BackendError, ShapeError
-from ..kernels.compress_plan import (
-    CompressionPlan,
-    factor_nbytes,
-    plan_item_costs,
-)
+from ..kernels.compress_plan import CompressionPlan, factor_nbytes
 from ..kernels.stats import KernelStats
 from ..tensor.slices import SliceRuns, slice_count
 
@@ -278,10 +274,6 @@ class ShardedSource(SliceSourceBase):
     shared_sketch = True
     phase_name = "approximation-sharded"
 
-    #: Relative scheduling-cost surcharge of a non-resident member's slice
-    #: over a resident one (mirrors ``BlockSource.memmap_io_surcharge``).
-    io_surcharge: float = 1.0
-
     def __init__(self, members: Sequence[SliceSource]) -> None:
         members = list(members)
         if not members:
@@ -394,21 +386,6 @@ class ShardedSource(SliceSourceBase):
     def descriptor(self) -> ShardedDescriptor:
         return ShardedDescriptor(tuple(m.descriptor() for m in self._members))
 
-    # -- scheduling ----------------------------------------------------------
-    def item_costs(
-        self, plan: CompressionPlan, start: int, stop: int
-    ) -> "np.ndarray | None":
-        residency = [m.resident for m in self._members]
-        if all(residency) or not any(residency):
-            return None
-        per_slice = np.empty(self.slice_count)
-        for member, offset, res in zip(
-            self._members, self._offsets[:-1], residency
-        ):
-            lo, hi = int(offset), int(offset) + int(member.slice_count)
-            per_slice[lo:hi] = 1.0 + (0.0 if res else self.io_surcharge)
-        return per_slice[int(start):int(stop)]
-
     # -- process-backend fan-out ---------------------------------------------
     def process_parts(
         self,
@@ -452,37 +429,17 @@ class ShardedSource(SliceSourceBase):
                 if a < b:
                     tasks.append((descriptor, a, b, omega))
                     rows.append((int(offset) + a, int(offset) + b))
-        sizes = [hi - lo for lo, hi in rows]
-        ship = np.array(
-            [
-                factor_nbytes(
-                    i1, i2, rank, n_slices=n, dtype=plan.compute_dtype
-                )
-                for n in sizes
-            ],
-            dtype=float,
-        )
-        bcast = np.array(
-            [
-                0 if omega is None else int(omega.nbytes)
-                for (_, _, _, omega) in tasks
-            ],
-            dtype=float,
-        )
-        compute = (
-            np.asarray(sizes, dtype=float)
-            * float(plan_item_costs(plan, 1)[0])
-        )
-        costs = combine_costs(
-            compute, CommCost(ship + bcast).item_costs(len(tasks)), io_weight=1.0
-        )
-        store_parts(engine, batch_task_fn(rank, plan), tasks, rows, out, costs=costs)
+        store_parts(engine, batch_task_fn(rank, plan), tasks, rows, out)
         if stats is not None:
-            for nbytes in ship:
-                stats.record_comm("ship", int(nbytes))
-            for nbytes in bcast:
-                if nbytes:
-                    stats.record_comm("bcast", int(nbytes))
+            for (lo, hi), (_, _, _, omega) in zip(rows, tasks):
+                stats.record_comm(
+                    "ship",
+                    factor_nbytes(
+                        i1, i2, rank, n_slices=hi - lo, dtype=plan.compute_dtype
+                    ),
+                )
+                if omega is not None and omega.nbytes:
+                    stats.record_comm("bcast", int(omega.nbytes))
             stats.record_comm("reduce", 0)
         return True
 

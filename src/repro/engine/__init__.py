@@ -11,7 +11,7 @@ Public surface:
   (name, instance, config, ``REPRO_BACKEND`` env) into a live backend,
 * :class:`PhaseTrace` / :func:`format_traces` — structured per-phase
   execution traces attached to results,
-* :func:`plan_chunks` — the chunking policy.
+* :func:`plan_chunks` — the chunk plan.
 
 Backend selection
 -----------------
@@ -31,21 +31,8 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
 from ..exceptions import BackendError
-from .base import (
-    SCHEDULE_NAMES,
-    ExecutionBackend,
-    chunked,
-    resolve_schedule,
-)
-from .chunking import OVERSPLIT, chunk_costs, plan_chunks, plan_dynamic_chunks
-from .cost import (
-    ArrayCost,
-    CommCost,
-    CostModel,
-    UniformCost,
-    as_cost_array,
-    combine_costs,
-)
+from .base import ExecutionBackend, chunked
+from .chunking import OVERSPLIT, plan_chunks
 from .pipeline import IngestQueue, Prefetcher
 from .process import ProcessBackend
 from .serial import SerialBackend
@@ -64,20 +51,10 @@ __all__ = [
     "Prefetcher",
     "PhaseTrace",
     "BACKEND_NAMES",
-    "SCHEDULE_NAMES",
     "OVERSPLIT",
-    "CostModel",
-    "UniformCost",
-    "ArrayCost",
-    "CommCost",
-    "as_cost_array",
-    "combine_costs",
-    "chunk_costs",
     "chunked",
     "plan_chunks",
-    "plan_dynamic_chunks",
     "resolve_backend",
-    "resolve_schedule",
     "backend_scope",
     "format_traces",
     "peak_rss_bytes",
@@ -95,7 +72,6 @@ BACKEND_NAMES: tuple[str, ...] = tuple(sorted(_REGISTRY))
 #: Environment variables consulted by ``"auto"`` resolution.
 ENV_BACKEND = "REPRO_BACKEND"
 ENV_WORKERS = "REPRO_WORKERS"
-ENV_SCHEDULE = "REPRO_SCHEDULE"
 
 
 def _env_workers() -> int | None:
@@ -106,18 +82,6 @@ def _env_workers() -> int | None:
         return int(raw)
     except ValueError as exc:
         raise BackendError(f"{ENV_WORKERS}={raw!r} is not an integer") from exc
-
-
-def _env_schedule() -> str | None:
-    raw = os.environ.get(ENV_SCHEDULE)
-    if not raw:
-        return None
-    value = raw.lower()
-    if value not in SCHEDULE_NAMES:
-        raise BackendError(
-            f"{ENV_SCHEDULE}={raw!r} is not one of {', '.join(SCHEDULE_NAMES)}"
-        )
-    return value
 
 
 def resolve_backend(
@@ -135,15 +99,14 @@ def resolve_backend(
         ``config.backend``, then ``"auto"``).
     config:
         Optional :class:`~repro.core.config.DTuckerConfig` supplying the
-        worker count, chunk size and schedule.  Unset knobs fall back to
-        the environment (``REPRO_WORKERS``, ``REPRO_SCHEDULE``), then to
-        the backend defaults.  To set a knob for one backend without a
+        worker count and chunk size.  An unset worker count falls back to
+        the environment (``REPRO_WORKERS``), then to the backend default.  To set a knob for one backend without a
         config, construct the backend class directly.
 
     Raises
     ------
     BackendError
-        On an unknown backend name or schedule.
+        On an unknown backend name.
     """
     if isinstance(spec, ExecutionBackend):
         return spec
@@ -164,13 +127,7 @@ def resolve_backend(
     if n_workers is None:
         n_workers = _env_workers()
     chunk_size = config.chunk_size if config is not None else None
-    schedule = config.schedule if config is not None else "auto"
-    if schedule == "auto":
-        # "auto" in the config defers to the environment override.
-        schedule = _env_schedule() or "auto"
-    return _REGISTRY[name](
-        n_workers=n_workers, chunk_size=chunk_size, schedule=schedule
-    )
+    return _REGISTRY[name](n_workers=n_workers, chunk_size=chunk_size)
 
 
 @contextmanager

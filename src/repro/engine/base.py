@@ -32,41 +32,13 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .chunking import chunk_costs, plan_chunks, plan_dynamic_chunks
-from .cost import CostModel, as_cost_array
+from .chunking import plan_chunks
 from .trace import TELEMETRY_HISTORY, PhaseTrace, peak_rss_bytes
 
-__all__ = [
-    "ExecutionBackend",
-    "chunked",
-    "resolve_schedule",
-    "SCHEDULE_NAMES",
-]
+__all__ = ["ExecutionBackend", "chunked"]
 
 #: A chunk kernel: positional slab chunks in, array (or tuple of arrays) out.
 ChunkKernel = Callable[..., Any]
-
-#: Scheduling policies accepted by ``schedule=`` arguments.
-SCHEDULE_NAMES: tuple[str, ...] = ("auto", "static", "dynamic")
-
-
-def resolve_schedule(schedule: str | None, n_workers: int, n_items: int) -> str:
-    """Resolve a schedule spec into ``"static"`` or ``"dynamic"``.
-
-    ``"auto"`` (and ``None``) picks dynamic exactly when it can help: more
-    than one worker to race, and more items than workers so the range can
-    be oversplit.  A serial backend therefore always resolves static and
-    keeps its single-chunk (bit-identical, single-BLAS-call) plan.
-    """
-    if schedule in ("static", "dynamic"):
-        return schedule
-    if schedule not in (None, "auto"):
-        from ..exceptions import BackendError
-
-        raise BackendError(
-            f"schedule must be one of {', '.join(SCHEDULE_NAMES)}, got {schedule!r}"
-        )
-    return "dynamic" if int(n_workers) > 1 and int(n_items) > int(n_workers) else "static"
 
 
 class ExecutionBackend(abc.ABC):
@@ -74,8 +46,9 @@ class ExecutionBackend(abc.ABC):
 
     Subclasses implement :meth:`run_chunks` (slab-chunk fan-out) and
     :meth:`map` (generic ordered task map).  The base class owns worker
-    accounting, phase tracing, and context-manager lifecycle; backends that
-    hold pools or shared memory release them in :meth:`close`.
+    accounting, phase tracing, the inline path every backend takes for a
+    lone chunk or task, and context-manager lifecycle; backends that hold
+    pools or shared memory release them in :meth:`close`.
     """
 
     #: Registry name, e.g. ``"serial"``; set by each subclass.
@@ -85,25 +58,18 @@ class ExecutionBackend(abc.ABC):
         self,
         n_workers: int | None = None,
         chunk_size: int | None = None,
-        schedule: str = "auto",
     ) -> None:
         import os
 
-        from ..exceptions import BackendError, ShapeError
+        from ..exceptions import ShapeError
 
         workers = int(n_workers) if n_workers is not None else (os.cpu_count() or 1)
         if workers < 1:
             raise ShapeError(f"n_workers must be >= 1, got {n_workers}")
         if chunk_size is not None and int(chunk_size) < 1:
             raise ShapeError(f"chunk_size must be >= 1, got {chunk_size}")
-        if schedule not in SCHEDULE_NAMES:
-            raise BackendError(
-                f"schedule must be one of {', '.join(SCHEDULE_NAMES)}, "
-                f"got {schedule!r}"
-            )
         self.n_workers = workers
         self.chunk_size = None if chunk_size is None else int(chunk_size)
-        self.schedule = schedule
         #: The most recent closed phases (at most ``TELEMETRY_HISTORY``);
         #: a caller that needs every phase of its own work uses
         #: :meth:`collect`.
@@ -167,10 +133,48 @@ class ExecutionBackend(abc.ABC):
                 wait_seconds=wait_seconds,
             )
 
-    def _record_dispatch(self, schedule: str | None = None, *, steals: int = 0) -> None:
+    def _tally_steals(self, workers: Sequence[str], n_tasks: int) -> None:
+        """Steals = tasks pulled beyond each worker's first in this dispatch."""
         trace = getattr(self._local, "trace", None)
-        if trace is not None:
-            trace.record_dispatch(schedule, steals=steals)
+        if trace is not None and n_tasks > 1:
+            trace.steals += n_tasks - len(set(workers))
+
+    # -- inline execution --------------------------------------------------
+    def _inline_worker(self) -> str:
+        """Worker id under which work run on the calling thread is recorded."""
+        return "main"
+
+    def _run_inline(
+        self,
+        kernel: ChunkKernel,
+        plan: Sequence[tuple[int, int]],
+        slabs: Sequence[np.ndarray],
+        broadcast: dict[str, Any],
+        out: Any = None,
+    ) -> list[Any] | None:
+        """:meth:`run_chunks` on the calling thread, one chunk after another."""
+        results = []
+        for start, stop in plan:
+            t0 = time.perf_counter()
+            results.append(run_chunk_here(kernel, slabs, broadcast, start, stop, out))
+            self._record_task(
+                self._inline_worker(),
+                stop - start,
+                busy_seconds=time.perf_counter() - t0,
+            )
+        return results if out is None else None
+
+    def _map_inline(
+        self, fn: Callable[[Any], Any], items: Sequence[Any]
+    ) -> Iterator[tuple[int, Any]]:
+        """:meth:`map_completed` on the calling thread, in item order."""
+        for idx, item in enumerate(items):
+            t0 = time.perf_counter()
+            out = fn(item)
+            self._record_task(
+                self._inline_worker(), 1, busy_seconds=time.perf_counter() - t0
+            )
+            yield idx, out
 
     # -- execution ---------------------------------------------------------
     @abc.abstractmethod
@@ -207,9 +211,6 @@ class ExecutionBackend(abc.ABC):
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
-        *,
-        costs: "CostModel | Sequence[float] | None" = None,
-        schedule: str | None = None,
     ) -> Iterator[tuple[int, Any]]:
         """Run a task function over items, yielding ``(index, result)`` as each finishes.
 
@@ -219,45 +220,16 @@ class ExecutionBackend(abc.ABC):
         out-of-core path maps over ``(start, stop, Ω)`` file-batch
         descriptors and each worker memory-maps the file itself.  A caller
         that stores each result as it arrives (into a preallocated output)
-        never holds more results than are in flight.
-
-        ``costs`` are optional per-item weights: under a dynamic schedule
-        parallel backends submit the heaviest items first (longest
-        processing time first), so the pool queue drains into a balanced
-        finish.
+        never holds more results than are in flight.  Items are submitted
+        in item order.
         """
 
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        *,
-        costs: "CostModel | Sequence[float] | None" = None,
-        schedule: str | None = None,
-    ) -> list[Any]:
+    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
         """Ordered map: :meth:`map_completed`'s results in item order."""
         results: list[Any] = [None] * len(items)
-        for idx, out in self.map_completed(fn, items, costs=costs, schedule=schedule):
+        for idx, out in self.map_completed(fn, items):
             results[idx] = out
         return results
-
-    def _map_order(
-        self,
-        n_items: int,
-        costs: "CostModel | Sequence[float] | None",
-        schedule: str | None,
-    ) -> "list[int] | None":
-        """Cost-descending submission order for a dynamic map, or ``None``.
-
-        Shared by the parallel backends; ``None`` means submit in item
-        order (no cost model, a static schedule, or nothing to reorder).
-        """
-        if resolve_schedule(schedule or self.schedule, self.n_workers, n_items) != "dynamic":
-            return None
-        arr = as_cost_array(costs, n_items)
-        if arr is None or n_items < 3:
-            return None
-        return list(np.argsort(-arr, kind="stable"))
 
 
 def run_chunk_here(
@@ -302,25 +274,17 @@ def chunked(
     slabs: Sequence[np.ndarray] = (),
     broadcast: dict[str, Any] | None = None,
     chunk_size: int | None = None,
-    costs: "CostModel | Sequence[float] | None" = None,
-    schedule: str | None = None,
 ) -> Any:
     """The map primitive behind every engine-dispatched hot path.
 
     Splits ``range(n_items)`` into chunks (``chunk_size`` argument, else the
-    engine's configured chunk size, else the scheduling policy below), maps
-    ``kernel`` over the chunks via the engine, writes every chunk's result
-    into its rows of ``out`` and returns ``out``.
-
-    Scheduling: the resolved policy (``schedule`` argument, else the
-    engine's configured policy) decides the plan.  ``static`` makes one
-    chunk per worker — cost-balanced boundaries when ``costs`` are given.
-    ``dynamic`` oversplits the range (see
-    :func:`~repro.engine.chunking.plan_dynamic_chunks`) and submits the
-    heaviest chunks first; the persistent pools hand queued chunks to
-    whichever worker frees up, so load balances at run time even when the
-    cost model is wrong.  Either way chunk *outputs* are bit-identical —
-    every kernel is per-item — so the policy is purely a performance knob.
+    engine's configured chunk size, else :func:`~repro.engine.chunking
+    .plan_chunks`' default: one chunk on one worker, an oversplit of equal
+    counts on more), maps ``kernel`` over the chunks via the engine, writes
+    every chunk's result into its rows of ``out`` and returns ``out``.  The
+    persistent pools hand queued chunks to whichever worker frees up, so
+    load balances at run time; chunk *outputs* are bit-identical under
+    every plan, because every kernel is per-item.
 
     Parameters
     ----------
@@ -344,42 +308,15 @@ def chunked(
         Small keyword arguments shipped whole to every chunk (factor
         matrices, test matrices, scalars).
     chunk_size:
-        Explicit chunk length override (pins granularity under both
-        policies).
-    costs:
-        Optional per-item cost weights (a :class:`~repro.engine.cost
-        .CostModel` or array-like) from the layer that knows the work
-        distribution.
-    schedule:
-        ``"static"`` / ``"dynamic"`` / ``"auto"`` override of the engine's
-        configured policy.
+        Explicit chunk length override (pins the plan).
     """
     size = chunk_size if chunk_size is not None else engine.chunk_size
-    cost_arr = as_cost_array(costs, n_items)
-    resolved = resolve_schedule(
-        schedule if schedule is not None else engine.schedule,
-        engine.n_workers,
-        n_items,
-    )
-    if resolved == "dynamic":
-        plan = plan_dynamic_chunks(
-            n_items, engine.n_workers, costs=cost_arr, chunk_size=size
-        )
-    else:
-        plan = plan_chunks(n_items, engine.n_workers, size, costs=cost_arr)
-    if len(plan) > 1:
-        engine._record_dispatch(resolved)
+    plan = plan_chunks(n_items, engine.n_workers, size)
     slabs, broadcast = tuple(slabs), dict(broadcast or {})
     if callable(out):
         if len(plan) == 1:
             # A lone chunk's own result is the output: nothing to copy.
             return engine.run_chunks(kernel, plan, slabs, broadcast)[0]
         out = out()
-    if resolved == "dynamic" and cost_arr is not None and len(plan) > 2:
-        # Longest-processing-time-first submission: the queue then drains
-        # into the tightest greedy finish.  Chunks address their own rows
-        # of ``out``, so the submission order never shows in the result.
-        weights = chunk_costs(plan, cost_arr)
-        plan = [plan[i] for i in np.argsort(-weights, kind="stable")]
     engine.run_chunks(kernel, plan, slabs, broadcast, out)
     return out

@@ -28,9 +28,9 @@ Kernels must be module-level functions (or ``functools.partial`` of them)
 and must return fresh arrays, never views into the shared slabs — the view
 memory is unmapped when the task ends.
 
-Dynamic scheduling works exactly as on the thread backend: the pool's
-shared task queue is the work-stealing mechanism, the backend measures
-per-task busy time, queue wait, and steal counts.  Queue wait crosses the
+Load balancing works exactly as on the thread backend: the pool's shared
+task queue is the work-stealing mechanism, the backend measures per-task
+busy time, queue wait, and steal counts.  Queue wait crosses the
 process boundary, so it is measured with ``time.time()`` (comparable
 between processes on one machine) rather than ``perf_counter`` (per-process
 epoch); busy time stays on ``perf_counter`` since it is taken inside one
@@ -45,15 +45,14 @@ import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from ..exceptions import BackendError
 from ..tensor.slices import SliceRuns
-from .base import ChunkKernel, ExecutionBackend, run_chunk_here, store_chunk
-from .cost import CostModel
+from .base import ChunkKernel, ExecutionBackend, store_chunk
 
 __all__ = ["ProcessBackend"]
 
@@ -118,9 +117,8 @@ class ProcessBackend(ExecutionBackend):
         self,
         n_workers: int | None = None,
         chunk_size: int | None = None,
-        schedule: str = "auto",
     ) -> None:
-        super().__init__(n_workers=n_workers, chunk_size=chunk_size, schedule=schedule)
+        super().__init__(n_workers=n_workers, chunk_size=chunk_size)
         self._pool: ProcessPoolExecutor | None = None
         # id(array) -> (finalizer, segment, descriptor).  The finalizer
         # unlinks the segment and drops the entry when the array is
@@ -132,6 +130,13 @@ class ProcessBackend(ExecutionBackend):
     # -- lifecycle ---------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            if os.name == "posix":
+                # Attaching a segment registers it with the worker's resource
+                # tracker.  Started here, the tracker is the parent's, shared
+                # by every worker, and the parent's unlink clears the entry;
+                # a worker forked before it runs starts its own tracker, which
+                # reports every segment it attached as leaked at exit.
+                resource_tracker.ensure_running()
             methods = multiprocessing.get_all_start_methods()
             ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
             self._pool = ProcessPoolExecutor(max_workers=self.n_workers, mp_context=ctx)
@@ -176,10 +181,8 @@ class ProcessBackend(ExecutionBackend):
         self._slabs[key] = (release, segment, descr)
         return descr
 
-    def _tally_steals(self, workers: Sequence[str], n_tasks: int) -> None:
-        """Steals = tasks pulled beyond each worker's first in this dispatch."""
-        if n_tasks > 1:
-            self._record_dispatch(None, steals=n_tasks - len(set(workers)))
+    def _inline_worker(self) -> str:
+        return f"pid:{os.getpid()}"
 
     # -- execution ---------------------------------------------------------
     def run_chunks(
@@ -193,18 +196,7 @@ class ProcessBackend(ExecutionBackend):
         if len(plan) <= 1:
             # One chunk: skip the upload/round-trip and run inline (in this
             # process, so it writes ``out`` in place like the serial backend).
-            results = []
-            for start, stop in plan:
-                t0 = time.perf_counter()
-                results.append(
-                    run_chunk_here(kernel, slabs, broadcast, start, stop, out)
-                )
-                self._record_task(
-                    f"pid:{os.getpid()}",
-                    stop - start,
-                    busy_seconds=time.perf_counter() - t0,
-                )
-            return results if out is None else None
+            return self._run_inline(kernel, plan, slabs, broadcast, out)
         descrs = [self._share(s) for s in slabs]
         pool = self._ensure_pool()
         results: list[Any] = [None] * len(plan)
@@ -243,27 +235,16 @@ class ProcessBackend(ExecutionBackend):
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
-        *,
-        costs: "CostModel | Sequence[float] | None" = None,
-        schedule: str | None = None,
     ) -> Iterator[tuple[int, Any]]:
         if len(items) <= 1:
-            for idx, item in enumerate(items):
-                t0 = time.perf_counter()
-                out = fn(item)
-                self._record_task(
-                    f"pid:{os.getpid()}", 1, busy_seconds=time.perf_counter() - t0
-                )
-                yield idx, out
+            yield from self._map_inline(fn, items)
             return
-        order = self._map_order(len(items), costs, schedule)
-        indices = order if order is not None else range(len(items))
         pool = self._ensure_pool()
         workers = []
         try:
             futures = {
-                pool.submit(_task_worker, fn, items[idx], time.time()): idx
-                for idx in indices
+                pool.submit(_task_worker, fn, item, time.time()): idx
+                for idx, item in enumerate(items)
             }
             for future in as_completed(futures):
                 idx = futures.pop(future)

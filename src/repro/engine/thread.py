@@ -12,7 +12,7 @@ flight the backend therefore caps the BLAS team to
 ``max(1, T // n_workers)`` via :mod:`repro.engine.blas` (a no-op when no
 control knob is found — see ``docs/backends.md``).
 
-Dynamic scheduling needs no extra machinery here: all chunks of a dispatch
+Load balancing needs no extra machinery here: all chunks of a dispatch
 are submitted to the persistent pool up front, and
 :class:`~concurrent.futures.ThreadPoolExecutor`'s shared FIFO queue *is*
 the work-stealing mechanism — whichever worker finishes its chunk pulls
@@ -32,7 +32,6 @@ import numpy as np
 
 from .base import ChunkKernel, ExecutionBackend, run_chunk_here
 from .blas import current_blas_threads, limit_blas_threads
-from .cost import CostModel
 
 __all__ = ["ThreadBackend"]
 
@@ -46,9 +45,8 @@ class ThreadBackend(ExecutionBackend):
         self,
         n_workers: int | None = None,
         chunk_size: int | None = None,
-        schedule: str = "auto",
     ) -> None:
-        super().__init__(n_workers=n_workers, chunk_size=chunk_size, schedule=schedule)
+        super().__init__(n_workers=n_workers, chunk_size=chunk_size)
         self._pool: ThreadPoolExecutor | None = None
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
@@ -69,10 +67,8 @@ class ThreadBackend(ExecutionBackend):
             return 1
         return max(1, team // self.n_workers)
 
-    def _tally_steals(self, workers: Sequence[str], n_tasks: int) -> None:
-        """Steals = tasks pulled beyond each worker's first in this dispatch."""
-        if n_tasks > 1:
-            self._record_dispatch(None, steals=n_tasks - len(set(workers)))
+    def _inline_worker(self) -> str:
+        return threading.current_thread().name
 
     def run_chunks(
         self,
@@ -85,18 +81,7 @@ class ThreadBackend(ExecutionBackend):
         if len(plan) <= 1:
             # One chunk: no parallelism to coordinate — run inline and keep
             # the full BLAS team.
-            results = []
-            for start, stop in plan:
-                t0 = time.perf_counter()
-                results.append(
-                    run_chunk_here(kernel, slabs, broadcast, start, stop, out)
-                )
-                self._record_task(
-                    threading.current_thread().name,
-                    stop - start,
-                    busy_seconds=time.perf_counter() - t0,
-                )
-            return results if out is None else None
+            return self._run_inline(kernel, plan, slabs, broadcast, out)
 
         def task(bounds: tuple[int, int], submitted: float) -> tuple[str, float, float, Any]:
             begin = time.perf_counter()
@@ -131,20 +116,9 @@ class ThreadBackend(ExecutionBackend):
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
-        *,
-        costs: "CostModel | Sequence[float] | None" = None,
-        schedule: str | None = None,
     ) -> Iterator[tuple[int, Any]]:
         if len(items) <= 1:
-            for idx, item in enumerate(items):
-                t0 = time.perf_counter()
-                out = fn(item)
-                self._record_task(
-                    threading.current_thread().name,
-                    1,
-                    busy_seconds=time.perf_counter() - t0,
-                )
-                yield idx, out
+            yield from self._map_inline(fn, items)
             return
 
         def task(item: Any, submitted: float) -> tuple[str, float, float, Any]:
@@ -157,13 +131,11 @@ class ThreadBackend(ExecutionBackend):
                 out,
             )
 
-        order = self._map_order(len(items), costs, schedule)
-        indices = order if order is not None else range(len(items))
         pool = self._ensure_pool()
         with limit_blas_threads(self._blas_cap()):
             futures = {
-                pool.submit(task, items[idx], time.perf_counter()): idx
-                for idx in indices
+                pool.submit(task, item, time.perf_counter()): idx
+                for idx, item in enumerate(items)
             }
             workers = []
             for future in as_completed(futures):

@@ -86,9 +86,6 @@ class PhaseTrace:
     io_wait_seconds:
         Time the consumer actually *blocked* on prefetch IO — the part of
         ``io_seconds`` that compute failed to hide.
-    schedules:
-        Distinct scheduling policies the phase's dispatches resolved to
-        (``"static"`` / ``"dynamic"``), in first-seen order.
     busy_seconds_per_worker:
         Mapping of worker id to time spent *inside* chunk kernels.  The
         spread of these values is the load balance:
@@ -100,8 +97,8 @@ class PhaseTrace:
         measure healthy queue depth.
     steals:
         Tasks a worker pulled from the shared queue *beyond its first* in a
-        dynamic dispatch — the work-stealing events that rebalanced the
-        oversplit plan.  Zero for static dispatches (one chunk per worker).
+        parallel dispatch — the work-stealing events that rebalanced the
+        oversplit plan.
     """
 
     phase: str
@@ -114,7 +111,6 @@ class PhaseTrace:
     peak_rss_bytes: int = 0
     io_seconds: float = 0.0
     io_wait_seconds: float = 0.0
-    schedules: list[str] = field(default_factory=list)
     busy_seconds_per_worker: dict[str, float] = field(default_factory=dict)
     queue_wait_seconds: float = 0.0
     steals: int = 0
@@ -145,14 +141,6 @@ class PhaseTrace:
             )
         if wait_seconds > 0.0:
             self.queue_wait_seconds += float(wait_seconds)
-
-    def record_dispatch(
-        self, schedule: str | None = None, *, steals: int = 0
-    ) -> None:
-        """Tally one ``chunked``/``map`` dispatch's scheduling outcome."""
-        if schedule is not None and schedule not in self.schedules:
-            self.schedules.append(schedule)
-        self.steals += int(steals)
 
     def imbalance_ratio(self) -> float:
         """Max/mean worker busy time — 1.0 is perfect balance.
@@ -196,8 +184,6 @@ class PhaseTrace:
                 f" io={self.io_seconds:.4f}s"
                 f" io_wait={self.io_wait_seconds:.4f}s"
             )
-        if self.schedules:
-            line += f" sched={','.join(self.schedules)}"
         if self.busy_seconds_per_worker:
             line += f" imbalance={self.imbalance_ratio():.2f}"
         if self.steals:

@@ -51,7 +51,6 @@ __all__ = [
     "estimate_costs",
     "plan_compression",
     "plan_from_config",
-    "plan_item_costs",
     "plan_chunk",
     "execute_plan",
     "factor_nbytes",
@@ -256,20 +255,6 @@ def plan_from_config(i1: int, i2: int, rank: int, config) -> CompressionPlan:
     )
 
 
-def plan_item_costs(plan: CompressionPlan, n_items: int) -> np.ndarray:
-    """Per-slice scheduling cost of a plan's chosen method.
-
-    Slices of one slab share a shape, so the per-slice cost is uniform
-    *within* the slab — but it differs *across* slabs whose shapes or
-    planned methods differ.  Sources that mix slab shapes (block sources,
-    out-of-core batches) combine these arrays into one cost model so the
-    scheduler balances heavy-method slices against light ones; see
-    :mod:`repro.engine.cost`.
-    """
-    per_slice = float(plan.costs.get(plan.method, 1.0)) or 1.0
-    return np.full(int(n_items), per_slice)
-
-
 #: Bytes of float64 that :func:`slab_norms` widens a float32 block by at a time.
 _WIDEN_BYTES = 1 << 20
 
@@ -470,7 +455,6 @@ def execute_plan(
     omega: np.ndarray | None = None,
     pool: BufferPool | None = None,
     stats: KernelStats | None = None,
-    costs: "np.ndarray | None" = None,
     out: "tuple[np.ndarray, ...] | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run a :class:`CompressionPlan` on one ``(L, I1, I2)`` slab.
@@ -509,11 +493,6 @@ def execute_plan(
         Optional :class:`~repro.kernels.stats.KernelStats`; records the
         planner decision (``plan:<method>`` miss) and each test-matrix
         draw (``sketch`` miss).
-    costs:
-        Optional per-slice scheduling costs (e.g. nnz from a sparse
-        source, or :func:`plan_item_costs` combined with IO weights);
-        ``None`` lets the scheduler treat slices as uniform — correct
-        here, since one slab's slices share a shape.
     out:
         Optional ``(U, s, Vt, norms)`` arrays (see :func:`factor_outputs`)
         that every chunk writes its rows of in place; allocated when
@@ -559,7 +538,6 @@ def execute_plan(
         l,
         slabs=(a,),
         broadcast=broadcast,
-        costs=costs,
         out=out if out is not None else partial(
             factor_outputs, l, i1, i2, int(rank), dtype
         ),

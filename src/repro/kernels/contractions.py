@@ -231,23 +231,19 @@ def dispatch_slices(
     broadcast: dict[str, np.ndarray],
     *,
     out: np.ndarray,
-    costs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run a per-slice kernel into the caller-owned ``out``, inline or as chunks.
 
     Inline execution hands ``out`` straight to the kernel; engine execution
     writes every chunk into its rows of ``out`` (see
     :func:`~repro.engine.chunked`).  Both routes produce values identical
-    to the unbuffered call.  ``costs`` is forwarded to
-    :func:`~repro.engine.chunked` — the sweep workspace supplies per-slice
-    contraction flop weights so dynamic dispatches order their queues by
-    actual work.
+    to the unbuffered call.
     """
     if engine is None:
         return kernel(*slabs, **broadcast, out=out)
     return chunked(
         engine, kernel, n_items, slabs=slabs, broadcast=broadcast,
-        out=out, costs=costs,
+        out=out,
     )
 
 

@@ -190,21 +190,6 @@ class SweepWorkspace:
         self.stats.bytes_reused += self.pool.bytes_reused - before
         return buf
 
-    # -- scheduling costs --------------------------------------------------
-    def _slice_costs(
-        self, flops_per_slice: float, n_slices: int | None = None
-    ) -> np.ndarray:
-        """Uniform per-slice cost model for one sweep contraction.
-
-        Slices share a shape, so within one dispatch the costs are flat —
-        but the *magnitude* matters for the engine's telemetry and for any
-        future mixed dispatch: a contraction downstream of a projection
-        cache hit carries only its final-GEMM flops, while a dirty
-        projection's rebuild dispatch carries the projection flops.
-        """
-        n = self.ssvd.num_slices if n_slices is None else n_slices
-        return np.full(n, max(1.0, float(flops_per_slice)))
-
     # -- cached projections ------------------------------------------------
     def au(self) -> np.ndarray:
         """Projection stack ``A(1)ᵀU`` of shape ``(L, J1, K)``, cached.
@@ -220,13 +205,12 @@ class SweepWorkspace:
             return self._au
         self.stats.record_miss("au")
         ssvd = self.ssvd
-        i1, k = int(self._u.shape[1]), int(self._u.shape[2])
+        k = int(self._u.shape[2])
         j1 = int(self._factors[0].shape[1])
         self._au = dispatch_slices(
             self.engine, project_left_chunk, ssvd.num_slices,
             (self._u,), {"a1": self._factors[0]},
             out=np.empty((ssvd.num_slices, j1, k), dtype=self.compute_dtype),
-            costs=self._slice_costs(2.0 * i1 * j1 * k),
         )
         self._au_version = version
         return self._au
@@ -242,20 +226,19 @@ class SweepWorkspace:
             return self._av
         self.stats.record_miss("av")
         ssvd = self.ssvd
-        k, i2 = int(self._vt.shape[1]), int(self._vt.shape[2])
+        k = int(self._vt.shape[1])
         j2 = int(self._factors[1].shape[1])
         self._av = dispatch_slices(
             self.engine, project_right_chunk, ssvd.num_slices,
             (self._vt,), {"a2": self._factors[1]},
             out=np.empty((ssvd.num_slices, k, j2), dtype=self.compute_dtype),
-            costs=self._slice_costs(2.0 * k * i2 * j2),
         )
         self._av_version = version
         return self._av
 
     # -- partials and W ----------------------------------------------------
     def _partial_spec(self, target: int) -> tuple:
-        """``(kernel, slabs, rows, flops per slice)`` of partial ``target``.
+        """``(kernel, slabs, rows)`` of partial ``target``.
 
         Target 0 is the mode-1 partial ``U @ (diag(s) VᵀA(2))`` over the
         cached ``av``, target 1 the mode-2 partial over the cached ``au``;
@@ -263,13 +246,11 @@ class SweepWorkspace:
         """
         if target == 0:
             av = self.av()
-            i1, k, j2 = self.ssvd.slice_shape[0], self._u.shape[2], av.shape[2]
             return (mode1_from_projection_chunk, (self._u, self._s, av),
-                    (i1, j2), 2.0 * i1 * k * j2)
+                    (self.ssvd.slice_shape[0], av.shape[2]))
         au = self.au()
-        j1, k, i2 = au.shape[1], au.shape[2], self.ssvd.slice_shape[1]
         return (mode2_from_projection_chunk, (au, self._s, self._vt),
-                (j1, i2), 2.0 * j1 * k * i2)
+                (au.shape[1], self.ssvd.slice_shape[1]))
 
     def _blocks(self, rows: tuple[int, int]) -> list[tuple[int, int]]:
         """Temporal blocks of a partial whose slices are ``rows``-shaped."""
@@ -294,7 +275,7 @@ class SweepWorkspace:
         Both partials' stacks land in one pooled slot sized for the larger
         first block, so every block of every sweep reuses one buffer.
         """
-        kernel, slabs, rows, flops = spec
+        kernel, slabs, rows = spec
         n = self.ssvd.num_slices
         if span is not None:
             slabs = tuple(a[span[0] : span[1]] for a in slabs)
@@ -302,8 +283,7 @@ class SweepWorkspace:
         items = n * rows[0] * rows[1]
         buf = self._take("partial_stack", (max(items, self._stack_items()),))
         stack = dispatch_slices(
-            self.engine, kernel, n, slabs, {}, out=buf[:items].reshape(n, *rows),
-            costs=self._slice_costs(flops, n),
+            self.engine, kernel, n, slabs, {}, out=buf[:items].reshape(n, *rows)
         )
         return stack_to_tensor(stack, block_trailing(self.ssvd.shape, span))
 
@@ -329,9 +309,6 @@ class SweepWorkspace:
         stack = dispatch_slices(
             self.engine, w_from_projections_chunk, ssvd.num_slices,
             (au, self._s, av), {}, out=buf,
-            costs=self._slice_costs(
-                2.0 * au.shape[1] * au.shape[2] * av.shape[2]
-            ),
         )
         # The reshaped tensor is a fresh array, so caching it keeps the
         # stack buffer free for reuse.

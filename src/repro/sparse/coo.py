@@ -155,26 +155,6 @@ class SparseTensor:
             (self.values, (rows, cols)), shape=(self.shape[m], n_cols)
         )
 
-    def slice_nnz(self) -> np.ndarray:
-        """Stored entries per slice, in slice-index order (length ``L``).
-
-        The distribution of these counts is exactly the per-slice work
-        profile of the ``O(nnz)`` sparse compression kernel, so the
-        execution engine uses it as the scheduling cost model for sparse
-        fan-outs (see :mod:`repro.engine.cost`).
-        """
-        count = slice_count(self.shape)
-        if self.order < 2:
-            raise ShapeError("slices require order >= 2")
-        if self.order == 2:
-            return np.array([self.nnz], dtype=np.int64)
-        keys = np.ravel_multi_index(
-            tuple(self.coords[:, k] for k in range(2, self.order)),
-            self.shape[2:],
-            order="F",
-        )
-        return np.bincount(keys, minlength=count).astype(np.int64)
-
     def slice_matrices(
         self, start: int | None = None, stop: int | None = None
     ) -> list[sparse.csr_matrix]:

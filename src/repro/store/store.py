@@ -68,7 +68,7 @@ INDEX_DIR = "index"
 
 #: Config keys that earlier releases wrote and this one no longer has.  A
 #: reader drops them, so stores written before their removal still open.
-_RETIRED_CONFIG_KEYS = frozenset({"device"})
+_RETIRED_CONFIG_KEYS = frozenset({"device", "schedule"})
 
 
 def _manifest_config(raw, path: Path) -> DTuckerConfig:

@@ -173,17 +173,6 @@ class TestShardedSource:
         with pytest.raises(ShapeError):
             GroupSource("parquet", tmp_path / "x.parquet")
 
-    def test_mixed_residency_cost_model(self, tensor, npy_path) -> None:
-        mixed = ShardedSource(
-            [DenseSource(tensor[..., :4]), NpySource(npy_path)]
-        )
-        src_all_dense = ShardedSource.partition(DenseSource(tensor), 2)
-        plan = mixed.plan(3, DTuckerConfig())
-        costs = mixed.item_costs(plan, 0, mixed.slice_count)
-        assert costs is not None
-        assert costs[0] == 1.0 and costs[-1] == 1.0 + mixed.io_surcharge
-        assert src_all_dense.item_costs(plan, 0, 21) is None
-
 
 class TestSpawnDescriptors:
     def test_every_descriptor_survives_spawn(

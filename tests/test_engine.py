@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import os
+import subprocess
+import sys
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
@@ -31,6 +33,7 @@ from repro.core.sparse_dtucker import compress_sparse, sparse_dtucker
 from repro.core.streaming import StreamingDTucker
 from repro.engine import (
     BACKEND_NAMES,
+    OVERSPLIT,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
@@ -66,7 +69,9 @@ class TestPlanChunks:
         assert plan_chunks(17, 1) == [(0, 17)]
 
     def test_even_split(self) -> None:
-        assert plan_chunks(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+        # A parallel plan oversplits: OVERSPLIT equal chunks per worker.
+        n = 2 * 2 * OVERSPLIT
+        assert plan_chunks(n, 2) == [(i, i + 2) for i in range(0, n, 2)]
 
     def test_uneven_split_covers_range(self) -> None:
         plan = plan_chunks(10, 3)
@@ -295,6 +300,47 @@ class TestSharedSlabLifetime:
                 shared_memory.SharedMemory(name=name)
         finally:
             eng.close()
+
+
+#: Two-worker process dispatches in a fresh interpreter.  ``map_first``
+#: starts the pool before any segment exists, so the workers are forked
+#: before anything in the parent has touched the resource tracker.
+_TRACKER_SCRIPT = """
+import sys
+import numpy as np
+from repro.engine import ProcessBackend, chunked
+
+def square(x):
+    return x * x
+
+def scale(rows, *, factor, out=None):
+    return np.multiply(rows, factor, out=out)
+
+with ProcessBackend(n_workers=2) as eng:
+    if sys.argv[1] == "map_first":
+        assert eng.map(square, [1.0, 2.0, 3.0]) == [1.0, 4.0, 9.0]
+    for _ in range(3):
+        rows = np.arange(40.0).reshape(40, 1)
+        got = chunked(eng, scale, 40, slabs=(rows,), broadcast={"factor": 2.0},
+                      out=np.empty_like(rows))
+        assert np.array_equal(got, rows * 2.0)
+        del rows
+"""
+
+
+class TestResourceTracker:
+    """Workers never report the parent's shared-memory segments as leaked."""
+
+    @pytest.mark.parametrize("order", ["map_first", "chunks_first"])
+    def test_process_dispatch_leaves_no_tracker_warning(self, order) -> None:
+        out = subprocess.run(
+            [sys.executable, "-c", _TRACKER_SCRIPT, order],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        )
+        assert "resource_tracker" not in out.stderr, out.stderr
 
 
 class TestBackendParity:

@@ -144,6 +144,24 @@ class TestSaveAndManifest:
         for a, b in zip(got.factors, expected.factors):
             np.testing.assert_array_equal(a, b)
 
+    def test_store_with_retired_schedule_key_opens_and_answers(
+        self, temporal, tmp_path
+    ) -> None:
+        """Manifests written before DTuckerConfig lost ``schedule`` carry it."""
+        model, store = fitted_store(temporal, tmp_path / "m")
+        with store.open(warm_start=False) as served:
+            expected = served.query_time_range(2, 8)
+        manifest = json.loads((store.path / MANIFEST_NAME).read_text())
+        manifest["config"]["schedule"] = "dynamic"
+        (store.path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        old = ModelStore(store.path)
+        assert old.config == model.config
+        with old.open(warm_start=False) as served:
+            got = served.query_time_range(2, 8)
+        np.testing.assert_array_equal(got.core, expected.core)
+        for a, b in zip(got.factors, expected.factors):
+            np.testing.assert_array_equal(a, b)
+
     def test_unknown_config_key_still_rejected(self, temporal, tmp_path) -> None:
         _, store = fitted_store(temporal, tmp_path / "m")
         manifest = json.loads((store.path / MANIFEST_NAME).read_text())
