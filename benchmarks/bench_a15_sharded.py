@@ -41,7 +41,7 @@ import multiprocessing
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -78,22 +78,13 @@ SHARD_EXTENTS = (28, 8, 6, 6)
 SLEEP_PER_SLICE = 0.008
 
 
-@dataclass(frozen=True)
-class SlowNpyDescriptor:
-    """Descriptor of a :class:`SlowNpySource` (path + injected latency)."""
-
-    path: str
-    sleep_per_slice: float
-
-    def open(self) -> "SlowNpySource":
-        return SlowNpySource(self.path, self.sleep_per_slice)
-
-
 class SlowNpySource(NpySource):
     """An ``.npy`` member whose reads stall like cold/remote storage.
 
     ``time.sleep`` releases the GIL and burns no CPU, so the benchmark's
-    parallel win measures scheduling quality, not core count.
+    parallel win measures scheduling quality, not core count.  Like its
+    base class it pickles as its path (plus the stall), so worker tasks
+    carry the member itself.
     """
 
     def __init__(self, path, sleep_per_slice: float = SLEEP_PER_SLICE) -> None:
@@ -103,9 +94,6 @@ class SlowNpySource(NpySource):
     def read_batch(self, start: int, stop: int) -> np.ndarray:
         time.sleep(self._sleep * (int(stop) - int(start)))
         return super().read_batch(start, stop)
-
-    def descriptor(self) -> SlowNpyDescriptor:
-        return SlowNpyDescriptor(self.path, self._sleep)
 
 
 def _make_workload(directory: Path) -> tuple[np.ndarray, ShardedSource]:
@@ -124,20 +112,35 @@ def _make_workload(directory: Path) -> tuple[np.ndarray, ShardedSource]:
 
 
 def _timed_compress(
-    source: ShardedSource, n_workers: int, *, repeats: int
-) -> tuple[float, object, KernelStats]:
-    """Best-of-``repeats`` wall clock of one sharded compression."""
-    cfg = DTuckerConfig(seed=SEED, backend="process", n_workers=n_workers)
+    source: ShardedSource, worker_counts: tuple[int, ...], *, repeats: int
+) -> tuple[list[float], list[object], KernelStats]:
+    """Best-of-``repeats`` wall clock of one sharded compression per worker count.
+
+    The variants alternate within every repeat (1w, 2w, 1w, 2w, ...), so
+    drift of the host's speed over the run lands on both sides alike.
+    Returns the best times and last results in ``worker_counts`` order,
+    and the counters of the first variant's warm-up run.
+    """
     stats = KernelStats()
-    with ProcessBackend(n_workers=n_workers) as engine:
-        # Warm the pool (fork + import cost must not pollute the timing).
-        ssvd = compress_source(source, RANK, config=cfg, engine=engine, stats=stats)
-        best = float("inf")
+    with ExitStack() as stack:
+        runs = []
+        for i, n in enumerate(worker_counts):
+            cfg = DTuckerConfig(seed=SEED, backend="process", n_workers=n)
+            engine = stack.enter_context(ProcessBackend(n_workers=n))
+            # Warm the pool (fork + import cost must not pollute the timing).
+            compress_source(
+                source, RANK, config=cfg, engine=engine,
+                stats=stats if i == 0 else None,
+            )
+            runs.append((cfg, engine))
+        best = [float("inf")] * len(runs)
+        results: list[object] = [None] * len(runs)
         for _ in range(max(1, int(repeats))):
-            t0 = time.perf_counter()
-            ssvd = compress_source(source, RANK, config=cfg, engine=engine)
-            best = min(best, time.perf_counter() - t0)
-    return best, ssvd, stats
+            for i, (cfg, engine) in enumerate(runs):
+                t0 = time.perf_counter()
+                results[i] = compress_source(source, RANK, config=cfg, engine=engine)
+                best[i] = min(best[i], time.perf_counter() - t0)
+    return best, results, stats
 
 
 def run_engine_section(*, repeats: int = 3) -> dict:
@@ -148,8 +151,9 @@ def run_engine_section(*, repeats: int = 3) -> dict:
         raw_bytes = count * I1 * I2 * np.dtype(np.float64).itemsize
         ship_bytes = factor_nbytes(I1, I2, RANK, n_slices=count)
 
-        single_s, ssvd_1, stats = _timed_compress(source, 1, repeats=repeats)
-        double_s, ssvd_2, _ = _timed_compress(source, 2, repeats=repeats)
+        (single_s, double_s), (ssvd_1, ssvd_2), stats = _timed_compress(
+            source, (1, 2), repeats=repeats
+        )
 
         # Unsharded in-memory reference: the bit-identity contract.
         ref = compress_source(

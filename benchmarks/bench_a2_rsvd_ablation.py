@@ -25,7 +25,7 @@ SETTINGS: tuple[tuple[str, dict], ...] = (
     ("p=5,q=1", {"oversampling": 5, "power_iterations": 1}),
     ("p=10,q=1", {"oversampling": 10, "power_iterations": 1}),
     ("p=10,q=2", {"oversampling": 10, "power_iterations": 2}),
-    ("exact", {"exact_slice_svd": True}),
+    ("exact", {"strategy": "exact"}),
 )
 
 ROWS: list[list[object]] = []

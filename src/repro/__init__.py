@@ -31,7 +31,6 @@ from .baselines import (
     tucker_ttmts,
 )
 from .core import (
-    BlockSource,
     DenseSource,
     DTucker,
     DTuckerConfig,
@@ -109,7 +108,6 @@ __all__ = [
     "DenseSource",
     "NpySource",
     "SparseSource",
-    "BlockSource",
     "ShardedSource",
     "ShardCoordinator",
     "distributed_als_sweeps",

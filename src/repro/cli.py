@@ -61,7 +61,6 @@ def _config_from_args(args: argparse.Namespace) -> "object":
         chunk_size=getattr(args, "chunk_size", None),
         strategy=getattr(args, "strategy", None) or "rsvd",
         precision=getattr(args, "precision", None) or "float64",
-        shards=getattr(args, "shards", None),
     )
 
 
@@ -77,18 +76,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--chunk-size", type=int, default=None, help="slices per engine task"
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "partition the input into this many contiguous temporal shards; "
-            "compression then runs shard-local on the process backend and "
-            "only small factor products cross shard boundaries (see "
-            "docs/distributed.md). Results are identical to the unsharded "
-            "fit."
-        ),
     )
 
 

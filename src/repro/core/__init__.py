@@ -8,7 +8,7 @@ Public surface:
 * :class:`SliceSVD` / :func:`compress` — the reusable compressed
   representation produced by the approximation phase,
 * :class:`SliceSource` and its adapters (:class:`DenseSource`,
-  :class:`NpySource`, :class:`SparseSource`, :class:`BlockSource`) with
+  :class:`NpySource`, :class:`SparseSource`) with
   :func:`compress_source` — the pluggable data-source layer every entry
   point reads through,
 * :class:`FitPipeline` — the single compress → initialize → iterate
@@ -30,7 +30,6 @@ from .rank_selection import estimate_error, mode_spectra, suggest_ranks
 from .result import TuckerResult
 from .slice_svd import SliceSVD, compress
 from .sources import (
-    BlockSource,
     DenseSource,
     NpySource,
     SliceSource,
@@ -58,7 +57,6 @@ __all__ = [
     "DenseSource",
     "NpySource",
     "SparseSource",
-    "BlockSource",
     "compress_source",
     "FitPipeline",
     "PipelineFit",

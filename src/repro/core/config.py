@@ -55,10 +55,6 @@ class DTuckerConfig:
     tol:
         Convergence tolerance: sweeps stop when the change of the estimated
         reconstruction error between consecutive sweeps drops below ``tol``.
-    exact_slice_svd:
-        Use exact truncated SVDs per slice instead of randomized ones —
-        slower, used as the accuracy reference in ablations.  Overrides
-        ``strategy``.
     strategy:
         Slice-SVD algorithm for the approximation phase.  ``"rsvd"``
         (default) is the historical dispatch — randomized SVD with the
@@ -66,7 +62,9 @@ class DTuckerConfig:
         against the randomized-SVD error bound, not against earlier
         releases; for a fixed seed they are bit-identical across
         backends, chunkings, blockings and shards.  ``"gram"``
-        and ``"exact"`` force those algorithms; ``"auto"`` selects per
+        and ``"exact"`` force those algorithms (``"exact"``, truncated
+        SVDs per slice, is the accuracy reference in ablations);
+        ``"auto"`` selects per
         input from a flop-cost model over ``(I1, I2, K, dtype)`` — see
         :func:`repro.kernels.compress_plan.plan_compression`.
     precision:
@@ -116,19 +114,12 @@ class DTuckerConfig:
         EWMA of the per-update estimated error exceeds
         ``baseline · (1 + drift_budget)``, the solver performs a full
         factor refresh.  ``None`` (default) disables the watchdog.
-    shards:
-        Partition the input along the temporal mode into this many
-        contiguous shards and fit them coordinator-style: compression runs
-        shard-local and only the small ``(I1+I2+1)·K`` factor products
-        cross shard boundaries.  ``None`` (default) and ``1`` keep the
-        single-source path.  See ``docs/distributed.md``.
     """
 
     oversampling: int = 10
     power_iterations: int = 1
     max_iters: int = 50
     tol: float = 1e-4
-    exact_slice_svd: bool = False
     strategy: str = "rsvd"
     precision: str = "float64"
     seed: int | None = None
@@ -141,7 +132,6 @@ class DTuckerConfig:
     decay: float | None = None
     sketch_size: int | None = None
     drift_budget: float | None = None
-    shards: int | None = None
 
     def __post_init__(self) -> None:
         if int(self.oversampling) < 0:
@@ -192,5 +182,3 @@ class DTuckerConfig:
             raise ShapeError(
                 f"drift_budget must be positive or None, got {self.drift_budget}"
             )
-        if self.shards is not None and int(self.shards) < 1:
-            raise ShapeError(f"shards must be >= 1 or None, got {self.shards}")

@@ -143,23 +143,6 @@ class FitPipeline:
         self.engine = engine
         self.strict_slice_rank = strict_slice_rank
 
-    def _maybe_shard(self, source: SliceSource) -> SliceSource:
-        """Wrap ``source`` per ``config.shards`` (no-op at 1/None/sharded).
-
-        The wrap partitions the temporal extent into contiguous shards whose
-        compression runs shard-local on the process backend; see
-        ``docs/distributed.md``.  Sources already sharded pass through so an
-        explicit manifest keeps its member boundaries.
-        """
-        n = self.config.shards
-        if n is None or int(n) <= 1:
-            return source
-        from ..distributed import ShardedSource
-
-        if isinstance(source, ShardedSource):
-            return source
-        return ShardedSource.partition(source, int(n))
-
     # -- stages --------------------------------------------------------------
     def compress(
         self,
@@ -171,7 +154,6 @@ class FitPipeline:
         engine: "ExecutionBackend | str | None" = None,
     ) -> SliceSVD:
         """Approximation stage: compress ``source`` at the resolved ``K``."""
-        source = self._maybe_shard(source)
         k = resolve_slice_rank(
             source.shape,
             self.ranks[0],
@@ -226,7 +208,6 @@ class FitPipeline:
         mode permutation — the source's order *is* the stored order);
         ``overwrite`` allows replacing an existing store.
         """
-        source = self._maybe_shard(source)
         shape = tuple(int(d) for d in source.shape)
         rank_tuple = check_ranks(self.ranks, shape)
         k = resolve_slice_rank(

@@ -312,9 +312,8 @@ def compress(
         Per-slice truncation rank ``K`` (D-Tucker uses ``max(J1, J2)``).
     config:
         Solver configuration; supplies ``oversampling``,
-        ``power_iterations``, ``exact_slice_svd``, ``strategy``,
-        ``precision``, ``seed`` and the execution knobs (``backend``,
-        ``n_workers``, ``chunk_size``).
+        ``power_iterations``, ``strategy``, ``precision``, ``seed`` and the
+        execution knobs (``backend``, ``n_workers``, ``chunk_size``).
     engine:
         Execution backend spec — an
         :class:`~repro.engine.ExecutionBackend` instance (reused, not

@@ -9,23 +9,27 @@ slices, and :func:`compress_source` is the single compression pipeline
 that turns any source into a :class:`~repro.core.slice_svd.SliceSVD` —
 planner-driven method selection (:mod:`repro.kernels.compress_plan`),
 double-buffered IO prefetch (:class:`~repro.engine.pipeline.Prefetcher`),
-process-backend descriptor fan-out, and ``PhaseTrace``/``KernelStats``
-accounting, uniformly for every source.
+process-backend fan-out, and ``PhaseTrace``/``KernelStats`` accounting,
+uniformly for every source.
 
-Four adapters cover the library's entry points:
+Three adapters cover the library's entry points:
 
 * :class:`DenseSource` — an in-memory array (its slice stack, no copy);
 * :class:`NpySource` — a memory-mapped ``.npy`` file (one cached read-only
   handle per process, batches served as slice-stack views of the map);
 * :class:`SparseSource` — a :class:`~repro.sparse.coo.SparseTensor`
   (``O(nnz)`` per-slice randomized SVDs on the default strategy, densified
-  batches through the planner otherwise);
-* :class:`BlockSource` — a virtual concatenation of same-shape blocks
-  along the last (temporal) mode, the streaming extension's view.
+  batches through the planner otherwise).
+
+Several sources concatenated along the last (temporal) mode are one
+:class:`~repro.distributed.sharded.ShardedSource`.
 
 Custom adapters (HDF5, zarr, remote shards, …) implement the same small
 protocol and inherit the whole solver stack — see ``docs/api.md`` for a
-worked example.
+worked example.  A non-resident adapter must be picklable: on the process
+backend the source itself travels to the workers with each batch task, so
+it should pickle as a recipe (a path, a key), never as an open handle or
+its data.
 
 Determinism contract
 --------------------
@@ -42,7 +46,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
@@ -62,23 +66,16 @@ from ..kernels.compress_plan import (
 from ..kernels.stats import KernelStats
 from ..linalg.svd import sign_fix
 from ..tensor.random import default_rng
-from ..tensor.slices import (
-    SliceRuns,
-    slice_count,
-    slice_index_to_multi,
-    slice_stack,
-)
+from ..tensor.slices import slice_count, slice_index_to_multi, slice_stack
 from ..validation import as_tensor, check_positive_int
 from .config import DTuckerConfig
 from .slice_svd import SliceSVD
 
 __all__ = [
     "SliceSource",
-    "SourceDescriptor",
     "DenseSource",
     "NpySource",
     "SparseSource",
-    "BlockSource",
     "compress_source",
     "batched_slice_view",
     "clear_memmap_cache",
@@ -95,8 +92,8 @@ class SliceSource(Protocol):
     Implementations provide the tensor geometry (``shape``, ``dtype``,
     ``slice_count``), a ``read_batch(start, stop)`` returning the dense
     ``(stop - start, I1, I2)`` slab of slices ``start..stop`` (library-wide
-    Fortran order over modes ``3..N``), and a picklable ``descriptor()``
-    whose ``open()`` re-creates the source inside a worker process.
+    Fortran order over modes ``3..N``).  A non-resident source must be
+    picklable: the process backend ships the source itself to its workers.
 
     The class attributes below tune how :func:`compress_source` drives an
     implementation; the defaults (resident, per-batch sketches) suit
@@ -135,14 +132,6 @@ class SliceSource(Protocol):
     def slice_count(self) -> int: ...
 
     def read_batch(self, start: int, stop: int) -> np.ndarray: ...
-
-    def descriptor(self) -> "SourceDescriptor": ...
-
-
-class SourceDescriptor(Protocol):
-    """Picklable recipe that re-opens a :class:`SliceSource` in a worker."""
-
-    def open(self) -> SliceSource: ...
 
 
 class SliceSourceBase:
@@ -225,16 +214,22 @@ class SliceSourceBase:
         Resident sources return ``False``: their batches run through
         :func:`~repro.kernels.compress_plan.execute_plan`, whose ``chunked``
         dispatch already parallelises each slab across worker processes.
-        Non-resident sources override this to ship *batch descriptors*
-        instead, so no tensor data crosses process boundaries, and write
-        each task's ``(u, s, vt, norms)`` into its rows of ``out`` as it
-        arrives (:func:`store_parts`).
+        A non-resident source ships ``(self, start, stop, Ω)`` per batch,
+        so workers read their own batch and no tensor data crosses process
+        boundaries; each task's ``(u, s, vt, norms)`` is written into its
+        rows of ``out`` as it arrives (:func:`store_parts`).
 
         ``stats`` is the compression phase's counters; sources whose
         fan-out ships data across process/shard boundaries (the
         distributed layer) record their ``comm:*`` events there.
         """
-        return False
+        if self.resident:
+            return False
+        tasks = [
+            (self, start, stop, omega)
+            for (start, stop), omega in zip(bounds, omegas)
+        ]
+        return store_parts(engine, batch_task_fn(rank, plan), tasks, bounds, out)
 
 
 def store_parts(
@@ -326,37 +321,14 @@ def memmap_cache_stats() -> dict[str, int]:
         }
 
 
-def _gathered_slice_loop(
-    tensor: np.ndarray, start: int, stop: int
-) -> np.ndarray:
-    """Per-slice gather loop — the reference :func:`batched_slice_view`.
-
-    Kept verbatim as the semantic specification of the fancy-index gather
-    below (the regression test asserts bit-identity) and as the fallback
-    for array-likes that do not support multi-array advanced indexing.
-    """
-    shape = tensor.shape
-    out = np.empty((stop - start, shape[0], shape[1]))
-    for offset, l in enumerate(range(start, stop)):
-        multi = slice_index_to_multi(l, shape)
-        out[offset] = tensor[(slice(None), slice(None), *multi)]
-    return out
-
-
-def batched_slice_view(
-    tensor: np.ndarray, start: int, stop: int
-) -> np.ndarray:
+def batched_slice_view(tensor: Any, start: int, stop: int) -> np.ndarray:
     """Materialise slices ``start..stop`` of ``tensor`` as ``(B, I1, I2)``.
 
-    Works on memory-mapped arrays: only the pages backing the requested
-    slices are read.  Slice indices follow the library-wide Fortran order
-    over modes ``3..N``.
-
-    For real ndarrays (including memmaps) the whole batch is gathered with
-    a single fancy-index expression over the trailing modes — one NumPy
-    call instead of a Python loop per slice; other array-likes fall back
-    to the per-slice reference loop.  Both produce bit-identical float64
-    C-contiguous output.
+    One scalar multi-index read per slice, so it serves any array-like
+    that supports them (zarr arrays, HDF5 datasets, memmaps): only the
+    chunks or pages backing the requested slices are read.  Slice indices
+    follow the library-wide Fortran order over modes ``3..N``; the output
+    is float64 and C-contiguous.
     """
     shape = tensor.shape
     count = slice_count(shape)
@@ -364,30 +336,14 @@ def batched_slice_view(
         raise ShapeError(
             f"slice range [{start}, {stop}) invalid for {count} slices"
         )
-    if len(shape) == 2:
-        return np.asarray(tensor, dtype=float)[None, :, :]
-    if not isinstance(tensor, np.ndarray):
-        return _gathered_slice_loop(tensor, start, stop)
-    # The trailing modes form one contiguous block of advanced indices, so
-    # the gathered axis lands in place: result shape (I1, I2, B), assigned
-    # into a transposed view of the C-contiguous (B, I1, I2) output.
-    multi = np.unravel_index(np.arange(start, stop), shape[2:], order="F")
     out = np.empty((stop - start, shape[0], shape[1]))
-    np.moveaxis(out, 0, 2)[...] = tensor[(slice(None), slice(None), *multi)]
+    for offset, l in enumerate(range(start, stop)):
+        multi = slice_index_to_multi(l, shape)
+        out[offset] = tensor[(slice(None), slice(None), *multi)]
     return out
 
 
 # -- adapters ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DenseDescriptor:
-    """Descriptor of a :class:`DenseSource` (ships the array itself)."""
-
-    tensor: np.ndarray
-
-    def open(self) -> "DenseSource":
-        return DenseSource(self.tensor)
-
 
 class DenseSource(SliceSourceBase):
     """An in-memory dense tensor, served as its slice stack without a copy.
@@ -427,22 +383,14 @@ class DenseSource(SliceSourceBase):
         lo, hi = self._check_range(start, stop)
         return self._stack[lo:hi]
 
-    def descriptor(self) -> DenseDescriptor:
-        return DenseDescriptor(self._tensor)
-
-
-@dataclass(frozen=True)
-class NpyDescriptor:
-    """Descriptor of an :class:`NpySource` (workers re-map the file)."""
-
-    path: str
-
-    def open(self) -> "NpySource":
-        return NpySource(self.path)
+    def __reduce__(self):
+        # A pickle carries the tensor once (the slice stack is a view of it,
+        # or holds a closure for order >= 4) and rebinds it unscanned.
+        return (type(self)._validated, (self._tensor,))
 
 
 def _batch_task(
-    task: "tuple[SourceDescriptor, int, int, np.ndarray | None]",
+    task: "tuple[SliceSource, int, int, np.ndarray | None]",
     *,
     rank: int,
     method: str,
@@ -452,15 +400,16 @@ def _batch_task(
     """Compress slices ``[start, stop)`` of a source inside a worker process.
 
     Module-level (dispatched via :func:`functools.partial`) so the process
-    backend can pickle it.  The worker re-opens the source from its
-    descriptor (a ``.npy`` file re-maps through its own cached memmap) and
-    reads only its own batch, which runs through the same blockwise kernel
-    as an in-process chunk (:func:`~repro.kernels.compress_plan.plan_chunk`).
-    Only the compressed ``(u, s, vt, norms)`` travels back.
+    backend can pickle it.  The source arrives pickled (a ``.npy`` source
+    as its path, re-mapped through the worker's own cached memmap) and the
+    worker reads only its own batch, which runs through the same blockwise
+    kernel as an in-process chunk
+    (:func:`~repro.kernels.compress_plan.plan_chunk`).  Only the
+    compressed ``(u, s, vt, norms)`` travels back.
     """
-    descriptor, start, stop, omega = task
+    source, start, stop, omega = task
     return plan_chunk(
-        descriptor.open().read_batch(start, stop),
+        source.read_batch(start, stop),
         method=method,
         rank=rank,
         omega=omega,
@@ -510,32 +459,6 @@ class NpySource(SliceSourceBase):
     def read_batch(self, start: int, stop: int) -> np.ndarray:
         lo, hi = self._check_range(start, stop)
         return slice_stack(_open_memmap_cached(self._path))[lo:hi]
-
-    def descriptor(self) -> NpyDescriptor:
-        return NpyDescriptor(self._path)
-
-    def process_parts(
-        self, engine, rank, plan, bounds, omegas, config, *, out, stats=None
-    ):
-        # Batch descriptors fan out across worker processes; pooled buffers
-        # must not be used here (shared-memory uploads are cached by array
-        # identity), and each worker maps the file itself.
-        descriptor = self.descriptor()
-        tasks = [
-            (descriptor, start, stop, omega)
-            for (start, stop), omega in zip(bounds, omegas)
-        ]
-        return store_parts(engine, batch_task_fn(rank, plan), tasks, bounds, out)
-
-
-@dataclass(frozen=True)
-class SparseDescriptor:
-    """Descriptor of a :class:`SparseSource` (ships the COO coordinates)."""
-
-    tensor: object
-
-    def open(self) -> "SparseSource":
-        return SparseSource(self.tensor)
 
 
 def _sparse_slice_svd(
@@ -619,18 +542,13 @@ class SparseSource(SliceSourceBase):
         mats = self._tensor.slice_matrices(lo, hi)
         return np.stack([np.asarray(m.todense()) for m in mats])
 
-    def descriptor(self) -> SparseDescriptor:
-        return SparseDescriptor(self._tensor)
-
     def plan(self, rank: int, config: DTuckerConfig) -> CompressionPlan:
         plan = super().plan(rank, config)
         # The O(nnz) per-slice kernel serves the default configuration (it
         # is the historical compress_sparse path, bit for bit); any explicit
         # strategy/precision choice densifies batches through the planner.
         self._sparse_kernel = (
-            config.strategy == "rsvd"
-            and config.precision == "float64"
-            and not config.exact_slice_svd
+            config.strategy == "rsvd" and config.precision == "float64"
         )
         if self._sparse_kernel and plan.method != "rsvd":
             # No Gram shortcut on sparse data: the sparse kernel is always
@@ -671,14 +589,8 @@ class SparseSource(SliceSourceBase):
         self, engine, rank, plan, bounds, omegas, config, *, out, stats=None
     ):
         if not self._sparse_kernel:
-            # Densified planner path: ship whole dense batches as tasks.
-            descriptor = self.descriptor()
-            tasks = [
-                (descriptor, start, stop, omega)
-                for (start, stop), omega in zip(bounds, omegas)
-            ]
-            return store_parts(
-                engine, batch_task_fn(rank, plan), tasks, bounds, out
+            return super().process_parts(
+                engine, rank, plan, bounds, omegas, config, out=out, stats=stats
             )
         # Historical sparse fan-out: every CSR slice is an independent task.
         return store_parts(
@@ -688,67 +600,6 @@ class SparseSource(SliceSourceBase):
             [(i, i + 1) for i in range(self.slice_count)],
             out,
         )
-
-
-@dataclass(frozen=True)
-class BlockDescriptor:
-    """Descriptor of a :class:`BlockSource` (ships the block arrays)."""
-
-    blocks: tuple[np.ndarray, ...]
-
-    def open(self) -> "BlockSource":
-        return BlockSource(self.blocks)
-
-
-class BlockSource(SliceSourceBase):
-    """A virtual concatenation of blocks along the last (temporal) mode.
-
-    Because the slice index runs in Fortran order over modes ``3..N``, the
-    last mode varies slowest — each block therefore owns a contiguous run
-    of slices, and the concatenation never materialises.  This is the
-    streaming extension's view of an update: ``BlockSource([block])`` for
-    one :meth:`~repro.core.streaming.StreamingDTucker.partial_fit`, or all
-    accumulated blocks for a one-shot reference fit.
-
-    Single-block batches that fall inside one block are served as views
-    (bit-identical to :class:`DenseSource` over that block); batches that
-    straddle block boundaries are a :class:`~repro.tensor.slices.SliceRuns`
-    over the pieces, which the compression block copy reads directly.
-    Blocks may mix resident arrays and memory-mapped ones (``np.memmap``,
-    e.g. ``np.load(..., mmap_mode="r")``).
-    """
-
-    def __init__(self, blocks: Sequence[np.ndarray]) -> None:
-        arrays = [as_tensor(b, min_order=2, name="block") for b in blocks]
-        if not arrays:
-            raise ShapeError("BlockSource needs at least one block")
-        lead = arrays[0].shape[:-1]
-        for b in arrays[1:]:
-            if b.ndim != arrays[0].ndim or b.shape[:-1] != lead:
-                raise ShapeError(
-                    f"all blocks must agree on every mode but the last; "
-                    f"got {arrays[0].shape} and {b.shape}"
-                )
-        self._blocks = tuple(arrays)
-        self._stacks = [slice_stack(b) for b in arrays]
-        self._offsets = np.cumsum([0] + [s.shape[0] for s in self._stacks])
-        self._shape = tuple(int(d) for d in lead) + (
-            int(sum(b.shape[-1] for b in arrays)),
-        )
-        self._dtype = arrays[0].dtype
-
-    def read_batch(self, start: int, stop: int) -> np.ndarray:
-        lo, hi = self._check_range(start, stop)
-        pieces = []
-        for stack, offset in zip(self._stacks, self._offsets[:-1]):
-            a = max(lo - int(offset), 0)
-            b = min(hi - int(offset), stack.shape[0])
-            if a < b:
-                pieces.append(stack[a:b])
-        return pieces[0] if len(pieces) == 1 else SliceRuns.concat(pieces)
-
-    def descriptor(self) -> BlockDescriptor:
-        return BlockDescriptor(self._blocks)
 
 
 # -- the unified compression pipeline ---------------------------------------
@@ -801,7 +652,7 @@ def compress_source(
     3. fan batches out — inline for resident sources (the engine's chunked
        dispatch parallelises within each slab), through a double-buffered
        :class:`~repro.engine.pipeline.Prefetcher` for non-resident ones,
-       or as picklable batch descriptors on the process backend,
+       or as ``(source, start, stop, Ω)`` tasks on the process backend,
     4. write every batch's triples into its rows of one preallocated
        ``(U, s, Vt, norms)`` as it arrives (a lone inline batch keeps the
        arrays it returns) — the factors exist once.

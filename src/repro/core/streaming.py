@@ -72,7 +72,7 @@ from .initialization import initialize, slice_plane_factor
 from .iteration import IterationResult
 from .result import TuckerResult
 from .slice_svd import SliceSVD
-from .sources import BlockSource, compress_source
+from .sources import DenseSource, compress_source
 
 __all__ = ["StreamingDTucker"]
 
@@ -332,8 +332,9 @@ class StreamingDTucker:
         with Timer() as t_approx:
             # One generator (self._rng) spans all updates, so every block's
             # sketch continues the same stream the one-shot fit would use.
+            # ``x`` passed _validate_block's as_tensor: no second scan.
             block_ssvd = compress_source(
-                BlockSource([x]),
+                DenseSource._validated(x),
                 k,
                 config=self.config,
                 engine=self.engine,
@@ -628,7 +629,7 @@ class StreamingDTucker:
         rank = self.slice_svd_.rank
         with Timer() as t_approx:
             block_ssvd = compress_source(
-                BlockSource([x]),
+                DenseSource._validated(x),
                 rank,
                 config=self.config,
                 engine=self.engine,

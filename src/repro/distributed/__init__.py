@@ -13,11 +13,8 @@ See ``docs/distributed.md``.
 
 from .coordinator import ShardCoordinator, distributed_als_sweeps
 from .sharded import (
-    GroupDescriptor,
     GroupSource,
-    ShardedDescriptor,
     ShardedSource,
-    SliceSpanDescriptor,
     SliceSpanSource,
     partition_extent,
     write_manifest,
@@ -25,12 +22,9 @@ from .sharded import (
 )
 
 __all__ = [
-    "GroupDescriptor",
     "GroupSource",
     "ShardCoordinator",
-    "ShardedDescriptor",
     "ShardedSource",
-    "SliceSpanDescriptor",
     "SliceSpanSource",
     "distributed_als_sweeps",
     "partition_extent",

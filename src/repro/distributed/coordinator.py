@@ -19,7 +19,7 @@ products ever cross a shard boundary*:
   and are reused by every round of every sweep.
 * :class:`ShardCoordinator` — the fit driver: shard-local compression
   (the :meth:`~repro.distributed.sharded.ShardedSource.process_parts`
-  descriptor fan-out), coordinator-side :func:`~repro.core.initialization
+  member fan-out), coordinator-side :func:`~repro.core.initialization
   .initialize` on the gathered stacked ``[U_lΣ_l]``/``[Σ_lV_lᵀ]``
   products, then distributed sweeps.  The bytes shipped and the reduce
   rounds are ``comm:`` events in each phase's
@@ -217,7 +217,7 @@ class ShardCoordinator:
     """Drive a whole fit over shards, reducing only small factor products.
 
     The coordinator never touches a raw slab: compression runs shard-local
-    through the member-descriptor fan-out, :func:`~repro.core
+    through the member fan-out, :func:`~repro.core
     .initialization.initialize` consumes the gathered stacked
     ``[U_lΣ_l]``/``[Σ_lV_lᵀ]`` products on the coordinator, and the sweeps
     run through :func:`distributed_als_sweeps`.  The fit itself *is*
@@ -230,7 +230,7 @@ class ShardCoordinator:
     source:
         A :class:`~repro.distributed.sharded.ShardedSource`, or any
         :class:`~repro.core.sources.SliceSource` to be partitioned into
-        ``shards`` (default ``config.shards``, else 1) temporal spans.
+        ``shards`` (default 1) temporal spans.
     ranks, slice_rank, init, config, engine:
         As on :class:`~repro.core.fit_pipeline.FitPipeline`.
     """
@@ -244,12 +244,11 @@ class ShardCoordinator:
         init: str = "svd",
         config: DTuckerConfig | None = None,
         engine: "ExecutionBackend | str | None" = None,
-        shards: int | None = None,
+        shards: int = 1,
     ) -> None:
         cfg = config if config is not None else DTuckerConfig()
         if not isinstance(source, ShardedSource):
-            n = shards if shards is not None else (cfg.shards or 1)
-            source = ShardedSource.partition(source, max(1, int(n)))
+            source = ShardedSource.partition(source, shards)
         self.source = source
         self.pipeline = _ShardedPipeline(
             ranks,

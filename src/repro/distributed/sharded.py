@@ -13,8 +13,9 @@ The source plugs into :func:`~repro.core.sources.compress_source`
 unchanged.  Two properties make it the unit of distribution:
 
 * **Shard-local compression.**  On the process backend,
-  :meth:`ShardedSource.process_parts` fans out *member descriptors* (a
-  path, never a slab): each worker opens its own shard and compresses its
+  :meth:`ShardedSource.process_parts` fans out the *members* themselves
+  (an ``.npy`` member pickles as its path, never a slab): each worker
+  reads its own shard and compresses its
   slices locally, shipping back only the stacked ``[U_lΣ_l]`` /
   ``[Σ_lV_lᵀ]`` factor products — ``(I1+I2+1)·K`` numbers per slice,
   independent of the slab width ``I1·I2``.  The bytes that do cross the
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -55,7 +55,6 @@ from ..core.sources import (
     NpySource,
     SliceSource,
     SliceSourceBase,
-    SourceDescriptor,
     batch_task_fn,
     batched_slice_view,
     store_parts,
@@ -65,13 +64,11 @@ from ..exceptions import BackendError, ShapeError
 from ..kernels.compress_plan import CompressionPlan, factor_nbytes
 from ..kernels.stats import KernelStats
 from ..tensor.slices import SliceRuns, slice_count
+from ..validation import check_positive_int
 
 __all__ = [
-    "GroupDescriptor",
     "GroupSource",
-    "ShardedDescriptor",
     "ShardedSource",
-    "SliceSpanDescriptor",
     "SliceSpanSource",
     "partition_extent",
     "write_manifest",
@@ -103,18 +100,6 @@ def partition_extent(extent: int, n_shards: int) -> list[tuple[int, int]]:
 
 
 # -- span view over an existing source ---------------------------------------
-
-@dataclass(frozen=True)
-class SliceSpanDescriptor:
-    """Descriptor of a :class:`SliceSpanSource` (parent recipe + extent)."""
-
-    parent: SourceDescriptor
-    t_lo: int
-    t_hi: int
-
-    def open(self) -> "SliceSpanSource":
-        return SliceSpanSource(self.parent.open(), self.t_lo, self.t_hi)
-
 
 class SliceSpanSource(SliceSourceBase):
     """A contiguous temporal span ``[t_lo, t_hi)`` of another source.
@@ -160,25 +145,8 @@ class SliceSpanSource(SliceSourceBase):
         offset = self._t_lo * self._per_step
         return self._parent.read_batch(offset + lo, offset + hi)
 
-    def descriptor(self) -> SliceSpanDescriptor:
-        return SliceSpanDescriptor(
-            self._parent.descriptor(), self._t_lo, self._t_hi
-        )
-
 
 # -- zarr / HDF5 group members ----------------------------------------------
-
-@dataclass(frozen=True)
-class GroupDescriptor:
-    """Descriptor of a :class:`GroupSource` (kind + path + dataset key)."""
-
-    kind: str
-    path: str
-    key: str | None = None
-
-    def open(self) -> "GroupSource":
-        return GroupSource(self.kind, self.path, self.key)
-
 
 class GroupSource(SliceSourceBase):
     """A tensor stored as a zarr array or an HDF5 dataset.
@@ -188,7 +156,9 @@ class GroupSource(SliceSourceBase):
     .batched_slice_view` — only the requested chunks/pages are read.  The
     backing package is imported lazily and its absence raised as
     :class:`~repro.exceptions.BackendError`, keeping manifests that name
-    such members loadable only where the format actually is.
+    such members loadable only where the format actually is.  A pickle
+    carries the recipe (kind, path, key) without the open handle; the
+    unpickled source re-opens it on its first read.
     """
 
     resident = False
@@ -240,21 +210,11 @@ class GroupSource(SliceSourceBase):
         lo, hi = self._check_range(start, stop)
         return batched_slice_view(self._array(), lo, hi)
 
-    def descriptor(self) -> GroupDescriptor:
-        return GroupDescriptor(self._kind, self._path, self._key)
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_handle": None}
 
 
 # -- the sharded source ------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShardedDescriptor:
-    """Descriptor of a :class:`ShardedSource` (the member recipes)."""
-
-    members: tuple[SourceDescriptor, ...]
-
-    def open(self) -> "ShardedSource":
-        return ShardedSource([m.open() for m in self.members])
-
 
 class ShardedSource(SliceSourceBase):
     """A virtual concatenation of member sources along the temporal mode.
@@ -266,9 +226,10 @@ class ShardedSource(SliceSourceBase):
     bit-identical to the equivalent single-source fit, however the tensor
     is sharded and on every backend.
 
-    Construct one directly from open sources, from a shard directory via
-    :meth:`from_manifest`, or by splitting an existing source with
-    :meth:`partition`.
+    Construct one directly from open sources (several in-memory blocks
+    are ``ShardedSource([DenseSource(b) for b in blocks])``), from a shard
+    directory via :meth:`from_manifest`, or by splitting an existing
+    source with :meth:`partition`.
     """
 
     shared_sketch = True
@@ -304,8 +265,10 @@ class ShardedSource(SliceSourceBase):
 
         Pure index arithmetic — every shard is a
         :class:`SliceSpanSource` view, no data moves.  An extent that does
-        not divide evenly yields a shorter trailing shard.
+        not divide evenly yields a shorter trailing shard.  ``n_shards``
+        must be a positive integer.
         """
+        n_shards = check_positive_int(n_shards, name="n_shards")
         shape = tuple(int(d) for d in source.shape)
         if len(shape) < 3:
             raise ShapeError(
@@ -372,19 +335,25 @@ class ShardedSource(SliceSourceBase):
     def resident(self) -> bool:  # type: ignore[override]
         return all(m.resident for m in self._members)
 
+    def _cut(self, lo: int, hi: int) -> list[tuple[SliceSource, int, int, int]]:
+        """Slices ``[lo, hi)`` cut at member boundaries: ``(member, offset, a, b)``.
+
+        Member-local slices ``[a, b)`` are global slices ``[offset + a,
+        offset + b)``.
+        """
+        cut = []
+        for member, offset in zip(self._members, self._offsets[:-1]):
+            a = max(int(lo) - int(offset), 0)
+            b = min(int(hi) - int(offset), int(member.slice_count))
+            if a < b:
+                cut.append((member, int(offset), a, b))
+        return cut
+
     def read_batch(self, start: int, stop: int) -> np.ndarray:
         lo, hi = self._check_range(start, stop)
-        pieces = []
-        for member, offset in zip(self._members, self._offsets[:-1]):
-            a = max(lo - int(offset), 0)
-            b = min(hi - int(offset), int(member.slice_count))
-            if a < b:
-                pieces.append(member.read_batch(a, b))
+        pieces = [m.read_batch(a, b) for m, _, a, b in self._cut(lo, hi)]
         # A batch straddling members is served as their pieces, not a copy.
         return pieces[0] if len(pieces) == 1 else SliceRuns.concat(pieces)
-
-    def descriptor(self) -> ShardedDescriptor:
-        return ShardedDescriptor(tuple(m.descriptor() for m in self._members))
 
     # -- process-backend fan-out ---------------------------------------------
     def process_parts(
@@ -399,10 +368,10 @@ class ShardedSource(SliceSourceBase):
         out: "tuple[np.ndarray, ...]",
         stats: KernelStats | None = None,
     ) -> bool:
-        """Shard-local compression: ship member descriptors, never slabs.
+        """Shard-local compression: ship members, never slabs.
 
-        Each batch bound is cut at member boundaries into ``(descriptor,
-        local_lo, local_hi, Ω)`` tasks; workers open their member and
+        Each batch bound is cut at member boundaries into ``(member,
+        local_lo, local_hi, Ω)`` tasks; workers read their member and
         compress locally.  Per task the coordinator receives
         ``(I1+I2+1)·K`` numbers per slice (plus one norm), written into its
         rows of ``out`` as it arrives, and ships at most one ``I2×K`` test
@@ -417,18 +386,12 @@ class ShardedSource(SliceSourceBase):
         if all(m.resident for m in self._members):
             return False
         i1, i2 = self._shape[:2]
-        descriptors = [m.descriptor() for m in self._members]
         tasks: list[tuple] = []
         rows: list[tuple[int, int]] = []
         for (start, stop), omega in zip(bounds, omegas):
-            for descriptor, offset, member in zip(
-                descriptors, self._offsets[:-1], self._members
-            ):
-                a = max(int(start) - int(offset), 0)
-                b = min(int(stop) - int(offset), int(member.slice_count))
-                if a < b:
-                    tasks.append((descriptor, a, b, omega))
-                    rows.append((int(offset) + a, int(offset) + b))
+            for member, offset, a, b in self._cut(start, stop):
+                tasks.append((member, a, b, omega))
+                rows.append((offset + a, offset + b))
         store_parts(engine, batch_task_fn(rank, plan), tasks, rows, out)
         if stats is not None:
             for (lo, hi), (_, _, _, omega) in zip(rows, tasks):

@@ -16,7 +16,7 @@ chunk tasks:
 Solvers never talk to pools directly — they call :func:`chunked` (stacked
 array inputs, results written into a caller-owned output) or
 :meth:`ExecutionBackend.map` (arbitrary picklable tasks, e.g. file-batch
-descriptors) and wrap each algorithm phase in
+tasks) and wrap each algorithm phase in
 :meth:`ExecutionBackend.phase` so a structured
 :class:`~repro.engine.trace.PhaseTrace` is emitted per phase.
 """
@@ -217,8 +217,8 @@ class ExecutionBackend(abc.ABC):
         For the process backend ``fn`` and every item must be picklable
         (module-level functions, ``functools.partial`` of them, plain data).
         Used by workloads whose inputs are not slab arrays — e.g. the
-        out-of-core path maps over ``(start, stop, Ω)`` file-batch
-        descriptors and each worker memory-maps the file itself.  A caller
+        out-of-core path maps over ``(source, start, stop, Ω)``
+        file-batch tasks and each worker memory-maps the file itself.  A caller
         that stores each result as it arrives (into a preallocated output)
         never holds more results than are in flight.  Items are submitted
         in item order.

@@ -38,7 +38,7 @@ class Prefetcher:
         Callable invoked once per item on the background thread.
     items:
         The work list (materialised up front; pipelines here are batch
-        descriptors, never large data).
+        bounds, never large data).
     depth:
         How many items to run ahead of the consumer (default 1 — double
         buffering; at most ``depth`` results are alive at once, which

@@ -48,12 +48,7 @@ from .contractions import (
     w_from_projections_chunk,
 )
 from .naive import naive_als_sweeps
-from .planner import (
-    clear_plan_cache,
-    plan_cache_info,
-    plan_ttm_chain,
-    ttm_chain_signature,
-)
+from .planner import plan_ttm_chain
 from .stats import KernelStats
 from .workspace import SweepWorkspace
 
@@ -70,9 +65,6 @@ __all__ = [
     "SweepWorkspace",
     "naive_als_sweeps",
     "plan_ttm_chain",
-    "ttm_chain_signature",
-    "plan_cache_info",
-    "clear_plan_cache",
     "project_left_chunk",
     "project_right_chunk",
     "w_chunk",

@@ -187,7 +187,6 @@ def plan_compression(
     precision: str = "float64",
     oversampling: int = 10,
     power_iterations: int = 1,
-    exact_slice_svd: bool = False,
 ) -> CompressionPlan:
     """Choose the compression method for slices of shape ``(i1, i2)``.
 
@@ -197,8 +196,7 @@ def plan_compression(
     ``strategy="auto"`` consults :func:`estimate_costs`: the exact SVD for
     tall-skinny slices whose short side the sketch would span entirely,
     else the cheaper of Gram and rsvd.  ``"gram"``/``"exact"`` force those
-    methods.  ``exact_slice_svd=True`` (the ablation reference knob)
-    overrides everything.
+    methods.
     """
     m = min(int(i1), int(i2))
     r = int(rank)
@@ -211,7 +209,7 @@ def plan_compression(
     costs = estimate_costs(
         i1, i2, r, oversampling=over, power_iterations=power_iterations
     )
-    if exact_slice_svd or strategy == "exact":
+    if strategy == "exact":
         method = "exact"
     elif strategy == "gram":
         method = "gram"
@@ -251,7 +249,6 @@ def plan_from_config(i1: int, i2: int, rank: int, config) -> CompressionPlan:
         precision=config.precision,
         oversampling=max(0, int(config.oversampling)),
         power_iterations=int(config.power_iterations),
-        exact_slice_svd=bool(config.exact_slice_svd),
     )
 
 

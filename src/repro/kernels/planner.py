@@ -1,12 +1,10 @@
-"""Memoized TTM-chain planning.
+"""TTM-chain planning.
 
 A TTM chain (``tensor ×_{m ∈ modes} A_m``) admits many contraction orders;
 the library's policy is greedy smallest-output-first, which keeps the
 intermediates of projection chains (tall matrices applied transposed) as
-small as possible.  The order depends only on the *shapes* involved, and the
-iteration phase asks for the same handful of shapes thousands of times —
-once per mode per sweep — so this module memoizes the plan per shape
-signature instead of re-deriving it on every call.
+small as possible.  The order depends only on the *shapes* involved and
+costs a few microseconds to derive, so it is recomputed on every call.
 
 The greedy selection here also fixes a latent bug in the original
 ``multi_mode_product``: the shrink ratio used to be read off the *original*
@@ -18,31 +16,7 @@ against the evolving shape so the invariant is structural, not accidental.
 
 from __future__ import annotations
 
-__all__ = [
-    "plan_ttm_chain",
-    "ttm_chain_signature",
-    "plan_cache_info",
-    "clear_plan_cache",
-]
-
-#: Shape-signature → contraction order (indices into the ``modes`` list).
-_PLAN_CACHE: dict[tuple, tuple[int, ...]] = {}
-_CACHE_HITS = 0
-_CACHE_MISSES = 0
-
-#: Safety valve: the signature space is tiny in practice (a few shapes per
-#: solver), but a pathological caller cycling through shapes must not leak.
-_MAX_PLANS = 4096
-
-
-def ttm_chain_signature(
-    tensor_shape: tuple[int, ...],
-    matrix_shapes: tuple[tuple[int, int], ...],
-    modes: tuple[int, ...],
-    transpose: bool,
-) -> tuple:
-    """Hashable key identifying a chain-planning problem."""
-    return (tuple(tensor_shape), tuple(matrix_shapes), tuple(modes), bool(transpose))
+__all__ = ["plan_ttm_chain"]
 
 
 def plan_ttm_chain(
@@ -72,14 +46,6 @@ def plan_ttm_chain(
         is chosen; ties break on the original position, matching the
         stable-sort behaviour the solvers were validated against.
     """
-    global _CACHE_HITS, _CACHE_MISSES
-    key = ttm_chain_signature(tensor_shape, matrix_shapes, modes, transpose)
-    cached = _PLAN_CACHE.get(key)
-    if cached is not None:
-        _CACHE_HITS += 1
-        return cached
-    _CACHE_MISSES += 1
-
     shape = list(tensor_shape)
     remaining = list(range(len(modes)))
     order: list[int] = []
@@ -95,26 +61,4 @@ def plan_ttm_chain(
         shape[modes[best]] = (
             matrix_shapes[best][1] if transpose else matrix_shapes[best][0]
         )
-
-    plan = tuple(order)
-    if len(_PLAN_CACHE) >= _MAX_PLANS:
-        _PLAN_CACHE.clear()
-    _PLAN_CACHE[key] = plan
-    return plan
-
-
-def plan_cache_info() -> dict[str, int]:
-    """Memoization counters (for diagnostics and tests)."""
-    return {
-        "size": len(_PLAN_CACHE),
-        "hits": _CACHE_HITS,
-        "misses": _CACHE_MISSES,
-    }
-
-
-def clear_plan_cache() -> None:
-    """Drop all memoized plans and reset the counters."""
-    global _CACHE_HITS, _CACHE_MISSES
-    _PLAN_CACHE.clear()
-    _CACHE_HITS = 0
-    _CACHE_MISSES = 0
+    return tuple(order)

@@ -35,7 +35,7 @@ from ..core.config import DTuckerConfig
 from ..core.fit_pipeline import FitPipeline, PipelineFit
 from ..core.result import TuckerResult
 from ..core.slice_svd import SliceSVD
-from ..core.sources import BlockSource
+from ..core.sources import DenseSource
 from ..engine import ExecutionBackend
 from ..exceptions import StoreError, StoreFormatError
 from ..kernels.stats import KernelStats
@@ -68,7 +68,11 @@ INDEX_DIR = "index"
 
 #: Config keys that earlier releases wrote and this one no longer has.  A
 #: reader drops them, so stores written before their removal still open.
-_RETIRED_CONFIG_KEYS = frozenset({"device", "schedule"})
+#: (``exact_slice_svd: true`` first becomes ``strategy="exact"``, the plan
+#: it selected.)
+_RETIRED_CONFIG_KEYS = frozenset(
+    {"device", "schedule", "shards", "exact_slice_svd"}
+)
 
 
 def _manifest_config(raw, path: Path) -> DTuckerConfig:
@@ -76,6 +80,8 @@ def _manifest_config(raw, path: Path) -> DTuckerConfig:
     if not isinstance(raw, Mapping):
         raise StoreFormatError(f"store manifest at {path}: config must be a table")
     fields = {k: v for k, v in raw.items() if k not in _RETIRED_CONFIG_KEYS}
+    if raw.get("exact_slice_svd") is True:
+        fields["strategy"] = "exact"
     try:
         return DTuckerConfig(**fields)
     except TypeError as exc:
@@ -594,7 +600,7 @@ class ModelStore:
             strict_slice_rank=False,
         )
         permuted = np.transpose(x, perm)
-        fresh = pipeline.compress(BlockSource([permuted]), rng=rng)
+        fresh = pipeline.compress(DenseSource(permuted), rng=rng)
         current = self.load_slice_svd()
         # Validate any persisted index against the *pre-append* payloads
         # (loaded eagerly: save() below replaces the files on disk).

@@ -90,10 +90,6 @@ class TestPlanDecisions:
         plan = plan_compression(256, 256, 8, strategy=strategy)
         assert plan.method == strategy
 
-    def test_exact_slice_svd_overrides(self) -> None:
-        plan = plan_compression(256, 256, 8, strategy="auto", exact_slice_svd=True)
-        assert plan.method == "exact"
-
     def test_k_eff_capped_at_short_side(self) -> None:
         plan = plan_compression(100, 12, 8, strategy="auto", oversampling=10)
         assert plan.k_eff == 12

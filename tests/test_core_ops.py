@@ -24,7 +24,7 @@ from repro.tensor.random import random_orthonormal
 @pytest.fixture
 def setup(rng):
     x = rng.standard_normal((9, 7, 4, 3))
-    ssvd = compress(x, 7, config=DTuckerConfig(exact_slice_svd=True))  # full rank: lossless
+    ssvd = compress(x, 7, config=DTuckerConfig(strategy="exact"))  # full rank: lossless
     a1 = random_orthonormal(9, 3, rng)
     a2 = random_orthonormal(7, 2, rng)
     return x, ssvd, a1, a2
@@ -58,7 +58,7 @@ class TestWTensor:
 
     def test_order2(self, rng) -> None:
         m = rng.standard_normal((8, 6))
-        ssvd = compress(m, 6, config=DTuckerConfig(exact_slice_svd=True))
+        ssvd = compress(m, 6, config=DTuckerConfig(strategy="exact"))
         a1 = random_orthonormal(8, 2, rng)
         a2 = random_orthonormal(6, 2, rng)
         np.testing.assert_allclose(

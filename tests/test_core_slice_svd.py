@@ -50,11 +50,11 @@ class TestCompress:
 
     def test_exact_vs_randomized_agree_on_easy_input(self, lowrank3) -> None:
         a = compress(lowrank3, 4, rng=0)
-        b = compress(lowrank3, 4, config=DTuckerConfig(exact_slice_svd=True))
+        b = compress(lowrank3, 4, config=DTuckerConfig(strategy="exact"))
         np.testing.assert_allclose(a.reconstruct(), b.reconstruct(), atol=1e-7)
 
     def test_exact_path_uses_sign_convention(self, lowrank3) -> None:
-        ss = compress(lowrank3, 3, config=DTuckerConfig(exact_slice_svd=True))
+        ss = compress(lowrank3, 3, config=DTuckerConfig(strategy="exact"))
         for l in range(ss.num_slices):
             idx = np.argmax(np.abs(ss.u[l]), axis=0)
             assert (ss.u[l][idx, np.arange(3)] >= 0).all()

@@ -84,6 +84,29 @@ class TestPartialFit:
         assert s.shape_ == (8, 7, 4, 6)
         assert s.result_.error(x) < 0.02
 
+    @pytest.mark.parametrize("update", ["refit", "incremental"])
+    def test_each_update_scans_its_block_once(
+        self, temporal, monkeypatch, update
+    ) -> None:
+        import repro.validation as validation
+
+        # Counts the NaN/Inf scans of the ingested block; the update's
+        # own small factor-sized arrays are validated too and not counted.
+        scans = []
+        real = validation._all_finite
+
+        def counting(a):
+            if a.ndim == 3 and a.shape[:2] == (16, 12):
+                scans.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(validation, "_all_finite", counting)
+        s = StreamingDTucker(ranks=(3, 3, 4), seed=0, update=update)
+        s.partial_fit(temporal[..., :10])
+        assert scans == [(16, 12, 10)]
+        s.revise(2, temporal[..., 2:5])
+        assert scans == [(16, 12, 10), (16, 12, 3)]
+
     def test_streaming_matches_batch_error(self, temporal) -> None:
         from repro.core.dtucker import DTucker
 

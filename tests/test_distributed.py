@@ -9,9 +9,9 @@ Covers the three distribution guarantees:
 * **Reduce-only traffic** — on the process backend only the stacked
   factor products cross shard boundaries: ``comm:ship`` accounts exactly
   ``(I1+I2+1)·K`` numbers (plus one norm) per slice, never a raw slab.
-* **Spawn-safety** — every descriptor type round-trips through a
-  ``spawn``-start-method subprocess (the strictest pickling regime) and
-  reads back identical bytes.
+* **Spawn-safety** — every source pickles itself into a
+  ``spawn``-start-method subprocess (the strictest pickling regime),
+  reads back identical bytes and compresses to identical factors.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 import multiprocessing
 import pickle
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import (
-    BlockSource,
     DenseSource,
     DTuckerConfig,
     FitPipeline,
@@ -78,11 +79,13 @@ def manifest_dir(tmp_path, tensor):
     return d
 
 
-def _reopen_and_read(payload):
-    """Spawn-subprocess worker: unpickle a descriptor, open it, read."""
-    blob, start, stop = payload
-    source = pickle.loads(blob).open()
-    return np.ascontiguousarray(source.read_batch(start, stop), dtype=np.float64)
+def _read_and_compress(payload):
+    """Spawn-subprocess worker: unpickle a source, read a batch, compress it."""
+    blob, start, stop, config = payload
+    source = pickle.loads(blob)
+    batch = np.ascontiguousarray(source.read_batch(start, stop), dtype=np.float64)
+    ssvd = compress_source(source, 2, config=config, batch_slices=4)
+    return batch, (ssvd.u, ssvd.s, ssvd.vt, ssvd.slice_norms_squared)
 
 
 class TestPartitionExtent:
@@ -176,37 +179,92 @@ class TestShardedSource:
 
 class TestSpawnDescriptors:
     def test_every_descriptor_survives_spawn(
-        self, tensor, npy_path, manifest_dir
+        self, tensor, npy_path, manifest_dir, tmp_path
     ) -> None:
-        """Satellite: pickle each descriptor into a fresh ``spawn`` child.
+        """Pickle each source itself into a fresh ``spawn`` child.
 
         ``spawn`` is the strictest start method — nothing is inherited, so
-        the descriptor alone must reconstruct the source.  Compares the
-        bytes a child reads against the parent's.
+        the pickle alone must carry the source.  The child's batch bytes
+        and its compression (sparse: both the ``O(nnz)`` kernel and the
+        densified planner path) must equal the parent's.
         """
         sparse = SparseTensor.from_dense(
             np.where(np.abs(tensor) > 1, tensor, 0.0)
         )
-        sources = [
-            DenseSource(tensor),
-            NpySource(npy_path),
-            SparseSource(sparse),
-            BlockSource([tensor[..., :2], tensor[..., 2:]]),
-            ShardedSource.partition(DenseSource(tensor), 2),
-            ShardedSource.from_manifest(manifest_dir),
-            SliceSpanSource(NpySource(npy_path), 1, 5),
+        half = np.ascontiguousarray(tensor[..., 4:])
+        np.save(tmp_path / "tail.npy", half)
+        serial = DTuckerConfig(seed=5, backend="serial")
+        gram = DTuckerConfig(seed=5, backend="serial", strategy="gram")
+        cases = [
+            (DenseSource(tensor[..., 0]), serial),
+            (DenseSource(tensor), serial),
+            (NpySource(npy_path), serial),
+            (SparseSource(sparse), serial),
+            (SparseSource(sparse), gram),
+            (SliceSpanSource(NpySource(npy_path), 1, 5), serial),
+            (ShardedSource.partition(DenseSource(tensor), 2), serial),
+            (ShardedSource.from_manifest(manifest_dir), serial),
+            (
+                ShardedSource(
+                    [DenseSource(tensor[..., :4]), NpySource(tmp_path / "tail.npy")]
+                ),
+                serial,
+            ),
         ]
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(1) as pool:
-            for source in sources:
-                blob = pickle.dumps(source.descriptor())
-                child = pool.apply(_reopen_and_read, ((blob, 0, 5),))
+            for source, config in cases:
+                stop = min(5, source.slice_count)
+                blob = pickle.dumps(source)
+                batch, factors = pool.apply(
+                    _read_and_compress, ((blob, 0, stop, config),)
+                )
                 np.testing.assert_array_equal(
-                    child,
+                    batch,
                     np.ascontiguousarray(
-                        source.read_batch(0, 5), dtype=np.float64
+                        source.read_batch(0, stop), dtype=np.float64
                     ),
                 )
+                ref = compress_source(source, 2, config=config, batch_slices=4)
+                for got, want in zip(
+                    factors, (ref.u, ref.s, ref.vt, ref.slice_norms_squared)
+                ):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_group_source_pickles_without_its_handle(
+        self, tensor, monkeypatch, tmp_path
+    ) -> None:
+        """A zarr member round-trips as its recipe and re-opens on read."""
+
+        class Handle:
+            """An open array handle that, like a file handle, never pickles."""
+
+            def __init__(self, array):
+                self._array = array
+                self.shape, self.dtype, self.ndim = array.shape, array.dtype, array.ndim
+
+            def __getitem__(self, key):
+                return self._array[key]
+
+            def __reduce__(self):
+                raise TypeError("an open handle cannot be pickled")
+
+        opens = []
+
+        def fake_open(path, mode):
+            opens.append((path, mode))
+            return {"x": Handle(tensor)}
+
+        monkeypatch.setitem(
+            sys.modules, "zarr", types.SimpleNamespace(open=fake_open)
+        )
+        source = GroupSource("zarr", tmp_path / "t.zarr", "x")
+        expected = np.ascontiguousarray(source.read_batch(0, 5))
+        back = pickle.loads(pickle.dumps(source))
+        assert len(opens) == 1
+        assert back.shape == tensor.shape
+        np.testing.assert_array_equal(back.read_batch(0, 5), expected)
+        assert len(opens) == 2
 
 
 class TestShardParity:
@@ -240,18 +298,16 @@ class TestShardParity:
         for a, b in zip(fit.result.factors, ref.result.factors):
             np.testing.assert_array_equal(a, b)
 
-    def test_config_shards_flows_through_pipeline(self, tensor) -> None:
-        ref = FitPipeline(
-            RANKS, config=DTuckerConfig(seed=11, backend="serial")
-        ).fit(DenseSource(tensor))
-        fit = FitPipeline(
-            RANKS, config=DTuckerConfig(seed=11, backend="serial", shards=3)
-        ).fit(DenseSource(tensor))
-        np.testing.assert_array_equal(fit.result.core, ref.result.core)
+    def test_sharding_is_not_a_config_field(self) -> None:
+        with pytest.raises(TypeError):
+            DTuckerConfig(shards=3)
 
-    def test_config_rejects_nonpositive_shards(self) -> None:
-        with pytest.raises(ShapeError):
-            DTuckerConfig(shards=0)
+    def test_config_rejects_nonpositive_shards(self, tensor) -> None:
+        for n in (0, -2, 1.5):
+            with pytest.raises(ShapeError, match="n_shards"):
+                ShardedSource.partition(DenseSource(tensor), n)
+            with pytest.raises(ShapeError, match="n_shards"):
+                ShardCoordinator(DenseSource(tensor), RANKS, shards=n)
 
 
 class TestCommCounters:
@@ -448,8 +504,12 @@ class TestDistributedSweeps:
         np.testing.assert_array_equal(fit.slice_svd.u, ref.slice_svd.u)
 
     def test_coordinator_partitions_plain_sources(self, tensor) -> None:
-        cfg = DTuckerConfig(seed=11, backend="serial", shards=3)
-        coordinator = ShardCoordinator(DenseSource(tensor), RANKS, config=cfg)
+        cfg = DTuckerConfig(seed=11, backend="serial")
+        default = ShardCoordinator(DenseSource(tensor), RANKS, config=cfg)
+        assert default.source.shard_bounds == [(0, 21)]
+        coordinator = ShardCoordinator(
+            DenseSource(tensor), RANKS, config=cfg, shards=3
+        )
         assert coordinator.source.shard_bounds == [(0, 9), (9, 15), (15, 21)]
         fit = coordinator.fit()
         assert fit.converged or fit.n_iters >= 1

@@ -21,9 +21,7 @@ from repro.kernels import (
     BufferPool,
     KernelStats,
     SweepWorkspace,
-    clear_plan_cache,
     naive_als_sweeps,
-    plan_cache_info,
     plan_ttm_chain,
 )
 from repro.kernels.contractions import (
@@ -164,22 +162,10 @@ class TestKernelStats:
 
 
 class TestPlanner:
-    def test_plan_memoized(self) -> None:
-        clear_plan_cache()
-        shape = (4, 5, 6, 7)
-        mats = ((6, 2), (7, 3))
-        order1 = plan_ttm_chain(shape, mats, (2, 3), transpose=True)
-        before = plan_cache_info()
-        order2 = plan_ttm_chain(shape, mats, (2, 3), transpose=True)
-        after = plan_cache_info()
-        assert order1 == order2
-        assert after["hits"] == before["hits"] + 1
-
     def test_plan_tracks_evolving_shape(self) -> None:
         # Greedy against the evolving intermediate: the strongest shrink
         # goes first, and shrink ratios are re-read per step, not from the
         # original shape.
-        clear_plan_cache()
         order = plan_ttm_chain((10, 10, 100, 4), ((100, 2), (4, 3)), (2, 3), True)
         # Mode 2 shrinks by 50x, mode 3 by 4/3: mode 2 first.
         assert order == (0, 1)

@@ -282,7 +282,7 @@ class TestFitFromFile:
         from repro.core.dtucker import DTucker
 
         path, x = npy_tensor
-        cfg = DTuckerConfig(exact_slice_svd=True, seed=0)
+        cfg = DTuckerConfig(strategy="exact", seed=0)
         got = DTucker(ranks=(3, 3, 2, 2), config=cfg).fit_from_file(path)
         ref = DTucker(ranks=(3, 3, 2, 2), config=cfg).fit(x)
         for name in ("u", "s", "vt"):

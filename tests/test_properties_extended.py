@@ -39,9 +39,9 @@ class TestAppendEquivalence:
         t = shape[2]
         cut = 1 + split_seed % max(t - 1, 1)
         k = min(shape[0], shape[1])
-        whole = compress(x, k, config=DTuckerConfig(exact_slice_svd=True))
-        merged = compress(x[..., :cut], k, config=DTuckerConfig(exact_slice_svd=True)).append(
-            compress(x[..., cut:], k, config=DTuckerConfig(exact_slice_svd=True))
+        whole = compress(x, k, config=DTuckerConfig(strategy="exact"))
+        merged = compress(x[..., :cut], k, config=DTuckerConfig(strategy="exact")).append(
+            compress(x[..., cut:], k, config=DTuckerConfig(strategy="exact"))
         )
         np.testing.assert_allclose(merged.u, whole.u, atol=1e-9)
         np.testing.assert_allclose(merged.s, whole.s, atol=1e-9)

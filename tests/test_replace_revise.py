@@ -98,9 +98,9 @@ class TestReplace:
         x = random_tensor((10, 8, 6), (3, 2, 2), rng=rng, noise=0.1)
         revised = x.copy()
         revised[:, :, 2:4] = rng.standard_normal((10, 8, 2))
-        whole = compress(revised, 4, config=DTuckerConfig(exact_slice_svd=True))
-        block = compress(revised[:, :, 2:4], 4, config=DTuckerConfig(exact_slice_svd=True))
-        spliced = compress(x, 4, config=DTuckerConfig(exact_slice_svd=True)).replace(2, block)
+        whole = compress(revised, 4, config=DTuckerConfig(strategy="exact"))
+        block = compress(revised[:, :, 2:4], 4, config=DTuckerConfig(strategy="exact"))
+        spliced = compress(x, 4, config=DTuckerConfig(strategy="exact")).replace(2, block)
         np.testing.assert_allclose(spliced.u, whole.u, atol=1e-9)
         np.testing.assert_allclose(spliced.s, whole.s, atol=1e-9)
         assert spliced.norm_squared == pytest.approx(whole.norm_squared)

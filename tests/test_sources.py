@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    BlockSource,
     DenseSource,
     DTucker,
     DTuckerConfig,
@@ -20,13 +19,10 @@ from repro.core import (
     compress_source,
 )
 from repro.core.fit_pipeline import resolve_slice_rank
-from repro.core.sources import (
-    _gathered_slice_loop,
-    batched_slice_view,
-    clear_memmap_cache,
-)
+from repro.core.sources import batched_slice_view, clear_memmap_cache
 from repro.core.sparse_dtucker import compress_sparse
 from repro.core.streaming import StreamingDTucker
+from repro.distributed import ShardedSource
 from repro.exceptions import RankError, ShapeError
 from repro.kernels import KernelStats
 from repro.sparse import SparseTensor
@@ -59,7 +55,6 @@ class TestProtocol:
             DenseSource(tensor),
             NpySource(npy_path),
             SparseSource(sparse),
-            BlockSource([tensor]),
         ):
             assert isinstance(src, SliceSource)
             assert src.shape == tensor.shape
@@ -67,15 +62,45 @@ class TestProtocol:
             batch = src.read_batch(2, 7)
             assert batch.shape == (5, 18, 14)
 
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_dense_source_pickles_its_tensor_once(self, rng, order) -> None:
+        # The slice stack is a view of the tensor (order 3) or holds a
+        # closure (order >= 4); neither may travel beside the tensor.
+        x = rng.standard_normal((60, 50, 36) if order == 3 else (60, 50, 6, 6))
+        blob = pickle.dumps(DenseSource(x))
+        assert len(blob) < 1.1 * x.nbytes
+        back = pickle.loads(blob)
+        assert back.shape == x.shape
+        np.testing.assert_array_equal(
+            np.asarray(back.read_batch(3, 20)),
+            np.asarray(DenseSource(x).read_batch(3, 20)),
+        )
+
+    def test_unpickled_dense_source_skips_the_nan_scan(
+        self, tensor, monkeypatch
+    ) -> None:
+        import repro.validation as validation
+
+        blob = pickle.dumps(DenseSource(tensor))
+        calls = []
+        monkeypatch.setattr(
+            validation, "_all_finite", lambda a: calls.append(a) or True
+        )
+        pickle.loads(blob)
+        assert calls == []
+
     def test_descriptors_pickle_and_reopen(self, tensor, npy_path) -> None:
+        # A worker receives the source itself: its pickle alone re-opens it.
         sparse = SparseTensor.from_dense(np.where(np.abs(tensor) > 1, tensor, 0.0))
         for src in (
             DenseSource(tensor),
             NpySource(npy_path),
             SparseSource(sparse),
-            BlockSource([tensor[..., :2], tensor[..., 2:]]),
+            ShardedSource(
+                [DenseSource(tensor[..., :2]), DenseSource(tensor[..., 2:])]
+            ),
         ):
-            reopened = pickle.loads(pickle.dumps(src.descriptor())).open()
+            reopened = pickle.loads(pickle.dumps(src))
             assert reopened.shape == src.shape
             np.testing.assert_array_equal(
                 reopened.read_batch(0, 3), src.read_batch(0, 3)
@@ -93,9 +118,12 @@ class TestProtocol:
 
     def test_block_source_rejects_mismatched_blocks(self, tensor) -> None:
         with pytest.raises(ShapeError):
-            BlockSource([tensor, tensor[:, :-1]])
+            ShardedSource([DenseSource(tensor), DenseSource(tensor[:, :-1])])
         with pytest.raises(ShapeError):
-            BlockSource([])
+            ShardedSource([])
+        # Order-2 blocks have no temporal mode to concatenate along.
+        with pytest.raises(ShapeError, match="order >= 3"):
+            ShardedSource([DenseSource(tensor[:, :, 0, 0])] * 2)
 
     def test_rank_bound_error(self, tensor) -> None:
         with pytest.raises(RankError, match="exceeds min"):
@@ -103,7 +131,7 @@ class TestProtocol:
 
 
 class TestBatchedGather:
-    """The fancy-index gather must be bit-identical to the per-slice loop."""
+    """The per-slice gather serves any array-like in slice order."""
 
     @pytest.mark.parametrize(
         "shape",
@@ -115,20 +143,20 @@ class TestBatchedGather:
         for start, stop in [(0, count), (1, count - 1), (3, 4), (0, 1)]:
             if not 0 <= start < stop <= count:
                 continue
-            fast = batched_slice_view(x, start, stop)
-            slow = _gathered_slice_loop(x, start, stop)
-            np.testing.assert_array_equal(fast, slow)
-            assert fast.flags["C_CONTIGUOUS"]
-            assert fast.dtype == np.float64
+            gathered = batched_slice_view(x, start, stop)
+            np.testing.assert_array_equal(gathered, _stack(x)[start:stop])
+            assert gathered.flags["C_CONTIGUOUS"]
+            assert gathered.dtype == np.float64
 
     def test_matches_loop_on_memmap(self, rng, tmp_path) -> None:
         x = rng.standard_normal((5, 4, 3, 4))
         path = tmp_path / "x.npy"
         np.save(path, x)
         mm = np.load(path, mmap_mode="r")
-        np.testing.assert_array_equal(
-            batched_slice_view(mm, 2, 9), _gathered_slice_loop(x, 2, 9)
-        )
+        gathered = batched_slice_view(mm, 2, 9)
+        np.testing.assert_array_equal(gathered, _stack(x)[2:9])
+        assert gathered.flags["C_CONTIGUOUS"]
+        assert gathered.dtype == np.float64
 
     def test_matches_to_slices(self, rng) -> None:
         x = rng.standard_normal((6, 5, 4, 3))
@@ -147,8 +175,7 @@ class TestBatchedGather:
 
         x = rng.standard_normal((4, 3, 5))
         np.testing.assert_array_equal(
-            batched_slice_view(ArrayLike(x), 1, 4),
-            batched_slice_view(x, 1, 4),
+            batched_slice_view(ArrayLike(x), 1, 4), _stack(x)[1:4]
         )
 
 
@@ -270,7 +297,11 @@ class TestCrossSourceParity:
             NpySource(npy_path), 3, batch_slices=20, config=cfg
         )
         block = compress_source(
-            BlockSource([tensor[..., :1], tensor[..., 1:]]), 3, config=cfg
+            ShardedSource(
+                [DenseSource(tensor[..., :1]), DenseSource(tensor[..., 1:])]
+            ),
+            3,
+            config=cfg,
         )
         for other in (npy, block):
             np.testing.assert_array_equal(other.u, dense.u)
@@ -320,7 +351,9 @@ class TestStreamingParity:
         x = random_tensor((16, 12, 20), (3, 3, 4), rng=rng, noise=0.02)
         blocks = [x[..., :5], x[..., 5:12], x[..., 12:]]
         cfg = DTuckerConfig(seed=0)
-        via_blocks = compress_source(BlockSource(blocks), 3, config=cfg)
+        via_blocks = compress_source(
+            ShardedSource([DenseSource(b) for b in blocks]), 3, config=cfg
+        )
         via_dense = compress_source(DenseSource(x), 3, config=cfg)
         np.testing.assert_array_equal(via_blocks.u, via_dense.u)
         np.testing.assert_array_equal(via_blocks.s, via_dense.s)

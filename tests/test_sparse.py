@@ -121,7 +121,7 @@ class TestCompressSparse:
 
         st, dense = sparse_lowrank
         a = compress_sparse(st, 4, rng=0)
-        b = compress(dense, 4, config=DTuckerConfig(exact_slice_svd=True))
+        b = compress(dense, 4, config=DTuckerConfig(strategy="exact"))
         # Same reconstruction quality (not identical factors — different
         # algorithms), both near-exact at this rank on rank-<=4 slices.
         assert abs(a.compression_error(dense) - b.compression_error(dense)) < 1e-4

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -161,6 +162,55 @@ class TestSaveAndManifest:
         np.testing.assert_array_equal(got.core, expected.core)
         for a, b in zip(got.factors, expected.factors):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "key, value, strategy",
+        [
+            ("shards", 3, "rsvd"),
+            ("shards", None, "rsvd"),
+            ("exact_slice_svd", False, "rsvd"),
+            ("exact_slice_svd", True, "exact"),
+        ],
+    )
+    def test_store_with_retired_sharding_or_exact_key_opens_and_answers(
+        self, temporal, tmp_path, key, value, strategy
+    ) -> None:
+        """Manifests written before DTuckerConfig lost ``shards`` and
+        ``exact_slice_svd`` carry them; a stored ``exact_slice_svd: true``
+        opens as the plan it selected, ``strategy="exact"``."""
+        model, store = fitted_store(temporal, tmp_path / "m")
+        with store.open(warm_start=False) as served:
+            expected = served.query_time_range(2, 8)
+        manifest = json.loads((store.path / MANIFEST_NAME).read_text())
+        manifest["config"][key] = value
+        (store.path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        old = ModelStore(store.path)
+        assert old.config.strategy == strategy
+        assert old.config == dataclasses.replace(model.config, strategy=strategy)
+        with old.open(warm_start=False) as served:
+            got = served.query_time_range(2, 8)
+        # The stored slices answer the query; the strategy only ever
+        # steers the compression of later appends.
+        np.testing.assert_array_equal(got.core, expected.core)
+        for a, b in zip(got.factors, expected.factors):
+            np.testing.assert_array_equal(a, b)
+
+    def test_append_on_exact_slice_svd_store_takes_the_exact_plan(
+        self, rng, tmp_path
+    ) -> None:
+        x = random_tensor((14, 12, 16), (3, 3, 3), rng=rng, noise=0.05)
+        _, store = fitted_store(x[..., :10], tmp_path / "m")
+        manifest = json.loads((store.path / MANIFEST_NAME).read_text())
+        manifest["config"]["exact_slice_svd"] = True
+        (store.path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        appended = ModelStore(store.path).append(x[..., 10:], rng=1)
+        tail = appended.load_slice_svd()
+        k = tail.rank
+        exact = compress(x[..., 10:], k, config=DTuckerConfig(strategy="exact"))
+        np.testing.assert_array_equal(tail.u[10:], exact.u)
+        np.testing.assert_array_equal(tail.s[10:], exact.s)
+        np.testing.assert_array_equal(tail.vt[10:], exact.vt)
+        assert appended.config.strategy == "exact"
 
     def test_unknown_config_key_still_rejected(self, temporal, tmp_path) -> None:
         _, store = fitted_store(temporal, tmp_path / "m")
