@@ -26,9 +26,11 @@ the repo root.  Run standalone::
     PYTHONPATH=src python benchmarks/bench_a13_streaming.py --smoke   # CI
 
 ``--smoke`` streams to smaller extents and gates the incremental mode
-only: flat growth (<= 1.3x) plus ``>= 2x`` incremental-over-refit
-per-update latency at the largest smoke extent.  It prints its report and
-writes no file.
+only: ``>= 2x`` incremental-over-refit per-update latency at the largest
+smoke extent.  It prints its report (flat growth included) and writes no
+file.  Its flatness gate (<= 1.3x) is the pytest guard
+``tests/test_core_streaming.py::TestIncrementalFlatnessGuard``, judged on
+the median of 3 repeats: one cold run failed it in 1 of 4 runs.
 """
 
 from __future__ import annotations
@@ -196,11 +198,6 @@ def check_smoke(report: dict) -> int:
             f"incremental-over-refit per-update speedup {speedup:.2f}x at "
             f"T={t_max} is below the {SMOKE_SPEEDUP_FLOOR}x smoke floor"
         )
-    if report["incremental"]["growth"] > FLAT_LIMIT:
-        failures.append(
-            f"incremental per-update growth {report['incremental']['growth']:.2f}x "
-            f"exceeds the {FLAT_LIMIT}x flatness limit"
-        )
     for msg in failures:
         print(f"[A13] FAIL: {msg}", file=sys.stderr)
     return 1 if failures else 0
@@ -248,7 +245,7 @@ def smoke() -> int:
 # -- pytest entry points (collected via `pytest benchmarks/`) ----------------
 
 def test_a13_stream_small(benchmark) -> None:
-    """Quick-scale section: gate the incremental win and flatness."""
+    """Quick-scale section: gate the incremental win."""
 
     def run() -> dict:
         return run_section(SMOKE_EXTENTS)

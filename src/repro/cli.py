@@ -167,7 +167,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         model = DTucker(ranks, config=cfg).fit(x)
         print(f"method=dtucker shape={x.shape} ranks={model.result_.ranks}")
         print(f"timings: {model.timings_.summary()}")
-        print(f"error  : {model.result_.error(x):.6f}")
+        print(f"error  : {model.exact_error_:.6f}")
         if args.trace:
             print(format_traces(model.trace_))
             if model.kernel_stats_ is not None:
@@ -360,7 +360,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     model = DTucker(ranks, slice_rank=args.slice_rank, config=cfg).fit(x)
     print(f"fitted shape={x.shape} ranks={model.result_.ranks}")
     print(f"timings: {model.timings_.summary()}")
-    print(f"error  : {model.result_.error(x):.6f}")
+    print(f"error  : {model.exact_error_:.6f}")
     if args.save:
         store = model.save(args.save, overwrite=args.overwrite)
         print(f"store  : {store.path} ({store.nbytes} bytes, "

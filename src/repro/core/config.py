@@ -49,7 +49,12 @@ class DTuckerConfig:
         Extra test vectors for the randomized slice SVDs (approximation
         phase).  Larger values sharpen the compression at linear extra cost.
     power_iterations:
-        Subspace iterations for the randomized slice SVDs.
+        Subspace iterations for the randomized slice SVDs.  A one-shot
+        fit (``DTucker.fit``, ``fit_from_file``, ``ShardCoordinator.fit``)
+        compresses with none first and escalates to this many only when
+        the compression residual dominates its error (see
+        :mod:`repro.core.fit_pipeline`); streams, store appends and
+        served queries always run this many.
     max_iters:
         ALS sweep budget for the iteration phase.
     tol:

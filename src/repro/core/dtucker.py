@@ -109,7 +109,20 @@ class DTucker:
         Sweep-workspace cache accounting for the iteration phase (hits,
         misses, buffer bytes reused, ``W`` evaluations per sweep).
     history_ : list of float
-        Estimated reconstruction error after each ALS sweep.
+        The compressed-domain error estimate ``(‖X‖² − ‖G̃‖²)/‖X‖²``
+        after each ALS sweep — what the ``tol`` test reads.  It is not a
+        bound on the true error: the compression residual's cross term
+        with the projection can take either sign.  After a power-pass
+        escalation it continues with the sweeps on the new compression.
+    exact_error_ : float
+        The exact ``‖X − X̂‖²/‖X‖²`` of ``result_``, from the closing pass
+        that computes the core ``G = X ×ₙ Aₙᵀ`` of the final factors.
+    power_iterations_ : int
+        The power passes ``slice_svd_`` was compressed with: 0 when the
+        fit held, ``config.power_iterations`` after an escalation.
+        :meth:`save` records it beside ``config``, so appends compress
+        with the same passes and a loaded model keeps its escalation
+        level.
     converged_ : bool
     n_iters_ : int
     permutation_ : tuple of int
@@ -175,24 +188,31 @@ class DTucker:
         self.trace_ = fit.traces
         self.kernel_stats_ = fit.kernel_stats
         self.history_ = fit.history
+        self.exact_error_ = fit.exact_error
+        self.power_iterations_ = fit.power_iterations
         self.converged_ = fit.converged
         self.n_iters_ = fit.n_iters
         self._fitted = True
 
     # -- public API ------------------------------------------------------------
     def fit(self, tensor: np.ndarray) -> "DTucker":
-        """Run all three phases on ``tensor`` and store the results."""
-        x = as_tensor(tensor, min_order=2, name="tensor")
+        """Run all three phases on ``tensor`` and store the results.
+
+        A ``tensor`` holding NaN or Inf raises :class:`ShapeError` from the
+        compression read, which scans each block as it copies it, before
+        any fitted attribute is set.
+        """
+        x = as_tensor(tensor, min_order=2, name="tensor", finite=False)
         rank_tuple = check_ranks(self.ranks, x.shape)
         m1, m2 = _resolve_slice_modes(self.slice_modes, x.shape)
         rest = [n for n in range(x.ndim) if n not in (m1, m2)]
-        self.permutation_ = tuple([m1, m2] + rest)
-        inverse = tuple(int(i) for i in np.argsort(self.permutation_))
+        permutation = tuple([m1, m2] + rest)
+        inverse = tuple(int(i) for i in np.argsort(permutation))
 
-        permuted = np.transpose(x, self.permutation_)
-        permuted_ranks = self._permuted_ranks(rank_tuple)
-        # ``x`` passed as_tensor above: the source skips a second scan.
+        permuted = np.transpose(x, permutation)
+        permuted_ranks = tuple(rank_tuple[p] for p in permutation)
         fit = self._pipeline(permuted_ranks).fit(DenseSource._validated(permuted))
+        self.permutation_ = permutation
         self._store_fit(fit)
         self.result_ = fit.result.permute_modes(inverse)
         return self
@@ -328,6 +348,8 @@ class DTucker:
             converged=self.converged_,
             n_iters=self.n_iters_,
             kernel_stats=self.kernel_stats_,
+            exact_error=self.exact_error_,
+            power_iterations=self.power_iterations_,
             overwrite=overwrite,
         )
 
@@ -361,6 +383,8 @@ class DTucker:
         model.trace_ = []
         model.kernel_stats_ = None
         model.history_ = [float(e) for e in fit_meta.get("history", [])]
+        model.exact_error_ = fit_meta.get("exact_error")
+        model.power_iterations_ = store.power_iterations
         model.converged_ = bool(fit_meta.get("converged", False))
         model.n_iters_ = int(fit_meta.get("n_iters", 0))
         model._fitted = True

@@ -14,12 +14,28 @@ starting factors, and owns the library's one and only
 The entry points keep their historical signatures and semantics; they now
 only adapt their inputs into a source and unpack the :class:`PipelineFit`
 this module returns.
+
+Power passes and the closing core
+---------------------------------
+A one-shot fit (:meth:`FitPipeline.fit`) compresses randomized-SVD slabs
+with no power pass first.  After the sweeps it measures
+:func:`residual_share`: when the compression residual, not the Tucker
+ranks, dominates the error (``res / cfe > POWER_ESCALATION``), it frees
+that compression and refits: it recompresses from the same draws with
+``config.power_iterations`` passes, initializes and sweeps again.  The
+decision (``power:hold`` / ``power:escalate``) and the signal
+(``power:residual_share``) are in the fit's ``kernel_stats``.
+Then one closing pass reads the source again and takes the exact core
+``G = X ×ₙ Aₙᵀ`` (:func:`~repro.core.sources.exact_core`), so the fit
+reports its exact error beside the compressed-domain estimate the ``tol``
+test used.  Refits, streams and served queries have no raw data: they
+keep the compressed-domain core and the stored ``power_iterations``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +46,7 @@ from ..exceptions import RankError, ShapeError
 from ..kernels.stats import KernelStats
 from ..kernels.workspace import SweepWorkspace
 from ..metrics.timing import PhaseTimings, Timer
+from ..tensor.norms import core_based_error
 from ..tensor.random import default_rng
 from ..validation import check_ranks
 from .config import DTuckerConfig
@@ -37,11 +54,48 @@ from .initialization import initialize, random_initialize
 from .iteration import IterationResult, als_sweeps
 from .result import TuckerResult
 from .slice_svd import SliceSVD
-from .sources import SliceSource, compress_source
+from .sources import SliceSource, compress_source, exact_core
 
-__all__ = ["FitPipeline", "PipelineFit", "resolve_slice_rank"]
+__all__ = [
+    "FitPipeline",
+    "PipelineFit",
+    "POWER_ESCALATION",
+    "residual_share",
+    "resolve_slice_rank",
+]
 
 logger = logging.getLogger("repro.core.dtucker")
+
+#: The :func:`residual_share` above which a one-shot fit recompresses
+#: with ``config.power_iterations`` power passes.  Measured without power
+#: passes on the five paper stand-ins (seeds 1-10, small and default
+#: scale): the inputs whose error a power pass does not move read at most
+#: 3.48, airquality, which needs it, at least 8.25 (docs/performance.md).
+POWER_ESCALATION = 5.5
+
+
+def _orthonormalized(a: np.ndarray) -> np.ndarray:
+    """``a``'s columns orthonormalized in float64, each keeping its direction.
+
+    Sweeps in float32 leave factors orthonormal to float32 round-off only;
+    ``‖X‖² − ‖G‖²`` is the exact error only for orthonormal factors.
+    """
+    q, r = np.linalg.qr(np.asarray(a, dtype=np.float64))
+    return q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+
+
+def residual_share(ssvd: SliceSVD, error: float) -> float:
+    """The compression residual's share of a fit's error, ``res / cfe``.
+
+    ``res = (‖X‖² − Σσ²)/‖X‖²`` is the energy the slice SVDs dropped (free
+    from the stored norms) and ``cfe = error − res`` the compressed-domain
+    part of the estimated ``error`` (the sweeps' last estimate).  A large
+    share says that sharper slice SVDs, not other factors, would lower
+    the error.  Finite: a ``cfe`` at round-off divides by ``eps``.
+    """
+    total = float(ssvd.norm_squared)
+    res = max(total - float(np.vdot(ssvd.s, ssvd.s)), 0.0) / total
+    return res / max(float(error) - res, float(np.finfo(np.float64).eps))
 
 
 def resolve_slice_rank(
@@ -93,6 +147,12 @@ class PipelineFit:
     history: list[float] = field(default_factory=list)
     converged: bool = False
     n_iters: int = 0
+    #: Exact ``‖X − X̂‖²/‖X‖²`` of ``result`` (closing pass); ``history``
+    #: holds the compressed-domain estimates the ``tol`` test used.
+    exact_error: float | None = None
+    #: The power passes ``slice_svd`` was compressed with: 0 for a fit
+    #: that held, else ``config.power_iterations`` (``None``: no compression).
+    power_iterations: int | None = None
 
 
 class FitPipeline:
@@ -153,7 +213,11 @@ class FitPipeline:
         stats: KernelStats | None = None,
         engine: "ExecutionBackend | str | None" = None,
     ) -> SliceSVD:
-        """Approximation stage: compress ``source`` at the resolved ``K``."""
+        """Approximation stage: ``source`` compressed as :meth:`fit` first does.
+
+        At the resolved ``K``, with :meth:`first_pass` (no power passes on
+        a randomized-SVD plan).
+        """
         k = resolve_slice_rank(
             source.shape,
             self.ranks[0],
@@ -165,11 +229,22 @@ class FitPipeline:
             source,
             k,
             batch_slices=batch_slices,
-            config=self.config,
+            config=self.first_pass(source, k),
             engine=engine if engine is not None else self.engine,
             rng=rng,
             stats=stats,
         )
+
+    def first_pass(self, source: SliceSource, k: int) -> DTuckerConfig:
+        """The config of a one-shot fit's first compression of ``source``.
+
+        Power passes only matter to the randomized method: an rsvd plan
+        starts without them (``config.power_iterations`` is then the
+        escalation level); any other plan runs ``config`` as it is.
+        """
+        if self.config.power_iterations and source.plan(k, self.config).method == "rsvd":
+            return replace(self.config, power_iterations=0)
+        return self.config
 
     def iterate(
         self,
@@ -218,33 +293,32 @@ class FitPipeline:
             strict=self.strict_slice_rank,
         )
         gen = default_rng(rng if rng is not None else self.config.seed)
+        sketch_state = gen.bit_generator.state
         timings = PhaseTimings()
+        cfg = self.first_pass(source, k)
+        escalable = cfg.power_iterations != self.config.power_iterations
 
-        scope = backend_scope(self.engine, config=self.config)
-        with scope as eng, eng.collect() as traces:
+        def approximate(config: DTuckerConfig) -> SliceSVD:
             with Timer() as t_approx:
                 ssvd = compress_source(
                     source,
                     k,
                     batch_slices=batch_slices,
-                    config=self.config,
+                    config=config,
                     engine=eng,
                     rng=gen,
                 )
             timings.add("approximation", t_approx.seconds)
             if self.config.verbose:
                 logger.info(
-                    "approximation: %d slices of %s compressed to rank %d (%.4fs)",
-                    ssvd.num_slices, ssvd.slice_shape, ssvd.rank, t_approx.seconds,
+                    "approximation: %d slices of %s compressed to rank %d "
+                    "with %d power passes (%.4fs)",
+                    ssvd.num_slices, ssvd.slice_shape, ssvd.rank,
+                    config.power_iterations, t_approx.seconds,
                 )
+            return ssvd
 
-            with Timer() as t_init:
-                if self.init == "svd":
-                    _, factors = initialize(ssvd, rank_tuple)
-                else:
-                    _, factors = random_initialize(ssvd, rank_tuple, gen)
-            timings.add("initialization", t_init.seconds)
-
+        def sweep(ssvd: SliceSVD, factors: list[np.ndarray]) -> IterationResult:
             with Timer() as t_iter:
                 outcome = self.iterate(ssvd, rank_tuple, factors, engine=eng)
             timings.add("iteration", t_iter.seconds)
@@ -257,14 +331,65 @@ class FitPipeline:
                 )
                 if outcome.kernel_stats is not None:
                     logger.info("iteration: %s", outcome.kernel_stats.summary())
+            return outcome
+
+        def start(ssvd: SliceSVD) -> list[np.ndarray]:
+            with Timer() as t_init:
+                if self.init == "svd":
+                    _, factors = initialize(ssvd, rank_tuple)
+                else:
+                    _, factors = random_initialize(ssvd, rank_tuple, gen)
+            timings.add("initialization", t_init.seconds)
+            return factors
+
+        scope = backend_scope(self.engine, config=self.config)
+        with scope as eng, eng.collect() as traces:
+            ssvd = approximate(cfg)
+            outcome = sweep(ssvd, start(ssvd))
+            history, n_iters = list(outcome.errors), outcome.n_iters
+
+            share = residual_share(ssvd, outcome.errors[-1]) if escalable else None
+            if share is not None and share > POWER_ESCALATION:
+                # Refit from the same draws with the power passes, freeing
+                # the first compression before the second one exists.
+                ssvd = None
+                gen.bit_generator.state = sketch_state
+                cfg = self.config
+                ssvd = approximate(cfg)
+                outcome = sweep(ssvd, start(ssvd))
+                history += outcome.errors
+                n_iters += outcome.n_iters
+
+            with Timer() as t_close, eng.phase("closing") as closing:
+                factors = [_orthonormalized(a) for a in outcome.factors]
+                # A float32 compression summed ‖X‖² over rounded values.
+                core, norm_squared = self.close(
+                    source,
+                    factors,
+                    norm=self.config.precision == "float32",
+                    engine=eng,
+                    stats=closing.counters,
+                )
+                if share is not None:
+                    held = cfg.power_iterations == 0
+                    closing.counters.record_miss(
+                        "power:hold" if held else "power:escalate"
+                    )
+                    closing.counters.signals["power:residual_share"] = share
+            timings.add("iteration", t_close.seconds)
+        if norm_squared is None:
+            norm_squared = ssvd.norm_squared
+        exact = core_based_error(norm_squared, core)
+        if self.config.verbose:
+            logger.info("closing pass: exact error %.4e (%.4fs)", exact, t_close.seconds)
 
         # Each event was recorded once, in the phase that saw it.
         stats = KernelStats()
         for trace in traces:
             stats.merge(trace.counters)
         result = TuckerResult(
-            core=outcome.core,
-            factors=outcome.factors,
+            core=core,
+            factors=factors,
             elapsed=timings.total,
             trace_=traces,
         )
@@ -274,9 +399,11 @@ class FitPipeline:
             timings=timings,
             traces=traces,
             kernel_stats=stats,
-            history=outcome.errors,
+            history=history,
             converged=outcome.converged,
-            n_iters=outcome.n_iters,
+            n_iters=n_iters,
+            exact_error=exact,
+            power_iterations=cfg.power_iterations,
         )
         if save is not None:
             # Imported lazily: repro.store builds on this module.
@@ -286,6 +413,26 @@ class FitPipeline:
                 save, fit, config=self.config, overwrite=overwrite
             )
         return fit
+
+    def close(
+        self,
+        source: SliceSource,
+        factors: Sequence[np.ndarray],
+        *,
+        norm: bool,
+        engine: ExecutionBackend,
+        stats: KernelStats,
+    ) -> tuple[np.ndarray, float | None]:
+        """Closing stage: the exact core of ``factors`` in one read of ``source``.
+
+        With ``norm``, also ``‖X‖²`` in float64 from the same read (else
+        ``None``): a ``precision="float32"`` compression summed it over
+        float32-rounded values, and ``‖X‖² − ‖G‖²`` is exact only with
+        the values the core is projected from.  ``engine`` and ``stats``
+        (the closing phase's counters) serve stages that fan the pass
+        out, as the shard coordinator's does.
+        """
+        return exact_core(source, factors, norm=norm)
 
     def refit(
         self,

@@ -57,11 +57,16 @@ from ..engine.base import store_chunk
 from ..exceptions import RankError, ShapeError
 from ..kernels.buffers import BufferPool
 from ..kernels.compress_plan import (
+    _BLOCK_BYTES,
     CompressionPlan,
+    _copy_block,
+    _vecdot,
+    block_slices,
     execute_plan,
     factor_outputs,
     plan_chunk,
     plan_from_config,
+    slab_norms,
 )
 from ..kernels.stats import KernelStats
 from ..linalg.svd import sign_fix
@@ -77,6 +82,7 @@ __all__ = [
     "NpySource",
     "SparseSource",
     "compress_source",
+    "exact_core",
     "batched_slice_view",
     "clear_memmap_cache",
     "memmap_cache_stats",
@@ -196,6 +202,46 @@ class SliceSourceBase:
         return execute_plan(
             engine, payload, rank, plan, omega=omega, pool=pool, out=out
         )
+
+    def tensor_view(self) -> np.ndarray | None:
+        """The whole tensor as one in-memory or memory-mapped array, if held so.
+
+        ``None`` (the default) for sources that assemble their batches.
+        """
+        return None
+
+    def project_slices(
+        self, a1: np.ndarray, a2: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        """Every slice projected onto the factors, and ``‖X‖²``.
+
+        The ``(L, J1, J2)`` stack ``A1ᵀ X_l A2``, read block by block as
+        the compression reads the source — each block of
+        :func:`~repro.kernels.compress_plan.block_slices` slices copied
+        once into a float64 buffer, its norms summed in float64 — and
+        projected through the cheaper slice mode first.  Per-slice GEMMs,
+        so the stack does not depend on where the blocks fall.
+        """
+        i1, i2 = self._shape[:2]
+        j1, j2 = int(a1.shape[1]), int(a2.shape[1])
+        count = self.slice_count
+        out = np.empty((count, j1, j2))
+        norm_squared = 0.0
+        step = block_slices(i1, i2, np.float64)
+        buffer = np.empty((min(step, count), i1, i2))
+        a1t = np.ascontiguousarray(a1.T)
+        # Contract the larger slice side first: fewer flops, smaller temporary.
+        left_first = i1 >= i2
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            blk = buffer[: stop - start]
+            _copy_block(blk, self.read_batch(start, stop))
+            norm_squared += float(slab_norms(blk).sum())
+            if left_first:
+                np.matmul(np.matmul(a1t, blk), a2, out=out[start:stop])
+            else:
+                np.matmul(a1t, np.matmul(blk, a2), out=out[start:stop])
+        return out, norm_squared
 
     def process_parts(
         self,
@@ -383,6 +429,9 @@ class DenseSource(SliceSourceBase):
         lo, hi = self._check_range(start, stop)
         return self._stack[lo:hi]
 
+    def tensor_view(self) -> np.ndarray:
+        return self._tensor
+
     def __reduce__(self):
         # A pickle carries the tensor once (the slice stack is a view of it,
         # or holds a closure for order >= 4) and rebinds it unscanned.
@@ -459,6 +508,9 @@ class NpySource(SliceSourceBase):
     def read_batch(self, start: int, stop: int) -> np.ndarray:
         lo, hi = self._check_range(start, stop)
         return slice_stack(_open_memmap_cached(self._path))[lo:hi]
+
+    def tensor_view(self) -> np.ndarray:
+        return _open_memmap_cached(self._path)
 
 
 def _sparse_slice_svd(
@@ -584,6 +636,20 @@ class SparseSource(SliceSourceBase):
         rows = [(i, i + 1) for i in range(len(payload))]
         store_parts(engine, self._slice_task(rank, plan, omega), payload, rows, out)
         return out
+
+    def project_slices(
+        self, a1: np.ndarray, a2: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        if not self._sparse_kernel:
+            return super().project_slices(a1, a2)
+        # Sparse x dense products: O(nnz_l·J2) per slice, never densified.
+        a1t = np.asarray(a1, dtype=np.float64).T
+        a2 = np.asarray(a2, dtype=np.float64)
+        projected, norm_squared = [], 0.0
+        for m in self._tensor.slice_matrices():
+            projected.append(a1t @ np.asarray(m @ a2))
+            norm_squared += float(m.multiply(m).sum())
+        return np.stack(projected), norm_squared
 
     def process_parts(
         self, engine, rank, plan, bounds, omegas, config, *, out, stats=None
@@ -768,3 +834,79 @@ def compress_source(
         norm_squared=float(slice_norms.sum()),
         slice_norms_squared=slice_norms,
     )
+
+
+# -- the closing pass -------------------------------------------------------
+
+def _unfolding(x: np.ndarray, n: int) -> np.ndarray | None:
+    """Mode ``n`` of ``x`` as a 2-D view, its unit-stride axis last; ``None`` if a copy.
+
+    Moving mode ``n`` to the front, the remaining modes must merge into one
+    axis (each stride the next one's extent times its stride), and either
+    the mode or the merged axis must have unit stride.
+    """
+    rest = [(d, st) for k, (d, st) in enumerate(zip(x.shape, x.strides)) if k != n and d > 1]
+    if any(st != d2 * st2 for (_, st), (d2, st2) in zip(rest, rest[1:])):
+        return None
+    inner = rest[-1][1] if rest else x.itemsize
+    if x.itemsize not in (x.strides[n], inner):
+        return None
+    m = np.moveaxis(x, n, 0).reshape(x.shape[n], -1)
+    return m if m.strides[-1] == x.itemsize else m.T
+
+
+def _mode_product(g: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
+    """``g ×ₙ aᵀ``: contract mode ``n`` of ``g`` with the columns of ``a``."""
+    return np.moveaxis(np.tensordot(a, g, axes=(0, n)), 0, n)
+
+
+def exact_core(
+    source: SliceSource, factors: Sequence[np.ndarray], *, norm: bool = True
+) -> tuple[np.ndarray, float | None]:
+    """The core ``G = X ×₁ A1ᵀ ⋯ ×_N ANᵀ`` and ``‖X‖²``, in one read of ``source``.
+
+    For column-orthonormal factors this is the optimal core, and
+    ``‖X‖² − ‖G‖²`` is the exact squared error of the decomposition
+    (not the compressed-domain estimate the sweeps track).  Modes are
+    contracted and ``‖X‖²`` summed in float64, the mode with the largest
+    reduction first.  ``norm=False`` returns ``None`` for ``‖X‖²``, which
+    spares the GEMM route below a second sweep over the array.
+
+    A source that holds its tensor as a float64 array (:meth:`SliceSourceBase
+    .tensor_view`: in memory or memory-mapped) contracts that first mode
+    with one GEMM over the array, when the mode unfolds in place and its
+    product fits one compression block: no copy of the tensor, where a
+    C-order tensor's slices would be transposed block by block
+    (docs/performance.md gives the measured difference).  Any other source
+    is read block by block, as the compression reads it, and projected
+    onto the slice modes first (:meth:`SliceSourceBase.project_slices`;
+    the ``(L, J1, J2)`` stack is no larger than the slice factors).
+    """
+    shape = tuple(int(d) for d in source.shape)
+    facs = [np.asarray(a, dtype=np.float64) for a in factors]
+    by_reduction = sorted(range(len(shape)), key=lambda n: facs[n].shape[1] / shape[n])
+    x = source.tensor_view()
+    first = unfolded = None
+    # A float32 array would be widened whole; its blocks are widened instead.
+    if x is not None and x.dtype == np.float64:
+        for n in by_reduction:
+            unfolded = _unfolding(x, n)
+            if unfolded is not None:
+                first = n
+                break
+    if first is not None and 8 * x.size // shape[first] * facs[first].shape[1] <= (
+        _BLOCK_BYTES
+    ):
+        g = _mode_product(x, facs[first], first)
+        rest = [n for n in by_reduction if n != first]
+        norm_squared = float(_vecdot(unfolded, unfolded).sum()) if norm else None
+    else:
+        proj, norm_squared = source.project_slices(facs[0], facs[1])
+        # Slices run in Fortran order over modes 3..N.
+        m = len(shape) - 2
+        g = proj.reshape(shape[:1:-1] + proj.shape[1:])
+        g = g.transpose([m, m + 1, *range(m - 1, -1, -1)])
+        rest = [n for n in by_reduction if n >= 2]
+    for n in rest:
+        g = _mode_product(g, facs[n], n)
+    return np.ascontiguousarray(g), norm_squared if norm else None

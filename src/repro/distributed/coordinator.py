@@ -45,9 +45,10 @@ from ..core.config import DTuckerConfig
 from ..core.fit_pipeline import FitPipeline, PipelineFit
 from ..core.iteration import IterationResult, _sweep_loop
 from ..core.slice_svd import SliceSVD
-from ..core.sources import SliceSource
+from ..core.sources import SliceSource, exact_core
 from ..engine import ExecutionBackend, backend_scope
 from ..exceptions import ShapeError
+from ..kernels.stats import KernelStats
 from ..kernels.workspace import SweepWorkspace
 from ..tensor.slices import slice_count
 from ..validation import check_ranks
@@ -181,8 +182,16 @@ def distributed_als_sweeps(
     return result
 
 
+def _shard_core(
+    task: "tuple[SliceSource, list[np.ndarray], bool]",
+) -> tuple[np.ndarray, float | None]:
+    """One shard's partial exact core (module level for the process backend)."""
+    member, factors, norm = task
+    return exact_core(member, factors, norm=norm)
+
+
 class _ShardedPipeline(FitPipeline):
-    """A :class:`FitPipeline` whose iteration stage is the distributed sweeps."""
+    """A :class:`FitPipeline` whose iteration and closing stages run per shard."""
 
     def __init__(
         self,
@@ -192,6 +201,41 @@ class _ShardedPipeline(FitPipeline):
     ) -> None:
         super().__init__(ranks, **kwargs)
         self.shard_bounds = shard_bounds
+
+    def close(
+        self,
+        source: SliceSource,
+        factors: Sequence[np.ndarray],
+        *,
+        norm: bool,
+        engine: ExecutionBackend,
+        stats: KernelStats,
+    ) -> tuple[np.ndarray, float | None]:
+        """Closing stage: per-shard partial cores, summed in one reduce round.
+
+        A shard's slices touch only its rows of the temporal factor, so
+        its partial core is its own exact core with that factor
+        restricted; workers read their member and ship back ``∏J``
+        numbers (and, with ``norm``, the member's ``‖X‖²``).  Resident
+        members are projected in this process.
+        """
+        steps = np.cumsum([0] + [int(m.shape[-1]) for m in source.members])
+        tasks = [
+            (member, [*factors[:-1], factors[-1][lo:hi]], norm)
+            for member, lo, hi in zip(source.members, steps[:-1], steps[1:])
+        ]
+        if engine.name == "process" and source.resident:
+            parts = [_shard_core(task) for task in tasks]
+        else:
+            parts = engine.map(_shard_core, tasks)
+        stats.record_comm("reduce", 0)
+        for (_, facs, _), (part, _) in zip(tasks, parts):
+            stats.record_comm("bcast", int(sum(f.nbytes for f in facs)))
+            stats.record_comm("ship", int(part.nbytes) + 8 * norm)
+        total = parts[0][0]
+        for part, _ in parts[1:]:
+            total = total + part
+        return total, sum(n for _, n in parts) if norm else None
 
     def iterate(
         self,

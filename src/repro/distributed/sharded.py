@@ -145,6 +145,10 @@ class SliceSpanSource(SliceSourceBase):
         offset = self._t_lo * self._per_step
         return self._parent.read_batch(offset + lo, offset + hi)
 
+    def tensor_view(self) -> np.ndarray | None:
+        whole = self._parent.tensor_view()
+        return None if whole is None else whole[..., self._t_lo : self._t_hi]
+
 
 # -- zarr / HDF5 group members ----------------------------------------------
 

@@ -43,6 +43,7 @@ from ..linalg.rsvd import batched_rsvd, batched_svd_via_gram
 from ..linalg.svd import sign_fix
 from ..tensor.random import default_rng
 from ..tensor.slices import SliceRuns
+from ..validation import _all_finite
 from .buffers import BufferPool
 from .stats import KernelStats
 
@@ -351,7 +352,8 @@ def _blockwise(
     Every block of ``block`` slices (default :func:`block_slices`) is copied
     once into ``buffer`` (allocated when ``None``; see :func:`_copy_block`),
     cast to ``dtype`` on the way (default: float32 stays, anything else
-    becomes float64).  Each block's factors and float64 norms are written
+    becomes float64), and checked for NaN/Inf by :func:`read_block` before
+    it is factored.  Each block's factors and float64 norms are written
     straight into their rows of ``out`` — the caller's arrays, allocated
     here when ``None`` — so the chunk's factors exist exactly once;
     without ``out``, a chunk that fits one block returns that block's own
@@ -369,17 +371,33 @@ def _blockwise(
     if out is None:
         if step >= l:
             blk = buffer[:l]
-            _copy_block(blk, stack)
-            return (*factor(blk), slab_norms(blk))
+            norms = read_block(blk, stack)
+            return (*factor(blk), norms)
         out = factor_outputs(l, i1, i2, rank, dtype)
     u_out, s_out, vt_out, norms_out = out
     for start in range(0, l, step):
         stop = min(start + step, l)
         blk = buffer[: stop - start]
-        _copy_block(blk, stack[start:stop])
+        norms_out[start:stop] = read_block(blk, stack[start:stop])
         u_out[start:stop], s_out[start:stop], vt_out[start:stop] = factor(blk)
-        norms_out[start:stop] = slab_norms(blk)
     return out
+
+
+def read_block(blk: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Copy ``src`` into the block ``blk`` and return its float64 slice norms.
+
+    The norms double as the input's NaN/Inf check, so the tensor is
+    scanned in the same read that compresses it: a finite block has
+    finite norms unless its squares overflow, so only a non-finite norm
+    costs an exact scan of the block.  A block that holds NaN or Inf
+    raises :class:`~repro.exceptions.ShapeError`; finite entries whose
+    squares overflow (``1e200``) pass, as they pass input validation.
+    """
+    _copy_block(blk, src)
+    norms = slab_norms(blk)
+    if not np.isfinite(norms).all() and not _all_finite(blk):
+        raise ShapeError("tensor contains non-finite values (NaN or Inf)")
+    return norms
 
 
 def factor_outputs(
@@ -396,7 +414,7 @@ def factor_outputs(
 
 def _exact_svd(blk: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u, s, vt = np.linalg.svd(blk, full_matrices=False)
-    u, vt = sign_fix(u[:, :, :rank], vt[:, :rank, :])
+    u, vt = sign_fix(u[:, :, :rank], vt[:, :rank, :], overwrite=True)
     return u, np.ascontiguousarray(s[:, :rank]), vt
 
 

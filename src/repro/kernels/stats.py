@@ -36,12 +36,17 @@ class KernelStats:
     sweeps:
         ALS sweeps the workspace has executed (used to normalise
         per-sweep evaluation counts).
+    signals:
+        Measured values a decision was taken on, by name (a one-shot
+        fit's ``"power:residual_share"``, see :mod:`repro.core
+        .fit_pipeline`); merging keeps the latest value.
     """
 
     counts: dict[str, list[int]] = field(default_factory=dict)
     bytes_reused: int = 0
     sweeps: int = 0
     bytes_comm: int = 0
+    signals: dict[str, float] = field(default_factory=dict)
 
     # -- recording ---------------------------------------------------------
     def record_hit(self, name: str) -> None:
@@ -131,6 +136,7 @@ class KernelStats:
         self.bytes_reused += other.bytes_reused
         self.sweeps += other.sweeps
         self.bytes_comm += other.bytes_comm
+        self.signals.update(other.signals)
 
     # -- snapshots ---------------------------------------------------------
     def copy(self) -> "KernelStats":
@@ -139,6 +145,7 @@ class KernelStats:
             bytes_reused=self.bytes_reused,
             sweeps=self.sweeps,
             bytes_comm=self.bytes_comm,
+            signals=dict(self.signals),
         )
 
     def delta(self, earlier: "KernelStats") -> "KernelStats":
@@ -165,6 +172,7 @@ class KernelStats:
             "sweeps": self.sweeps,
             "w_evals": self.w_evals,
             "bytes_comm": self.bytes_comm,
+            "signals": dict(self.signals),
         }
 
     def summary(self) -> str:
@@ -175,10 +183,13 @@ class KernelStats:
         comm = ""
         if self.bytes_comm:
             comm = f" comm={self.bytes_comm / 2**20:.1f}MiB"
+        signals = "".join(
+            f" {name}={value:.3g}" for name, value in sorted(self.signals.items())
+        )
         return (
             f"kernel cache: {self.hits} hits / {self.misses} misses "
             f"[{per_kernel or '-'}] reuse={self.bytes_reused / 2**20:.1f}MiB "
-            f"sweeps={self.sweeps}" + comm
+            f"sweeps={self.sweeps}" + comm + signals
         )
 
 

@@ -229,7 +229,7 @@ def batched_rsvd(
     # The small factor from the k×k Gram B·Bᵀ (with its exact-SVD fallback
     # for slices whose retained spectrum reaches sqrt(eps)·s_max).
     ub, s, vt = batched_svd_via_gram(b, r)
-    u, vt = sign_fix(np.matmul(q, ub), vt)  # U = Q·U_B, (L, m, r)
+    u, vt = sign_fix(np.matmul(q, ub), vt, overwrite=True)  # U = Q·U_B, (L, m, r)
     return u, s, vt
 
 
@@ -297,7 +297,7 @@ def batched_svd_via_gram(
         u = vecs[:, :, ::-1][:, :, :r]  # (L, m, r)
         floor = np.maximum(s[:, :1] * rel_floor, abs_floor)
         vt = np.matmul((u / np.maximum(s, floor)[:, None, :]).swapaxes(-1, -2), a)
-    u, vt = sign_fix(u, vt)
+    u, vt = sign_fix(u, vt, overwrite=True)
     # Numerical guard: squaring the condition number in the Gram matrix makes
     # components with s <= ~sqrt(eps)·s_max meaningless (and a rank-deficient
     # slice divides by the floor, yielding garbage or non-finite columns).

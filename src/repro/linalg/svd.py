@@ -56,40 +56,48 @@ def robust_svd(a, *, full_matrices: bool = False):
         )
 
 
-def _sign_nonzero(arr):
-    """``sign(arr)`` with zeros mapped to +1 (a deterministic sign flip)."""
-    signs = np.sign(arr)
-    signs[signs == 0] = 1.0
-    return signs
+#: Bytes of ``|U|`` that :func:`_pivot_signs` holds at a time.
+_PIVOT_BYTES = 1 << 18
 
 
 def _pivot_signs(u):
     """Sign of each column's largest-magnitude entry, zeros mapped to +1.
 
     ``u`` is a matrix ``(m, r)`` or a stack ``(L, m, r)``; the result has
-    shape ``(r,)`` / ``(L, r)``.
+    shape ``(r,)`` / ``(L, r)``.  A stack is scanned a few slices at a
+    time (about ``_PIVOT_BYTES``), so ``|u|`` never exists whole.
     """
-    idx = np.argmax(np.abs(u), axis=-2)
-    cols = np.arange(u.shape[-1])
-    if u.ndim == 2:
-        return _sign_nonzero(u[idx, cols])
-    return _sign_nonzero(u[np.arange(u.shape[0])[:, None], idx, cols[None, :]])
+    stack = u[None] if u.ndim == 2 else u
+    signs = np.empty((stack.shape[0], stack.shape[2]), dtype=u.dtype)
+    step = max(1, _PIVOT_BYTES // max(1, stack[0].nbytes))
+    for lo in range(0, stack.shape[0], step):
+        part = stack[lo : lo + step]
+        idx = np.argmax(np.abs(part), axis=-2)[:, None, :]
+        signs[lo : lo + step] = np.sign(np.take_along_axis(part, idx, axis=-2)[:, 0])
+    signs[signs == 0] = 1.0
+    return signs[0] if u.ndim == 2 else signs
 
 
-def sign_fix(u, vt=None):
+def sign_fix(u, vt=None, *, overwrite=False):
     """Apply a deterministic sign convention to SVD factors.
 
     The sign of each column of ``u`` is flipped so its largest-magnitude
     entry is positive; the corresponding row of ``vt`` (if given) is flipped
     too, preserving the product ``u @ diag(s) @ vt``.  Batch-safe: a stack
     ``u`` of shape ``(L, m, r)`` with ``vt`` of shape ``(L, r, n)`` is fixed
-    slice by slice.
+    slice by slice.  The inputs are left unchanged unless ``overwrite``:
+    then C-contiguous arrays are flipped in place and returned, and any
+    other layout, such as a truncated or column-reversed view, is flipped
+    in a compact copy, so the result never keeps a larger base array
+    alive (the compression kernels' factors, which nothing else holds).
     """
-    u = np.asarray(u)
+    own = np.ascontiguousarray if overwrite else np.array
+    u = own(u)
     signs = _pivot_signs(u)
-    u = u * signs[..., None, :]
+    u *= signs[..., None, :]
     if vt is not None:
-        vt = np.asarray(vt) * signs[..., :, None]
+        vt = own(vt)
+        vt *= signs[..., :, None]
     return u, vt
 
 

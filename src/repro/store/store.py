@@ -35,7 +35,7 @@ from ..core.config import DTuckerConfig
 from ..core.fit_pipeline import FitPipeline, PipelineFit
 from ..core.result import TuckerResult
 from ..core.slice_svd import SliceSVD
-from ..core.sources import DenseSource
+from ..core.sources import DenseSource, compress_source
 from ..engine import ExecutionBackend
 from ..exceptions import StoreError, StoreFormatError
 from ..kernels.stats import KernelStats
@@ -97,6 +97,8 @@ def _fit_metadata(
     converged: bool,
     n_iters: int,
     kernel_stats: KernelStats | None,
+    exact_error: float | None,
+    power_iterations: int | None,
 ) -> dict:
     """JSON-ready summary of how the stored model was fitted."""
     meta: dict = {
@@ -104,6 +106,10 @@ def _fit_metadata(
         "converged": bool(converged),
         "n_iters": int(n_iters),
     }
+    if exact_error is not None:
+        meta["exact_error"] = float(exact_error)
+    if power_iterations is not None:
+        meta["power_iterations"] = int(power_iterations)
     if timings is not None:
         meta["timings"] = {k: float(v) for k, v in timings.phases.items()}
     if kernel_stats is not None:
@@ -166,6 +172,8 @@ class ModelStore:
         converged: bool = False,
         n_iters: int = 0,
         kernel_stats: KernelStats | None = None,
+        exact_error: float | None = None,
+        power_iterations: int | None = None,
         appends: int = 0,
         overwrite: bool = False,
         build_index: bool = False,
@@ -187,8 +195,13 @@ class ModelStore:
         permutation:
             Mode permutation mapping original → stored order (identity
             when omitted).
-        timings, history, converged, n_iters, kernel_stats:
-            Fit metadata for the manifest (all optional).
+        timings, history, converged, n_iters, kernel_stats, exact_error:
+            Fit metadata for the manifest (all optional; ``exact_error``
+            is the closing pass's, which a refit or an append lacks).
+        power_iterations:
+            The power passes ``slice_svd`` was compressed with (omitted:
+            ``config.power_iterations``; a one-shot fit that held records
+            ``0``); :meth:`append` compresses with the same.
         appends:
             How many :meth:`append` rounds this model has absorbed.
         overwrite:
@@ -242,6 +255,8 @@ class ModelStore:
                 converged=converged,
                 n_iters=n_iters,
                 kernel_stats=kernel_stats,
+                exact_error=exact_error,
+                power_iterations=power_iterations,
             ),
             "payloads": _payload_table(slice_svd, result),
         }
@@ -274,7 +289,8 @@ class ModelStore:
         ``fit.result`` is in the source's mode order; callers that permuted
         their tensor pass the back-permuted ``result`` plus the
         ``permutation`` they applied (as :meth:`repro.core.dtucker.DTucker
-        .save` does).
+        .save` does).  The power passes the fit's slices ran with are
+        recorded beside ``config``, so appends compress with the same.
         """
         return cls.save(
             path,
@@ -287,6 +303,8 @@ class ModelStore:
             converged=fit.converged,
             n_iters=fit.n_iters,
             kernel_stats=fit.kernel_stats,
+            exact_error=fit.exact_error,
+            power_iterations=fit.power_iterations,
             overwrite=overwrite,
             build_index=build_index,
         )
@@ -342,6 +360,16 @@ class ModelStore:
     def config(self) -> DTuckerConfig:
         """The fit's :class:`DTuckerConfig`, reconstructed from the manifest."""
         return _manifest_config(self.manifest["config"], self.path)
+
+    @property
+    def power_iterations(self) -> int:
+        """The power passes the stored slices were compressed with.
+
+        A one-shot fit that held at none records ``0``; anything else
+        ran ``config.power_iterations``.
+        """
+        passes = self.manifest.get("fit", {}).get("power_iterations")
+        return self.config.power_iterations if passes is None else int(passes)
 
     @property
     def nbytes(self) -> int:
@@ -590,6 +618,7 @@ class ModelStore:
                 f"{self.shape} on every mode but the last"
             )
         config = self.config
+        passes = self.power_iterations
         ranks = self.ranks
         stored_ranks = tuple(ranks[p] for p in perm)
         pipeline = FitPipeline(
@@ -600,7 +629,14 @@ class ModelStore:
             strict_slice_rank=False,
         )
         permuted = np.transpose(x, perm)
-        fresh = pipeline.compress(DenseSource(permuted), rng=rng)
+        # The stored slices' power passes: appended slices match the fit's.
+        fresh = compress_source(
+            DenseSource(permuted),
+            self.slice_rank,
+            config=dataclasses.replace(config, power_iterations=passes),
+            engine=engine,
+            rng=rng,
+        )
         current = self.load_slice_svd()
         # Validate any persisted index against the *pre-append* payloads
         # (loaded eagerly: save() below replaces the files on disk).
@@ -620,6 +656,7 @@ class ModelStore:
             converged=outcome.converged,
             n_iters=outcome.n_iters,
             kernel_stats=outcome.kernel_stats,
+            power_iterations=passes,
             appends=int(manifest.get("appends", 0)) + 1,
             overwrite=True,
         )

@@ -26,7 +26,9 @@ __all__ = [
 ]
 
 
-def as_tensor(x: np.ndarray, *, min_order: int = 1, name: str = "tensor") -> np.ndarray:
+def as_tensor(
+    x: np.ndarray, *, min_order: int = 1, name: str = "tensor", finite: bool = True
+) -> np.ndarray:
     """Coerce ``x`` to a floating-point ``ndarray`` and validate its order.
 
     Parameters
@@ -38,6 +40,10 @@ def as_tensor(x: np.ndarray, *, min_order: int = 1, name: str = "tensor") -> np.
         Minimum number of dimensions required.
     name:
         Argument name used in error messages.
+    finite:
+        Scan for NaN/Inf.  ``False`` skips the scan for callers whose next
+        read of the data checks it anyway (``DTucker.fit``: the compression
+        read, see :func:`repro.kernels.compress_plan.read_block`).
 
     Returns
     -------
@@ -48,7 +54,7 @@ def as_tensor(x: np.ndarray, *, min_order: int = 1, name: str = "tensor") -> np.
     ------
     ShapeError
         If the input has fewer than ``min_order`` dimensions, a zero-length
-        mode, or contains non-finite values.
+        mode, or (with ``finite``) contains non-finite values.
     """
     arr = np.asarray(x)
     if arr.dtype.kind not in "fiu":
@@ -63,7 +69,7 @@ def as_tensor(x: np.ndarray, *, min_order: int = 1, name: str = "tensor") -> np.
         )
     if any(s == 0 for s in arr.shape):
         raise ShapeError(f"{name} has an empty mode: shape {arr.shape}")
-    if not _all_finite(arr):
+    if finite and not _all_finite(arr):
         raise ShapeError(f"{name} contains non-finite values (NaN or Inf)")
     return arr
 

@@ -111,18 +111,28 @@ class TestFit:
     @pytest.mark.parametrize("slice_modes", [(0, 1), (2, 0)])
     def test_input_scanned_for_nan_once(self, noisy3, monkeypatch, slice_modes) -> None:
         # Each NaN/Inf scan of the whole tensor allocates a tensor-sized
-        # bool temporary; a fit validates its input exactly once.
-        isfinite = np.isfinite
-        scans = []
+        # bool temporary.  A fit validates its input exactly once, in the
+        # compression read: every entry passes one checked block copy.
+        from repro.kernels import compress_plan
+
+        isfinite, read_block = np.isfinite, compress_plan.read_block
+        scans, checked = [], []
 
         def counting_isfinite(arr, *args, **kwargs):
             if np.size(arr) == noisy3.size:
                 scans.append(np.shape(arr))
             return isfinite(arr, *args, **kwargs)
 
+        def counting_read(blk, src):
+            checked.append(blk.size)
+            return read_block(blk, src)
+
         monkeypatch.setattr(np, "isfinite", counting_isfinite)
-        DTucker(ranks=(4, 3, 3), slice_modes=slice_modes, seed=0).fit(noisy3)
-        assert len(scans) == 1
+        monkeypatch.setattr(compress_plan, "read_block", counting_read)
+        model = DTucker(ranks=(4, 3, 3), slice_modes=slice_modes, seed=0).fit(noisy3)
+        assert scans == []
+        assert model.kernel_stats_.misses_for("power:escalate") == 0
+        assert sum(checked) == noisy3.size
 
 
 class TestSliceModes:

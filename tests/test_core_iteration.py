@@ -126,7 +126,8 @@ class TestOneSweepLoop:
         # sweep in the library supplies only its contraction, so a new
         # ``core_based_error`` call site means a second loop has appeared.
         # Streaming's trailing sweeps and the dense HOOI baseline are
-        # different loops by design.
+        # different loops by design; a one-shot fit's closing pass takes
+        # the exact error of its exact core once, after the sweeps.
         root = Path(repro.__file__).resolve().parent
         found = []
 
@@ -146,6 +147,7 @@ class TestOneSweepLoop:
             walk(ast.parse(path.read_text()), None, path.relative_to(root).as_posix())
         assert sorted(found) == [
             ("baselines/tucker_als.py", "tucker_als"),
+            ("core/fit_pipeline.py", "fit"),
             ("core/iteration.py", "_sweep_loop"),
             ("core/streaming.py", "_trailing_sweeps"),
         ]

@@ -550,3 +550,45 @@ class TestSaveLoad:
         err_stream = loaded.result_.error(temporal)
         err_store = store.load_result().error(temporal)
         assert abs(err_stream - err_store) < 5e-3
+
+
+class TestIncrementalFlatnessGuard:
+    """Incremental per-update latency stays flat as the stream grows.
+
+    The A13 smoke's flatness gate as a guard, with its bound (1.3x from
+    T = 64 to T = 768, on the stationary 128 x 96 stream of 16-step
+    blocks), judged on the median of 3 repeats: one cold run on a shared
+    2-core host read 1.45-1.73x in 1 of 4 runs.
+    """
+
+    REPEATS = 3
+    BOUND = 1.3
+    EXTENTS = (64, 768)
+    BLOCK = 16
+    #: Updates whose fastest latency stands for an extent (as in A13).
+    TAIL = 6
+
+    def _growth(self, x: np.ndarray) -> float:
+        import time
+
+        from repro.core.config import DTuckerConfig
+
+        model = StreamingDTucker(
+            (6, 6, 8), slice_rank=10, sweeps_per_update=15,
+            config=DTuckerConfig(seed=0, tol=1e-12), update="incremental",
+        )
+        latencies, at = [], {}
+        for t0 in range(0, self.EXTENTS[-1], self.BLOCK):
+            start = time.perf_counter()
+            model.partial_fit(x[:, :, t0 : t0 + self.BLOCK])
+            latencies.append(time.perf_counter() - start)
+            if t0 + self.BLOCK in self.EXTENTS:
+                at[t0 + self.BLOCK] = min(latencies[-self.TAIL :])
+        return at[self.EXTENTS[-1]] / at[self.EXTENTS[0]]
+
+    def test_update_latency_is_flat(self) -> None:
+        import statistics
+
+        x = random_tensor((128, 96, self.EXTENTS[-1]), (6, 6, 8), rng=0, noise=0.02)
+        growth = [self._growth(x) for _ in range(self.REPEATS)]
+        assert statistics.median(growth) <= self.BOUND, growth

@@ -46,6 +46,25 @@ class TestSignFix:
         fixed, _ = sign_fix(u)
         np.testing.assert_array_equal(fixed, u)
 
+    def test_inputs_unchanged(self, rng) -> None:
+        u = -np.abs(rng.standard_normal((8, 3)))
+        vt = rng.standard_normal((3, 5))
+        u_kept, vt_kept = u.copy(), vt.copy()
+        uf, vtf = sign_fix(u, vt)
+        np.testing.assert_array_equal(u, u_kept)
+        np.testing.assert_array_equal(vt, vt_kept)
+        np.testing.assert_array_equal(uf, -u_kept)
+        np.testing.assert_array_equal(vtf, -vt_kept)
+
+    def test_overwrite_flips_in_place(self, rng) -> None:
+        u = -np.abs(rng.standard_normal((2, 8, 3)))
+        vt = rng.standard_normal((2, 3, 5))
+        want_u, want_vt = sign_fix(u, vt)
+        uf, vtf = sign_fix(u, vt, overwrite=True)
+        assert uf is u and vtf is vt
+        np.testing.assert_array_equal(u, want_u)
+        np.testing.assert_array_equal(vt, want_vt)
+
 
 class TestTruncatedSvd:
     def test_exact_on_lowrank(self, rng) -> None:

@@ -120,6 +120,23 @@ class TestFitPeakBound:
         assert fit.kernel_stats.bytes_comm > 0
 
 
+class TestCompressionPeak:
+    def test_large_l_order3_compression(self) -> None:
+        # One 4 MiB block buffer, its U stack (I2 = 12 against K = 10: most
+        # of a block) and small temporaries: 8.3 MiB measured.  The sign
+        # convention flips U in place and finds its pivots a few slices at
+        # a time; np.abs(U) and U * signs used to add two U-sized
+        # temporaries (14.5 MiB before).
+        x = _order3()
+        f = lambda: compress(x, 10, config=SERIAL)  # noqa: E731
+        f()
+        gc.collect()
+        ssvd, peak = measure_peak(f)
+        held = ssvd.u.nbytes + ssvd.s.nbytes + ssvd.vt.nbytes
+        held += ssvd.slice_norms_squared.nbytes
+        assert peak - held <= 9 << 20, (peak - held) / 2**20
+
+
 @pytest.fixture
 def small_blocks(monkeypatch):
     """Shrink the partial budget so a small problem runs several blocks."""

@@ -57,7 +57,9 @@ class TestRecordedOnce:
     def test_dtucker_fit(self, tensor, backend) -> None:
         cfg = DTuckerConfig(seed=0, backend=backend, n_workers=2)
         model = DTucker(RANKS, config=cfg).fit(tensor)
-        assert [t.phase for t in model.trace_] == ["approximation", "iteration"]
+        assert [t.phase for t in model.trace_] == [
+            "approximation", "iteration", "closing",
+        ]
         assert_sum_matches(model.trace_, model.kernel_stats_)
         stats = model.kernel_stats_
         assert sum(stats.plan_decisions().values()) == 1
@@ -79,10 +81,10 @@ class TestRecordedOnce:
         cfg = DTuckerConfig(seed=0, backend="process", n_workers=2)
         fit = ShardCoordinator(source, RANKS, config=cfg).fit()
         assert_sum_matches(fit.traces, fit.kernel_stats)
-        # One gather of the shard-local compression, then order + 1 reduce
-        # rounds per distributed sweep.
+        # One gather of the shard-local compression, order + 1 reduce
+        # rounds per distributed sweep, and one for the closing core.
         rounds = [t.counters.misses_for("comm:reduce") for t in fit.traces]
-        assert rounds == [1, fit.n_iters * (len(RANKS) + 1)]
+        assert rounds == [1, fit.n_iters * (len(RANKS) + 1), 1]
         assert fit.kernel_stats.bytes_comm > 0
 
     def test_incremental_stream(self, tensor) -> None:
@@ -148,6 +150,7 @@ class TestBoundedTelemetry:
                 assert [t.phase for t in fitter.trace_] == [
                     "approximation",
                     "iteration",
+                    "closing",
                 ]
         served.close()
 
