@@ -1,23 +1,25 @@
-"""A13 — streaming ingest: O(block) incremental updates vs full refit.
+"""A13 — streaming ingest: the one update mode against a from-scratch fit.
 
-One section: a stationary low-rank temporal tensor is streamed block by
-block into three :class:`repro.core.streaming.StreamingDTucker` instances —
-``update="refit"`` (the historical behaviour: full warm ALS over all
-accumulated slices per ingest), ``update="incremental"`` (projection
-caches carried across updates, only the new block's rows computed) and
-``update="sketch"`` (incremental plus frequent-directions factor
-refreshes).  At each target extent T the steady-state per-update latency
-(median of the last few ingests) and the final estimated error are
-recorded.
+:class:`repro.core.streaming.StreamingDTucker` has one update mode:
+projection caches carried across updates, so an update computes only the
+new block's rows (O(block)), with the EWMA drift watchdog at its default
+budget re-deriving every factor when the error drifts.  Two sections:
+
+* **drift** — 128×96 slices, blocks of 16 steps, ranks (6, 6, 8), slice
+  rank 10, noise 0.1, whose mode-1 factor turns by θ ∈ {0, 0.3, 1.0} rad
+  over the stream (:func:`repro.tensor.random.drifting_tensor`; θ = 0 is
+  stationary).  Per stream: the true error over a from-scratch
+  :class:`~repro.core.dtucker.DTucker` fit of the whole tensor, the median
+  per-update latency, the watchdog refreshes and the total ingest time.
+* **scaling** — the stationary stream, with the steady-state per-update
+  latency (fastest of the last few updates) at each accumulated extent T,
+  beside a from-scratch fit of the accumulated tensor at that extent.
 
 Gates (full run):
 
-* per-update latency is **flat** for incremental and sketch —
-  ``time(FLAT_EXTENT) / time(T_min) <= 1.3`` over the 64 -> 1024 span —
-  while refit **grows** ``>= 4x`` over the full 64 -> 2048 range (the
-  longer span lets the O(T) sweep cost dominate refit's fixed per-block
-  compression cost, which is extent-independent for every mode);
-* final error of both online modes stays within ``1.05x`` of refit.
+* error — every stream's true error within ``1.05x`` of the from-scratch
+  fit's;
+* flatness — per-update latency grows ``<= 1.3x`` from T = 64 to 1024.
 
 The full run's machine-readable report lands at ``BENCH_stream.json`` in
 the repo root.  Run standalone::
@@ -25,18 +27,19 @@ the repo root.  Run standalone::
     PYTHONPATH=src python benchmarks/bench_a13_streaming.py           # full
     PYTHONPATH=src python benchmarks/bench_a13_streaming.py --smoke   # CI
 
-``--smoke`` streams to smaller extents and gates the incremental mode
-only: ``>= 2x`` incremental-over-refit per-update latency at the largest
-smoke extent.  It prints its report (flat growth included) and writes no
-file.  Its flatness gate (<= 1.3x) is the pytest guard
-``tests/test_core_streaming.py::TestIncrementalFlatnessGuard``, judged on
-the median of 3 repeats: one cold run failed it in 1 of 4 runs.
+``--smoke`` streams to T = 768 and gates the error (``1.05x`` on all three
+streams) and one update against a from-scratch fit of the accumulated
+tensor at T = 768 (``>= 2x``).  It prints its report and writes no file.
+The flatness gate's smoke form is the pytest guard
+``tests/test_core_streaming.py::TestIncrementalFlatnessGuard`` (median of
+3 repeats: one cold run failed it in 1 of 4 runs).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -51,193 +54,226 @@ SHAPE_SLICES = (128, 96)  # (I1, I2) of every temporal slice
 RANKS = (6, 6, 8)
 SLICE_RANK = 10
 BLOCK_STEPS = 16
-SWEEPS_PER_UPDATE = 15
+NOISE = 0.1
+THETAS = (0.0, 0.3, 1.0)
+
+DRIFT_EXTENT = 1024
 EXTENTS = (64, 256, 1024, 2048)
-
-#: Span for the online-flatness gate (the refit-growth gate uses the full
-#: extent range: its O(T) term needs the longer run to dominate the fixed
-#: per-block compression cost).
+#: Span of the flatness gate.
 FLAT_EXTENT = 1024
-SMOKE_EXTENTS = (64, 768)
+SMOKE_EXTENT = 768
+SMOKE_EXTENTS = (64, SMOKE_EXTENT)
 
-#: Updates whose latency forms the steady-state median at each extent.
+#: Updates whose fastest latency stands for an extent.
 TIMED_TAIL = 6
 
 FLAT_LIMIT = 1.3
-REFIT_GROWTH_FLOOR = 4.0
 ERROR_LIMIT = 1.05
 SMOKE_SPEEDUP_FLOOR = 2.0
 
 
-def make_stream(t_max: int) -> np.ndarray:
-    """A stationary low-rank temporal tensor (fixed Tucker structure + noise)."""
-    from repro.tensor.random import default_rng, random_tensor
+def make_stream(t_max: int, theta: float) -> np.ndarray:
+    """The 128×96×t_max stream whose mode-1 factor turns by ``theta``."""
+    from repro.tensor.random import drifting_tensor
 
-    rng = default_rng(SEED)
-    return random_tensor(SHAPE_SLICES + (t_max,), RANKS, rng=rng, noise=0.02)
+    return drifting_tensor(
+        SHAPE_SLICES + (t_max,), RANKS, SEED, theta=theta, noise=NOISE
+    )
 
 
-def stream_mode(x: np.ndarray, mode: str, extents: tuple[int, ...]) -> dict:
-    """Ingest ``x`` block by block; record steady-state latency per extent.
+def true_error(x: np.ndarray, result) -> float:
+    """``‖X − X̂‖² / ‖X‖²`` without forming ``X̂`` (orthonormal factors)."""
+    from repro.tensor.products import multi_mode_product
 
-    One model instance streams the full range; at each target extent the
-    median of the last ``TIMED_TAIL`` per-update wall-clock times is taken
-    — by then the accumulated extent ≈ the target, so refit's O(T) cost is
-    fully visible while the online modes only ever touch the block.
+    projected = multi_mode_product(
+        x, result.factors, list(range(x.ndim)), transpose=True
+    )
+    norm = float(np.vdot(x, x))
+    cross = float(np.vdot(projected, result.core))
+    return (norm - 2.0 * cross + float(np.vdot(result.core, result.core))) / norm
+
+
+def scratch_fit(x: np.ndarray) -> tuple[float, float]:
+    """A from-scratch ``DTucker`` fit of ``x``: (seconds, true error)."""
+    from repro.core.config import DTuckerConfig
+    from repro.core.dtucker import DTucker
+
+    model = DTucker(RANKS, slice_rank=SLICE_RANK, config=DTuckerConfig(seed=SEED))
+    start = time.perf_counter()
+    model.fit(x)
+    seconds = time.perf_counter() - start
+    return seconds, true_error(x, model.result_)
+
+
+def stream(x: np.ndarray, extents: tuple[int, ...] = ()) -> dict:
+    """Ingest ``x`` block by block with the one update mode.
+
+    Records every update's latency, the fastest of the last
+    ``TIMED_TAIL`` at each extent in ``extents``, and the final true
+    error, refresh count and projection counters.
     """
+    from repro.core.config import DTuckerConfig
     from repro.core.streaming import StreamingDTucker
 
-    from repro.core.config import DTuckerConfig
-
-    # A tiny tolerance pins every refit update to exactly
-    # SWEEPS_PER_UPDATE sweeps (no early stopping), so the per-update
-    # latency reflects a fixed sweep budget at every extent.
     model = StreamingDTucker(
-        RANKS,
-        slice_rank=SLICE_RANK,
-        sweeps_per_update=SWEEPS_PER_UPDATE,
-        config=DTuckerConfig(seed=SEED, tol=1e-12),
-        update=mode,
+        RANKS, slice_rank=SLICE_RANK, config=DTuckerConfig(seed=SEED)
     )
-    targets = sorted(extents)
-    out: dict = {"per_update_ms": {}, "error": {}}
     latencies: list[float] = []
-    t_done = 0
-    for t0 in range(0, targets[-1], BLOCK_STEPS):
-        block = x[:, :, t0 : t0 + BLOCK_STEPS]
+    at: dict[str, float] = {}
+    for t0 in range(0, x.shape[-1], BLOCK_STEPS):
         start = time.perf_counter()
-        model.partial_fit(block)
+        model.partial_fit(x[:, :, t0 : t0 + BLOCK_STEPS])
         latencies.append(time.perf_counter() - start)
-        t_done += block.shape[-1]
-        if t_done in targets:
-            tail = latencies[-TIMED_TAIL:]
-            # min over the tail: the noise-robust latency statistic —
-            # scheduling hiccups only ever add time.
-            out["per_update_ms"][str(t_done)] = min(tail) * 1e3
-            out["error"][str(t_done)] = float(model.history_[-1])
-    if mode != "refit":
-        stats = model.kernel_stats_
-        out["proj_cached_rows"] = stats.hits_for("stream:proj")
-        out["proj_computed_rows"] = stats.misses_for("stream:proj")
+        t_done = t0 + BLOCK_STEPS
+        if t_done in extents:
+            # min over the tail: scheduling hiccups only ever add time.
+            at[str(t_done)] = min(latencies[-TIMED_TAIL:]) * 1e3
+    stats = model.kernel_stats_
+    return {
+        "per_update_ms": at,
+        "update_p50_ms": statistics.median(latencies) * 1e3,
+        "ingest_s": sum(latencies),
+        "refreshes": model.watchdog_triggers_,
+        "error": true_error(x, model.result_),
+        "proj_cached_rows": stats.hits_for("stream:proj"),
+        "proj_computed_rows": stats.misses_for("stream:proj"),
+    }
+
+
+def run_drift(t_max: int) -> dict:
+    """The drift table: one stream per θ against its from-scratch fit."""
+    out: dict = {}
+    for theta in THETAS:
+        x = make_stream(t_max, theta)
+        row = stream(x)
+        del row["per_update_ms"]
+        _, scratch_err = scratch_fit(x)
+        row["scratch_error"] = scratch_err
+        row["error_ratio"] = row["error"] / scratch_err
+        out[str(theta)] = row
     return out
 
 
-def run_section(extents: tuple[int, ...] = EXTENTS) -> dict:
-    x = make_stream(max(extents))
-    report: dict = {
+def run_scaling(extents: tuple[int, ...]) -> dict:
+    """Per-update latency by extent beside a from-scratch fit at each extent."""
+    x = make_stream(max(extents), 0.0)
+    report = stream(x, extents)
+    scratch_ms = {}
+    for t in extents:
+        seconds, _ = scratch_fit(x[:, :, :t])
+        scratch_ms[str(t)] = seconds * 1e3
+    report["scratch_fit_ms"] = scratch_ms
+    times = report["per_update_ms"]
+    t_min, t_max = str(min(extents)), str(max(extents))
+    t_flat = str(FLAT_EXTENT) if FLAT_EXTENT in extents else t_max
+    report["extents"] = list(extents)
+    report["flat_extent"] = int(t_flat)
+    report["growth"] = times[t_max] / times[t_min]
+    report["flat_growth"] = times[t_flat] / times[t_min]
+    report["speedup_vs_scratch"] = scratch_ms[t_max] / times[t_max]
+    return report
+
+
+def run_section(drift_extent: int, extents: tuple[int, ...]) -> dict:
+    # Warm the code paths so the first timed stream does not pay them.
+    stream(make_stream(4 * BLOCK_STEPS, 0.0))
+    return {
         "slice_shape": list(SHAPE_SLICES),
         "ranks": list(RANKS),
         "block_steps": BLOCK_STEPS,
         "slice_rank": SLICE_RANK,
-        "sweeps_per_update": SWEEPS_PER_UPDATE,
-        "extents": list(extents),
+        "noise": NOISE,
+        "drift_extent": drift_extent,
+        "drift": run_drift(drift_extent),
+        "scaling": run_scaling(extents),
     }
-    for mode in ("refit", "incremental", "sketch"):
-        report[mode] = stream_mode(x, mode, extents)
-    t_min, t_max = str(min(extents)), str(max(extents))
-    # Online flatness is judged on the 64 -> 1024 span; refit growth over
-    # the full range, where the O(T) term dwarfs the fixed per-block cost.
-    t_flat = str(FLAT_EXTENT) if FLAT_EXTENT in extents else t_max
-    for mode in ("refit", "incremental", "sketch"):
-        times = report[mode]["per_update_ms"]
-        report[mode]["growth"] = times[t_max] / times[t_min]
-        report[mode]["flat_growth"] = times[t_flat] / times[t_min]
-    report["flat_extent"] = int(t_flat)
-    report["speedup_incremental_vs_refit"] = (
-        report["refit"]["per_update_ms"][t_max]
-        / report["incremental"]["per_update_ms"][t_max]
-    )
-    report["speedup_sketch_vs_refit"] = (
-        report["refit"]["per_update_ms"][t_max]
-        / report["sketch"]["per_update_ms"][t_max]
-    )
-    refit_err = report["refit"]["error"][t_max]
-    report["error_ratio_incremental"] = (
-        report["incremental"]["error"][t_max] / refit_err
-    )
-    report["error_ratio_sketch"] = report["sketch"]["error"][t_max] / refit_err
-    return report
+
+
+def _error_failures(report: dict) -> list[str]:
+    return [
+        f"theta={theta}: true error {row['error_ratio']:.4f}x a from-scratch "
+        f"fit (limit {ERROR_LIMIT}x)"
+        for theta, row in report["drift"].items()
+        if row["error_ratio"] > ERROR_LIMIT
+    ]
+
+
+def _report_failures(failures: list[str]) -> int:
+    for msg in failures:
+        print(f"[A13] FAIL: {msg}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def check_full(report: dict) -> int:
-    failures = []
-    t_flat = report["flat_extent"]
-    for mode in ("incremental", "sketch"):
-        if report[mode]["flat_growth"] > FLAT_LIMIT:
-            failures.append(
-                f"{mode} per-update growth {report[mode]['flat_growth']:.2f}x "
-                f"to T={t_flat} exceeds the {FLAT_LIMIT}x flatness limit"
-            )
-    if report["refit"]["growth"] < REFIT_GROWTH_FLOOR:
+    failures = _error_failures(report)
+    scaling = report["scaling"]
+    if scaling["flat_growth"] > FLAT_LIMIT:
         failures.append(
-            f"refit per-update growth {report['refit']['growth']:.2f}x is "
-            f"below the {REFIT_GROWTH_FLOOR}x floor (workload too small to "
-            "expose the O(T) cost)"
+            f"per-update growth {scaling['flat_growth']:.2f}x to "
+            f"T={scaling['flat_extent']} exceeds the {FLAT_LIMIT}x flatness limit"
         )
-    for mode in ("incremental", "sketch"):
-        ratio = report[f"error_ratio_{mode}"]
-        if ratio > ERROR_LIMIT:
-            failures.append(
-                f"{mode} final error is {ratio:.3f}x refit "
-                f"(limit {ERROR_LIMIT}x)"
-            )
-    for msg in failures:
-        print(f"[A13] FAIL: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+    return _report_failures(failures)
 
 
 def check_smoke(report: dict) -> int:
-    failures = []
-    t_max = str(max(report["extents"]))
-    speedup = (
-        report["refit"]["per_update_ms"][t_max]
-        / report["incremental"]["per_update_ms"][t_max]
-    )
-    if speedup < SMOKE_SPEEDUP_FLOOR:
+    failures = _error_failures(report)
+    scaling = report["scaling"]
+    t_max = max(scaling["extents"])
+    if scaling["speedup_vs_scratch"] < SMOKE_SPEEDUP_FLOOR:
         failures.append(
-            f"incremental-over-refit per-update speedup {speedup:.2f}x at "
-            f"T={t_max} is below the {SMOKE_SPEEDUP_FLOOR}x smoke floor"
+            f"one update is only {scaling['speedup_vs_scratch']:.2f}x faster "
+            f"than a from-scratch fit at T={t_max} (floor {SMOKE_SPEEDUP_FLOOR}x)"
         )
-    for msg in failures:
-        print(f"[A13] FAIL: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+    return _report_failures(failures)
 
 
 def _format(report: dict) -> str:
     lines = [
-        "A13 streaming ingest: per-update latency (ms) by accumulated extent",
+        "A13 streaming ingest: one update mode vs a from-scratch DTucker fit",
         f"  slices {tuple(report['slice_shape'])}, ranks "
-        f"{tuple(report['ranks'])}, blocks of {report['block_steps']} steps",
+        f"{tuple(report['ranks'])}, slice rank {report['slice_rank']}, "
+        f"noise {report['noise']}, blocks of {report['block_steps']} steps",
+        f"  drift, T={report['drift_extent']}:",
+        "    theta  error/scratch  update p50 ms  refreshes  ingest s",
     ]
-    extents = [str(t) for t in report["extents"]]
-    header = "  mode         " + "".join(f"T={t:>6} " for t in extents) + " growth"
-    lines.append(header)
-    for mode in ("refit", "incremental", "sketch"):
-        times = report[mode]["per_update_ms"]
-        row = f"  {mode:<12} " + "".join(f"{times[t]:8.2f} " for t in extents)
-        row += f" {report[mode]['growth']:5.2f}x"
-        lines.append(row)
+    for theta, row in report["drift"].items():
+        lines.append(
+            f"    {theta:>5}  {row['error_ratio']:13.4f}  "
+            f"{row['update_p50_ms']:13.1f}  {row['refreshes']:9d}  "
+            f"{row['ingest_s']:8.2f}"
+        )
+    scaling = report["scaling"]
+    extents = [str(t) for t in scaling["extents"]]
     lines.append(
-        f"  speedup at T={extents[-1]}: incremental "
-        f"{report['speedup_incremental_vs_refit']:.2f}x, sketch "
-        f"{report['speedup_sketch_vs_refit']:.2f}x over refit"
+        "  scaling (stationary):  " + "".join(f"T={t:>6} " for t in extents)
     )
     lines.append(
-        f"  final error vs refit: incremental "
-        f"{report['error_ratio_incremental']:.4f}x, sketch "
-        f"{report['error_ratio_sketch']:.4f}x"
+        "  update ms              "
+        + "".join(f"{scaling['per_update_ms'][t]:8.2f} " for t in extents)
+        + f" growth {scaling['growth']:.2f}x"
+    )
+    lines.append(
+        "  scratch fit ms         "
+        + "".join(f"{scaling['scratch_fit_ms'][t]:8.1f} " for t in extents)
+    )
+    lines.append(
+        f"  one update is {scaling['speedup_vs_scratch']:.1f}x faster than a "
+        f"from-scratch fit at T={extents[-1]}"
     )
     return "\n".join(lines)
 
 
 def run_all() -> dict:
-    return {"benchmark": "A13_streaming", "stream": run_section()}
+    return {
+        "benchmark": "A13_streaming",
+        "stream": run_section(DRIFT_EXTENT, EXTENTS),
+    }
 
 
 def smoke() -> int:
     # The smoke prints its report and leaves the committed full-run
     # BENCH_stream.json untouched.
-    report = run_section(SMOKE_EXTENTS)
+    report = run_section(SMOKE_EXTENT, SMOKE_EXTENTS)
     print(_format(report))
     return check_smoke(report)
 
@@ -245,17 +281,17 @@ def smoke() -> int:
 # -- pytest entry points (collected via `pytest benchmarks/`) ----------------
 
 def test_a13_stream_small(benchmark) -> None:
-    """Quick-scale section: gate the incremental win."""
+    """Smoke-scale section: error and speed gates."""
 
     def run() -> dict:
-        return run_section(SMOKE_EXTENTS)
+        return run_section(SMOKE_EXTENT, SMOKE_EXTENTS)
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert check_smoke(report) == 0, report
 
 
 def test_a13_report(benchmark) -> None:
-    """Full comparison; writes BENCH_stream.json at the repo root."""
+    """Full run; writes BENCH_stream.json at the repo root."""
 
     def run() -> dict:
         return run_all()
@@ -277,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="fast CI guard: smaller extents, 2x incremental-over-refit gate",
+        help="fast CI guard: T=768, error and one-update-vs-scratch gates",
     )
     args = parser.parse_args(argv)
     if args.smoke:

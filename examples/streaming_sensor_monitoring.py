@@ -2,10 +2,12 @@
 
 Air-quality-style deployments append a new block of measurements every few
 days.  Refitting Tucker from scratch on the whole history gets slower every
-time; :class:`repro.StreamingDTucker` instead compresses only the new block
-and warm-starts a few ALS sweeps, keeping update cost flat while matching
-batch accuracy.  This example streams twelve blocks and compares both
-approaches (time per update, error after each update).
+time; :class:`repro.StreamingDTucker` instead compresses and projects only
+the new block (its one update mode costs O(block)), keeping update cost
+flat while matching batch accuracy; its drift watchdog re-derives the
+factors from the live window whenever the error drifts.  This example
+streams twelve blocks and compares both approaches (time per update,
+error after each update, watchdog refreshes).
 
 Run:
     python examples/streaming_sensor_monitoring.py
@@ -57,6 +59,8 @@ def main() -> None:
     total = stream.timings_.total
     print(f"\ntotal streaming compute: {total:.3f}s "
           f"({stream.timings_.summary()})")
+    print(f"watchdog refreshes: {stream.watchdog_triggers_} "
+          f"(drift budget {stream.drift_budget})")
     print(
         "note: streaming compresses each block exactly once; the batch "
         "column re-reads the full history every update."

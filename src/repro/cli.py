@@ -499,13 +499,12 @@ def cmd_stream(args: argparse.Namespace) -> int:
         slice_rank=args.slice_rank,
         sweeps_per_update=args.sweeps,
         config=cfg,
-        update=args.update,
         window=args.window,
         decay=args.decay,
         drift_budget=args.drift_budget,
     )
     paths = _stream_blocks(args.blocks)
-    print(f"streaming {len(paths)} blocks (update={model.update}"
+    print(f"streaming {len(paths)} blocks (drift_budget={model.drift_budget}"
           + (f", window={model.window}" if model.window else "")
           + (f", decay={model.decay}" if model.decay else "")
           + ")")
@@ -526,13 +525,12 @@ def cmd_stream(args: argparse.Namespace) -> int:
         f"ingested {model.n_updates_} blocks, {model.t_seen_} steps total; "
         f"final err={model.history_[-1]:.6f}"
     )
-    if model.update != "refit":
-        stats = model.kernel_stats_
-        print(
-            "projection reuse: "
-            f"{stats.hits_for('stream:proj')} cached rows, "
-            f"{stats.misses_for('stream:proj')} computed"
-        )
+    stats = model.kernel_stats_
+    print(
+        "projection reuse: "
+        f"{stats.hits_for('stream:proj')} cached rows, "
+        f"{stats.misses_for('stream:proj')} computed"
+    )
     if args.save:
         store = model.save(args.save, overwrite=args.overwrite)
         print(f"store  : {store.path} ({store.nbytes} bytes)")
@@ -686,13 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--seed", type=int, default=0)
     st.add_argument("--sweeps", type=int, default=5, help="ALS sweeps per update")
     st.add_argument(
-        "--update",
-        choices=("refit", "incremental", "sketch"),
-        default="incremental",
-        help="update mode (default: incremental — O(block) per append; "
-        "refit reproduces the historical full-refit behaviour)",
-    )
-    st.add_argument(
         "--window",
         type=int,
         default=None,
@@ -708,7 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--drift-budget",
         type=float,
         default=None,
-        help="relative error-drift budget triggering a full factor refresh",
+        help="relative error-drift budget triggering a full factor refresh "
+        "(default 0.05)",
     )
     st.add_argument(
         "--save", help="persist the model (and resume state) as a store dir"

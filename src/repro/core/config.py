@@ -34,10 +34,6 @@ _STRATEGY_CHOICES = ("rsvd", "auto", "gram", "exact")
 #: Compute precisions accepted by :attr:`DTuckerConfig.precision`.
 _PRECISION_CHOICES = ("float64", "float32")
 
-#: Streaming update modes accepted by :attr:`DTuckerConfig.update` (see
-#: :class:`repro.core.streaming.StreamingDTucker` and ``docs/streaming.md``).
-_UPDATE_CHOICES = ("refit", "incremental", "sketch")
-
 
 @dataclass(frozen=True)
 class DTuckerConfig:
@@ -95,30 +91,22 @@ class DTuckerConfig:
         (reproducing the unchunked computation exactly) and oversplits
         into equal-count chunks, ``OVERSPLIT`` per worker, on more.
         Results are bit-identical under every chunking.
-    update:
-        Streaming update mode for :class:`~repro.core.streaming.StreamingDTucker`:
-        ``"refit"`` (default — full ALS refit over all accumulated
-        slices), ``"incremental"`` (cached projections carried across
-        updates, O(block) per append), or
-        ``"sketch"`` (incremental plus frequent-directions refresh of the
-        non-temporal factors).  Ignored by the batch fit paths.  See
-        ``docs/streaming.md``.
     window:
-        Sliding-window length for streaming fits: keep only the newest
+        Sliding-window length for
+        :class:`~repro.core.streaming.StreamingDTucker` (ignored by the
+        batch fit paths; see ``docs/streaming.md``): keep only the newest
         ``window`` temporal steps, evicting the oldest in O(evicted).
         ``None`` (default) keeps the full history.
     decay:
         Exponential down-weighting ``γ ∈ (0, 1]`` per streamed temporal
         step, folded into the stored ``Σ_l`` scaling.  ``None`` (default)
         means no decay (equivalent to ``1.0``).
-    sketch_size:
-        Frequent-directions sketch rows ``ℓ`` for ``update="sketch"``;
-        ``None`` (default) picks ``2·K + oversampling`` at first ingest.
     drift_budget:
         Relative error-drift budget for the streaming watchdog: when the
         EWMA of the per-update estimated error exceeds
         ``baseline · (1 + drift_budget)``, the solver performs a full
-        factor refresh.  ``None`` (default) disables the watchdog.
+        factor refresh.  The watchdog always runs; ``None`` (default)
+        means :data:`repro.core.streaming.DRIFT_BUDGET` (0.05).
     """
 
     oversampling: int = 10
@@ -132,10 +120,8 @@ class DTuckerConfig:
     backend: str = "auto"
     n_workers: int | None = None
     chunk_size: int | None = None
-    update: str = "refit"
     window: int | None = None
     decay: float | None = None
-    sketch_size: int | None = None
     drift_budget: float | None = None
 
     def __post_init__(self) -> None:
@@ -170,19 +156,10 @@ class DTuckerConfig:
             raise ShapeError(f"n_workers must be >= 1 or None, got {self.n_workers}")
         if self.chunk_size is not None and int(self.chunk_size) < 1:
             raise ShapeError(f"chunk_size must be >= 1 or None, got {self.chunk_size}")
-        if not isinstance(self.update, str) or self.update not in _UPDATE_CHOICES:
-            raise ShapeError(
-                f"update must be one of {', '.join(_UPDATE_CHOICES)}, "
-                f"got {self.update!r}"
-            )
         if self.window is not None and int(self.window) < 1:
             raise ShapeError(f"window must be >= 1 or None, got {self.window}")
         if self.decay is not None and not 0.0 < float(self.decay) <= 1.0:
             raise ShapeError(f"decay must be in (0, 1] or None, got {self.decay}")
-        if self.sketch_size is not None and int(self.sketch_size) < 1:
-            raise ShapeError(
-                f"sketch_size must be >= 1 or None, got {self.sketch_size}"
-            )
         if self.drift_budget is not None and not float(self.drift_budget) > 0.0:
             raise ShapeError(
                 f"drift_budget must be positive or None, got {self.drift_budget}"

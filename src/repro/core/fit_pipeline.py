@@ -44,7 +44,6 @@ from ..engine import ExecutionBackend, backend_scope
 from ..engine.trace import PhaseTrace
 from ..exceptions import RankError, ShapeError
 from ..kernels.stats import KernelStats
-from ..kernels.workspace import SweepWorkspace
 from ..metrics.timing import PhaseTimings, Timer
 from ..tensor.norms import core_based_error
 from ..tensor.random import default_rng
@@ -254,7 +253,6 @@ class FitPipeline:
         *,
         config: DTuckerConfig | None = None,
         engine: "ExecutionBackend | str | None" = None,
-        workspace: SweepWorkspace | None = None,
     ) -> IterationResult:
         """Iteration stage — the library's single ``als_sweeps`` call site."""
         return als_sweeps(
@@ -263,7 +261,6 @@ class FitPipeline:
             factors,
             config=config if config is not None else self.config,
             engine=engine if engine is not None else self.engine,
-            workspace=workspace,
         )
 
     # -- composition ---------------------------------------------------------

@@ -8,36 +8,21 @@ representation: because the slice index runs in Fortran order over modes
 along the last mode contributes a contiguous run of *new slices* and nothing
 else changes.
 
-Three update modes (``DTuckerConfig.update``):
-
-``"refit"`` (default)
-    Compress only the new block, append, then warm-start full ALS sweeps
-    over the entire accumulated :class:`~repro.core.slice_svd.SliceSVD`.
-    Bit-identical to the historical behaviour; per-update cost grows with
-    the accumulated extent T.
-``"incremental"``
-    Carry a :class:`~repro.kernels.workspace.StreamingWorkspace` across
-    updates: the per-slice projections ``A(1)ᵀU_l``, ``V_lᵀA(2)`` and the
-    ``W`` stack of historical slices are cached and only the new block's
-    rows are computed, so each update costs O(block) — not O(T).  The
-    non-temporal factors stay fixed between updates (the drift watchdog
-    refreshes them when the error budget is exceeded); the temporal and
-    any intermediate factors are re-derived each update from the cached
-    ``W`` tensor, whose cheap HOOI sweeps touch only J-sized quantities.
-``"sketch"``
-    Incremental, plus bounded frequent-directions sketches of the stacked
-    ``[U_l Σ_l]`` / ``[Σ_l V_lᵀ]`` streams
-    (:class:`~repro.linalg.FrequentDirections`).  Every update refreshes
-    the non-temporal factors from the sketches and re-expresses the cached
-    projections with the small rotation ``R = A_oldᵀ A_new`` — exact when
-    the refresh stays in the old column space, with the residual tracked
-    by the watchdog.
+One update mode.  A :class:`~repro.kernels.workspace.StreamingWorkspace`
+is carried across updates: the per-slice projections ``A(1)ᵀU_l``,
+``V_lᵀA(2)`` and the ``W`` stack of historical slices are cached and only
+the new block's rows are computed, so each update costs O(block) — not
+O(T).  The non-temporal factors stay fixed between updates; the temporal
+and any intermediate factors are re-derived each update from the cached
+``W`` tensor, whose cheap HOOI sweeps touch only J-sized quantities.  An
+EWMA drift watchdog, always on (``drift_budget``, default
+:data:`DRIFT_BUDGET`), re-derives every factor from the live window when
+the estimated error drifts beyond budget, which keeps the stream within a
+few per cent of a from-scratch fit on drifting data too.
 
 Windowing (``window=N`` — evict the oldest temporal steps in O(evicted))
 and exponential decay (``decay=γ`` — folded into the stored ``Σ_l``
-scaling) bound long-running services.  An EWMA drift watchdog
-(``drift_budget``) triggers a full factor refresh over the live window
-when the estimated error drifts beyond budget, and
+scaling) bound long-running services, and
 :meth:`StreamingDTucker.ingest_queue` provides a bounded, blocking-put
 ingest pipeline (backpressure) built on
 :class:`~repro.engine.pipeline.IngestQueue`.  See ``docs/streaming.md``.
@@ -57,8 +42,7 @@ from ..engine import ExecutionBackend, IngestQueue
 from ..engine.trace import TELEMETRY_HISTORY, PhaseTrace
 from ..exceptions import NotFittedError, RankError, ShapeError, StoreFormatError
 from ..kernels.stats import KernelStats, record_into
-from ..kernels.workspace import StreamingWorkspace, SweepWorkspace
-from ..linalg.frequent_directions import FrequentDirections
+from ..kernels.workspace import StreamingWorkspace
 from ..linalg.svd import leading_left_singular_vectors
 from ..metrics.timing import PhaseTimings, Timer
 from ..tensor.norms import core_based_error
@@ -69,12 +53,18 @@ from ..validation import as_tensor, check_positive_int, check_ranks
 from .config import DTuckerConfig
 from .fit_pipeline import FitPipeline
 from .initialization import initialize, slice_plane_factor
-from .iteration import IterationResult
 from .result import TuckerResult
 from .slice_svd import SliceSVD
 from .sources import DenseSource, compress_source
 
-__all__ = ["StreamingDTucker"]
+__all__ = ["DRIFT_BUDGET", "StreamingDTucker"]
+
+#: Default relative error-drift budget of the watchdog (``drift_budget=None``).
+#: Measured on 128×96 streams of 16-step blocks (``docs/streaming.md``):
+#: it holds the true error within 1 % of a from-scratch fit while the
+#: mode-1 factor turns by up to 1 rad over the stream, and it does not fire
+#: on the stationary stream.
+DRIFT_BUDGET = 0.05
 
 #: EWMA smoothing for the drift watchdog (fraction of the newest error).
 _EWMA_ALPHA = 0.3
@@ -102,25 +92,15 @@ def _tail_slices(block: SliceSVD, keep_steps: int, per_step: int) -> SliceSVD:
     )
 
 
-def _sketch_rows(block: SliceSVD) -> tuple[np.ndarray, np.ndarray]:
-    """The block's scaled basis columns as frequent-directions row batches.
-
-    Mode 1 rows are the columns of ``[U_1 Σ_1 ⋯ U_L Σ_L]`` (each in
-    ``R^{I1}``), mode 2 rows the columns of ``[V_1 Σ_1 ⋯ V_L Σ_L]`` — the
-    exact matrices the batch initializer takes leading singular vectors of.
-    """
-    scaled_u = block.u * block.s[:, None, :]  # (L, I1, K)
-    rows1 = scaled_u.transpose(0, 2, 1).reshape(-1, block.slice_shape[0])
-    scaled_vt = block.s[:, :, None] * block.vt  # (L, K, I2)
-    rows2 = scaled_vt.reshape(-1, block.slice_shape[1])
-    return rows1, rows2
-
-
 class StreamingDTucker:
     """Incrementally maintained Tucker decomposition of a temporal tensor.
 
     The temporal mode must be the *last* mode; slice modes are fixed to
-    ``(0, 1)`` (transpose the data first if needed).
+    ``(0, 1)`` (transpose the data first if needed).  Every update costs
+    O(block): only the new block's slices are compressed and projected,
+    and the trailing factors are re-derived from the cached projected
+    stack.  The drift watchdog re-derives every factor from the live
+    window when the estimated error drifts beyond ``drift_budget``.
 
     Parameters
     ----------
@@ -129,21 +109,27 @@ class StreamingDTucker:
     slice_rank:
         Per-slice compression rank (default ``max(ranks[0], ranks[1])``).
     sweeps_per_update:
-        ALS sweeps run after every :meth:`partial_fit` (small by design —
-        warm starts converge in a few sweeps).
+        HOOI sweeps over the cached projections after every
+        :meth:`partial_fit` (order >= 4; an order-3 stream needs one), and
+        the ALS sweep budget of a watchdog refresh.
     seed:
         Seed for all randomness; overrides ``config.seed`` when not ``None``.
     config:
         Solver configuration (randomized-SVD knobs, tolerance, execution
-        backend, and the streaming fields ``update`` / ``window`` /
-        ``decay`` / ``sketch_size`` / ``drift_budget``); the ``max_iters``
-        field is ignored in favour of ``sweeps_per_update``.
+        backend, and the streaming fields ``window`` / ``decay`` /
+        ``drift_budget``); the ``max_iters`` field is ignored in favour of
+        ``sweeps_per_update``.
     engine:
         Optional live :class:`~repro.engine.ExecutionBackend` reused across
         updates (never closed by this class).
-    update, window, decay, sketch_size, drift_budget:
+    update:
+        Accepted only as ``"incremental"``, the one update mode (``None``
+        is the same).  The retired ``"refit"`` and ``"sketch"`` raise
+        :class:`~repro.exceptions.ShapeError`.
+    window, decay, drift_budget:
         Per-instance overrides of the corresponding config fields (``None``
-        defers to the config).  See the module docstring and
+        defers to the config; a ``drift_budget`` of ``None`` in both means
+        :data:`DRIFT_BUDGET`).  See the module docstring and
         ``docs/streaming.md`` for semantics.
 
     Attributes (after the first ``partial_fit``)
@@ -161,8 +147,8 @@ class StreamingDTucker:
     timings_ : PhaseTimings
         Accumulated per-phase seconds across updates.
     kernel_stats_ : KernelStats
-        Cache accounting accumulated across all updates; incremental modes
-        add the ``stream:proj`` / ``stream:rotate`` counters (see
+        Cache accounting accumulated across all updates, including the
+        ``stream:proj`` / ``stream:evict`` counters (see
         :mod:`repro.kernels`).
     watchdog_triggers_ : int
         Full factor refreshes forced by the drift watchdog.
@@ -184,7 +170,6 @@ class StreamingDTucker:
         update: str | None = None,
         window: int | None = None,
         decay: float | None = None,
-        sketch_size: int | None = None,
         drift_budget: float | None = None,
     ) -> None:
         self.ranks = tuple(int(r) for r in ranks)
@@ -192,6 +177,13 @@ class StreamingDTucker:
             raise ShapeError(
                 "StreamingDTucker needs an order >= 3 tensor "
                 f"(got {len(self.ranks)} ranks); the last mode is temporal"
+            )
+        if update not in (None, "incremental"):
+            raise ShapeError(
+                f"update={update!r} is not available: StreamingDTucker has "
+                'one update mode, "incremental" (O(block) updates); its '
+                'always-on drift watchdog takes the place of "refit" and '
+                '"sketch".  Drop the update= argument.'
             )
         self.slice_rank = slice_rank
         self.sweeps_per_update = check_positive_int(
@@ -201,32 +193,21 @@ class StreamingDTucker:
         if seed is not None:
             cfg = replace(cfg, seed=seed)
         overrides: dict[str, object] = {}
-        if update is not None:
-            overrides["update"] = update
         if window is not None:
             overrides["window"] = window
         if decay is not None:
             overrides["decay"] = decay
-        if sketch_size is not None:
-            overrides["sketch_size"] = sketch_size
         if drift_budget is not None:
             overrides["drift_budget"] = drift_budget
-        if overrides:
-            cfg = replace(cfg, **overrides)
-        # Every update runs exactly sweeps_per_update warm sweeps.
-        self.config = replace(cfg, max_iters=self.sweeps_per_update)
-        self.update = self.config.update
+        # A watchdog refresh runs exactly sweeps_per_update warm sweeps.
+        self.config = replace(cfg, max_iters=self.sweeps_per_update, **overrides)
         self.window = self.config.window
         self.decay = self.config.decay
-        self.drift_budget = self.config.drift_budget
-        if self.update == "refit" and (
-            self.window is not None
-            or (self.decay is not None and float(self.decay) < 1.0)
-        ):
-            raise ShapeError(
-                'window/decay require update="incremental" or "sketch"; '
-                'update="refit" always refits the full accumulated history'
-            )
+        self.drift_budget = float(
+            DRIFT_BUDGET
+            if self.config.drift_budget is None
+            else self.config.drift_budget
+        )
         self.engine = engine
         # Lenient slice rank, as streaming always was: an oversized explicit
         # K fails inside compress_source with the uniform bound error.
@@ -245,22 +226,15 @@ class StreamingDTucker:
         self.kernel_stats_ = KernelStats()
         self.watchdog_triggers_ = 0
         self.traces_: deque[PhaseTrace] = deque(maxlen=TELEMETRY_HISTORY)
-        self._ssvd: SliceSVD | None = None
-        self._factors: list[np.ndarray] | None = None
-        self._sws: StreamingWorkspace | None = None
-        self._fd1: FrequentDirections | None = None
-        self._fd2: FrequentDirections | None = None
+        # Outside an update the workspace tallies into kernel_stats_;
+        # inside one, into the update's trace.
+        self._sws = StreamingWorkspace(stats=self.kernel_stats_)
         self._ewma: float | None = None
         self._baseline: float | None = None
 
     # -- accessors -------------------------------------------------------------
-    def _fitted(self) -> bool:
-        if self.update == "refit":
-            return self._ssvd is not None
-        return self._sws is not None and self._sws.num_slices > 0
-
     def _require_fitted(self) -> None:
-        if not self._fitted():
+        if self._sws.num_slices == 0:
             raise NotFittedError(
                 "no data ingested yet; call partial_fit(block) first"
             )
@@ -268,10 +242,6 @@ class StreamingDTucker:
     @property
     def slice_svd_(self) -> SliceSVD:
         self._require_fitted()
-        if self.update == "refit":
-            assert self._ssvd is not None
-            return self._ssvd
-        assert self._sws is not None
         return self._sws.slice_svd()
 
     @property
@@ -293,8 +263,8 @@ class StreamingDTucker:
             raise ShapeError(
                 f"block order {x.ndim} does not match ranks order {len(self.ranks)}"
             )
-        if self._fitted():
-            accumulated = self.shape_
+        if self._sws.num_slices:
+            accumulated = self._sws.shape
             if x.shape[:-1] != accumulated[:-1]:
                 raise ShapeError(
                     f"block shape {x.shape} incompatible with accumulated "
@@ -310,6 +280,22 @@ class StreamingDTucker:
                 f"slice rank {k} exceeds min(I1, I2) = {min(x.shape[:2])}"
             )
         return x, k
+
+    def _compress(self, x: np.ndarray, k: int) -> SliceSVD:
+        """Compress a validated block, continuing the one RNG stream."""
+        with Timer() as t_approx:
+            # One generator (self._rng) spans all updates, so every block's
+            # sketch continues the same stream the one-shot fit would use.
+            # ``x`` passed as_tensor already: no second scan.
+            block_ssvd = compress_source(
+                DenseSource._validated(x),
+                k,
+                config=self.config,
+                engine=self.engine,
+                rng=self._rng,
+            )
+        self.timings_.add("approximation", t_approx.seconds)
+        return block_ssvd
 
     def partial_fit(self, block: np.ndarray) -> "StreamingDTucker":
         """Ingest a new temporal block and refresh the decomposition.
@@ -328,125 +314,31 @@ class StreamingDTucker:
         # Validation happens before compression so a bad block leaves the
         # RNG stream, n_updates_ and every accumulator untouched.
         x, k = self._validate_block(block)
-
-        with Timer() as t_approx:
-            # One generator (self._rng) spans all updates, so every block's
-            # sketch continues the same stream the one-shot fit would use.
-            # ``x`` passed _validate_block's as_tensor: no second scan.
-            block_ssvd = compress_source(
-                DenseSource._validated(x),
-                k,
-                config=self.config,
-                engine=self.engine,
-                rng=self._rng,
-            )
-        self.timings_.add("approximation", t_approx.seconds)
-
-        if self.update == "refit":
-            self._refit_update(block_ssvd)
-        else:
-            start = time.perf_counter()
-            if self._sws is None:
-                # Outside an update the workspace tallies into
-                # kernel_stats_; inside one, into the update's trace.
-                self._sws = StreamingWorkspace(stats=self.kernel_stats_)
-            trace = PhaseTrace(
-                phase="stream:update", backend=self.config.backend, n_workers=1
-            )
-            with record_into(self._sws, trace.counters):
-                self._stream_update(x, block_ssvd)
-            trace.seconds = time.perf_counter() - start
-            self.traces_.append(trace)
+        block_ssvd = self._compress(x, k)
+        start = time.perf_counter()
+        trace = PhaseTrace(
+            phase="stream:update", backend=self.config.backend, n_workers=1
+        )
+        with record_into(self._sws, trace.counters):
+            self._update(x, block_ssvd)
+        trace.seconds = time.perf_counter() - start
+        self.traces_.append(trace)
         self.t_seen_ += int(x.shape[-1])
         self.n_updates_ += 1
         return self
 
-    # -- refit mode (historical behaviour, bit-identical) ----------------------
-    def _refit_update(self, block_ssvd: SliceSVD) -> None:
-        if self._ssvd is None:
-            self._ssvd = block_ssvd
-        else:
-            self._ssvd = self._ssvd.append(block_ssvd)
-
-        ranks = self._effective_ranks(self._ssvd.shape)
-        # One workspace per update: the accumulated SliceSVD is a fresh
-        # object after append, but within the update the temporal re-init's
-        # projections warm the sweep caches (the first sweep's V^T A(2)
-        # stack is a cache hit instead of a recompute).
-        ws = SweepWorkspace(
-            self._ssvd,
-            compute_dtype=(
-                np.float32
-                if self.config.precision == "float32"
-                else np.float64
-            ),
-        )
-        with Timer() as t_init:
-            if self._factors is None:
-                _, factors = initialize(self._ssvd, ranks)
-            else:
-                factors = [a.copy() for a in self._factors[:-1]]
-                # The temporal factor's row count changed: re-derive it from
-                # the projected slice stack, exactly like the init phase.
-                ws.update_factor(0, factors[0])
-                ws.update_factor(1, factors[1])
-                w = ws.w()
-                temporal_mode = self._ssvd.order - 1
-                factors.append(
-                    leading_left_singular_vectors(
-                        unfold(w, temporal_mode), ranks[-1]
-                    )
-                )
-        self.timings_.add("initialization", t_init.seconds)
-        self._refresh(self._ssvd, ranks, factors, workspace=ws)
-
-    def _refresh(
-        self,
-        ssvd: SliceSVD,
-        ranks: Sequence[int],
-        factors: list[np.ndarray],
-        *,
-        workspace: SweepWorkspace | None = None,
-    ) -> IterationResult:
-        """Warm ALS sweeps on ``ssvd``, installed as the current model.
-
-        The one refresh behind refit updates, refit revisions and watchdog
-        refreshes: sweep, merge the iteration phase's counters into
-        ``kernel_stats_``, keep the factors and result, record the error.
-        """
-        with Timer() as t_iter:
-            outcome = self._pipeline.iterate(
-                ssvd, ranks, factors, workspace=workspace
-            )
-        self.timings_.add("iteration", t_iter.seconds)
-        self.kernel_stats_.merge(outcome.kernel_stats)
-        self._factors = outcome.factors
-        self.result_ = TuckerResult(
-            core=outcome.core,
-            factors=outcome.factors,
-            elapsed=self.timings_.total,
-        )
-        self.history_.append(outcome.errors[-1] if outcome.errors else float("nan"))
-        return outcome
-
-    # -- incremental / sketch modes --------------------------------------------
-    def _stream_update(self, x: np.ndarray, block_ssvd: SliceSVD) -> None:
+    def _update(self, x: np.ndarray, block_ssvd: SliceSVD) -> None:
+        """Age, window and append the block; re-derive the trailing factors."""
         per_step = int(np.prod(x.shape[2:-1], dtype=np.int64)) if x.ndim > 3 else 1
         t_new = int(x.shape[-1])
         sws = self._sws
-        assert sws is not None
         first = sws.num_slices == 0
 
         with Timer() as t_init:
-            # Decay first: the stored Σ_l (and sketches) represent history,
-            # which has aged by the incoming block's extent.
+            # Decay first: the stored Σ_l represent history, which has aged
+            # by the incoming block's extent.
             if not first and self.decay is not None and float(self.decay) < 1.0:
-                factor = float(self.decay) ** t_new
-                sws.decay(factor)
-                if self._fd1 is not None:
-                    self._fd1.scale(factor)
-                    assert self._fd2 is not None
-                    self._fd2.scale(factor)
+                sws.decay(float(self.decay) ** t_new)
 
             # Window: evict the oldest steps so extent never exceeds window.
             if self.window is not None:
@@ -465,26 +357,7 @@ class StreamingDTucker:
             if first:
                 a1 = slice_plane_factor(block_ssvd, eff[0])
                 a2 = slice_plane_factor(block_ssvd, eff[1], right=True)
-                if self.update == "sketch":
-                    i1, i2 = block_ssvd.slice_shape
-                    ell = self.config.sketch_size
-                    if ell is None:
-                        ell = 2 * block_ssvd.rank + int(self.config.oversampling)
-                    self._fd1 = FrequentDirections(i1, min(int(ell), i1))
-                    self._fd2 = FrequentDirections(i2, min(int(ell), i2))
-                    rows1, rows2 = _sketch_rows(block_ssvd)
-                    self._fd1.update(rows1)
-                    self._fd2.update(rows2)
             else:
-                if self.update == "sketch":
-                    assert self._fd1 is not None and self._fd2 is not None
-                    rows1, rows2 = _sketch_rows(block_ssvd)
-                    self._fd1.update(rows1)
-                    self._fd2.update(rows2)
-                    sws.rotate(
-                        self._fd1.leading_directions(eff[0]),
-                        self._fd2.leading_directions(eff[1]),
-                    )
                 a1, a2 = sws.factors
             sws.append(block_ssvd, a1, a2)
         self.timings_.add("initialization", t_init.seconds)
@@ -493,8 +366,7 @@ class StreamingDTucker:
             err = self._trailing_sweeps(eff)
         self.timings_.add("iteration", t_iter.seconds)
         self.history_.append(err)
-        if self.drift_budget is not None:
-            self._watchdog(err, eff)
+        self._watchdog(err, eff)
 
     def _trailing_sweeps(self, eff: Sequence[int]) -> float:
         """HOOI sweeps over the cached W: refresh modes >= 3 and the core.
@@ -502,10 +374,9 @@ class StreamingDTucker:
         Every quantity touched lives in the tiny ``(J1, J2, …)`` projected
         space; the only T-sized object is the temporal unfolding
         ``(T, J1·J2·…)``, whose Gram-trick SVD costs O(T·J²) — the O(T·I²K)
-        sweep work of a refit never happens here.
+        sweep work of a full ALS refit never happens here.
         """
         sws = self._sws
-        assert sws is not None
         w = sws.w_tensor()
         order = len(self.ranks)
         trailing = list(range(2, order))
@@ -526,14 +397,12 @@ class StreamingDTucker:
             w, [mats[m] for m in trailing], trailing, transpose=True
         )
         a1, a2 = sws.factors
-        self._factors = [a1, a2] + [mats[n] for n in trailing]
-        err = core_based_error(sws.norm_squared(), core)
         self.result_ = TuckerResult(
             core=core,
-            factors=self._factors,
+            factors=[a1, a2] + [mats[n] for n in trailing],
             elapsed=self.timings_.total,
         )
-        return err
+        return core_based_error(sws.norm_squared(), core)
 
     def _watchdog(self, err: float, eff: Sequence[int]) -> None:
         """EWMA error budget: full factor refresh when drift exceeds it."""
@@ -542,13 +411,10 @@ class StreamingDTucker:
             self._ewma = err
             return
         self._ewma = _EWMA_ALPHA * err + (1.0 - _EWMA_ALPHA) * self._ewma
-        budget = self._baseline * (1.0 + float(self.drift_budget))
-        if self._ewma <= budget:
+        if self._ewma <= self._baseline * (1.0 + self.drift_budget):
             return
         start = time.perf_counter()
-        # The refresh's error replaces this update's entry.
-        self.history_.pop()
-        outcome = self._full_refresh(eff)
+        counters = self._full_refresh(eff)
         self.watchdog_triggers_ += 1
         self._baseline = self._ewma = self.history_[-1]
         self.traces_.append(
@@ -557,34 +423,36 @@ class StreamingDTucker:
                 backend=self.config.backend,
                 n_workers=1,
                 seconds=time.perf_counter() - start,
-                counters=outcome.kernel_stats,
+                counters=counters,
             )
         )
 
-    def _full_refresh(self, eff: Sequence[int]) -> IterationResult:
+    def _full_refresh(self, eff: Sequence[int]) -> KernelStats:
         """Re-derive every factor from the live window (O(window), by budget).
 
         This is the selective-recompression escape hatch: fresh
-        initialization plus full warm sweeps over the live slices, then the
-        workspace's projection caches are rebuilt under the new factors and
-        (in sketch mode) the frequent-directions sketches are reseeded from
-        the live window so evicted history stops influencing refreshes.
+        initialization plus warm ALS sweeps over the live slices, after
+        which the workspace's projection caches are rebuilt under the new
+        factors.  The refresh's error replaces the update's entry in
+        ``history_``.
         """
         sws = self._sws
-        assert sws is not None
         live = sws.slice_svd()
         _, factors = initialize(live, eff)
-        outcome = self._refresh(live, tuple(eff), factors)
+        with Timer() as t_iter:
+            outcome = self._pipeline.iterate(live, tuple(eff), factors)
+        self.timings_.add("iteration", t_iter.seconds)
+        self.kernel_stats_.merge(outcome.kernel_stats)
+        self.result_ = TuckerResult(
+            core=outcome.core,
+            factors=outcome.factors,
+            elapsed=self.timings_.total,
+        )
+        self.history_[-1] = (
+            outcome.errors[-1] if outcome.errors else float("nan")
+        )
         sws.recompute(outcome.factors[0], outcome.factors[1])
-        if self.update == "sketch" and self._fd1 is not None:
-            assert self._fd2 is not None
-            fd1 = FrequentDirections(self._fd1.dim, self._fd1.sketch_size)
-            fd2 = FrequentDirections(self._fd2.dim, self._fd2.sketch_size)
-            rows1, rows2 = _sketch_rows(live)
-            fd1.update(rows1)
-            fd2.update(rows2)
-            self._fd1, self._fd2 = fd1, fd2
-        return outcome
+        return outcome.kernel_stats
 
     # -- revision ----------------------------------------------------------------
     def revise(self, start_time: int, block: np.ndarray) -> "StreamingDTucker":
@@ -593,11 +461,11 @@ class StreamingDTucker:
         Late-arriving corrections are a fact of temporal stores.  The block
         covering timesteps ``[start_time, start_time + T)`` is re-compressed
         and spliced over the stale slices (exact norm bookkeeping via
-        per-slice norms), then the factors are refreshed.  No other
-        historical data is touched.  With a sliding window, ``start_time``
-        indexes into the *live window* (0 = oldest retained step); in
-        sketch mode the frequent-directions summaries keep the superseded
-        slices' energy until the next watchdog refresh.
+        per-slice norms), recomputing only their projection rows; then the
+        trailing factors are refreshed and the drift watchdog judges the
+        new error as after an update (a correction can move the data as
+        far as drift does).  No other historical data is touched.  With a sliding window, ``start_time`` indexes into the
+        *live window* (0 = oldest retained step).
 
         Parameters
         ----------
@@ -626,39 +494,14 @@ class StreamingDTucker:
                 f"timesteps [{t0}, {t0 + x.shape[-1]}) outside the ingested "
                 f"extent {accumulated[-1]}"
             )
-        rank = self.slice_svd_.rank
-        with Timer() as t_approx:
-            block_ssvd = compress_source(
-                DenseSource._validated(x),
-                rank,
-                config=self.config,
-                engine=self.engine,
-                rng=self._rng,
-            )
-        self.timings_.add("approximation", t_approx.seconds)
-        # Slices per timestep = product of the intermediate mode sizes.
-        per_step = int(np.prod(accumulated[2:-1], dtype=np.int64)) if (
-            len(accumulated) > 3
-        ) else 1
-
-        if self.update == "refit":
-            assert self._ssvd is not None
-            self._ssvd = self._ssvd.replace(t0 * per_step, block_ssvd)
-            assert self._factors is not None
-            self._refresh(
-                self._ssvd,
-                self._effective_ranks(self._ssvd.shape),
-                [a.copy() for a in self._factors],
-            )
-            return self
-
-        assert self._sws is not None
-        self._sws.replace(t0 * per_step, block_ssvd)
+        block_ssvd = self._compress(x, self.slice_svd_.rank)
+        self._sws.replace(t0 * self._sws.per_step, block_ssvd)
         eff = self._effective_ranks(self._sws.shape)
         with Timer() as t_iter:
             err = self._trailing_sweeps(eff)
         self.timings_.add("iteration", t_iter.seconds)
         self.history_.append(err)
+        self._watchdog(err, eff)
         return self
 
     # -- backpressure ingest ------------------------------------------------------
@@ -700,10 +543,9 @@ class StreamingDTucker:
         config manifest) are written exactly as :meth:`FitPipeline.fit`
         would, so the directory serves queries like any other store.  A
         ``streaming/`` sidecar additionally records the ingest state —
-        update mode, window/decay bookkeeping, watchdog EWMA, RNG stream
-        position and the frequent-directions sketches — so
-        :meth:`load` resumes ingestion exactly where this instance stopped,
-        without refitting.
+        window/decay bookkeeping, watchdog EWMA and RNG stream position —
+        so :meth:`load` resumes ingestion exactly where this instance
+        stopped, without refitting.
 
         Returns
         -------
@@ -712,7 +554,7 @@ class StreamingDTucker:
         self._require_fitted()
         from pathlib import Path
 
-        from ..store.format import _atomic_save_array, _atomic_write_json
+        from ..store.format import _atomic_write_json
         from ..store.store import ModelStore
 
         store = ModelStore.save(
@@ -735,12 +577,9 @@ class StreamingDTucker:
             "ranks": [int(r) for r in self.ranks],
             "slice_rank": None if self.slice_rank is None else int(self.slice_rank),
             "sweeps_per_update": int(self.sweeps_per_update),
-            "update": self.update,
             "window": None if self.window is None else int(self.window),
             "decay": None if self.decay is None else float(self.decay),
-            "drift_budget": (
-                None if self.drift_budget is None else float(self.drift_budget)
-            ),
+            "drift_budget": self.drift_budget,
             "n_updates": int(self.n_updates_),
             "t_seen": int(self.t_seen_),
             "watchdog_triggers": int(self.watchdog_triggers_),
@@ -748,12 +587,6 @@ class StreamingDTucker:
             "baseline": self._baseline,
             "rng_state": self._rng.bit_generator.state,
         }
-        for name, fd in (("sketch1", self._fd1), ("sketch2", self._fd2)):
-            if fd is None:
-                continue
-            fd_state = fd.state()
-            _atomic_save_array(sdir / f"{name}.npy", fd_state.pop("buffer"))
-            state[name] = fd_state
         _atomic_write_json(sdir / _STREAM_STATE, state)
         return store
 
@@ -763,11 +596,13 @@ class StreamingDTucker:
     ) -> "StreamingDTucker":
         """Resume a streaming model persisted with :meth:`save`.
 
-        Restores the compressed window, factors, sketches, watchdog state
-        and the RNG stream position; for the incremental/sketch modes the
-        projection caches are rebuilt once at load time (O(window) — a
-        restart cost, not a per-update one), after which :meth:`partial_fit`
-        continues with O(block) updates.
+        Restores the compressed window, factors, watchdog state and the
+        RNG stream position; the projection caches are rebuilt once at load
+        time (O(window) — a restart cost, not a per-update one), after
+        which :meth:`partial_fit` continues with O(block) updates.  Streams
+        saved by the retired ``"refit"`` and ``"sketch"`` modes resume in
+        the one mode: the sidecar's ``update`` entry and sketch payloads
+        are ignored.
         """
         import json
         from pathlib import Path
@@ -799,28 +634,12 @@ class StreamingDTucker:
         ssvd = store.load_slice_svd()
         result = store.load_result()
         factors = [np.asarray(a, dtype=float) for a in result.factors]
-        model._factors = factors
         model.result_ = TuckerResult(
             core=np.asarray(result.core, dtype=float),
             factors=factors,
             elapsed=result.elapsed,
         )
-        if model.update == "refit":
-            model._ssvd = ssvd
-        else:
-            sws = StreamingWorkspace(stats=model.kernel_stats_)
-            sws.append(ssvd, factors[0], factors[1])
-            model._sws = sws
-            for name, attr in (("sketch1", "_fd1"), ("sketch2", "_fd2")):
-                meta = state.get(name)
-                if meta is None:
-                    continue
-                buffer = np.load(sdir / f"{name}.npy")
-                setattr(
-                    model,
-                    attr,
-                    FrequentDirections.from_state({**meta, "buffer": buffer}),
-                )
+        model._sws.append(ssvd, factors[0], factors[1])
         model.n_updates_ = int(state["n_updates"])
         model.t_seen_ = int(state.get("t_seen", ssvd.shape[-1]))
         model.watchdog_triggers_ = int(state.get("watchdog_triggers", 0))

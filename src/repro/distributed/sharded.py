@@ -52,6 +52,7 @@ import numpy as np
 
 from ..core.config import DTuckerConfig
 from ..core.sources import (
+    DenseSource,
     NpySource,
     SliceSource,
     SliceSourceBase,
@@ -382,10 +383,12 @@ class ShardedSource(SliceSourceBase):
         matrix — both tallied as ``comm:`` counters — while the raw
         ``I1·I2`` slab bytes never cross the boundary.
 
-        Resident members return ``False``: their data already lives in the
-        coordinator process, so the inline :func:`~repro.kernels
+        An all-resident source returns ``False``: its data already lives
+        in the coordinator process, so the inline :func:`~repro.kernels
         .compress_plan.execute_plan` path (whose chunked dispatch uses
-        shared-memory uploads) is both faster and byte-identical.
+        shared-memory uploads) is both faster and byte-identical.  A
+        resident member of a mixed source ships only its task's slices,
+        as a :class:`DenseSource` of the batch, never the whole member.
         """
         if all(m.resident for m in self._members):
             return False
@@ -394,8 +397,12 @@ class ShardedSource(SliceSourceBase):
         rows: list[tuple[int, int]] = []
         for (start, stop), omega in zip(bounds, omegas):
             for member, offset, a, b in self._cut(start, stop):
-                tasks.append((member, a, b, omega))
                 rows.append((offset + a, offset + b))
+                if member.resident:
+                    batch = np.asarray(member.read_batch(a, b))
+                    member = DenseSource._validated(np.moveaxis(batch, 0, -1))
+                    a, b = 0, b - a
+                tasks.append((member, a, b, omega))
         store_parts(engine, batch_task_fn(rank, plan), tasks, rows, out)
         if stats is not None:
             for (lo, hi), (_, _, _, omega) in zip(rows, tasks):

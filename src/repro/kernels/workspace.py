@@ -445,17 +445,14 @@ class StreamingWorkspace:
       start offset and compacting the buffers amortised;
     * :meth:`decay` — fold an exponential down-weight ``γ`` into the stored
       ``Σ_l`` (and the ``Σ``-dependent ``W`` cache and norms);
-    * :meth:`rotate` — re-express the cached projections under refreshed
-      non-temporal factors via the small rotations ``R = A_oldᵀ A_new``
-      (exact when the new factor stays in the old column space — the drift
-      watchdog owns the residual);
     * :meth:`replace` — splice corrected slices over a stale range,
-      recomputing exactly the affected projection rows.
+      recomputing exactly the affected projection rows;
+    * :meth:`recompute` — rebuild every projection under new non-temporal
+      factors (the drift watchdog's O(window) refresh).
 
     Accounting: every reused historical projection row records a
     ``stream:proj`` hit, every computed row a miss — the CI guard asserts
-    misses per update stay O(block).  Rotations tally under
-    ``stream:rotate``.
+    misses per update stay O(block).
     """
 
     def __init__(self, stats: KernelStats | None = None) -> None:
@@ -546,7 +543,7 @@ class StreamingWorkspace:
 
         The first call binds the geometry and the non-temporal factors;
         later calls require ``a1``/``a2`` to be the bound factors (use
-        :meth:`rotate` to refresh them) and a block matching the bound
+        :meth:`recompute` to refresh them) and a block matching the bound
         slice shape and rank.
         """
         n_new = block.num_slices
@@ -585,7 +582,7 @@ class StreamingWorkspace:
             if a1 is not self._a1 or a2 is not self._a2:
                 raise ShapeError(
                     "append must use the bound non-temporal factors; call "
-                    "rotate() to refresh them first"
+                    "recompute() to refresh them first"
                 )
             self._reserve(n_new)
         lo, hi = self._stop, self._stop + n_new
@@ -623,39 +620,6 @@ class StreamingWorkspace:
         self._s[lo:hi] *= f
         self._norms[lo:hi] *= f * f
         self._w[lo:hi] *= f
-
-    def rotate(self, a1: np.ndarray, a2: np.ndarray) -> None:
-        """Re-express the cached projections under refreshed factors.
-
-        Applies the small rotations ``R1 = A(1)_oldᵀ A(1)_new`` and
-        ``R2 = A(2)_oldᵀ A(2)_new`` to every cached row — O(L·J²·K) with
-        tiny constants, versus the O(L·I·J·K) full recompute.  Exact when
-        the refreshed factors lie in the old column spaces; otherwise the
-        residual shows up in the error estimate and the drift watchdog
-        triggers a full refresh.
-        """
-        old1, old2 = self.factors
-        new1 = np.asarray(a1, dtype=float)
-        new2 = np.asarray(a2, dtype=float)
-        if new1.shape != old1.shape or new2.shape != old2.shape:
-            raise ShapeError(
-                "rotate cannot change factor shapes: "
-                f"{old1.shape}/{old2.shape} -> {new1.shape}/{new2.shape}"
-            )
-        r1 = old1.T @ new1
-        r2 = old2.T @ new2
-        lo, hi = self._start, self._stop
-        self._au[lo:hi] = np.einsum(
-            "aj,lak->ljk", r1, self._au[lo:hi], optimize=True
-        )
-        self._av[lo:hi] = np.einsum(
-            "lkb,bj->lkj", self._av[lo:hi], r2, optimize=True
-        )
-        self._w[lo:hi] = np.einsum(
-            "aj,lab,bc->ljc", r1, self._w[lo:hi], r2, optimize=True
-        )
-        self._a1, self._a2 = new1, new2
-        self.stats.counts.setdefault("stream:rotate", [0, 0])[1] += 1
 
     def replace(self, start: int, block: "SliceSVD") -> None:
         """Splice corrected slices over ``[start, start + L_block)``.

@@ -5,7 +5,6 @@ Halko randomized SVD (single and batched over slice stacks), and
 CountSketch/TensorSketch operators for the sketching baselines.
 """
 
-from .frequent_directions import FrequentDirections
 from .qr import economy_qr, orthonormalize
 from .rsvd import batched_rsvd, batched_svd_via_gram, randomized_range_finder, rsvd
 from .sketch import CountSketch, TensorSketch
@@ -17,7 +16,6 @@ from .svd import (
 )
 
 __all__ = [
-    "FrequentDirections",
     "economy_qr",
     "orthonormalize",
     "batched_rsvd",

@@ -71,7 +71,7 @@ INDEX_DIR = "index"
 #: (``exact_slice_svd: true`` first becomes ``strategy="exact"``, the plan
 #: it selected.)
 _RETIRED_CONFIG_KEYS = frozenset(
-    {"device", "schedule", "shards", "exact_slice_svd"}
+    {"device", "schedule", "shards", "exact_slice_svd", "update", "sketch_size"}
 )
 
 

@@ -18,6 +18,7 @@ __all__ = [
     "random_orthonormal",
     "random_tucker",
     "random_tensor",
+    "drifting_tensor",
 ]
 
 
@@ -104,6 +105,43 @@ def random_tensor(
     gen = default_rng(rng)
     core, factors = random_tucker(shape, ranks, gen)
     x = tucker_to_tensor(core, factors)
+    if noise > 0.0:
+        rms = float(np.sqrt(np.mean(x**2)))
+        x = x + gen.standard_normal(x.shape) * (noise * rms)
+    return x
+
+
+def drifting_tensor(
+    shape: Sequence[int],
+    ranks: Sequence[int],
+    rng: int | np.random.Generator | None = None,
+    *,
+    theta: float,
+    noise: float = 0.0,
+) -> np.ndarray:
+    """An order-3 temporal tensor whose mode-1 factor drifts over time.
+
+    Slice ``t`` is ``A(t) G_t Bᵀ`` with ``A(t) = A cos φ_t + A' sin φ_t``,
+    ``φ_t = θ·t/T``: the mode-1 factor turns by ``theta`` radians over the
+    last (temporal) mode into an orthogonal complement ``A'`` of ``A``
+    (``theta=0`` is a stationary Tucker tensor).  ``G_t`` is the core's
+    product with row ``t`` of a Gaussian temporal factor.  ``noise`` is
+    relative to the RMS of the noiseless tensor, as in
+    :func:`random_tensor`.  Requires ``2·ranks[0] <= shape[0]``.
+    """
+    i1, i2, t = (int(s) for s in shape)
+    r1, r2, r3 = check_ranks(ranks, (i1 // 2, i2, t))
+    gen = default_rng(rng)
+    a = random_orthonormal(i1, 2 * r1, gen)
+    b = random_orthonormal(i2, r2, gen)
+    core = gen.standard_normal((r1, r2, r3))
+    c = gen.standard_normal((t, r3))
+    phi = float(theta) * np.arange(t) / t
+    a_t = (
+        np.cos(phi)[:, None, None] * a[:, :r1]
+        + np.sin(phi)[:, None, None] * a[:, r1:]
+    )
+    x = np.einsum("tia,abk,tk,jb->ijt", a_t, core, c, b, optimize=True)
     if noise > 0.0:
         rms = float(np.sqrt(np.mean(x**2)))
         x = x + gen.standard_normal(x.shape) * (noise * rms)

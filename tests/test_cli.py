@@ -205,17 +205,15 @@ class TestStreamCommand:
     def test_directory_ingest(self, block_dir, capsys) -> None:
         assert main(["stream", str(block_dir), "--ranks", "3,3,4"]) == 0
         out = capsys.readouterr().out
-        assert "streaming 3 blocks (update=incremental)" in out
+        assert "streaming 3 blocks (drift_budget=0.05)" in out
         assert "ingested 3 blocks, 15 steps total" in out
         assert "projection reuse:" in out
 
-    def test_refit_mode_has_no_reuse_line(self, block_dir, capsys) -> None:
-        assert main(
-            ["stream", str(block_dir), "--ranks", "3,3,4", "--update", "refit"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "update=refit" in out
-        assert "projection reuse" not in out
+    def test_update_flag_is_gone(self, block_dir, capsys) -> None:
+        # One update mode: --update is not a flag any more.
+        with pytest.raises(SystemExit):
+            main(["stream", str(block_dir), "--ranks", "3,3,4", "--update", "refit"])
+        assert "--update" in capsys.readouterr().err
 
     def test_window_and_decay_flags(self, block_dir, capsys) -> None:
         assert main(

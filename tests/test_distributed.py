@@ -367,6 +367,42 @@ class TestCommCounters:
         assert trace.counters.misses_for("comm:reduce") == 1
 
 
+class TestMixedResidency:
+    def test_resident_member_ships_only_its_batches(
+        self, rng, tmp_path, monkeypatch
+    ) -> None:
+        """A resident member's tasks carry their own slices, not the member.
+
+        Every task touching the in-memory member used to pickle it whole
+        (5 tasks carried 2.46 MB for its 0.48 MB); now all its tasks
+        together carry the member's bytes once, plus the test matrices.
+        """
+        import repro.distributed.sharded as sharded_mod
+
+        dense = rng.standard_normal((60, 50, 20))
+        on_disk = rng.standard_normal((60, 50, 12))
+        np.save(tmp_path / "m.npy", on_disk)
+        shipped = []
+        real = sharded_mod.store_parts
+
+        def measuring(engine, fn, tasks, rows, out):
+            shipped.extend(len(pickle.dumps(task)) for task in tasks)
+            return real(engine, fn, tasks, rows, out)
+
+        monkeypatch.setattr(sharded_mod, "store_parts", measuring)
+        source = ShardedSource([DenseSource(dense), NpySource(tmp_path / "m.npy")])
+        cfg = DTuckerConfig(seed=3, backend="process", n_workers=2)
+        got = compress_source(source, 5, config=cfg, batch_slices=4)
+        assert len(shipped) == 8
+        assert sum(shipped) <= 1.2 * dense.nbytes
+        # Same slices as the in-process compression of the same source.
+        want = compress_source(
+            source, 5, config=DTuckerConfig(seed=3, backend="serial"), batch_slices=4
+        )
+        for a, b in ((got.u, want.u), (got.s, want.s), (got.vt, want.vt)):
+            np.testing.assert_array_equal(a, b)
+
+
 def _sweep_problem(shape, ranks, backend="serial"):
     cfg = DTuckerConfig(seed=11, backend=backend, n_workers=2, tol=1e-10)
     x = random_tensor(shape, ranks, rng=5, noise=0.5)

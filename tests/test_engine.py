@@ -453,7 +453,7 @@ class TestDeprecationShims:
         # The config fields that stay first-class keywords.
         allowed = {"seed"}
         if entry is StreamingDTucker:
-            allowed |= {"update", "window", "decay", "sketch_size", "drift_budget"}
+            allowed |= {"window", "decay", "drift_budget"}
         params = set(inspect.signature(entry).parameters)
         assert (params & fields) - allowed == set()
 

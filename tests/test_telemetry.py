@@ -89,7 +89,7 @@ class TestRecordedOnce:
 
     def test_incremental_stream(self, tensor) -> None:
         s = StreamingDTucker(
-            RANKS, seed=0, update="incremental", window=16, drift_budget=1e-9
+            RANKS, seed=0, window=16, drift_budget=1e-9
         )
         noise = np.random.default_rng(1).standard_normal(tensor.shape)
         for t0 in range(0, 24, 4):
@@ -123,7 +123,7 @@ class TestBoundedTelemetry:
         DTucker(RANKS, config=cfg).fit(tensor).save(tmp_path / "m")
         served = ModelStore(tmp_path / "m").open(engine=engine, use_index=False)
         stream = StreamingDTucker(
-            RANKS, config=cfg, engine=engine, update="incremental", window=8
+            RANKS, config=cfg, engine=engine, window=8
         )
         fitter = DTucker(RANKS, config=cfg, engine=engine)
         steps = tensor.shape[-1]
