@@ -59,7 +59,6 @@ def _config_from_args(args: argparse.Namespace) -> "object":
         backend=getattr(args, "backend", None) or "auto",
         n_workers=getattr(args, "workers", None),
         chunk_size=getattr(args, "chunk_size", None),
-        strategy=getattr(args, "strategy", None) or "rsvd",
         precision=getattr(args, "precision", None) or "float64",
     )
 
@@ -80,16 +79,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_planner_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--strategy",
-        choices=("rsvd", "auto", "gram", "exact"),
-        default=None,
-        help=(
-            "slice-SVD algorithm for the approximation phase "
-            "(default: rsvd — the historical dispatch; auto selects per "
-            "input from a cost model)"
-        ),
-    )
     parser.add_argument(
         "--precision",
         choices=("float64", "float32"),

@@ -27,10 +27,6 @@ __all__ = ["DTuckerConfig"]
 #: defers to the ``REPRO_BACKEND`` environment variable, then serial).
 _BACKEND_CHOICES = ("auto", "serial", "thread", "process")
 
-#: Strategies accepted by :attr:`DTuckerConfig.strategy` for the
-#: approximation phase (see :mod:`repro.kernels.compress_plan`).
-_STRATEGY_CHOICES = ("rsvd", "auto", "gram", "exact")
-
 #: Compute precisions accepted by :attr:`DTuckerConfig.precision`.
 _PRECISION_CHOICES = ("float64", "float32")
 
@@ -44,6 +40,13 @@ class DTuckerConfig:
     oversampling:
         Extra test vectors for the randomized slice SVDs (approximation
         phase).  Larger values sharpen the compression at linear extra cost.
+        With ``k = rank + oversampling``, a slab whose short side is at
+        most ``2·k`` takes the Gram shortcut instead of a sketch; the
+        other slabs take the randomized SVD (one rule, see
+        :func:`repro.kernels.compress_plan.plan_compression`).  Slice
+        factors are checked against the randomized-SVD error bound, and
+        for a fixed seed they are bit-identical across backends,
+        chunkings, blockings and shards.
     power_iterations:
         Subspace iterations for the randomized slice SVDs.  A one-shot
         fit (``DTucker.fit``, ``fit_from_file``, ``ShardCoordinator.fit``)
@@ -56,18 +59,6 @@ class DTuckerConfig:
     tol:
         Convergence tolerance: sweeps stop when the change of the estimated
         reconstruction error between consecutive sweeps drops below ``tol``.
-    strategy:
-        Slice-SVD algorithm for the approximation phase.  ``"rsvd"``
-        (default) is the historical dispatch — randomized SVD with the
-        small-short-side Gram shortcut.  Its slice factors are checked
-        against the randomized-SVD error bound, not against earlier
-        releases; for a fixed seed they are bit-identical across
-        backends, chunkings, blockings and shards.  ``"gram"``
-        and ``"exact"`` force those algorithms (``"exact"``, truncated
-        SVDs per slice, is the accuracy reference in ablations);
-        ``"auto"`` selects per
-        input from a flop-cost model over ``(I1, I2, K, dtype)`` — see
-        :func:`repro.kernels.compress_plan.plan_compression`.
     precision:
         Compute dtype for the approximation phase: ``"float64"``
         (default) or ``"float32"`` (roughly half the memory traffic; norms
@@ -113,7 +104,6 @@ class DTuckerConfig:
     power_iterations: int = 1
     max_iters: int = 50
     tol: float = 1e-4
-    strategy: str = "rsvd"
     precision: str = "float64"
     seed: int | None = None
     verbose: bool = False
@@ -135,11 +125,6 @@ class DTuckerConfig:
             raise ShapeError(f"max_iters must be >= 1, got {self.max_iters}")
         if not float(self.tol) > 0.0:
             raise ShapeError(f"tol must be positive, got {self.tol}")
-        if not isinstance(self.strategy, str) or self.strategy not in _STRATEGY_CHOICES:
-            raise ShapeError(
-                f"strategy must be one of {', '.join(_STRATEGY_CHOICES)}, "
-                f"got {self.strategy!r}"
-            )
         if not isinstance(self.precision, str) or self.precision not in _PRECISION_CHOICES:
             raise ShapeError(
                 f"precision must be one of {', '.join(_PRECISION_CHOICES)}, "

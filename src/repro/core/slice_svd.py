@@ -20,14 +20,16 @@ import numpy as np
 
 from ..engine import ExecutionBackend
 from ..exceptions import RankError, ShapeError
+from ..kernels.compress_plan import slab_norms
 from ..kernels.stats import KernelStats
+from ..linalg.svd import sign_fix
 from ..metrics.memory import array_nbytes
 from ..tensor.norms import relative_error
-from ..tensor.slices import from_slices, slice_count
-from ..validation import check_positive_int
+from ..tensor.slices import from_slices, slice_count, slice_stack
+from ..validation import as_tensor, check_positive_int
 from .config import DTuckerConfig
 
-__all__ = ["SliceSVD", "compress"]
+__all__ = ["SliceSVD", "compress", "exact_compress"]
 
 
 @dataclass
@@ -312,7 +314,7 @@ def compress(
         Per-slice truncation rank ``K`` (D-Tucker uses ``max(J1, J2)``).
     config:
         Solver configuration; supplies ``oversampling``,
-        ``power_iterations``, ``strategy``, ``precision``, ``seed`` and the
+        ``power_iterations``, ``precision``, ``seed`` and the
         execution knobs (``backend``, ``n_workers``, ``chunk_size``).
     engine:
         Execution backend spec — an
@@ -331,8 +333,10 @@ def compress(
     -----
     Equivalent to ``compress_source(DenseSource(tensor), rank, ...)`` —
     kept as a convenience entry point.  The source serves the tensor as a
-    strided slice-stack view and the pipeline's planner picks the method
-    (``exact``/``gram``/``rsvd``) exactly as earlier releases did.
+    strided slice-stack view and the planner picks the Gram shortcut or
+    the randomized SVD per slab (see
+    :func:`~repro.kernels.compress_plan.plan_compression`).
+    :func:`exact_compress` is the exact reference it is checked against.
 
     Returns
     -------
@@ -349,4 +353,34 @@ def compress(
         engine=engine,
         rng=rng,
         stats=stats,
+    )
+
+
+def exact_compress(tensor: np.ndarray, rank: int) -> SliceSVD:
+    """Truncated exact SVD of every slice: the reference for :func:`compress`.
+
+    Factors each slice of ``tensor`` with ``numpy.linalg.svd`` and keeps
+    the leading ``rank`` triples (sign-fixed like every compressor here),
+    in the same slice order and with the same float64 slice norms as
+    :func:`compress`.  At ``rank = min(I1, I2)`` the representation is
+    lossless.  It is a test and ablation oracle, not a pipeline mode: the
+    whole slice stack is copied into one float64 array, and nothing in
+    the planner, the engine, stores, streams or shards calls it.
+    """
+    x = as_tensor(tensor, min_order=2, name="tensor")
+    k = check_positive_int(rank, name="rank")
+    i1, i2 = x.shape[:2]
+    if k > min(i1, i2):
+        raise RankError(f"rank {rank} invalid for slice shape ({i1}, {i2})")
+    stack = np.ascontiguousarray(np.asarray(slice_stack(x), dtype=np.float64))
+    norms = slab_norms(stack)
+    u, s, vt = np.linalg.svd(stack, full_matrices=False)
+    u, vt = sign_fix(u[:, :, :k], vt[:, :k, :], overwrite=True)
+    return SliceSVD(
+        u=u,
+        s=s[:, :k],
+        vt=vt,
+        shape=x.shape,
+        norm_squared=float(norms.sum()),
+        slice_norms_squared=norms,
     )

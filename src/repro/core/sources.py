@@ -18,8 +18,8 @@ Three adapters cover the library's entry points:
 * :class:`NpySource` — a memory-mapped ``.npy`` file (one cached read-only
   handle per process, batches served as slice-stack views of the map);
 * :class:`SparseSource` — a :class:`~repro.sparse.coo.SparseTensor`
-  (``O(nnz)`` per-slice randomized SVDs on the default strategy, densified
-  batches through the planner otherwise).
+  (``O(nnz)`` per-slice randomized SVDs in float64, densified batches
+  through the planner at ``precision="float32"``).
 
 Several sources concatenated along the last (temporal) mode are one
 :class:`~repro.distributed.sharded.ShardedSource`.
@@ -557,13 +557,11 @@ def _sparse_slice_svd(
 class SparseSource(SliceSourceBase):
     """A :class:`~repro.sparse.coo.SparseTensor`, served per-slice or densified.
 
-    On the default configuration (``strategy="rsvd"``, float64) each CSR
-    slice is compressed with the ``O(nnz)`` sparse randomized SVD kernel
-    and one test matrix is shared across all slices, exactly the historical
-    ``compress_sparse`` behaviour.  Any other strategy or precision
-    densifies each batch and routes it through the compression planner —
-    sparse inputs gain ``strategy``/``precision`` selection this way, at
-    densified-batch cost.
+    In float64 (the default precision) each CSR slice is compressed with
+    the ``O(nnz)`` sparse randomized SVD kernel and one test matrix is
+    shared across all slices, exactly the historical ``compress_sparse``
+    behaviour.  ``precision="float32"`` densifies each batch and routes it
+    through the compression planner instead, at densified-batch cost.
     """
 
     resident = False
@@ -596,12 +594,10 @@ class SparseSource(SliceSourceBase):
 
     def plan(self, rank: int, config: DTuckerConfig) -> CompressionPlan:
         plan = super().plan(rank, config)
-        # The O(nnz) per-slice kernel serves the default configuration (it
-        # is the historical compress_sparse path, bit for bit); any explicit
-        # strategy/precision choice densifies batches through the planner.
-        self._sparse_kernel = (
-            config.strategy == "rsvd" and config.precision == "float64"
-        )
+        # The O(nnz) per-slice kernel serves float64 (it is the historical
+        # compress_sparse path, bit for bit); float32 densifies batches
+        # through the planner.
+        self._sparse_kernel = config.precision == "float64"
         if self._sparse_kernel and plan.method != "rsvd":
             # No Gram shortcut on sparse data: the sparse kernel is always
             # randomized, whatever the dense dispatch would pick.
@@ -733,8 +729,8 @@ def compress_source(
         Slices per batch (default: the source's preference — whole tensor
         for resident sources, 64 for file/sparse-backed ones).
     config:
-        Solver configuration (strategy/precision, randomized-SVD knobs,
-        seed, execution knobs).
+        Solver configuration (precision, randomized-SVD knobs, seed,
+        execution knobs).
     engine:
         Execution backend spec — a live backend (reused, not closed), a
         name, or ``None`` to resolve from ``config`` and the environment.

@@ -66,10 +66,10 @@ def compress_sparse(
         batches of CSR slices are alive at once.  The process backend
         materialises all slices and fans them out as independent tasks.
     config:
-        Solver configuration; on the default strategy every matrix product
-        is sparse × dense, so each slice costs ``O(nnz_l · (K + p))``.  A
-        non-default ``strategy``/``precision`` densifies each batch and
-        routes it through the compression planner instead.
+        Solver configuration; in float64 every matrix product is sparse ×
+        dense, so each slice costs ``O(nnz_l · (K + p))``.
+        ``precision="float32"`` densifies each batch and routes it through
+        the compression planner instead.
     engine:
         Execution backend spec; slices are independent tasks mapped over
         the backend's workers.

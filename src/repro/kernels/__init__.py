@@ -16,9 +16,9 @@ path.  The pieces:
   :class:`repro.engine.trace.PhaseTrace`;
 * :mod:`~repro.kernels.naive` — uncached contractions run through the one
   sweep loop, kept as the bit-identity reference;
-* :mod:`~repro.kernels.compress_plan` — the input-adaptive compression
-  planner of the approximation phase (cost-model method selection,
-  shared-sketch batching, float32 compute path).
+* :mod:`~repro.kernels.compress_plan` — the compression planner of the
+  approximation phase (the Gram-or-randomized-SVD rule, shared-sketch
+  batching, float32 compute path).
 
 Everything the optimized path computes is produced by exactly the
 operations the naive path would run on identical inputs, so results are

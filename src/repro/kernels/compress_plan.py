@@ -1,33 +1,28 @@
-"""Input-adaptive planning for the approximation (compression) phase.
+"""Planning for the approximation (compression) phase.
 
 The approximation phase factors ``L`` slice matrices of identical shape
-``(I1, I2)``.  Three algorithms can produce the truncated SVD of such a
-stack, with very different cost profiles:
+``(I1, I2)``.  One rule picks the algorithm for such a stack, with
+``m = min(I1, I2)`` and ``k = rank + oversampling``:
 
-* **exact** — batched ``numpy.linalg.svd``: ``O(M·m²)`` per slice with a
-  large constant; unbeatable only when the short side is already
-  rank-sized (a sketch would span the whole side anyway).
-* **gram** — eigendecomposition of the ``m × m`` Gram matrix
-  (:func:`repro.linalg.rsvd.batched_svd_via_gram`): one ``M·m²`` GEMM plus
-  an ``O(m³)`` eig; wins when one side is much shorter than the other but
-  still larger than the sketch size.
-* **rsvd** — randomized SVD with a shared test matrix
-  (:func:`repro.linalg.rsvd.batched_rsvd`): ``O(M·m·k)`` with
-  ``k = rank + oversampling``; wins on squarish slices where ``k ≪ m``.
+* **gram** when ``m <= 2·k`` — eigendecomposition of the ``m × m`` Gram
+  matrix (:func:`repro.linalg.rsvd.batched_svd_via_gram`): one ``M·m²``
+  GEMM plus an ``O(m³)`` eig, cheaper than a sketch that would span most
+  of the short side anyway;
+* **rsvd** otherwise — randomized SVD with a shared test matrix
+  (:func:`repro.linalg.rsvd.batched_rsvd`): ``O(M·m·k)``.
 
-:func:`plan_compression` picks among them with the flop model of
-:func:`estimate_costs` (``strategy="auto"``), reproduces the historical
-dispatch for ``strategy="rsvd"``, or honours an explicit ``"gram"`` /
-``"exact"`` request.  :func:`execute_plan` then runs the chosen method
-through the execution engine: it draws (or receives) *one* Gaussian test
-matrix per slab and fans the factorization out in chunks.  Each chunk is
-factored in cache-sized blocks of slices, copied once into a contiguous
-buffer that the sketch, the norms and the factorization all read; chunks
-and blocks are bitwise identical to the unblocked batched call.
+:func:`plan_compression` applies the rule; :func:`execute_plan` then runs
+the chosen method through the execution engine: it draws (or receives)
+*one* Gaussian test matrix per slab and fans the factorization out in
+chunks.  Each chunk is factored in cache-sized blocks of slices, copied
+once into a contiguous buffer that the sketch, the norms and the
+factorization all read; chunks and blocks are bitwise identical to the
+unblocked batched call.
 
-The cost constants were calibrated on batched NumPy/LAPACK timings (QR and
-eig/SVD flops carry much larger constants than GEMM flops); they only need
-to rank the three methods correctly, not predict wall time.
+:func:`estimate_costs` prices both methods in weighted flops; it makes no
+decision and only feeds the predicted-versus-measured throughput that the
+benchmarks report.  The exact per-slice SVD is not a plan method: it is
+the reference :func:`repro.core.slice_svd.exact_compress`.
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ import numpy as np
 from ..engine import ExecutionBackend, chunked
 from ..exceptions import RankError, ShapeError
 from ..linalg.rsvd import batched_rsvd, batched_svd_via_gram
-from ..linalg.svd import sign_fix
 from ..tensor.random import default_rng
 from ..tensor.slices import SliceRuns
 from ..validation import _all_finite
@@ -58,14 +52,10 @@ __all__ = [
     "slab_norms",
 ]
 
-#: Methods a plan can select.
-_METHODS = ("exact", "gram", "rsvd")
-
 # Relative per-flop weights of the building blocks, calibrated against
 # batched NumPy timings on (L, I1, I2) stacks.  GEMM flops are the unit.
 _C_EIG = 8.0  # eigh of a Gram matrix (m × m, or k × k in rsvd), per cube
 _C_QR = 4.0  # batched QR, per M·k² flop block
-_C_SVD_EXACT = 20.0  # full LAPACK SVD tail, per m³
 
 
 @dataclass(frozen=True)
@@ -75,9 +65,7 @@ class CompressionPlan:
     Attributes
     ----------
     method:
-        Chosen algorithm: ``"exact"``, ``"gram"``, or ``"rsvd"``.
-    strategy:
-        The strategy that was requested (``"auto"``, ``"rsvd"``, …).
+        Chosen algorithm: ``"gram"`` or ``"rsvd"``.
     k_eff:
         Sketch width ``min(rank + oversampling, min(I1, I2))``; the number
         of Gaussian test vectors the rsvd method draws.
@@ -86,27 +74,15 @@ class CompressionPlan:
     compute_dtype:
         Dtype the slab is factored in (norm accumulation stays float64).
     costs:
-        Estimated per-slice flop costs for all three methods (for
+        Estimated per-slice flop costs of both methods (for
         introspection and benchmarks), from :func:`estimate_costs`.
     """
 
     method: str
-    strategy: str
     k_eff: int
     power_iterations: int
     compute_dtype: np.dtype
     costs: dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-ready view (used by the planner benchmark)."""
-        return {
-            "method": self.method,
-            "strategy": self.strategy,
-            "k_eff": self.k_eff,
-            "power_iterations": self.power_iterations,
-            "compute_dtype": str(np.dtype(self.compute_dtype)),
-            "costs": dict(self.costs),
-        }
 
 
 def estimate_costs(
@@ -117,12 +93,11 @@ def estimate_costs(
     oversampling: int = 10,
     power_iterations: int = 1,
 ) -> dict[str, float]:
-    """Per-slice flop estimates for the three compression methods.
+    """Per-slice flop estimates for the two compression methods.
 
     With ``m = min(I1, I2)``, ``M = max(I1, I2)``, ``r = rank``,
     ``k = min(r + oversampling, m)`` and ``p = power_iterations``:
 
-    * ``exact``: ``6·M·m²`` (bidiagonalisation) + ``20·m³`` (SVD tail);
     * ``gram``: ``M·m²`` (Gram GEMM) + ``8·m³`` (eigh) + ``M·m·r``
       (recovering the long-side factor);
     * ``rsvd``: ``(2 + 2p)·M·m·k`` (sketch, power-pass and projection
@@ -134,15 +109,14 @@ def estimate_costs(
       and an upper bound otherwise — so the costs of a slab and of its
       transpose agree.
 
-    Only the *ranking* of the three numbers matters; see the module
-    docstring for how the constants were calibrated.
+    The weights were calibrated on batched NumPy/LAPACK timings (QR and
+    eig flops carry much larger constants than GEMM flops).
     """
     m = float(min(int(i1), int(i2)))
     big = float(max(int(i1), int(i2)))
     r = float(int(rank))
     p = float(max(0, int(power_iterations)))
     k = float(min(int(rank) + max(0, int(oversampling)), int(m)))
-    exact = 6.0 * big * m * m + _C_SVD_EXACT * m**3
     gram = big * m * m + _C_EIG * m**3 + big * m * r
     rsvd = (
         (2.0 + 2.0 * p) * big * m * k
@@ -151,7 +125,7 @@ def estimate_costs(
         + _C_EIG * k**3
         + (big + m) * k * r
     )
-    return {"exact": exact, "gram": gram, "rsvd": rsvd}
+    return {"gram": gram, "rsvd": rsvd}
 
 
 def factor_nbytes(
@@ -184,20 +158,14 @@ def plan_compression(
     i2: int,
     rank: int,
     *,
-    strategy: str = "auto",
     precision: str = "float64",
     oversampling: int = 10,
     power_iterations: int = 1,
 ) -> CompressionPlan:
     """Choose the compression method for slices of shape ``(i1, i2)``.
 
-    ``strategy="rsvd"`` reproduces the historical dispatch exactly (Gram
-    when ``min(I1, I2) <= 2·(rank + oversampling)``, randomized SVD
-    otherwise).
-    ``strategy="auto"`` consults :func:`estimate_costs`: the exact SVD for
-    tall-skinny slices whose short side the sketch would span entirely,
-    else the cheaper of Gram and rsvd.  ``"gram"``/``"exact"`` force those
-    methods.
+    The Gram shortcut when ``min(I1, I2) <= 2·(rank + oversampling)`` (one
+    slice side is already rank-sized), the randomized SVD otherwise.
     """
     m = min(int(i1), int(i2))
     r = int(rank)
@@ -207,36 +175,15 @@ def plan_compression(
         raise ShapeError(f"precision must be 'float64' or 'float32', got {precision!r}")
     over = max(0, int(oversampling))
     k_nom = r + over
-    costs = estimate_costs(
-        i1, i2, r, oversampling=over, power_iterations=power_iterations
-    )
-    if strategy == "exact":
-        method = "exact"
-    elif strategy == "gram":
-        method = "gram"
-    elif strategy == "rsvd":
-        # Historical dispatch: the Gram shortcut when one slice side is
-        # already rank-sized, the randomized path otherwise.
-        method = "gram" if m <= 2 * k_nom else "rsvd"
-    elif strategy == "auto":
-        if m <= k_nom:
-            # The sketch would span the whole short side: randomization
-            # saves nothing, and the exact SVD is the accuracy optimum.
-            method = "exact"
-        else:
-            method = "gram" if costs["gram"] <= costs["rsvd"] else "rsvd"
-    else:
-        raise ShapeError(
-            f"strategy must be one of auto, rsvd, gram, exact; got {strategy!r}"
-        )
     compute_dtype = np.dtype(np.float32 if precision == "float32" else np.float64)
     return CompressionPlan(
-        method=method,
-        strategy=strategy,
+        method="gram" if m <= 2 * k_nom else "rsvd",
         k_eff=min(k_nom, m),
         power_iterations=max(0, int(power_iterations)),
         compute_dtype=compute_dtype,
-        costs=costs,
+        costs=estimate_costs(
+            i1, i2, r, oversampling=over, power_iterations=power_iterations
+        ),
     )
 
 
@@ -246,7 +193,6 @@ def plan_from_config(i1: int, i2: int, rank: int, config) -> CompressionPlan:
         i1,
         i2,
         rank,
-        strategy=config.strategy,
         precision=config.precision,
         oversampling=max(0, int(config.oversampling)),
         power_iterations=int(config.power_iterations),
@@ -412,12 +358,6 @@ def factor_outputs(
     )
 
 
-def _exact_svd(blk: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    u, s, vt = np.linalg.svd(blk, full_matrices=False)
-    u, vt = sign_fix(u[:, :, :rank], vt[:, :rank, :], overwrite=True)
-    return u, np.ascontiguousarray(s[:, :rank]), vt
-
-
 def plan_chunk(
     stack: np.ndarray,
     *,
@@ -442,9 +382,7 @@ def plan_chunk(
     slices per block, the reusable block buffer and the ``(U, s, Vt,
     norms)`` arrays written in place (see :func:`_blockwise`).
     """
-    if method == "exact":
-        factor = partial(_exact_svd, rank=rank)
-    elif method == "gram":
+    if method == "gram":
         factor = partial(batched_svd_via_gram, rank=rank)
     elif method == "rsvd":
         if omega is None:

@@ -67,11 +67,19 @@ TUCKER_DIR = "tucker"
 INDEX_DIR = "index"
 
 #: Config keys that earlier releases wrote and this one no longer has.  A
-#: reader drops them, so stores written before their removal still open.
-#: (``exact_slice_svd: true`` first becomes ``strategy="exact"``, the plan
-#: it selected.)
+#: reader drops them, so stores written before their removal still open
+#: (and append with the one slice-SVD rule, whatever slice-SVD mode they
+#: name).
 _RETIRED_CONFIG_KEYS = frozenset(
-    {"device", "schedule", "shards", "exact_slice_svd", "update", "sketch_size"}
+    {
+        "device",
+        "schedule",
+        "shards",
+        "exact_slice_svd",
+        "strategy",
+        "update",
+        "sketch_size",
+    }
 )
 
 
@@ -80,8 +88,6 @@ def _manifest_config(raw, path: Path) -> DTuckerConfig:
     if not isinstance(raw, Mapping):
         raise StoreFormatError(f"store manifest at {path}: config must be a table")
     fields = {k: v for k, v in raw.items() if k not in _RETIRED_CONFIG_KEYS}
-    if raw.get("exact_slice_svd") is True:
-        fields["strategy"] = "exact"
     try:
         return DTuckerConfig(**fields)
     except TypeError as exc:

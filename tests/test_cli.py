@@ -88,16 +88,6 @@ class TestDecomposeCommand:
             ]
         ) == 2
 
-    @pytest.mark.parametrize("strategy", ["auto", "gram", "exact"])
-    def test_strategy_flag(self, tensor_file, strategy, capsys) -> None:
-        assert main(
-            [
-                "decompose", str(tensor_file), "--ranks", "3,3,3",
-                "--strategy", strategy,
-            ]
-        ) == 0
-        assert "error" in capsys.readouterr().out
-
     def test_precision_flag(self, tensor_file, capsys) -> None:
         assert main(
             [
@@ -108,19 +98,22 @@ class TestDecomposeCommand:
         assert "error" in capsys.readouterr().out
 
     def test_invalid_strategy_rejected(self, tensor_file, capsys) -> None:
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "decompose", str(tensor_file), "--ranks", "3",
-                    "--strategy", "fastest",
-                ]
-            )
+        # One slice-SVD rule: --strategy is not a flag any more.
+        for strategy in ("rsvd", "auto", "gram", "exact"):
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    [
+                        "decompose", str(tensor_file), "--ranks", "3",
+                        "--strategy", strategy,
+                    ]
+                )
+            assert exc.value.code == 2
+            assert "--strategy" in capsys.readouterr().err
 
     def test_trace_prints_planner_line(self, tensor_file, capsys) -> None:
         assert main(
             [
-                "decompose", str(tensor_file), "--ranks", "3,3,3",
-                "--strategy", "auto", "--trace",
+                "decompose", str(tensor_file), "--ranks", "3,3,3", "--trace",
             ]
         ) == 0
         out = capsys.readouterr().out

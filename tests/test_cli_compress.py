@@ -36,18 +36,20 @@ class TestCompressCommand:
         output = capsys.readouterr().out
         assert "smaller than dense" in output
 
-    @pytest.mark.parametrize("strategy", ["auto", "gram", "exact"])
-    def test_strategy_flag(self, npy_file, tmp_path, strategy) -> None:
-        path, x = npy_file
-        out = tmp_path / "c"
-        assert main(
-            [
-                "compress", str(path), "--rank", "3",
-                "--strategy", strategy, "-o", str(out),
-            ]
-        ) == 0
-        ssvd = read_slice_svd_archive(tmp_path / "c.npz")
-        assert ssvd.compression_error(x) < 0.02
+    def test_invalid_strategy_rejected(self, npy_file, tmp_path, capsys) -> None:
+        # One slice-SVD rule: --strategy is not a flag any more.
+        path, _ = npy_file
+        for strategy in ("rsvd", "auto", "gram", "exact"):
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    [
+                        "compress", str(path), "--rank", "3",
+                        "--strategy", strategy, "-o", str(tmp_path / "c"),
+                    ]
+                )
+            assert exc.value.code == 2
+            assert "--strategy" in capsys.readouterr().err
+        assert not (tmp_path / "c.npz").exists()
 
     def test_precision_flag(self, npy_file, tmp_path) -> None:
         path, x = npy_file
@@ -65,7 +67,7 @@ class TestCompressCommand:
         assert main(
             [
                 "compress", str(path), "--rank", "3", "--batch-slices", "3",
-                "--strategy", "auto", "--trace", "-o", str(tmp_path / "c"),
+                "--trace", "-o", str(tmp_path / "c"),
             ]
         ) == 0
         out = capsys.readouterr().out

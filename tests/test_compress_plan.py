@@ -1,13 +1,11 @@
-"""Tests for the adaptive compression planner (``repro.kernels.compress_plan``).
+"""Tests for the compression planner (``repro.kernels.compress_plan``).
 
 Three contracts matter here:
 
-* the planner's decisions match the documented rules (exact for
-  tall-skinny, Gram for one-short-side, randomized otherwise — and the
-  historical dispatch for ``strategy="rsvd"``);
-* ``strategy="auto"`` is a pure re-route: its output is bit-identical to
-  requesting the chosen method explicitly, and the default
-  ``strategy="rsvd"`` path stays bit-identical to the raw linalg kernels;
+* the planner applies the one slice-SVD rule: the Gram shortcut when
+  ``min(I1, I2) <= 2·(rank + oversampling)``, randomized SVD otherwise;
+* each method stays bit-identical to the raw linalg kernels, whatever the
+  chunking, the blocking and the backend;
 * the float32 path trades precision for speed without corrupting the
   float64-accumulated norms or the final accuracy beyond tolerance.
 """
@@ -45,20 +43,6 @@ class TestPlanDecisions:
     @pytest.mark.parametrize(
         "i1,i2,rank,expected",
         [
-            (512, 12, 8, "exact"),   # sketch would span the whole short side
-            (512, 48, 8, "gram"),    # one side short but bigger than the sketch
-            (256, 256, 8, "rsvd"),   # squarish: k << m
-            (12, 512, 8, "exact"),   # orientation must not matter
-            (48, 512, 8, "gram"),
-        ],
-    )
-    def test_auto_rules(self, i1, i2, rank, expected) -> None:
-        plan = plan_compression(i1, i2, rank, strategy="auto", oversampling=10)
-        assert plan.method == expected
-
-    @pytest.mark.parametrize(
-        "i1,i2,rank,expected",
-        [
             (256, 30, 8, "gram"),    # m <= 2 * (rank + oversampling)
             (256, 256, 8, "rsvd"),
             (256, 36, 8, "gram"),    # boundary: m == 2 * k_nom
@@ -66,32 +50,26 @@ class TestPlanDecisions:
         ],
     )
     def test_legacy_dispatch(self, i1, i2, rank, expected) -> None:
-        plan = plan_compression(i1, i2, rank, strategy="rsvd", oversampling=10)
+        plan = plan_compression(i1, i2, rank, oversampling=10)
         assert plan.method == expected
+        assert plan_compression(i2, i1, rank, oversampling=10).method == expected
 
     @pytest.mark.parametrize(
-        "i1,i2,rank,auto",
+        "i1,i2,rank,method",
         [
             (120, 90, 10, "rsvd"),    # boats
             (160, 120, 10, "rsvd"),   # walking
-            (400, 54, 10, "gram"),    # stock
+            (400, 54, 10, "rsvd"),    # stock
             (2000, 376, 6, "rsvd"),   # airquality
             (96, 96, 8, "rsvd"),      # hsi
         ],
     )
-    def test_paper_slabs_keep_their_methods(self, i1, i2, rank, auto) -> None:
-        # The rsvd flop model follows the kernel; the fit_paper slab shapes
-        # keep the methods both strategies chose before.
-        assert plan_compression(i1, i2, rank, strategy="rsvd").method == "rsvd"
-        assert plan_compression(i1, i2, rank, strategy="auto").method == auto
-
-    @pytest.mark.parametrize("strategy", ["gram", "exact"])
-    def test_explicit_strategies(self, strategy) -> None:
-        plan = plan_compression(256, 256, 8, strategy=strategy)
-        assert plan.method == strategy
+    def test_paper_slabs_keep_their_methods(self, i1, i2, rank, method) -> None:
+        # The fit_paper slab shapes keep the methods the default chose before.
+        assert plan_compression(i1, i2, rank).method == method
 
     def test_k_eff_capped_at_short_side(self) -> None:
-        plan = plan_compression(100, 12, 8, strategy="auto", oversampling=10)
+        plan = plan_compression(100, 12, 8, oversampling=10)
         assert plan.k_eff == 12
 
     def test_compute_dtype(self) -> None:
@@ -108,27 +86,20 @@ class TestPlanDecisions:
             plan_compression(20, 10, 0)
 
     def test_invalid_strategy(self) -> None:
-        with pytest.raises(ShapeError):
-            plan_compression(20, 20, 4, strategy="magic")
+        # One rule: the planner takes no strategy.
+        with pytest.raises(TypeError, match="strategy"):
+            plan_compression(20, 20, 4, strategy="auto")  # type: ignore[call-arg]
 
     def test_invalid_precision(self) -> None:
         with pytest.raises(ShapeError):
             plan_compression(20, 20, 4, precision="float16")
 
     def test_plan_from_config(self) -> None:
-        cfg = DTuckerConfig(strategy="auto", precision="float32", oversampling=5)
+        cfg = DTuckerConfig(precision="float32", oversampling=5)
         plan = plan_from_config(256, 256, 8, cfg)
         assert plan.method == "rsvd"
         assert plan.k_eff == 13
         assert plan.compute_dtype == np.float32
-
-    def test_as_dict_json_ready(self) -> None:
-        import json
-
-        plan = plan_compression(64, 48, 6)
-        encoded = json.loads(json.dumps(plan.as_dict()))
-        assert encoded["method"] == plan.method
-        assert set(encoded["costs"]) == {"exact", "gram", "rsvd"}
 
 
 class TestEstimateCosts:
@@ -141,53 +112,16 @@ class TestEstimateCosts:
 
     def test_rsvd_wins_squarish(self) -> None:
         costs = estimate_costs(256, 256, 8, oversampling=10)
-        assert costs["rsvd"] < costs["gram"] < costs["exact"]
+        assert set(costs) == {"gram", "rsvd"}
+        assert costs["rsvd"] < costs["gram"]
 
     def test_gram_wins_short_side(self) -> None:
         costs = estimate_costs(512, 48, 8, oversampling=10)
         assert costs["gram"] < costs["rsvd"]
 
 
-class TestAutoExplicitParity:
-    """auto must be a pure re-route to the method it picks."""
-
-    @pytest.mark.parametrize(
-        "shape,rank,explicit",
-        [
-            ((80, 10, 4), 4, "exact"),   # auto -> exact (m <= k_nom)
-            ((80, 25, 4), 5, "gram"),    # auto -> gram
-        ],
-    )
-    def test_bitwise_equal(self, shape, rank, explicit) -> None:
-        x = default_rng(7).standard_normal(shape)
-        i1, i2 = shape[:2]
-        assert plan_compression(i1, i2, rank, strategy="auto").method == explicit
-        a = compress(x, rank, config=DTuckerConfig(strategy="auto"), rng=0)
-        b = compress(x, rank, config=DTuckerConfig(strategy=explicit), rng=0)
-        np.testing.assert_array_equal(a.u, b.u)
-        np.testing.assert_array_equal(a.s, b.s)
-        np.testing.assert_array_equal(a.vt, b.vt)
-        assert a.norm_squared == b.norm_squared
-
-    def test_auto_rsvd_pinned_to_kernel(self) -> None:
-        # auto -> rsvd; the explicit "rsvd" strategy is the *legacy* strided
-        # path (kept verbatim for bit-stability), so pin auto against the
-        # raw kernel on the contiguous stack instead.
-        x = default_rng(7).standard_normal((40, 38, 4))
-        rank = 3
-        plan = plan_compression(40, 38, rank, strategy="auto")
-        assert plan.method == "rsvd"
-        a = compress(x, rank, config=DTuckerConfig(strategy="auto"), rng=0)
-        stack = np.ascontiguousarray(np.moveaxis(to_slices(x), 2, 0))
-        omega = default_rng(0).standard_normal((38, plan.k_eff))
-        u, s, vt = batched_rsvd(stack, rank, test_matrix=omega)
-        np.testing.assert_array_equal(a.u, u)
-        np.testing.assert_array_equal(a.s, s)
-        np.testing.assert_array_equal(a.vt, vt)
-
-
 class TestDefaultPathRegression:
-    """strategy="rsvd"/float64 must keep matching the raw linalg kernels."""
+    """The default float64 path must keep matching the raw linalg kernels."""
 
     def test_rsvd_regime_pinned(self) -> None:
         x = default_rng(3).standard_normal((50, 46, 4))
@@ -237,6 +171,23 @@ class TestFloat32Path:
         # float64 accumulation over the float32-cast data: relative error is
         # bounded by the cast (~1e-7), far tighter than fp32 accumulation.
         assert f32.norm_squared == pytest.approx(exact, rel=1e-5)
+
+    def test_batched_npy_source_error_gap(self, tmp_path) -> None:
+        # A batched out-of-core compression in float32 stays within 1e-2
+        # (relative error) of the same compression in float64.
+        from repro.core.sources import NpySource, compress_source
+
+        x = random_tensor((24, 18, 4, 3), (3, 3, 2, 2), rng=0, noise=0.05)
+        np.save(tmp_path / "x.npy", x)
+        f64, f32 = (
+            compress_source(
+                NpySource(tmp_path / "x.npy"), 3, batch_slices=4, rng=0,
+                config=DTuckerConfig(precision=precision),
+            )
+            for precision in ("float64", "float32")
+        )
+        gap = abs(np.sqrt(f32.compression_error(x)) - np.sqrt(f64.compression_error(x)))
+        assert gap <= 1e-2
 
     def test_slab_norms_dtype(self) -> None:
         stack = default_rng(2).standard_normal((5, 10, 8)).astype(np.float32)
@@ -301,7 +252,7 @@ class TestExecutePlan:
     def test_matches_direct_kernels(self) -> None:
         stack = np.ascontiguousarray(default_rng(6).standard_normal((6, 32, 30)))
         omega = default_rng(0).standard_normal((30, 14))
-        plan = plan_compression(32, 30, 4, strategy="rsvd")
+        plan = plan_compression(32, 30, 4)
         assert plan.method == "rsvd"
         with backend_scope("serial") as eng:
             u, s, vt, norms = execute_plan(eng, stack, 4, plan, omega=omega)
@@ -314,7 +265,7 @@ class TestExecutePlan:
     def test_pool_reuse_and_parity(self) -> None:
         stack = np.ascontiguousarray(default_rng(8).standard_normal((5, 30, 28)))
         omega = default_rng(0).standard_normal((28, 13))
-        plan = plan_compression(30, 28, 3, strategy="rsvd")
+        plan = plan_compression(30, 28, 3)
         pool = BufferPool()
         with backend_scope("serial") as eng:
             first = execute_plan(eng, stack, 3, plan, omega=omega, pool=pool)
@@ -328,7 +279,7 @@ class TestExecutePlan:
 
     def test_records_stats(self) -> None:
         stack = np.ascontiguousarray(default_rng(9).standard_normal((4, 30, 28)))
-        plan = plan_compression(30, 28, 3, strategy="rsvd")
+        plan = plan_compression(30, 28, 3)
         stats = KernelStats()
         with backend_scope("serial") as eng:
             execute_plan(eng, stack, 3, plan, rng=0, stats=stats)
@@ -342,7 +293,7 @@ class TestExecutePlan:
                 execute_plan(eng, np.zeros((10, 10)), 2, plan)
 
     def test_bad_omega_shape_rejected(self) -> None:
-        plan = plan_compression(30, 28, 3, strategy="rsvd")
+        plan = plan_compression(30, 28, 3)
         assert plan.method == "rsvd"
         with backend_scope("serial") as eng:
             with pytest.raises(ShapeError):
@@ -366,14 +317,18 @@ class TestBlocks:
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("precision", ["float64", "float32"])
-    @pytest.mark.parametrize("method", ["exact", "gram", "rsvd"])
+    @pytest.mark.parametrize("method", ["gram", "rsvd"])
     def test_blocking_is_bit_invisible(
         self, monkeypatch, method, precision, backend
     ) -> None:
         from repro.kernels import compress_plan
 
         stack = self._strided_stack()
-        plan = plan_compression(30, 28, 3, strategy=method, precision=precision)
+        # The Gram boundary of the (30, 28) slices: 28 = 2·(3 + 11).
+        over = 11 if method == "gram" else 10
+        plan = plan_compression(
+            30, 28, 3, precision=precision, oversampling=over
+        )
         assert plan.method == method
         omega = default_rng(0).standard_normal((28, plan.k_eff))
         slice_bytes = 30 * 28 * plan.compute_dtype.itemsize
@@ -409,7 +364,7 @@ class TestBlocks:
     def test_pooled_buffer_only_on_serial(self) -> None:
         # Concurrent thread chunks must never share the pooled block slot.
         stack = self._strided_stack()
-        plan = plan_compression(30, 28, 3, strategy="rsvd")
+        plan = plan_compression(30, 28, 3)
         pool = BufferPool()
         with backend_scope("thread", config=DTuckerConfig(n_workers=2)) as eng:
             execute_plan(eng, stack, 3, plan, rng=0, pool=pool)
@@ -444,7 +399,7 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak < 0.5 * x.nbytes
 
-    @pytest.mark.parametrize("method", ["exact", "gram", "rsvd"])
+    @pytest.mark.parametrize("method", ["gram", "rsvd"])
     def test_factors_allocated_once(self, monkeypatch, method) -> None:
         # A serial multi-block slab writes every block's (U, s, Vt, norms)
         # straight into the final arrays: no per-block list, no concat.
@@ -454,8 +409,9 @@ class TestBlocks:
 
         stack = self._strided_stack()
         stack = np.concatenate([stack] * 40, axis=0)  # 280 slices of 30x28
+        # The Gram boundary of the (30, 28) slices: 28 = 2·(10 + 4).
         plan = plan_compression(
-            30, 28, 10, strategy=method, oversampling=2
+            30, 28, 10, oversampling=4 if method == "gram" else 2
         )
         assert plan.method == method
         omega = default_rng(0).standard_normal((28, plan.k_eff))
@@ -482,27 +438,11 @@ class TestBlocks:
 
 
 class TestCompressStats:
-    def test_auto_records_decision_and_sketch(self) -> None:
-        x = default_rng(2).standard_normal((40, 38, 4))
-        stats = KernelStats()
-        compress(x, 3, config=DTuckerConfig(strategy="auto"), rng=0, stats=stats)
-        assert stats.plan_decisions() == {"rsvd": 1}
-        assert stats.sketch_draws == 1
-
     def test_default_path_records_too(self) -> None:
         x = default_rng(2).standard_normal((40, 10, 4))
         stats = KernelStats()
         compress(x, 3, rng=0, stats=stats)
         assert stats.plan_decisions() == {"gram": 1}
-        assert stats.sketch_draws == 0
-
-    def test_exact_records_no_sketch(self) -> None:
-        x = default_rng(2).standard_normal((40, 8, 4))
-        stats = KernelStats()
-        compress(
-            x, 3, config=DTuckerConfig(strategy="exact"), rng=0, stats=stats
-        )
-        assert stats.plan_decisions() == {"exact": 1}
         assert stats.sketch_draws == 0
 
 
@@ -579,20 +519,19 @@ class TestPrefetcher:
 class TestConfigPlannerFields:
     def test_defaults(self) -> None:
         cfg = DTuckerConfig()
-        assert cfg.strategy == "rsvd"
+        assert not hasattr(cfg, "strategy")
         assert cfg.precision == "float64"
 
-    @pytest.mark.parametrize("strategy", ["rsvd", "auto", "gram", "exact"])
-    def test_valid_strategies(self, strategy) -> None:
-        assert DTuckerConfig(strategy=strategy).strategy == strategy
+    def test_invalid_strategy(self) -> None:
+        # One slice-SVD rule: every strategy is a TypeError; the exact
+        # reference is repro.core.slice_svd.exact_compress, not a mode.
+        for strategy in ("rsvd", "auto", "gram", "exact"):
+            with pytest.raises(TypeError, match="strategy"):
+                DTuckerConfig(strategy=strategy)  # type: ignore[call-arg]
 
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     def test_valid_precisions(self, precision) -> None:
         assert DTuckerConfig(precision=precision).precision == precision
-
-    def test_invalid_strategy(self) -> None:
-        with pytest.raises(ShapeError):
-            DTuckerConfig(strategy="fastest")
 
     def test_invalid_precision(self) -> None:
         with pytest.raises(ShapeError):

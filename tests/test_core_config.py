@@ -18,7 +18,7 @@ class TestDTuckerConfig:
         assert not hasattr(cfg, "exact_slice_svd")
         assert not hasattr(cfg, "shards")
         assert cfg.seed is None
-        assert cfg.strategy == "rsvd"
+        assert not hasattr(cfg, "strategy")
         assert cfg.precision == "float64"
 
     def test_frozen(self) -> None:
@@ -37,7 +37,7 @@ class TestDTuckerConfig:
             {"max_iters": 0},
             {"tol": 0.0},
             {"tol": -1e-3},
-            {"strategy": "fastest"},
+            {"n_workers": 0},
             {"precision": "float16"},
         ],
     )

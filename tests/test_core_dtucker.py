@@ -65,10 +65,6 @@ class TestFit:
         model = DTucker(ranks=(4, 4), seed=0).fit(m)
         assert model.result_.error(m) < 1e-10
 
-    def test_exact_slice_svd_option(self, noisy3) -> None:
-        model = DTucker(ranks=(4, 3, 3), config=DTuckerConfig(strategy="exact")).fit(noisy3)
-        assert model.result_.error(noisy3) < 0.01
-
     def test_random_init_option(self, noisy3) -> None:
         model = DTucker(
             ranks=(4, 3, 3), init="random", seed=0,

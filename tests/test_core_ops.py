@@ -12,9 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import DTuckerConfig
 from repro.core.initialization import w_tensor
-from repro.core.slice_svd import compress
+from repro.core.slice_svd import compress, exact_compress
 from repro.kernels.contractions import project_left_chunk, project_right_chunk
 from repro.kernels.naive import mode1_partial, mode2_partial
 from repro.tensor.products import mode_product
@@ -24,7 +23,7 @@ from repro.tensor.random import random_orthonormal
 @pytest.fixture
 def setup(rng):
     x = rng.standard_normal((9, 7, 4, 3))
-    ssvd = compress(x, 7, config=DTuckerConfig(strategy="exact"))  # full rank: lossless
+    ssvd = exact_compress(x, 7)  # full rank: lossless
     a1 = random_orthonormal(9, 3, rng)
     a2 = random_orthonormal(7, 2, rng)
     return x, ssvd, a1, a2
@@ -58,7 +57,7 @@ class TestWTensor:
 
     def test_order2(self, rng) -> None:
         m = rng.standard_normal((8, 6))
-        ssvd = compress(m, 6, config=DTuckerConfig(strategy="exact"))
+        ssvd = exact_compress(m, 6)
         a1 = random_orthonormal(8, 2, rng)
         a2 = random_orthonormal(6, 2, rng)
         np.testing.assert_allclose(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DTuckerConfig
-from repro.core.slice_svd import SliceSVD, compress
+from repro.core.slice_svd import SliceSVD, compress, exact_compress
 from repro.exceptions import RankError, ShapeError
 from repro.tensor.norms import frobenius_norm_squared
 from repro.tensor.random import random_tensor
@@ -50,14 +50,43 @@ class TestCompress:
 
     def test_exact_vs_randomized_agree_on_easy_input(self, lowrank3) -> None:
         a = compress(lowrank3, 4, rng=0)
-        b = compress(lowrank3, 4, config=DTuckerConfig(strategy="exact"))
+        b = exact_compress(lowrank3, 4)
         np.testing.assert_allclose(a.reconstruct(), b.reconstruct(), atol=1e-7)
 
     def test_exact_path_uses_sign_convention(self, lowrank3) -> None:
-        ss = compress(lowrank3, 3, config=DTuckerConfig(strategy="exact"))
+        ss = exact_compress(lowrank3, 3)
         for l in range(ss.num_slices):
             idx = np.argmax(np.abs(ss.u[l]), axis=0)
             assert (ss.u[l][idx, np.arange(3)] >= 0).all()
+
+    @pytest.mark.parametrize("shape", [(14, 11, 5), (9, 12, 3, 4)])
+    def test_exact_compress_is_the_truncated_svd_of_every_slice(
+        self, rng, shape
+    ) -> None:
+        x = rng.standard_normal(shape)
+        k = 4
+        ss = exact_compress(x, k)
+        assert ss.shape == shape
+        assert ss.num_slices == int(np.prod(shape[2:]))
+        np.testing.assert_allclose(ss.norm_squared, np.sum(x * x), rtol=1e-12)
+        # Slice l is X[:, :, l] of the trailing modes flattened in Fortran
+        # order, the slice order compress() uses.
+        slices = x.reshape(shape[0], shape[1], -1, order="F")
+        for l in range(ss.num_slices):
+            u, s, vt = np.linalg.svd(slices[:, :, l], full_matrices=False)
+            np.testing.assert_allclose(ss.s[l], s[:k], rtol=1e-12)
+            np.testing.assert_allclose(
+                (ss.u[l] * ss.s[l]) @ ss.vt[l],
+                (u[:, :k] * s[:k]) @ vt[:k],
+                atol=1e-12,
+            )
+            np.testing.assert_allclose(
+                ss.slice_norms_squared[l], np.sum(slices[:, :, l] ** 2), rtol=1e-12
+            )
+
+    def test_exact_compress_rejects_rank_above_short_side(self, rng) -> None:
+        with pytest.raises(RankError):
+            exact_compress(rng.standard_normal((6, 5, 3)), 6)
 
     def test_order2_tensor(self, rng) -> None:
         m = rng.standard_normal((15, 12))

@@ -636,7 +636,7 @@ class TestRetiredModes:
             StreamingDTucker(ranks=(3, 3, 4), update="batch")
         names = {f.name for f in dataclasses.fields(DTuckerConfig)}
         assert not names & {"update", "sketch_size"}
-        assert len(names) == 14
+        assert len(names) == 13
 
     @pytest.mark.parametrize("update", ["refit", "incremental", "sketch"])
     def test_parent_format_stream_resumes(self, temporal, tmp_path, update) -> None:

@@ -194,13 +194,13 @@ class TestSpawnDescriptors:
         half = np.ascontiguousarray(tensor[..., 4:])
         np.save(tmp_path / "tail.npy", half)
         serial = DTuckerConfig(seed=5, backend="serial")
-        gram = DTuckerConfig(seed=5, backend="serial", strategy="gram")
+        densified = DTuckerConfig(seed=5, backend="serial", precision="float32")
         cases = [
             (DenseSource(tensor[..., 0]), serial),
             (DenseSource(tensor), serial),
             (NpySource(npy_path), serial),
             (SparseSource(sparse), serial),
-            (SparseSource(sparse), gram),
+            (SparseSource(sparse), densified),
             (SliceSpanSource(NpySource(npy_path), 1, 5), serial),
             (ShardedSource.partition(DenseSource(tensor), 2), serial),
             (ShardedSource.from_manifest(manifest_dir), serial),
@@ -316,8 +316,9 @@ class TestCommCounters:
     ) -> None:
         """The reduce-only invariant: comm:ship == (I1+I2+1)·K per slice.
 
-        ``strategy="gram"`` draws no test matrix, so *all* counted comm is
-        the shipped factor products — the total must equal the closed-form
+        The (18, 14) slices take the Gram shortcut (14 <= 2·(3 + 10)),
+        which draws no test matrix, so *all* counted comm is the shipped
+        factor products — the total must equal the closed-form
         ``factor_nbytes`` for the whole tensor, orders of magnitude below
         the raw slab bytes.
         """
@@ -325,10 +326,9 @@ class TestCommCounters:
         k = 3
         source = ShardedSource.from_manifest(manifest_dir)
         stats = KernelStats()
-        cfg = DTuckerConfig(
-            seed=5, backend="process", n_workers=2, strategy="gram"
-        )
+        cfg = DTuckerConfig(seed=5, backend="process", n_workers=2)
         compress_source(source, k, config=cfg, stats=stats)
+        assert stats.plan_decisions() == {"gram": 1}
         count = source.slice_count
         expected = factor_nbytes(i1, i2, k, n_slices=count)
         assert stats.bytes_comm == expected

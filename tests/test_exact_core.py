@@ -33,7 +33,7 @@ from repro import (
 )
 from repro.core.fit_pipeline import POWER_ESCALATION, residual_share
 from repro.core.sources import compress_source, exact_core
-from repro.core.slice_svd import compress
+from repro.core.slice_svd import compress, exact_compress
 from repro.datasets import load_dataset
 from repro.distributed import write_npy_shards
 from repro.exceptions import ShapeError
@@ -205,7 +205,7 @@ class TestNonFiniteInput:
         x = random_tensor((12, 10, 8), (3, 3, 2), rng=4, noise=0.1)
         x[2, 3, 7] = 1e200
         with np.errstate(over="ignore"):
-            ssvd = compress(x, 3, config=DTuckerConfig(strategy="exact"))
+            ssvd = exact_compress(x, 3)
         assert np.isinf(ssvd.slice_norms_squared[7])
         assert np.isfinite(ssvd.slice_norms_squared[:7]).all()
         assert ssvd.s[7, 0] == pytest.approx(1e200)
@@ -311,12 +311,16 @@ class TestPowerEscalation:
 
     @pytest.mark.parametrize(
         "config",
-        [DTuckerConfig(seed=1, power_iterations=0), DTuckerConfig(seed=1, strategy="gram")],
+        # oversampling=54: 2·(6 + 54) reaches the 120-row short side, so
+        # the one slice-SVD rule takes the Gram shortcut.
+        [DTuckerConfig(seed=1, power_iterations=0), DTuckerConfig(seed=1, oversampling=54)],
         ids=["no-passes", "gram"],
     )
     def test_nothing_to_escalate(self, config) -> None:
         x, ranks = _stand_in("airquality")
         fit = FitPipeline(ranks, config=config).fit(DenseSource(x))
+        if config.oversampling == 54:
+            assert fit.kernel_stats.plan_decisions() == {"gram": 1}
         assert fit.power_iterations == config.power_iterations
         assert "power:residual_share" not in fit.kernel_stats.signals
         assert not fit.kernel_stats.misses_for("power:escalate")

@@ -176,13 +176,17 @@ class TestBatchRemainders:
 
 
 class TestPlannerIntegration:
-    @pytest.mark.parametrize("strategy", ["auto", "gram", "exact"])
-    def test_strategies_cover_and_reconstruct(self, npy_tensor, strategy) -> None:
+    @pytest.mark.parametrize("method", ["gram", "rsvd"])
+    def test_strategies_cover_and_reconstruct(self, npy_tensor, method) -> None:
+        # Both methods of the one rule: the (18, 14) slices take the Gram
+        # shortcut when 14 <= 2·(3 + oversampling).
         path, x = npy_tensor
+        stats = KernelStats()
         ssvd = compress_source(
-            NpySource(path), 3, batch_slices=7, rng=0,
-            config=DTuckerConfig(strategy=strategy),
+            NpySource(path), 3, batch_slices=7, rng=0, stats=stats,
+            config=DTuckerConfig(oversampling=10 if method == "gram" else 2),
         )
+        assert set(stats.plan_decisions()) == {method}
         assert ssvd.shape == x.shape
         assert ssvd.compression_error(x) < 0.05
 
@@ -210,18 +214,17 @@ class TestPlannerIntegration:
         )
         assert ssvd.compression_error(x) < 0.05
 
-    def test_auto_matches_explicit_method(self, tmp_path, rng) -> None:
-        # Thin slices: auto resolves to gram here, so the two runs must be
-        # bit-identical.
+    def test_thin_slices_take_gram(self, tmp_path, rng) -> None:
+        # Thin slices (16 <= 2·(3 + 10)) take the sketch-free Gram
+        # shortcut in every batch, bit-identical to the in-memory run.
         x = random_tensor((40, 16, 9), (3, 3, 2), rng=rng, noise=0.1)
         p = tmp_path / "x.npy"
         np.save(p, x)
-        a = compress_source(
-            NpySource(p), 3, batch_slices=4, config=DTuckerConfig(strategy="auto")
-        )
-        b = compress_source(
-            NpySource(p), 3, batch_slices=4, config=DTuckerConfig(strategy="gram")
-        )
+        stats = KernelStats()
+        a = compress_source(NpySource(p), 3, batch_slices=4, stats=stats)
+        b = compress(x, 3)
+        assert stats.plan_decisions() == {"gram": 3}
+        assert stats.sketch_draws == 0
         np.testing.assert_array_equal(a.u, b.u)
         np.testing.assert_array_equal(a.s, b.s)
         np.testing.assert_array_equal(a.vt, b.vt)
@@ -282,7 +285,7 @@ class TestFitFromFile:
         from repro.core.dtucker import DTucker
 
         path, x = npy_tensor
-        cfg = DTuckerConfig(strategy="exact", seed=0)
+        cfg = DTuckerConfig(seed=0)
         got = DTucker(ranks=(3, 3, 2, 2), config=cfg).fit_from_file(path)
         ref = DTucker(ranks=(3, 3, 2, 2), config=cfg).fit(x)
         for name in ("u", "s", "vt"):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.config import DTuckerConfig
 from repro.core.initialization import initialize
 from repro.core.iteration import als_sweeps
-from repro.core.slice_svd import compress
+from repro.core.slice_svd import compress, exact_compress
 from repro.tensor.norms import frobenius_norm_squared
 from repro.tensor.products import (
     kron_secondary,
@@ -115,7 +115,7 @@ class TestCompressedPathConsistency:
         shape, _, seed = problem
         x = np.random.default_rng(seed).standard_normal(shape)
         k = min(shape[0], shape[1])
-        ss = compress(x, k, config=DTuckerConfig(strategy="exact"))
+        ss = exact_compress(x, k)
         np.testing.assert_allclose(ss.reconstruct(), x, atol=1e-8)
 
     @given(tucker_problems())
@@ -135,7 +135,7 @@ class TestCompressedPathConsistency:
         if np.linalg.norm(x.ravel()) < 1e-9:
             return  # degenerate random core, nothing to recover
         k = min(max(ranks[0], ranks[1]), min(shape[:2]))
-        ss = compress(x, k, config=DTuckerConfig(strategy="exact"))
+        ss = exact_compress(x, k)
         core, factors = initialize(ss, ranks)
         out = als_sweeps(ss, ranks, factors, config=DTuckerConfig(max_iters=10))
         np.testing.assert_allclose(
@@ -148,7 +148,7 @@ class TestCompressedPathConsistency:
         shape, ranks, seed = problem
         x = np.random.default_rng(seed).standard_normal(shape)
         k = min(max(ranks[0], ranks[1]), min(shape[:2]))
-        ss = compress(x, k, config=DTuckerConfig(strategy="exact"))
+        ss = exact_compress(x, k)
         _, factors = initialize(ss, ranks)
         out = als_sweeps(
             ss, ranks, factors, config=DTuckerConfig(max_iters=6, tol=1e-15)
@@ -164,7 +164,7 @@ class TestCompressedPathConsistency:
         shape, ranks, seed = problem
         x = np.random.default_rng(seed).standard_normal(shape)
         k = min(max(ranks[0], ranks[1]), min(shape[:2]))
-        ss = compress(x, k, config=DTuckerConfig(strategy="exact"))
+        ss = exact_compress(x, k)
         _, factors = initialize(ss, ranks)
         out = als_sweeps(ss, ranks, factors, config=DTuckerConfig(max_iters=3))
         for f in out.factors:

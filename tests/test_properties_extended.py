@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DTuckerConfig
-from repro.core.slice_svd import compress
+from repro.core.slice_svd import compress, exact_compress
 from repro.sparse.coo import SparseTensor
 
 
@@ -39,9 +39,9 @@ class TestAppendEquivalence:
         t = shape[2]
         cut = 1 + split_seed % max(t - 1, 1)
         k = min(shape[0], shape[1])
-        whole = compress(x, k, config=DTuckerConfig(strategy="exact"))
-        merged = compress(x[..., :cut], k, config=DTuckerConfig(strategy="exact")).append(
-            compress(x[..., cut:], k, config=DTuckerConfig(strategy="exact"))
+        whole = exact_compress(x, k)
+        merged = exact_compress(x[..., :cut], k).append(
+            exact_compress(x[..., cut:], k)
         )
         np.testing.assert_allclose(merged.u, whole.u, atol=1e-9)
         np.testing.assert_allclose(merged.s, whole.s, atol=1e-9)

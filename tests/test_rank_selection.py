@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import DTuckerConfig
 from repro.core.rank_selection import estimate_error, mode_spectra, suggest_ranks
-from repro.core.slice_svd import compress
+from repro.core.slice_svd import compress, exact_compress
 from repro.exceptions import RankError, ShapeError
 from repro.tensor.random import random_tensor
 from repro.tensor.unfold import unfold
@@ -16,7 +15,7 @@ from repro.tensor.unfold import unfold
 class TestModeSpectra:
     def test_matches_true_spectra_on_exact_compression(self, rng) -> None:
         x = random_tensor((14, 12, 10), (3, 3, 3), rng=rng, noise=0.1)
-        ssvd = compress(x, 12, config=DTuckerConfig(strategy="exact"))  # K = min(I1, I2): lossless
+        ssvd = exact_compress(x, 12)  # K = min(I1, I2): lossless
         spectra = mode_spectra(ssvd)
         for n in (0, 1):
             true_s = np.linalg.svd(unfold(x, n), compute_uv=False)
@@ -29,7 +28,7 @@ class TestModeSpectra:
 
     def test_order2(self, rng) -> None:
         m = rng.standard_normal((12, 9))
-        spectra = mode_spectra(compress(m, 9, config=DTuckerConfig(strategy="exact")))
+        spectra = mode_spectra(exact_compress(m, 9))
         assert len(spectra) == 2
         true_s = np.linalg.svd(m, compute_uv=False)
         np.testing.assert_allclose(spectra[0][: len(true_s)], true_s, rtol=1e-6)
@@ -47,14 +46,14 @@ class TestEstimateError:
         from repro.baselines.hosvd import hosvd
 
         x = random_tensor((14, 12, 10), (3, 3, 3), rng=rng, noise=0.15)
-        ssvd = compress(x, 10, config=DTuckerConfig(strategy="exact"))
+        ssvd = exact_compress(x, 10)
         ranks = (3, 3, 3)
         estimated = estimate_error(ssvd, ranks)
         true_err = hosvd(x, ranks).result.error(x)
         assert estimated >= true_err - 1e-9
 
     def test_zero_for_full_ranks_exact(self, lowrank3) -> None:
-        ssvd = compress(lowrank3, 10, config=DTuckerConfig(strategy="exact"))
+        ssvd = exact_compress(lowrank3, 10)
         assert estimate_error(ssvd, (12, 10, 8)) < 1e-10
 
     def test_monotone_in_rank(self, rng) -> None:
@@ -76,7 +75,7 @@ class TestEstimateError:
 
 class TestSuggestRanks:
     def test_meets_target_on_lowrank(self, lowrank3) -> None:
-        ssvd = compress(lowrank3, 8, config=DTuckerConfig(strategy="exact"))
+        ssvd = exact_compress(lowrank3, 8)
         ranks = suggest_ranks(ssvd, 0.01)
         assert estimate_error(ssvd, ranks) <= 0.01
         # The tensor is exactly rank (3, 2, 2); suggestions must not exceed
@@ -85,7 +84,7 @@ class TestSuggestRanks:
 
     def test_tighter_target_larger_ranks(self, rng) -> None:
         x = random_tensor((16, 14, 12), (4, 4, 4), rng=rng, noise=0.2)
-        ssvd = compress(x, 10, config=DTuckerConfig(strategy="exact"))
+        ssvd = exact_compress(x, 10)
         loose = suggest_ranks(ssvd, 0.5)
         tight = suggest_ranks(ssvd, 0.05)
         assert all(t >= l for t, l in zip(tight, loose))
@@ -113,7 +112,7 @@ class TestSuggestRanks:
         from repro.core.dtucker import DTucker
 
         x = random_tensor((18, 16, 14), (4, 3, 3), rng=rng, noise=0.1)
-        ssvd = compress(x, 12, config=DTuckerConfig(strategy="exact"))
+        ssvd = exact_compress(x, 12)
         target = 0.05
         ranks = suggest_ranks(ssvd, target)
         model = DTucker(ranks=ranks, seed=0).fit(x)

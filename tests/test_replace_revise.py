@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import DTuckerConfig
-from repro.core.slice_svd import compress
+from repro.core.slice_svd import compress, exact_compress
 from repro.core.streaming import StreamingDTucker
 from repro.exceptions import NotFittedError, ShapeError
 from repro.tensor.random import random_tensor
@@ -98,9 +97,9 @@ class TestReplace:
         x = random_tensor((10, 8, 6), (3, 2, 2), rng=rng, noise=0.1)
         revised = x.copy()
         revised[:, :, 2:4] = rng.standard_normal((10, 8, 2))
-        whole = compress(revised, 4, config=DTuckerConfig(strategy="exact"))
-        block = compress(revised[:, :, 2:4], 4, config=DTuckerConfig(strategy="exact"))
-        spliced = compress(x, 4, config=DTuckerConfig(strategy="exact")).replace(2, block)
+        whole = exact_compress(revised, 4)
+        block = exact_compress(revised[:, :, 2:4], 4)
+        spliced = exact_compress(x, 4).replace(2, block)
         np.testing.assert_allclose(spliced.u, whole.u, atol=1e-9)
         np.testing.assert_allclose(spliced.s, whole.s, atol=1e-9)
         assert spliced.norm_squared == pytest.approx(whole.norm_squared)

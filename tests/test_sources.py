@@ -268,14 +268,25 @@ class TestCrossSourceParity:
         # batching; the factor kernels contiguize internally, so they cannot
         # depend on the source's memory layout either.  Factors must agree
         # bit for bit; the per-slice norm accumulation runs on each source's
-        # native layout, so norms agree only to rounding.
-        cfg = DTuckerConfig(seed=0, strategy="gram", backend=backend, n_workers=2)
+        # native layout, so norms agree only to rounding.  The (18, 14)
+        # slices take the Gram shortcut (14 <= 2·(3 + 10)); float32 routes
+        # the sparse batches through the planner too.
+        cfg = DTuckerConfig(
+            seed=0, precision="float32", backend=backend, n_workers=2
+        )
         sparse = SparseTensor.from_dense(tensor)
+        stats = [KernelStats() for _ in range(3)]
         results = [
-            compress_source(DenseSource(tensor), 3, config=cfg),
-            compress_source(NpySource(npy_path), 3, batch_slices=6, config=cfg),
-            compress_source(SparseSource(sparse), 3, batch_slices=6, config=cfg),
+            compress_source(DenseSource(tensor), 3, config=cfg, stats=stats[0]),
+            compress_source(
+                NpySource(npy_path), 3, batch_slices=6, config=cfg, stats=stats[1]
+            ),
+            compress_source(
+                SparseSource(sparse), 3, batch_slices=6, config=cfg, stats=stats[2]
+            ),
         ]
+        assert stats[0].plan_decisions() == {"gram": 1}
+        assert [set(st.plan_decisions()) for st in stats[1:]] == [{"gram"}] * 2
         ref = results[0]
         for other in results[1:]:
             np.testing.assert_array_equal(other.u, ref.u)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import DTuckerConfig
+from repro.core.slice_svd import exact_compress
 from repro.core.sparse_dtucker import compress_sparse, sparse_dtucker
 from repro.exceptions import RankError, ShapeError
 from repro.sparse import SparseTensor
@@ -117,11 +117,9 @@ class TestSparseUnfoldAndSlices:
 
 class TestCompressSparse:
     def test_matches_dense_compress(self, sparse_lowrank) -> None:
-        from repro.core.slice_svd import compress
-
         st, dense = sparse_lowrank
         a = compress_sparse(st, 4, rng=0)
-        b = compress(dense, 4, config=DTuckerConfig(strategy="exact"))
+        b = exact_compress(dense, 4)
         # Same reconstruction quality (not identical factors — different
         # algorithms), both near-exact at this rank on rank-<=4 slices.
         assert abs(a.compression_error(dense) - b.compression_error(dense)) < 1e-4

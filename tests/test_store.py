@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -164,20 +163,19 @@ class TestSaveAndManifest:
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
-        "key, value, strategy",
+        "key, value",
         [
-            ("shards", 3, "rsvd"),
-            ("shards", None, "rsvd"),
-            ("exact_slice_svd", False, "rsvd"),
-            ("exact_slice_svd", True, "exact"),
+            ("shards", 3),
+            ("shards", None),
+            ("exact_slice_svd", False),
+            ("exact_slice_svd", True),
         ],
     )
     def test_store_with_retired_sharding_or_exact_key_opens_and_answers(
-        self, temporal, tmp_path, key, value, strategy
+        self, temporal, tmp_path, key, value
     ) -> None:
         """Manifests written before DTuckerConfig lost ``shards`` and
-        ``exact_slice_svd`` carry them; a stored ``exact_slice_svd: true``
-        opens as the plan it selected, ``strategy="exact"``."""
+        ``exact_slice_svd`` carry them; both are dropped on open."""
         model, store = fitted_store(temporal, tmp_path / "m")
         with store.open(warm_start=False) as served:
             expected = served.query_time_range(2, 8)
@@ -185,32 +183,12 @@ class TestSaveAndManifest:
         manifest["config"][key] = value
         (store.path / MANIFEST_NAME).write_text(json.dumps(manifest))
         old = ModelStore(store.path)
-        assert old.config.strategy == strategy
-        assert old.config == dataclasses.replace(model.config, strategy=strategy)
+        assert old.config == model.config
         with old.open(warm_start=False) as served:
             got = served.query_time_range(2, 8)
-        # The stored slices answer the query; the strategy only ever
-        # steers the compression of later appends.
         np.testing.assert_array_equal(got.core, expected.core)
         for a, b in zip(got.factors, expected.factors):
             np.testing.assert_array_equal(a, b)
-
-    def test_append_on_exact_slice_svd_store_takes_the_exact_plan(
-        self, rng, tmp_path
-    ) -> None:
-        x = random_tensor((14, 12, 16), (3, 3, 3), rng=rng, noise=0.05)
-        _, store = fitted_store(x[..., :10], tmp_path / "m")
-        manifest = json.loads((store.path / MANIFEST_NAME).read_text())
-        manifest["config"]["exact_slice_svd"] = True
-        (store.path / MANIFEST_NAME).write_text(json.dumps(manifest))
-        appended = ModelStore(store.path).append(x[..., 10:], rng=1)
-        tail = appended.load_slice_svd()
-        k = tail.rank
-        exact = compress(x[..., 10:], k, config=DTuckerConfig(strategy="exact"))
-        np.testing.assert_array_equal(tail.u[10:], exact.u)
-        np.testing.assert_array_equal(tail.s[10:], exact.s)
-        np.testing.assert_array_equal(tail.vt[10:], exact.vt)
-        assert appended.config.strategy == "exact"
 
     def test_unknown_config_key_still_rejected(self, temporal, tmp_path) -> None:
         _, store = fitted_store(temporal, tmp_path / "m")
@@ -229,6 +207,74 @@ class TestSaveAndManifest:
             np.testing.assert_array_equal(
                 served.reconstruct(), fit.result.reconstruct()
             )
+
+
+def _answer(store: ModelStore, t0: int, t1: int) -> TuckerResult:
+    with store.open(warm_start=False, cache_size=0) as served:
+        return served.query_time_range(t0, t1)
+
+
+class TestParentFormatSliceSvdModes:
+    """Stores written while the config carried a slice-SVD mode still open.
+
+    Every earlier manifest records ``strategy`` (``rsvd``, ``auto``,
+    ``gram`` or ``exact``); the oldest record ``exact_slice_svd: true``
+    instead.  Each opens, answers exactly like the unedited store, and
+    appends with the one slice-SVD rule.
+    """
+
+    PARENT_CONFIGS = {
+        "rsvd": {"strategy": "rsvd"},
+        "auto": {"strategy": "auto"},
+        "gram": {"strategy": "gram"},
+        "exact": {"strategy": "exact"},
+        "exact_slice_svd": {"exact_slice_svd": True},
+    }
+
+    @pytest.mark.parametrize("mode", list(PARENT_CONFIGS))
+    def test_opens_answers_and_appends_with_the_one_rule(
+        self, rng, tmp_path, mode
+    ) -> None:
+        x = random_tensor((14, 12, 16), (3, 3, 3), rng=rng, noise=0.05)
+        model = DTucker(ranks=(3, 3, 3), seed=0).fit(x[..., :10])
+        ref = model.save(tmp_path / "ref")
+        old = model.save(tmp_path / "old")
+        manifest = json.loads((old.path / MANIFEST_NAME).read_text())
+        manifest["config"].update(self.PARENT_CONFIGS[mode])
+        (old.path / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+        old = ModelStore(old.path)
+        assert old.config == model.config
+        want, got = (_answer(store, 2, 8) for store in (ref, old))
+        np.testing.assert_array_equal(got.core, want.core)
+        for a, b in zip(got.factors, want.factors):
+            np.testing.assert_array_equal(a, b)
+
+        want = ref.append(x[..., 10:], rng=1).load_slice_svd()
+        got = old.append(x[..., 10:], rng=1).load_slice_svd()
+        for name in ("u", "s", "vt", "slice_norms_squared"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        appended = ModelStore(old.path)
+        assert appended.config == model.config
+        assert "strategy" not in appended.manifest["config"]
+
+    def test_stream_with_a_strategy_resumes(self, rng, tmp_path) -> None:
+        from repro.core.streaming import StreamingDTucker
+
+        x = random_tensor((16, 12, 20), (3, 3, 3), rng=rng, noise=0.05)
+        stream = StreamingDTucker(ranks=(3, 3, 4), seed=0)
+        stream.partial_fit(x[..., :5]).partial_fit(x[..., 5:10])
+        stream.save(tmp_path / "s")
+        manifest = json.loads((tmp_path / "s" / MANIFEST_NAME).read_text())
+        manifest["config"]["strategy"] = "auto"
+        (tmp_path / "s" / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+        loaded = StreamingDTucker.load(tmp_path / "s")
+        np.testing.assert_array_equal(loaded.result_.core, stream.result_.core)
+        loaded.partial_fit(x[..., 10:])
+        stream.partial_fit(x[..., 10:])
+        assert loaded.shape_ == (16, 12, 20)
+        np.testing.assert_array_equal(loaded.result_.core, stream.result_.core)
 
 
 class TestServedQueries:
