@@ -253,14 +253,20 @@ class FitPipeline:
         *,
         config: DTuckerConfig | None = None,
         engine: "ExecutionBackend | str | None" = None,
+        warm: bool = False,
     ) -> IterationResult:
-        """Iteration stage — the library's single ``als_sweeps`` call site."""
+        """Iteration stage — the library's single ``als_sweeps`` call site.
+
+        ``warm``: ``factors`` are a previous answer's, refined rather than
+        re-solved (see :func:`~repro.core.iteration.als_sweeps`).
+        """
         return als_sweeps(
             ssvd,
             tuple(int(r) for r in rank_tuple),
             factors,
             config=config if config is not None else self.config,
             engine=engine if engine is not None else self.engine,
+            warm=warm,
         )
 
     # -- composition ---------------------------------------------------------
@@ -438,6 +444,7 @@ class FitPipeline:
         *,
         config: DTuckerConfig | None = None,
         initial_factors: "Sequence[np.ndarray] | None" = None,
+        warm: bool = False,
     ) -> tuple[TuckerResult, IterationResult, list[PhaseTrace]]:
         """Initialization + iteration on an existing compression.
 
@@ -449,7 +456,9 @@ class FitPipeline:
         ``initial_factors`` skips the built-in :func:`initialize` call and
         starts the ALS sweeps from the given column-orthonormal factors —
         the serving layer passes factors recombined from its dyadic range
-        index (exact) or a cached warm start here.
+        index (exact) or a cached warm start here.  ``warm`` says the
+        given factors are a previous answer's: the sweeps refine them
+        instead of re-solving each factor (see :meth:`iterate`).
         """
         cfg = config if config is not None else self.config
         scope = backend_scope(self.engine, config=cfg)
@@ -459,7 +468,7 @@ class FitPipeline:
             else:
                 factors = list(initial_factors)
             outcome = self.iterate(
-                ssvd, rank_tuple, factors, config=cfg, engine=eng
+                ssvd, rank_tuple, factors, config=cfg, engine=eng, warm=warm
             )
         result = TuckerResult(
             core=outcome.core,

@@ -52,9 +52,9 @@ from ..engine import ExecutionBackend, backend_scope
 from ..exceptions import ConvergenceError
 from ..kernels.stats import KernelStats, record_into
 from ..kernels.workspace import SweepWorkspace
-from ..linalg.svd import leading_left_singular_vectors
+from ..linalg.svd import leading_left_singular_vectors, refine_left_singular_vectors
 from ..tensor.norms import core_based_error
-from ..tensor.unfold import unfold
+from ..tensor.unfold import _unfold
 from ..validation import check_ranks
 from .config import DTuckerConfig
 from .slice_svd import SliceSVD
@@ -100,6 +100,8 @@ def _sweep_loop(
     norm_squared: float,
     cfg: DTuckerConfig,
     *,
+    warm: bool = False,
+    stats: KernelStats | None = None,
     install: Callable[[int, np.ndarray], None] | None = None,
     callback: Callable[[int, float], None] | None = None,
 ) -> IterationResult:
@@ -108,17 +110,35 @@ def _sweep_loop(
     ``contract(n)`` returns mode ``n``'s TTM chain ``X̃ ×_{k≠n} A(k)ᵀ``
     (``contract(None)`` the core) for the factors in ``facs``; each sweep
     replaces ``facs[n]`` in place by the chain's leading left singular
-    vectors and hands it to ``install(n, factor)``.  Everything else —
-    mode order, the compressed-domain error estimate, the non-finite
-    check, the ``tol`` test, ``callback`` and the debug log — lives here.
+    vectors and hands it to ``install(n, factor)``.  A ``warm`` solve
+    starts from a previous answer's factors: it refines each factor from
+    its current value (:func:`~repro.linalg.svd
+    .refine_left_singular_vectors`, recording ``factor:warm`` /
+    ``factor:eigh`` into ``stats``) instead of an eigensolve.  Everything
+    else — mode order, the compressed-domain error estimate, the
+    non-finite check, the ``tol`` test, ``callback`` and the debug log —
+    lives here.  The chains come from checked inputs and are taken as
+    given; a non-finite one raises :class:`ConvergenceError`.
     """
+
+    def update(n: int, chain: np.ndarray) -> np.ndarray:
+        # The unfolding dies with this frame, before the next contract(n).
+        g = _unfold(chain, n)
+        if not np.isfinite(g).all():
+            raise ConvergenceError(
+                f"non-finite mode-{n} contraction at sweep {sweep}; input corrupt?"
+            )
+        if warm:
+            return refine_left_singular_vectors(g, ranks[n], facs[n], stats=stats)
+        return leading_left_singular_vectors(g, ranks[n])
+
     errors: list[float] = []
     converged = False
     sweep = 0
     core = None
     for sweep in range(1, int(cfg.max_iters) + 1):
         for n in range(len(ranks)):
-            facs[n] = leading_left_singular_vectors(unfold(contract(n), n), ranks[n])
+            facs[n] = update(n, contract(n))
             if install is not None:
                 install(n, facs[n])
         core = contract(None)
@@ -149,6 +169,7 @@ def als_sweeps(
     engine: ExecutionBackend | str | None = None,
     callback: Callable[[int, float], None] | None = None,
     workspace: SweepWorkspace | None = None,
+    warm: bool = False,
 ) -> IterationResult:
     """Run compressed-domain ALS sweeps until convergence.
 
@@ -177,6 +198,14 @@ def als_sweeps(
         ``ssvd``.  Passing one lets callers (e.g. the streaming solver)
         carry warm projection caches and scratch buffers across calls;
         when omitted a private workspace is created for this call.
+    warm:
+        ``factors`` are a previous answer's (a served query warm-started
+        from an overlapping cached result): every factor update refines
+        the factor it starts from with two subspace steps instead of an
+        eigensolve, falling back to the eigensolve where the refinement
+        cannot resolve the subspace.  The iteration phase's counters
+        record each update as a ``factor:warm`` or ``factor:eigh`` miss.
+        ``False`` (every fit, stream and cold start) keeps the eigensolve.
 
     Returns
     -------
@@ -185,8 +214,9 @@ def als_sweeps(
     Raises
     ------
     ConvergenceError
-        If the error estimate becomes non-finite (corrupt input), or if a
-        provided ``workspace`` is bound to a different compressed tensor.
+        If a contraction or the error estimate becomes non-finite (corrupt
+        input), or if a provided ``workspace`` is bound to a different
+        compressed tensor.
     """
     cfg = config if config is not None else DTuckerConfig()
     rank_tuple = check_ranks(ranks, ssvd.shape)
@@ -230,6 +260,8 @@ def als_sweeps(
                     rank_tuple,
                     ssvd.norm_squared,
                     cfg,
+                    warm=warm,
+                    stats=tr.counters,
                     install=ws.update_factor,
                     callback=end_sweep,
                 )

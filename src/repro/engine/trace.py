@@ -190,6 +190,9 @@ class PhaseTrace:
             line += f" steals={self.steals}"
         if self.queue_wait_seconds:
             line += f" qwait={self.queue_wait_seconds:.4f}s"
+        refined, fallbacks = c.factor_updates()
+        if refined or fallbacks:
+            line += f" updates={refined}w/{fallbacks}e"
         if c.bytes_comm or self.reduce_rounds:
             line += (
                 f" comm={c.bytes_comm / 2**20:.1f}MiB"

@@ -121,6 +121,14 @@ class KernelStats:
             if name.startswith("plan:")
         }
 
+    def factor_updates(self) -> tuple[int, int]:
+        """A warm solve's factor updates: ``(refined, fell back)``.
+
+        :func:`repro.linalg.svd.refine_left_singular_vectors` records each
+        update as a ``factor:warm`` or a ``factor:eigh`` miss.
+        """
+        return self.misses_for("factor:warm"), self.misses_for("factor:eigh")
+
     def w_evals_per_sweep(self) -> float:
         """Average ``W`` evaluations per completed sweep (``inf`` pre-sweep)."""
         if self.sweeps <= 0:

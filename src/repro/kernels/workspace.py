@@ -46,7 +46,7 @@ import numpy as np
 
 from ..engine import ExecutionBackend
 from ..exceptions import ShapeError
-from ..tensor.products import mode_product
+from ..tensor.products import _mode_product
 from .buffers import BufferPool
 from .contractions import (
     block_steps,
@@ -345,7 +345,7 @@ class SweepWorkspace:
                 out = cached
                 continue
             self.stats.record_miss("chain")
-            out = mode_product(out, self._factors[mode], mode, transpose=True)
+            out = _mode_product(out, self._factors[mode].swapaxes(-1, -2), mode)
             if len(self._chain_cache) < _MAX_CHAIN_ENTRIES:
                 self._chain_cache[steps] = out
         return out
@@ -386,7 +386,7 @@ class SweepWorkspace:
                 shape[mode] = mats[idx].shape[1]
                 moved = [shape[mode]] + shape[:mode] + shape[mode + 1:]
                 buf = self._take(f"{tag}:{step}", tuple(moved))
-            out = mode_product(out, mats[idx], mode, transpose=True, out=buf)
+            out = _mode_product(out, mats[idx].swapaxes(-1, -2), mode, buf)
         return out
 
     def contract(self, target: int | None) -> np.ndarray:

@@ -10,6 +10,7 @@ from .rsvd import batched_rsvd, batched_svd_via_gram, randomized_range_finder, r
 from .sketch import CountSketch, TensorSketch
 from .svd import (
     leading_left_singular_vectors,
+    refine_left_singular_vectors,
     sign_fix,
     solve_gram,
     truncated_svd,
@@ -25,6 +26,7 @@ __all__ = [
     "CountSketch",
     "TensorSketch",
     "leading_left_singular_vectors",
+    "refine_left_singular_vectors",
     "sign_fix",
     "solve_gram",
     "truncated_svd",

@@ -40,6 +40,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..core.slice_svd import SliceSVD
+from ..exceptions import ShapeError
 from ..linalg.svd import sign_fix
 
 __all__ = [
@@ -108,9 +109,13 @@ def merge_scaled_bases(blocks: list[np.ndarray]) -> np.ndarray:
     Returns ``U · diag(σ)`` from the thin SVD of ``hstack(blocks)`` with
     the deterministic :func:`sign_fix` column convention.  The result
     spans the same column space with the same Gram matrix as the input
-    stack (``P Pᵀ = B Bᵀ``), in at most ``rows`` columns.
+    stack (``P Pᵀ = B Bᵀ``), in at most ``rows`` columns.  A non-finite
+    entry (a corrupt stored payload) raises :class:`ShapeError`, where the
+    SVD would fail untyped.
     """
     stacked = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    if not np.isfinite(stacked).all():
+        raise ShapeError("stored slices contain non-finite values (NaN or Inf)")
     u, s, _ = np.linalg.svd(stacked, full_matrices=False)
     u, _ = sign_fix(u)
     return np.ascontiguousarray(u * s)

@@ -107,7 +107,10 @@ class ServingStats:
     read accessors take the same lock and return consistent snapshots.
     Cache counters live in a :class:`~repro.kernels.stats.KernelStats`
     under the names ``"result"`` (LRU result cache), ``"warm"``
-    (warm-started computations) and ``"node"`` (range-index node lookups).
+    (warm-started computations) and ``"node"`` (range-index node lookups);
+    the factor updates of warm-started computations are misses under
+    ``"factor:warm"`` (refined from the cached answer) and
+    ``"factor:eigh"`` (fell back to the eigensolve).
     ``records`` keeps only the most recent ``TELEMETRY_HISTORY`` queries;
     the query counts per kind (and, from the counters, per cache outcome)
     and the total seconds are running totals over every query.
@@ -122,8 +125,16 @@ class ServingStats:
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record(
-        self, kind: str, seconds: float, items: int, *, cache: str = "-"
+        self,
+        kind: str,
+        seconds: float,
+        items: int,
+        *,
+        cache: str = "-",
+        counters: KernelStats | None = None,
     ) -> None:
+        """Record one query; ``counters`` (its iteration phase's) add its
+        ``factor:*`` update counts."""
         entry = QueryRecord(
             kind=kind,
             seconds=float(seconds),
@@ -141,6 +152,10 @@ class ServingStats:
                 self.counters.record_miss("result")
             if entry.cache == "warm":
                 self.counters.record_hit("warm")
+            for name in ("factor:warm", "factor:eigh"):
+                n = 0 if counters is None else counters.misses_for(name)
+                if n:
+                    self.counters.counts.setdefault(name, [0, 0])[1] += n
 
     def count(self, name: str, hit: bool) -> None:
         """Record one auxiliary-cache lookup (e.g. a range-index node)."""
@@ -198,9 +213,11 @@ class ServingStats:
         """One line of telemetry, e.g.::
 
             queries=7 (time_range=4 reconstruct=3) threads=2 total=0.12s \
-cache=2h/2m/1w nodes=5h/3m
+cache=2h/2m/1w nodes=5h/3m updates=6w/0e
 
-        ``threads`` counts the reader threads among the recent records.
+        ``threads`` counts the reader threads among the recent records;
+        ``updates`` counts warm solves' factor updates, refined (``w``) or
+        fallen back to the eigensolve (``e``).
         """
         with self._lock:
             counts = dict(self._kinds)
@@ -211,6 +228,7 @@ cache=2h/2m/1w nodes=5h/3m
             warm = self.counters.hits_for("warm")
             node_hits = self.counters.hits_for("node")
             node_misses = self.counters.misses_for("node")
+            refined, fallbacks = self.counters.factor_updates()
         kinds = " ".join(f"{k}={n}" for k, n in sorted(counts.items()))
         line = (
             f"queries={sum(counts.values())}"
@@ -223,6 +241,8 @@ cache=2h/2m/1w nodes=5h/3m
                 line += f"/{warm}w"
         if node_hits or node_misses:
             line += f" nodes={node_hits}h/{node_misses}m"
+        if refined or fallbacks:
+            line += f" updates={refined}w/{fallbacks}e"
         return line
 
 
@@ -730,7 +750,11 @@ class ServedModel:
         blas_cap = nullcontext() if share is None else limit_blas_threads(share)
         with blas_cap:
             result, outcome, _ = pipeline.refit(
-                local, stored_ranks, config=cfg, initial_factors=init_factors
+                local,
+                stored_ranks,
+                config=cfg,
+                initial_factors=init_factors,
+                warm=cache_tag == "warm",
             )
         inverse = tuple(int(i) for i in np.argsort(self.permutation))
         answer = result.permute_modes(inverse)
@@ -749,6 +773,7 @@ class ServedModel:
             time.perf_counter() - started,
             local.num_slices,
             cache=cache_tag,
+            counters=outcome.kernel_stats,
         )
         return answer
 

@@ -38,7 +38,12 @@ def frobenius_norm_squared(tensor: np.ndarray) -> float:
     precision contract as :func:`repro.kernels.compress_plan.slab_norms`.
     The float64 path is unchanged (``flat @ flat``).
     """
-    flat = np.ravel(as_tensor(tensor, min_order=1, name="tensor"))
+    return _sum_of_squares(as_tensor(tensor, min_order=1, name="tensor"))
+
+
+def _sum_of_squares(x: np.ndarray) -> float:
+    """:func:`frobenius_norm_squared` of a float array taken as given."""
+    flat = np.ravel(x)
     if flat.dtype == np.float64:
         return float(flat @ flat)
     return float(np.einsum("i,i->", flat, flat, dtype=np.float64))
@@ -91,7 +96,8 @@ def core_based_error(norm_x_squared: float, core: np.ndarray) -> float:
     norm_x_squared:
         ``||X||_F^2`` of the original tensor (a scalar retained from input).
     core:
-        Current core tensor.
+        Current core tensor, a float array taken as given (the sweep
+        loop's estimate runs on every sweep; it is not re-validated).
 
     Returns
     -------
@@ -101,5 +107,5 @@ def core_based_error(norm_x_squared: float, core: np.ndarray) -> float:
     """
     if norm_x_squared <= 0.0:
         raise ShapeError("norm_x_squared must be positive")
-    g2 = frobenius_norm_squared(core)
+    g2 = _sum_of_squares(np.asarray(core))
     return float(max(norm_x_squared - g2, 0.0) / norm_x_squared)

@@ -74,6 +74,24 @@ def mode_product(
             f"matrix with {int(op.shape[1])} columns cannot multiply mode {m} of "
             f"dimensionality {int(x.shape[m])}"
         )
+    if out is not None:
+        expected = (int(op.shape[0]),) + tuple(
+            int(d) for k, d in enumerate(x.shape) if k != m
+        )
+        if tuple(out.shape) != expected:
+            raise ShapeError(
+                f"out buffer shape {tuple(out.shape)} does not match result "
+                f"shape {expected}"
+            )
+    return _mode_product(x, op, m, out)
+
+
+def _mode_product(x: np.ndarray, op: np.ndarray, m: int, out=None) -> np.ndarray:
+    """:func:`mode_product` ``x ×_m op`` on operands taken as given.
+
+    For internal callers whose operands are already checked float arrays
+    of matching shapes (the ALS sweep's TTM chains); no validation.
+    """
     # Move the contracted mode to the front, contract, move the result back.
     moved = np.moveaxis(x, m, 0)
     if out is None:
@@ -81,14 +99,8 @@ def mode_product(
     else:
         # Same 2-D GEMM tensordot performs internally, targeted at `out`.
         rows = int(op.shape[0])
-        expected = (rows,) + tuple(int(d) for d in moved.shape[1:])
-        if tuple(out.shape) != expected:
-            raise ShapeError(
-                f"out buffer shape {tuple(out.shape)} does not match result "
-                f"shape {expected}"
-            )
         flat = np.reshape(moved, (int(x.shape[m]), -1))
-        res = np.reshape(np.dot(op, flat, out=np.reshape(out, (rows, -1))), expected)
+        res = np.reshape(np.dot(op, flat, out=np.reshape(out, (rows, -1))), out.shape)
     return np.moveaxis(res, 0, m)
 
 

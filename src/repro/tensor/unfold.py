@@ -59,7 +59,11 @@ def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
     (2, 12)
     """
     x = as_tensor(tensor, min_order=1, name="tensor")
-    m = check_mode(mode, x.ndim)
+    return _unfold(x, check_mode(mode, x.ndim))
+
+
+def _unfold(x: np.ndarray, m: int) -> np.ndarray:
+    """:func:`unfold` of an array taken as given (internal sweep callers)."""
     return np.reshape(np.moveaxis(x, m, 0), (int(x.shape[m]), -1), order="F")
 
 

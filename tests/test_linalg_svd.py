@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from repro.exceptions import RankError, ShapeError
 from repro.linalg.rsvd import randomized_range_finder, rsvd
+from repro.kernels.stats import KernelStats
 from repro.linalg.svd import (
     _eigh_top,
     leading_left_singular_vectors,
+    refine_left_singular_vectors,
     robust_svd,
     sign_fix,
     solve_gram,
@@ -407,12 +409,137 @@ class TestLeadingVectorsOracle:
         assert_orthonormal(u.astype(np.float64), atol=10 * shape[0] * np.finfo(dtype).eps)
 
 
+def orthonormal_start(m: int, r: int, seed: int) -> np.ndarray:
+    """A random ``m × r`` matrix with orthonormal columns."""
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((m, r)))[0]
+
+
+def captured_energy(u: np.ndarray, a: np.ndarray) -> float:
+    """``‖Uᵀ·A‖²``: the energy of ``A`` in the span of ``U``."""
+    return float(np.linalg.norm(u.T @ a) ** 2)
+
+
+class TestWarmRefineOracle:
+    """``refine_left_singular_vectors`` against the mathematics.
+
+    Each block-power step with its Rayleigh–Ritz step captures at least the
+    energy of the subspace it started from (a fallback takes the eigensolve,
+    which captures the most), so a refined factor never loses captured
+    energy; repeated refinement converges to the eigensolve's subspace at
+    ``(σ_{r+1}/σ_r)²`` per step, down to the same Davis–Kahan round-off
+    bound as :class:`TestLeadingVectorsOracle`.
+    """
+
+    @given(problem=gapped_problems(), start=st.integers(0, 2**31 - 1), near=st.booleans())
+    def test_captured_energy_never_drops(self, problem, start, near) -> None:
+        m, n, r, s, seed = problem
+        a = matrix_with_spectrum(m, n, s, np.float64, seed)
+        prev = orthonormal_start(m, r, start)
+        if near:  # an almost-right start, as a served warm solve has
+            prev = np.linalg.qr(leading_left_singular_vectors(a, r) + 0.1 * prev)[0]
+        u = refine_left_singular_vectors(a, r, prev)
+        total = float(np.linalg.norm(a) ** 2)
+        assert captured_energy(u, a) >= captured_energy(prev, a) - 1e-12 * total
+        assert np.abs(u.T @ u - np.eye(r)).max() <= 1e-12
+        pivots = u[np.argmax(np.abs(u), axis=0), np.arange(r)]
+        assert np.all(pivots > 0)
+
+    @pytest.mark.parametrize("shape", [(60, 20), (30, 30), (20, 60)], ids=["tall", "square", "wide"])
+    @pytest.mark.parametrize("gap", [0.3, 0.7])
+    def test_repeated_refinement_reaches_the_eigensolve_subspace(self, shape, gap) -> None:
+        m, n = shape
+        r = 5
+        s = np.concatenate(
+            [np.geomspace(4.0, 1.0, r), gap * np.geomspace(1.0, 0.1, min(m, n) - r)]
+        )
+        a = matrix_with_spectrum(m, n, s, np.float64, seed=3)
+        u_ref = leading_left_singular_vectors(a, r)
+        u = orthonormal_start(m, r, seed=4)
+        stats = KernelStats()
+        for _ in range(40):
+            u = refine_left_singular_vectors(a, r, u, stats=stats)
+        assert stats.misses_for("factor:eigh") == 0
+        dist = np.linalg.norm(u @ u.T - u_ref @ u_ref.T, 2)
+        eps = float(np.finfo(np.float64).eps)
+        assert dist <= 10 * max(m, n) * eps * s[0] ** 2 / (s[r - 1] ** 2 - s[r] ** 2)
+
+    def test_records_one_warm_update_per_call(self) -> None:
+        a = matrix_with_spectrum(40, 30, np.geomspace(10.0, 0.1, 30), np.float64, seed=5)
+        stats = KernelStats()
+        u = refine_left_singular_vectors(a, 4, orthonormal_start(40, 4, 6), stats=stats)
+        assert stats.counts == {"factor:warm": [0, 1]}
+        assert u.shape == (40, 4) and u.dtype == np.float64
+
+    @pytest.mark.parametrize("prev", [None, (40, 3), (39, 4)], ids=["missing", "narrow", "short"])
+    def test_missing_or_misshapen_start_takes_the_eigensolve(self, prev) -> None:
+        a = matrix_with_spectrum(40, 30, np.geomspace(10.0, 0.1, 30), np.float64, seed=5)
+        start = None if prev is None else orthonormal_start(*prev, seed=6)
+        stats = KernelStats()
+        u = refine_left_singular_vectors(a, 4, start, stats=stats)
+        np.testing.assert_array_equal(u, leading_left_singular_vectors(a, 4))
+        assert stats.counts == {"factor:eigh": [0, 1]}
+
+    def test_unresolved_ritz_values_take_the_eigensolve(self) -> None:
+        # Rank 3 < 4 requested: θ_4 is round-off, below 4·eps·θ_1.
+        a = matrix_with_spectrum(40, 30, np.array([3.0, 2.0, 1.0]), np.float64, seed=7)
+        stats = KernelStats()
+        u = refine_left_singular_vectors(a, 4, orthonormal_start(40, 4, 8), stats=stats)
+        np.testing.assert_array_equal(u, leading_left_singular_vectors(a, 4))
+        assert stats.counts == {"factor:eigh": [0, 1]}
+
+    def test_non_finite_ritz_values_take_the_eigensolve(self) -> None:
+        # Entries near sqrt(max) overflow A·(Aᵀ·U), not the eigensolve's SVD fallback.
+        big = np.sqrt(np.finfo(np.float64).max)
+        a = matrix_with_spectrum(40, 12, np.geomspace(4.0, 1.0, 12), np.float64, seed=2) * big
+        stats = KernelStats()
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = refine_left_singular_vectors(a, 3, orthonormal_start(40, 3, 9), stats=stats)
+            expected = leading_left_singular_vectors(a, 3)
+        np.testing.assert_array_equal(u, expected)
+        assert stats.counts == {"factor:eigh": [0, 1]}
+
+    def test_float32_stays_float32(self) -> None:
+        a = matrix_with_spectrum(30, 20, np.geomspace(10.0, 0.1, 20), np.float32, seed=1)
+        prev = orthonormal_start(30, 4, 2).astype(np.float32)
+        u = refine_left_singular_vectors(a, 4, prev)
+        assert u.dtype == np.float32
+        assert_orthonormal(u.astype(np.float64), atol=10 * 30 * np.finfo(np.float32).eps)
+
+
+def count_warm_updates(monkeypatch) -> list[int]:
+    """Record every factor update the sweep loop refines from its start.
+
+    Returns the list that one ``1`` per
+    :func:`refine_left_singular_vectors` call of the sweep loop is appended to.
+    """
+    from repro.core import iteration
+
+    real = iteration.refine_left_singular_vectors
+    calls: list[int] = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(iteration, "refine_left_singular_vectors", counting)
+    return calls
+
+
+def factor_updates(stats) -> dict[str, int]:
+    """The ``factor:*`` update counts of a :class:`KernelStats`, nonzero only."""
+    counts = {n: stats.misses_for(n) for n in ("factor:warm", "factor:eigh")}
+    return {n: c for n, c in counts.items() if c}
+
+
 class TestLeadingVectorsPathGuard:
     """Factor updates on healthy input never take the thin-SVD fallback.
 
-    A small boats-like fit and one served time-range query (whose ALS runs
-    on the stored slices) make every factor update through
+    A small boats-like fit and served time-range queries (whose ALS runs on
+    the stored slices) make every eigensolve through
     ``leading_left_singular_vectors``; none may reach the SVD of its input.
+    Only a warm-tagged served query refines factors from its start: every
+    fit, refit, stream and served miss keeps the eigensolve and records no
+    ``factor:*`` update.
     """
 
     @pytest.mark.parametrize("precision", ["float32", "float64"])
@@ -428,5 +555,65 @@ class TestLeadingVectorsPathGuard:
         model = DTucker((5, 5, 4), config=config).fit(x)
         with model.save(tmp_path / "m").open() as served:
             answer = served.query_time_range(8, 40)
-        assert model.n_iters_ >= 1 and answer.shape == (30, 24, 32)
+            warm = served.query_time_range(10, 42)
+            assert served.stats.records[-1].cache == "warm"
+        assert model.n_iters_ >= 1 and answer.shape == warm.shape == (30, 24, 32)
         assert calls == []
+
+    def test_fits_streams_and_misses_take_no_warm_update(self, monkeypatch, tmp_path) -> None:
+        from repro import (
+            DenseSource,
+            DTucker,
+            DTuckerConfig,
+            ShardCoordinator,
+            StreamingDTucker,
+        )
+        from repro.datasets import boats_like
+
+        x = boats_like(30, 24, 48, seed=0)
+        config = DTuckerConfig(seed=0, backend="serial")
+        warm_calls = count_warm_updates(monkeypatch)
+        model = DTucker((5, 5, 4), config=config).fit(x)
+        refit = model.refit((4, 4, 3))
+        np.save(tmp_path / "x.npy", x)
+        from_file = DTucker((5, 5, 4), config=config).fit_from_file(tmp_path / "x.npy")
+        sharded = ShardCoordinator(DenseSource(x), (5, 5, 4), config=config, shards=2).fit()
+        stream = StreamingDTucker((5, 5, 4), window=32, config=config)
+        for t in range(0, 48, 8):
+            stream.partial_fit(x[:, :, t : t + 8])
+        with model.save(tmp_path / "m").open() as served:
+            miss = served.query_time_range(8, 40)
+            assert served.stats.records[-1].cache == "miss"
+            assert "updates=" not in served.stats.summary()
+        assert warm_calls == []
+        for stats in (
+            model.kernel_stats_,
+            from_file.kernel_stats_,
+            sharded.kernel_stats,
+            stream.kernel_stats_,
+            *(t.counters for t in refit.trace_),
+            *(t.counters for t in miss.trace_),
+        ):
+            assert factor_updates(stats) == {}
+
+    def test_warm_query_refines_every_update(self, monkeypatch, tmp_path) -> None:
+        from repro import DTucker, DTuckerConfig
+        from repro.datasets import boats_like
+
+        x = boats_like(30, 24, 48, seed=0)
+        model = DTucker((5, 5, 4), config=DTuckerConfig(seed=0, backend="serial")).fit(x)
+        with model.save(tmp_path / "m").open() as served:
+            served.query_time_range(8, 40)
+            warm_calls = count_warm_updates(monkeypatch)
+            answer = served.query_time_range(10, 42)
+            assert served.stats.records[-1].cache == "warm"
+            (iteration,) = [t for t in answer.trace_ if t.phase == "iteration"]
+            updates = factor_updates(iteration.counters)
+            sweeps = iteration.counters.sweeps
+            # Every update is refined or counted as a fallback, and the
+            # serving telemetry carries the same counts.
+            assert sum(updates.values()) == len(warm_calls) == 3 * sweeps > 0
+            assert updates == {"factor:warm": 3 * sweeps}
+            assert factor_updates(served.stats.counters) == updates
+            assert f"updates={3 * sweeps}w/0e" in served.stats.summary()
+            assert f"updates={3 * sweeps}w/0e" in iteration.summary()

@@ -282,10 +282,13 @@ class TestBitIdentity:
     def test_warm_start_close_but_flagged(self, temporal, tmp_path) -> None:
         """Warm-started answers converge to tolerance and are recorded.
 
-        A warm start seeds ALS from an overlapping range's factors, so it
-        reaches the same objective but not necessarily the same bits —
-        which is exactly why it is telemetry-flagged and separately
-        switchable (``warm_start=False`` restores determinism).
+        A warm start seeds ALS from an overlapping range's factors, and its
+        sweeps refine each factor from where it starts (two subspace steps
+        instead of an eigensolve), so it reaches the same objective but not
+        necessarily the same bits — which is exactly why it is
+        telemetry-flagged and separately switchable (``warm_start=False``
+        restores determinism: every solve then starts cold and takes the
+        eigensolve).
         """
         store = fitted_store(temporal, tmp_path / "m")
         sub = temporal[..., 4:28]
